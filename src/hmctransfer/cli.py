@@ -34,7 +34,7 @@ from .operator import (
     weighted_norm,
     weighted_symmetry_residual,
 )
-from .tangent import determinant_bounds, tangent_batch
+from .tangent import TangentBlocks, determinant_bounds, tangent_batch
 
 OPERATOR_KINDS = ("operator", "spectrum", "kernel-norm", "convergence")
 ALL_KINDS = ("flow",) + OPERATOR_KINDS + ("sampler-check",)
@@ -268,9 +268,7 @@ def run_flow(config: ExperimentConfig, outdir: Path) -> int:
             qs.append(Q[0])
             ps.append(P[0])
             energies.append(float(model.target.value(Q[0]) + model.auxiliary.value(P[0])))
-            top = np.hstack([blocks[0][0], blocks[1][0]])
-            bot = np.hstack([blocks[2][0], blocks[3][0]])
-            dets.append(float(np.linalg.det(np.vstack([top, bot]))))
+            dets.append(float(np.linalg.det(TangentBlocks(*(b[0] for b in blocks)).matrix())))
     else:
         per = max(1, spec.steps // n_check)
         jac = np.eye(2 * d)
@@ -281,9 +279,7 @@ def run_flow(config: ExperimentConfig, outdir: Path) -> int:
             seg = FlowSpec(time=take * spec.time / spec.steps, steps=take, method="leapfrog")
             Q, P, blocks, _, _ = tangent_batch(q[None], p[None], model, seg)
             q, p = Q[0], P[0]
-            top = np.hstack([blocks[0][0], blocks[1][0]])
-            bot = np.hstack([blocks[2][0], blocks[3][0]])
-            jac = np.vstack([top, bot]) @ jac
+            jac = TangentBlocks(*(b[0] for b in blocks)).matrix() @ jac
             done += take
             times.append(done * spec.time / spec.steps)
             qs.append(q)
@@ -534,11 +530,11 @@ def main(argv=None) -> int:
         if args.threads:
             try:
                 from threadpoolctl import threadpool_limits
-
-                with threadpool_limits(limits=args.threads):
-                    return runner(config, outdir)
             except ImportError:
                 config.resolved["experiment.threads"] = "default (threadpoolctl unavailable)"
+            else:
+                with threadpool_limits(limits=args.threads):
+                    return runner(config, outdir)
         return runner(config, outdir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

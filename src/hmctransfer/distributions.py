@@ -181,11 +181,12 @@ def anharmonic_potential(a: float, b: float, halfwidth: float) -> Potential:
 
     def value(x):
         x = _as_points(x, 1)[..., 0]
-        return 0.5 * a * x**2 + 0.25 * b * x**4
+        x2 = x * x
+        return x2 * (0.5 * a + 0.25 * b * x2)
 
     def grad(x):
         x = _as_points(x, 1)
-        return a * x + b * x**3
+        return x * (a + b * (x * x))
 
     def hess(x):
         x = _as_points(x, 1)

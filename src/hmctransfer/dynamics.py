@@ -114,10 +114,13 @@ def _leapfrog(q, p, model: ModelPair, time: float, steps: int):
     grad_v = model.auxiliary.grad
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
+    # the closing kick's gradient opens the next step
+    gq = grad_u(q)
     for _ in range(steps):
-        p = p - 0.5 * tau * grad_u(q)
+        p = p - 0.5 * tau * gq
         q = q + tau * grad_v(p)
-        p = p - 0.5 * tau * grad_u(q)
+        gq = grad_u(q)
+        p = p - 0.5 * tau * gq
     return q, p
 
 

@@ -28,6 +28,7 @@ from .dynamics import FlowSpec
 from .operator import (
     DensityGrid,
     TransferMatrix,
+    build_momentum_rule,
     matrix_asymmetry,
     mass,
     symmetrize,
@@ -35,7 +36,6 @@ from .operator import (
     weighted_inner,
     weighted_norm,
     weighted_symmetry_residual,
-    _auxiliary_halfwidth,
 )
 from .tangent import tangent_batch
 
@@ -83,13 +83,10 @@ def assemble_kernel(
         )
     n = grid.n
     x = grid.axes[0]
-    half = _auxiliary_halfwidth(model)
-    probes = np.linspace(-half, half, momentum_nodes)
-    probe_w = np.full(momentum_nodes, probes[1] - probes[0])
-    probe_w[[0, -1]] *= 0.5
+    rule = build_momentum_rule(model, momentum_nodes, "trapezoid")
 
     q_rep = np.repeat(grid.nodes, momentum_nodes, axis=0)
-    p_rep = np.tile(probes[:, None], (n, 1))
+    p_rep = np.tile(rule.nodes, (n, 1))
     Q, P, blocks, _, _ = tangent_batch(q_rep, p_rep, model, spec)
     Q = Q.reshape(n, momentum_nodes)
     P = P.reshape(n, momentum_nodes)
@@ -124,10 +121,9 @@ def assemble_kernel(
     # restrict to image points inside the box: the change of variables maps
     # the position-space double integral over box x box exactly onto
     # {(q, p): Q(q, p) inside the box}
-    gp = gbar(probes).reshape(1, -1)
     gP = gbar(P.reshape(-1)).reshape(n, -1)
     in_box = (Q >= x[0]) & (Q <= x[-1])
-    hs_mom = float(np.einsum("i,k,ik->", w, probe_w * gp[0], in_box * gP / dQdp))
+    hs_mom = float(np.einsum("i,k,ik->", w, rule.weights, in_box * gP / dQdp))
 
     return KernelField(
         values=K,
@@ -138,7 +134,7 @@ def assemble_kernel(
             "method": spec.method,
             "steps": spec.steps,
             "momentum_nodes": momentum_nodes,
-            "momentum_halfwidth": half,
+            "momentum_halfwidth": float(rule.nodes[-1, 0]),
             "gaussian_model": model.is_gaussian,
         },
     )

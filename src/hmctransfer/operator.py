@@ -10,16 +10,21 @@ the momenta back out:
 
 The matrix is assembled by momentum quadrature per position node, with the
 value h(Q) obtained by cubic-spline interpolation on the grid (linear in
-d >= 2).  In 1-d each spline value is averaged along the image curve
-p -> Q(q, p) under a fixed polynomial-reproducing filter scaled to the image
-spacing: a knot correction added to the point-value deposit, which keeps the
-momentum sum from aliasing the spline's knot jumps into grid-scale modes of
-negative eigenvalue.  Two algebraically equivalent forms are kept: ``direct``
-deposits g(P) evaluated along the flow, ``likelihood`` transports the ratio
-h/f and re-weights by f, which avoids the division at deposit time.  For the
-exact flow they differ only by the O(h^4) spline interpolation error in the
-grid spacing h, which does not depend on the momentum node count; under
-leapfrog the difference measures the energy-conservation error.
+d >= 2).  Both deposits scatter local weights of the flow images with
+``np.bincount``.  In 1-d the weights are the monomials of each image's offset
+within its spline piece, and one product W @ c with the spline coefficients c
+of the identity turns them into matrix rows.  Each spline value is also
+averaged along the image curve p -> Q(q, p) under a fixed
+polynomial-reproducing filter scaled to the image spacing: a knot correction
+added to that point-value deposit, which keeps the momentum sum from aliasing
+the spline's knot jumps into grid-scale modes of negative eigenvalue.
+
+Two algebraically equivalent forms are kept: ``direct`` deposits g(P)
+evaluated along the flow, ``likelihood`` transports the ratio h/f and
+re-weights by f, which avoids the division at deposit time.  For the exact
+flow they differ only by the O(h^4) spline interpolation error in the grid
+spacing h, which does not depend on the momentum node count; under leapfrog
+the difference measures the energy-conservation error.
 """
 
 from __future__ import annotations
@@ -270,13 +275,20 @@ def _filter_excess(u: np.ndarray, p: int, closed: bool = False) -> np.ndarray:
 def _deposit_matrix_cubic(grid: DensityGrid, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Accumulate T_ij = sum_k G[i, k] (K * c_j)(Q[i, k]) with cubic-spline cardinals c_j.
 
-    Point values c_j(Q) sampled at the image spacing delta, which need not
-    resolve a grid cell, alias the third-derivative jumps of c_j at the knots
-    into grid-scale modes.  Each point value is therefore replaced by its
-    average under the filter K, scaled to the local image spacing delta (the
-    central difference of Q along the momentum nodes, one-sided at the ends).
-    On a single cubic piece the average equals the point value, so the
-    filtered deposit is the point deposit plus a knot correction Psi @ J:
+    The cardinals are read once as spline coefficients of the identity:
+    c[r, piece, j] multiplies s^(3 - r) on ``piece``, with s the offset from
+    its left knot.  The point deposit sum_k G[i, k] c_j(Q[i, k]) is then
+    W @ c, where W[i, (r, piece)] sums G[i, k] s^(3 - r) over the in-box
+    images of row i in that piece; images outside the grid contribute
+    nothing (truncated mass).
+
+    Point values sampled at the image spacing delta, which need not resolve a
+    grid cell, alias the third-derivative jumps of c_j at the knots into
+    grid-scale modes.  Each point value is therefore replaced by its average
+    under the filter K, scaled to the local image spacing delta (the central
+    difference of Q along the momentum nodes, one-sided at the ends).  On a
+    single cubic piece the average equals the point value, so the filtered
+    deposit is the point deposit plus a knot correction Psi @ J:
 
     - J[(kappa, p), j] is the coefficient of (x - x_kappa)_+^p in c_j: the
       jump of the cubic coefficient (p = 3) at every knot, and at the box
@@ -284,40 +296,39 @@ def _deposit_matrix_cubic(grid: DensityGrid, Q: np.ndarray, G: np.ndarray) -> np
       first and last pieces;
     - Psi[i, (kappa, p)] = sum_k G[i, k] delta^p psi_p((Q[i, k] - x_kappa) / delta),
       nonzero only for knots within 3 delta of an image.
-
-    Points outside the grid contribute nothing to the point values (truncated mass).
     """
     x = grid.axes[0]
     n = grid.n
     n_rows, m = G.shape
-    out = np.zeros((n_rows, n))
-    # spline coefficients kept for the knot correction: the cubic ones of
-    # every piece, all four of the first and the last piece
-    cubic, first, last = np.empty((n - 1, n)), np.empty((4, n)), np.empty((4, n))
-    chunk = 64
-    eye = np.eye(n)
-    for j0 in range(0, n, chunk):
-        cols = slice(j0, j0 + chunk)
-        spline = CubicSpline(x, eye[:, cols], axis=0, extrapolate=False)
-        cubic[:, cols], first[:, cols], last[:, cols] = spline.c[0], spline.c[:, 0], spline.c[:, -1]
-        vals = spline(Q.reshape(-1))
-        np.nan_to_num(vals, copy=False, nan=0.0)
-        out[:, cols] = np.einsum("im,imb->ib", G, vals.reshape(n_rows, m, -1))
-
-    # knot coefficients: cubic jumps at every knot, then the lower Taylor
-    # coefficients (p = 0, 1, 2) entering at the left edge and leaving at the right
     h = x[1] - x[0]
-    edge_rows = [(0, p, first[3 - p]) for p in range(3)] + [
-        (n - 1, p, -sum(math.comb(r, p) * h ** (r - p) * last[3 - r] for r in range(p, 4)))
-        for p in range(3)
-    ]
-    J = np.vstack([np.diff(cubic, axis=0, prepend=0.0, append=0.0)]
-                  + [row for _, _, row in edge_rows])
-
-    delta = np.abs(np.gradient(Q, axis=1)).reshape(-1)
+    c = CubicSpline(x, np.eye(n), axis=0).c
     q = Q.reshape(-1)
     g = G.reshape(-1)
     rows = np.repeat(np.arange(n_rows), m)
+
+    # point deposit: local monomials G s^(3 - r) of the in-box images, one
+    # scatter per power, times the coefficient map
+    inside = (q >= x[0]) & (q <= x[-1])
+    q_in, local = q[inside], g[inside]
+    piece = np.clip(np.searchsorted(x, q_in, "right") - 1, 0, n - 2)
+    s = q_in - x[piece]
+    slot = rows[inside] * (4 * (n - 1)) + piece
+    W = np.zeros(n_rows * 4 * (n - 1))
+    for r in range(3, -1, -1):
+        W += np.bincount(slot + r * (n - 1), weights=local, minlength=W.size)
+        local = local * s
+    out = W.reshape(n_rows, -1) @ c.reshape(-1, n)
+
+    # knot coefficients: cubic jumps at every knot, then the lower Taylor
+    # coefficients (p = 0, 1, 2) entering at the left edge and leaving at the right
+    edge_rows = [(0, p, c[3 - p, 0]) for p in range(3)] + [
+        (n - 1, p, -sum(math.comb(r, p) * h ** (r - p) * c[3 - r, -1] for r in range(p, 4)))
+        for p in range(3)
+    ]
+    J = np.vstack([np.diff(c[0], axis=0, prepend=0.0, append=0.0)]
+                  + [row for _, _, row in edge_rows])
+
+    delta = np.abs(np.gradient(Q, axis=1)).reshape(-1)
     reach = _FILTER_REACH * delta
     lo = np.clip(np.ceil((q - reach - x[0]) / h), 0, n).astype(int)
     hi = np.clip(np.floor((q + reach - x[0]) / h), -1, n - 1).astype(int)
@@ -343,42 +354,33 @@ def _deposit_matrix_linear(grid: DensityGrid, points: np.ndarray, G: np.ndarray)
     """Multilinear scatter deposit for d >= 2 grids."""
     n_rows, m = G.shape
     d = grid.dim
-    shape = grid.shape
     flat = points.reshape(-1, d)
-    inside = grid.inside(flat)
-    idx = np.zeros((flat.shape[0], d), dtype=int)
-    frac = np.zeros((flat.shape[0], d))
+    idx, frac = [], []
     for axis, ax in enumerate(grid.axes):
         pos = np.clip(np.searchsorted(ax, flat[:, axis]) - 1, 0, len(ax) - 2)
-        idx[:, axis] = pos
-        frac[:, axis] = (flat[:, axis] - ax[pos]) / (ax[pos + 1] - ax[pos])
-    out = np.zeros((n_rows, grid.n))
-    rows = np.repeat(np.arange(n_rows), m)
-    weights_flat = G.reshape(-1)
-    strides = np.array([int(np.prod(shape[a + 1:])) for a in range(d)])
+        idx.append(pos)
+        frac.append((flat[:, axis] - ax[pos]) / (ax[pos + 1] - ax[pos]))
+    strides = [int(np.prod(grid.shape[a + 1:])) for a in range(d)]
+    g = G.reshape(-1) * grid.inside(flat)
+    rows = np.repeat(np.arange(n_rows), m) * grid.n
+    out = np.zeros(n_rows * grid.n)
     for corner in range(2 ** d):
-        bits = np.array([(corner >> a) & 1 for a in range(d)])
-        w = weights_flat * inside
-        col = np.zeros(flat.shape[0], dtype=int)
+        w, col = g, rows
         for axis in range(d):
-            take = frac[:, axis] if bits[axis] else (1.0 - frac[:, axis])
-            w = w * take
-            col += (idx[:, axis] + bits[axis]) * strides[axis]
-        np.add.at(out, (rows, col), w)
-    return out
+            bit = (corner >> axis) & 1
+            w = w * (frac[axis] if bit else 1.0 - frac[axis])
+            col = col + (idx[axis] + bit) * strides[axis]
+        out += np.bincount(col, weights=w, minlength=out.size)
+    return out.reshape(n_rows, grid.n)
 
 
 def _flow_factor_grid(grid, model, spec, rule, inverse):
-    """Flow all (node, momentum) pairs; return Q (n,m,d), weights G (n,m)."""
-    n = grid.n
-    m = rule.nodes.shape[0]
-    d = grid.dim
+    """Flow all (node, momentum) pairs; return Q, P of shape (n, m, d)."""
+    n, m = grid.n, rule.nodes.shape[0]
     q_rep = np.repeat(grid.nodes, m, axis=0)
     p_rep = np.tile(rule.nodes, (n, 1))
     Q, P = flow_batch(q_rep, p_rep, model, spec, inverse=inverse)
-    Q = Q.reshape(n, m, d)
-    P = P.reshape(n, m, d)
-    return Q, P
+    return Q.reshape(n, m, -1), P.reshape(n, m, -1)
 
 
 def _assemble(grid, model, spec, momentum_nodes, form, momentum_kind, inverse):

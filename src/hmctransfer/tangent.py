@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ModelPair
-from .dynamics import FlowSpec, PhaseState, exact_gaussian_matrix
+from .dynamics import FlowSpec, PhaseState, exact_gaussian_matrix, flow_batch
 
 __all__ = [
     "TangentBlocks",
@@ -99,10 +99,8 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     n, d = qs.shape
 
     if spec.method == "exact_gaussian":
+        Q, P = flow_batch(qs, ps, model, spec)
         mat = exact_gaussian_matrix(model, spec.time)
-        mu = model.target.params["mean"]
-        Q = (qs - mu) @ mat[:d, :d].T + ps @ mat[:d, d:].T + mu
-        P = (qs - mu) @ mat[d:, :d].T + ps @ mat[d:, d:].T
         blocks = tuple(
             np.broadcast_to(mat[i * d:(i + 1) * d, j * d:(j + 1) * d], (n, d, d)).copy()
             for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -115,11 +113,13 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     q = qs.copy()
     p = ps.copy()
     dQdq, dQdp, dPdq, dPdp = _identity_blocks(n, d)
-    u_sum = 0.5 * model.target.hess(q)
+    # the end-of-step gradient and Hessian are the next step's starting ones
+    gq = model.target.grad(q)
+    hq = model.target.hess(q)
+    u_sum = 0.5 * hq
     v_sum = 0.5 * model.auxiliary.hess(p)
     for step in range(spec.steps):
-        hq = model.target.hess(q)
-        p = p - 0.5 * tau * model.target.grad(q)
+        p = p - 0.5 * tau * gq
         dPdq = dPdq - 0.5 * tau * hq @ dQdq
         dPdp = dPdp - 0.5 * tau * hq @ dQdp
 
@@ -128,8 +128,9 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
         dQdq = dQdq + tau * hp @ dPdq
         dQdp = dQdp + tau * hp @ dPdp
 
+        gq = model.target.grad(q)
         hq = model.target.hess(q)
-        p = p - 0.5 * tau * model.target.grad(q)
+        p = p - 0.5 * tau * gq
         dPdq = dPdq - 0.5 * tau * hq @ dQdq
         dPdp = dPdp - 0.5 * tau * hq @ dQdp
 

@@ -1,8 +1,12 @@
+import contextlib
 import json
+import sys
+import types
 
 import numpy as np
 import pytest
 
+from hmctransfer import cli
 from hmctransfer.cli import hmc_chain, load_config, main
 from hmctransfer.dynamics import FlowSpec
 from hmctransfer.distributions import standard_gaussian_pair
@@ -239,6 +243,23 @@ def test_threads_flag_accepted(tmp_path):
     cfg = write(tmp_path, "spec.ini", ANH_SMALL)
     out = tmp_path / "out-threads"
     assert main(["spectrum", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+
+
+def test_threads_cap_runs_the_experiment_once(tmp_path, monkeypatch):
+    # an ImportError raised inside the run is a failed run, not a missing thread cap
+    stub = types.ModuleType("threadpoolctl")
+    stub.threadpool_limits = lambda limits: contextlib.nullcontext()
+    monkeypatch.setitem(sys.modules, "threadpoolctl", stub)
+    calls = []
+
+    def runner(config, outdir):
+        calls.append(outdir)
+        raise ImportError("raised inside the run")
+
+    monkeypatch.setitem(cli.RUNNERS, "spectrum", runner)
+    cfg = write(tmp_path, "spec.ini", ANH_SMALL)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 1
+    assert len(calls) == 1
 
 
 def test_hmc_chain_generic_metropolis_path():
