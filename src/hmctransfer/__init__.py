@@ -43,9 +43,7 @@ from .operator import (
     build_grid,
     iterate,
     mass,
-    matrix_asymmetry,
     random_density,
-    symmetrize,
     weighted_inner,
     weighted_norm,
     weighted_symmetry_residual,

@@ -29,9 +29,6 @@ from .operator import (
     DensityGrid,
     TransferMatrix,
     build_momentum_rule,
-    matrix_asymmetry,
-    mass,
-    symmetrize,
     to_weighted_symmetric,
     weighted_inner,
     weighted_norm,
@@ -178,8 +175,6 @@ class SpectralReport:
     multiplicity_check: bool
     second_mass: float
     symmetry_residual: float
-    asymmetry_diagnostic: float
-    symmetrized_fallback: bool
     gap_caveat: bool
 
     @property
@@ -187,33 +182,21 @@ class SpectralReport:
         return float(np.sum(self.eigenvalues**2))
 
 
-def eigen_spectrum(
-    T: TransferMatrix,
-    grid: DensityGrid,
-    k: int,
-    adjoint: TransferMatrix | None = None,
-) -> SpectralReport:
+def eigen_spectrum(T: TransferMatrix, grid: DensityGrid, k: int) -> SpectralReport:
     """Top-k eigenvalues through the weighted-similarity symmetric form.
 
-    Requires the operator to be self-adjoint in the weighted inner product
-    (functional residual below 1e-6); otherwise the spectrum is computed on
-    the symmetrization adjoint . T when the adjoint is supplied, with a flag.
+    For an even auxiliary density the operator is self-adjoint in the
+    weighted inner product, so its spectrum is real and the second eigenvalue
+    is the convergence rate.  That is a precondition here: a functional
+    residual of 1e-6 or more raises instead of returning a spectrum.
     """
+    if k < 2:
+        raise ValueError(f"top-k spectrum needs k >= 2 for the gap, got k = {k}")
     residual = weighted_symmetry_residual(T)
-    fallback = False
-    work = T
     if residual >= 1e-6:
-        if adjoint is None:
-            raise ValueError(
-                f"operator not self-adjoint (residual {residual:.3e}); "
-                "supply the adjoint to analyze the symmetrization instead"
-            )
-        work = symmetrize(T, adjoint)
-        fallback = True
-        residual = weighted_symmetry_residual(work)
+        raise ValueError(f"operator not self-adjoint (residual {residual:.3e})")
 
-    A, mask, scale = to_weighted_symmetric(work)
-    asym = matrix_asymmetry(work)
+    A, mask, scale = to_weighted_symmetric(T)
     sym = 0.5 * (A + A.T)
     vals, vecs = np.linalg.eigh(sym)
     order = np.argsort(-np.abs(vals))
@@ -245,9 +228,7 @@ def eigen_spectrum(
         multiplicity_check=bool(simple),
         second_mass=float(second_mass),
         symmetry_residual=float(residual),
-        asymmetry_diagnostic=float(asym),
-        symmetrized_fallback=fallback,
-        gap_caveat=not bool(work.meta.get("gaussian_model", False)),
+        gap_caveat=not bool(T.meta.get("gaussian_model", False)),
     )
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "assemble_adjoint",
     "weighted_symmetry_residual",
     "to_weighted_symmetric",
-    "symmetrize",
     "iterate",
     "random_density",
 ]
@@ -482,17 +481,6 @@ def to_weighted_symmetric(T: TransferMatrix):
     return (scale[:, None] / scale[None, :]) * sub, m, scale
 
 
-def matrix_asymmetry(T: TransferMatrix) -> float:
-    """Spectral-norm asymmetry of the weighted-similarity matrix.
-
-    Diagnostic only: per-entry interpolation noise near the domain boundary is
-    amplified by 1/sqrt(f), so this floors orders of magnitude above the
-    operator-level residual below.
-    """
-    A, _, _ = to_weighted_symmetric(T)
-    return float(np.linalg.norm(A - A.T, 2) / np.linalg.norm(A, 2))
-
-
 def _probe_densities(grid: DensityGrid, count: int = 8):
     """Fixed family of smooth unit-mass bumps spanning the resolved domain."""
     L = grid.halfwidth
@@ -526,17 +514,6 @@ def weighted_symmetry_residual(T: TransferMatrix) -> float:
     return worst
 
 
-def symmetrize(T: TransferMatrix, T_adj: TransferMatrix) -> TransferMatrix:
-    """Self-adjoint composition T_adj . T."""
-    if T.grid is not T_adj.grid and not (
-        T.grid.shape == T_adj.grid.shape and np.array_equal(T.grid.nodes, T_adj.grid.nodes)
-    ):
-        raise ValueError("transfer and adjoint matrices live on different grids")
-    meta = dict(T.meta)
-    meta["form"] = "symmetrized"
-    return TransferMatrix(entries=T_adj.entries @ T.entries, grid=T.grid, meta=meta)
-
-
 @dataclass(frozen=True)
 class IterationTrace:
     """Per-step norms and errors of the fixed-point iteration h -> T h."""
@@ -555,9 +532,9 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
     """Iterate the operator, tracking ||T^n h|| and the error to alpha f.
 
     alpha = mass(h0) / mass(f) identifies the limit density.  The norm column
-    realizes the monotone limit V(h) = lim ||T^n h||^2.  Ten consecutive error
-    increases are flagged as an anomaly (broken discretization) and stop the
-    run.
+    realizes the monotone limit V(h) = lim ||T^n h||^2.  The run stops with an
+    anomaly (broken discretization) when the error has risen ten steps in a
+    row and exceeds three times the best error so far.
     """
     grid = T.grid
     h = np.asarray(h0, dtype=float).copy()
@@ -568,6 +545,7 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
     errors = [weighted_norm(h - limit, grid)]
     anomaly = False
     rising = 0
+    best = errors[0]
     n = 0
     while errors[-1] >= tol and n < n_max:
         h = T.entries @ h
@@ -576,9 +554,10 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
         norms.append(weighted_norm(h, grid))
         errors.append(weighted_norm(h - limit, grid))
         rising = rising + 1 if errors[-1] > errors[-2] else 0
+        best = min(best, errors[-1])
         # wobble at the discretization floor is expected; sustained growth
         # well above the best error seen means a broken discretization
-        if rising >= 10 and errors[-1] > 3.0 * min(errors):
+        if rising >= 10 and errors[-1] > 3.0 * best:
             anomaly = True
             break
     return IterationTrace(

@@ -237,6 +237,10 @@ def test_config_validation_messages(tmp_path):
     with pytest.raises(Exception):
         load_config(cfg).seed  # ConfigError surfaces through main(), checked above
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o3")]) == 1
+    cfg = write(tmp_path, "topk.ini", ANH_SMALL.replace("top_k = 6", "top_k = 1"))
+    with pytest.raises(cli.ConfigError, match="experiment.top_k"):
+        load_config(cfg)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o4")]) == 1
 
 
 def test_threads_flag_accepted(tmp_path):

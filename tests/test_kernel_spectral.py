@@ -120,7 +120,6 @@ def test_spectrum_invariants(gauss_report):
     assert gauss_report.multiplicity_check
     assert gauss_report.second_mass < 1e-6
     assert not gauss_report.gap_caveat
-    assert not gauss_report.symmetrized_fallback
     assert gauss_report.symmetry_residual < 1e-6
 
 
@@ -147,7 +146,7 @@ def test_hilbert_schmidt_identity(gauss_report, gauss_kernel):
     assert gauss_report.eigenvalues[-1] ** 2 < 1e-6
 
 
-def test_symmetrization_fallback_and_spectrum_squares(gauss_T, gauss_Tadj, gauss_grid):
+def test_spectrum_refuses_non_self_adjoint_operator(gauss_T, gauss_grid):
     corrupt = TransferMatrix(
         entries=gauss_T.entries + 1e-3 * np.triu(np.abs(gauss_T.entries)),
         grid=gauss_grid,
@@ -155,15 +154,11 @@ def test_symmetrization_fallback_and_spectrum_squares(gauss_T, gauss_Tadj, gauss
     )
     with pytest.raises(ValueError, match="self-adjoint"):
         eigen_spectrum(corrupt, gauss_grid, k=4)
-    report = eigen_spectrum(corrupt, gauss_grid, k=6, adjoint=gauss_Tadj)
-    assert report.symmetrized_fallback
-    # the symmetrization of the clean operator squares the eigenvalues
-    from hmctransfer import symmetrize
 
-    S = symmetrize(gauss_T, gauss_Tadj)
-    rep_s = eigen_spectrum(S, gauss_grid, k=6)
-    squares = np.cos(0.7) ** (2 * np.arange(6))
-    assert np.max(np.abs(rep_s.eigenvalues - squares)) < 1e-3
+
+def test_spectrum_rejects_k_below_two(gauss_T, gauss_grid):
+    with pytest.raises(ValueError, match="k >= 2"):
+        eigen_spectrum(gauss_T, gauss_grid, k=1)
 
 
 def test_certificate_gaussian_rate(gauss_report, gauss_T, gauss_grid):
