@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import ModelPair, gaussian_potential, anharmonic_potential
-from .dynamics import FlowSpec, PhaseState, default_flow_spec, flow_batch, total_energy
+from .dynamics import FlowSpec, PhaseState, _leapfrog, default_flow_spec, total_energy
 from .kernel_spectral import assemble_kernel, certify_rate, eigen_spectrum, hs_norm
 from .operator import (
     assemble_adjoint,
@@ -361,6 +361,8 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> int:
         "iteration_anomaly": trace.anomaly,
         "limit_mass_ratio": trace.alpha,
     }
+    if "images_per_cell_min" in T.meta:  # the 1-d cubic deposit's resolution
+        report["images_per_cell_min"] = T.meta["images_per_cell_min"]
     write_json(outdir / "operator_report.json", report)
     write_manifest(outdir, config, {f"result.{k}": v for k, v in report.items()})
     return 0
@@ -420,34 +422,43 @@ def run_convergence(config: ExperimentConfig, outdir: Path) -> int:
 
 
 def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: np.random.Generator):
-    """Plain HMC chain: momentum refresh, flow, Metropolis correction.
+    """Plain 1-d HMC chain: momentum refresh, flow, Metropolis correction.
 
-    Returns (positions, acceptance_rate).  The exact Gaussian flow conserves
-    energy exactly, so every proposal is accepted and the 1-d chain reduces to
-    a linear recursion solved in one vectorized pass.
+    Returns (positions of shape (draws, 1), acceptance_rate).  The exact
+    Gaussian flow conserves energy exactly, so every proposal is accepted and
+    the chain reduces to a linear recursion solved in one vectorized pass.
+    Leapfrog draws run on Python floats through the potentials' scalar
+    evaluators and ``dynamics._leapfrog``, the integrator ``flow_batch`` uses,
+    so each draw is bit-identical to one ``flow_batch`` call on a (1,) array.
+    Raises ``ValueError`` for a model whose potentials have no scalar form
+    (d >= 2).
     """
-    d = model.dim
+    if model.target.scalar is None or model.auxiliary.scalar is None:
+        raise ValueError(f"hmc_chain: only 1-d models are supported, got dim {model.dim}")
     if draws == 0:
-        return np.zeros((0, d)), float("nan")
-    momenta_scale = np.linalg.cholesky(np.linalg.inv(model.auxiliary.params["precision"]))
-    if spec.method == "exact_gaussian" and d == 1:
+        return np.zeros((0, 1)), float("nan")
+    scale = float(np.linalg.cholesky(np.linalg.inv(model.auxiliary.params["precision"]))[0, 0])
+    if spec.method == "exact_gaussian":
         from scipy.signal import lfilter
 
         from .dynamics import exact_gaussian_matrix
 
         mat = exact_gaussian_matrix(model, spec.time)
         mu = float(model.target.params["mean"][0])
-        p = rng.standard_normal(draws) * momenta_scale[0, 0]
+        p = rng.standard_normal(draws) * scale
         centered = lfilter([mat[0, 1]], [1.0, -mat[0, 0]], p)
         return (centered + mu)[:, None], 1.0
-    q = np.zeros(d) + model.target.params.get("mean", np.zeros(d)) if model.target.is_gaussian else np.zeros(d)
-    out = np.empty((draws, d))
+    value_u, grad_u = model.target.scalar
+    value_v, grad_v = model.auxiliary.scalar
+    tau = spec.time / spec.steps
+    q = float(model.target.params["mean"][0]) if model.target.is_gaussian else 0.0
+    out = np.empty((draws, 1))
     accepted = 0
     for i in range(draws):
-        p = momenta_scale @ rng.standard_normal(d)
-        e0 = float(model.target.value(q) + model.auxiliary.value(p))
-        Q, P = flow_batch(q, p, model, spec)
-        e1 = float(model.target.value(Q) + model.auxiliary.value(P))
+        p = scale * rng.standard_normal()
+        e0 = value_u(q) + value_v(p)
+        Q, P = _leapfrog(q, p, grad_u, grad_v, tau, spec.steps)
+        e1 = value_u(Q) + value_v(P)
         if math.log(rng.uniform()) < e0 - e1:
             q = Q
             accepted += 1

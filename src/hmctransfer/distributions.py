@@ -36,6 +36,12 @@ class Potential:
     Evaluators accept points of shape ``(d,)`` or batches ``(N, d)``.
     ``value`` returns a scalar or ``(N,)``, ``grad`` matches the input shape,
     ``hess`` returns ``(d, d)`` or ``(N, d, d)``.
+
+    ``scalar`` is the pair ``(value, grad)`` on Python floats for a 1-d
+    potential, ``None`` otherwise.  The factories write each 1-d formula once,
+    as an expression valid for a float and an ndarray alike; ``value`` and
+    ``grad`` apply that same expression after reshaping their input, so both
+    forms agree bit for bit.
     """
 
     dim: int
@@ -46,10 +52,13 @@ class Potential:
     lambda_hi: float
     kind: str = "custom"
     params: dict = field(default_factory=dict)
+    scalar: tuple[Callable[[float], float], Callable[[float], float]] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
+        if self.scalar is not None and self.dim != 1:
+            raise ValueError(f"scalar evaluators need a 1-d potential, got dim {self.dim}")
         if not (0.0 < self.lambda_lo <= self.lambda_hi):
             raise ValueError(
                 f"need 0 < lambda_lo <= lambda_hi, got ({self.lambda_lo}, {self.lambda_hi})"
@@ -120,6 +129,11 @@ def _as_points(x, dim):
     return x
 
 
+def _array_forms(value, grad):
+    """Array evaluators of a 1-d potential from its float/ndarray expressions."""
+    return (lambda x: value(_as_points(x, 1)[..., 0]), lambda x: grad(_as_points(x, 1)))
+
+
 def gaussian_potential(mean, precision) -> Potential:
     """Quadratic potential (x-m)' P (x-m) / 2 of a Gaussian density.
 
@@ -138,14 +152,29 @@ def gaussian_potential(mean, precision) -> Potential:
     if eigvals[0] <= 0:
         raise ValueError(f"precision not positive definite, smallest eigenvalue {eigvals[0]:.6e}")
 
-    def value(x):
-        x = _as_points(x, d)
-        dx = x - mean
-        return 0.5 * np.einsum("...i,ij,...j->...", dx, precision, dx)
+    if d == 1:
+        m, prec = float(mean[0]), float(precision[0, 0])
 
-    def grad(x):
-        x = _as_points(x, d)
-        return (x - mean) @ precision.T
+        def value_1d(x):
+            dx = x - m
+            return 0.5 * (dx * prec * dx)
+
+        def grad_1d(x):
+            return (x - m) * prec
+
+        scalar = (value_1d, grad_1d)
+        value, grad = _array_forms(value_1d, grad_1d)
+    else:
+        scalar = None
+
+        def value(x):
+            x = _as_points(x, d)
+            dx = x - mean
+            return 0.5 * np.einsum("...i,ij,...j->...", dx, precision, dx)
+
+        def grad(x):
+            x = _as_points(x, d)
+            return (x - mean) @ precision.T
 
     def hess(x):
         x = _as_points(x, d)
@@ -162,6 +191,7 @@ def gaussian_potential(mean, precision) -> Potential:
         lambda_hi=float(eigvals[-1]),
         kind="gaussian",
         params={"mean": mean, "precision": precision},
+        scalar=scalar,
     )
 
 
@@ -179,14 +209,14 @@ def anharmonic_potential(a: float, b: float, halfwidth: float) -> Potential:
     if halfwidth <= 0:
         raise ValueError(f"need halfwidth > 0, got {halfwidth}")
 
-    def value(x):
-        x = _as_points(x, 1)[..., 0]
+    def value_1d(x):
         x2 = x * x
         return x2 * (0.5 * a + 0.25 * b * x2)
 
-    def grad(x):
-        x = _as_points(x, 1)
+    def grad_1d(x):
         return x * (a + b * (x * x))
+
+    value, grad = _array_forms(value_1d, grad_1d)
 
     def hess(x):
         x = _as_points(x, 1)
@@ -201,6 +231,7 @@ def anharmonic_potential(a: float, b: float, halfwidth: float) -> Potential:
         lambda_hi=float(a + 3.0 * b * halfwidth**2),
         kind="anharmonic",
         params={"a": float(a), "b": float(b), "halfwidth": float(halfwidth)},
+        scalar=(value_1d, grad_1d),
     )
 
 

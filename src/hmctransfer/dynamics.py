@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .distributions import ModelPair
 
@@ -97,6 +96,10 @@ def exact_gaussian_matrix(model: ModelPair, time: float) -> np.ndarray:
     """
     if not model.is_gaussian:
         raise ValueError("exact flow requested for a non-Gaussian model")
+    # imported here: scipy.linalg takes longer to import than the package itself,
+    # and leapfrog runs never need it
+    from scipy.linalg import expm
+
     aux_mean = model.auxiliary.params["mean"]
     if np.any(aux_mean != 0.0):
         raise ValueError("exact flow assumes a centered auxiliary Gaussian")
@@ -107,13 +110,13 @@ def exact_gaussian_matrix(model: ModelPair, time: float) -> np.ndarray:
     return expm(time * gen)
 
 
-def _leapfrog(q, p, model: ModelPair, time: float, steps: int):
-    """Velocity-Verlet (kick-drift-kick) on batched coordinates (..., d)."""
-    tau = time / steps
-    grad_u = model.target.grad
-    grad_v = model.auxiliary.grad
-    q = np.array(q, dtype=float)
-    p = np.array(p, dtype=float)
+def _leapfrog(q, p, grad_u, grad_v, tau: float, steps: int):
+    """Velocity-Verlet (kick-drift-kick): ``steps`` steps of size ``tau``.
+
+    Plain arithmetic on whatever q and p are: batched arrays (..., d) with the
+    array gradients (``flow_batch``), or Python floats with the scalar
+    gradients of a 1-d pair (the HMC chain), so both run the same integrator.
+    """
     # the closing kick's gradient opens the next step
     gq = grad_u(q)
     for _ in range(steps):
@@ -139,7 +142,7 @@ def flow_batch(qs, ps, model: ModelPair, spec: FlowSpec, inverse: bool = False):
     # reversing the time step inverts kick-drift-kick exactly, so
     # inverse(flow(s)) == s up to roundoff
     time = -spec.time if inverse else spec.time
-    return _leapfrog(qs, ps, model, time, spec.steps)
+    return _leapfrog(qs, ps, model.target.grad, model.auxiliary.grad, time / spec.steps, spec.steps)
 
 
 def flow(state: PhaseState, model: ModelPair, spec: FlowSpec) -> PhaseState:

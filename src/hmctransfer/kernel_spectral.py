@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .distributions import ModelPair
 from .dynamics import FlowSpec
@@ -73,6 +72,10 @@ def assemble_kernel(
     """
     if grid.dim != 1:
         raise NotImplementedError("kernel tabulation is implemented for 1-d grids")
+    # imported here: scipy.interpolate loads scipy.linalg, which importing the
+    # package does not need
+    from scipy.interpolate import CubicSpline
+
     t_lam = spec.time * model.lambda_max
     if t_lam >= math.pi:
         raise ValueError(

@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .distributions import ModelPair, density_value
 from .dynamics import FlowSpec, flow_batch
@@ -295,7 +294,14 @@ def _deposit_matrix_cubic(grid: DensityGrid, Q: np.ndarray, G: np.ndarray) -> np
       first and last pieces;
     - Psi[i, (kappa, p)] = sum_k G[i, k] delta^p psi_p((Q[i, k] - x_kappa) / delta),
       nonzero only for knots within 3 delta of an image.
+
+    Returns the matrix and the resolution h / max(delta) over the in-box
+    images: the fewest images per grid cell along any flow curve.
     """
+    # imported here: scipy.interpolate loads scipy.linalg, which importing the
+    # package does not need
+    from scipy.interpolate import CubicSpline
+
     x = grid.axes[0]
     n = grid.n
     n_rows, m = G.shape
@@ -328,6 +334,8 @@ def _deposit_matrix_cubic(grid: DensityGrid, Q: np.ndarray, G: np.ndarray) -> np
                   + [row for _, _, row in edge_rows])
 
     delta = np.abs(np.gradient(Q, axis=1)).reshape(-1)
+    widest = float(np.max(delta[inside], initial=0.0))
+    per_cell = float(h / widest) if widest > 0 else math.inf
     reach = _FILTER_REACH * delta
     lo = np.clip(np.ceil((q - reach - x[0]) / h), 0, n).astype(int)
     hi = np.clip(np.floor((q + reach - x[0]) / h), -1, n - 1).astype(int)
@@ -346,7 +354,7 @@ def _deposit_matrix_cubic(grid: DensityGrid, Q: np.ndarray, G: np.ndarray) -> np
         u = (q[sel] - x[knot]) / delta[sel]
         w = g[sel] * delta[sel] ** p * _filter_excess(u, p, closed=knot == 0)
         Psi += np.bincount(rows[sel] * width + col, weights=w, minlength=Psi.size)
-    return out + Psi.reshape(n_rows, width) @ J
+    return out + Psi.reshape(n_rows, width) @ J, per_cell
 
 
 def _deposit_matrix_linear(grid: DensityGrid, points: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -392,6 +400,11 @@ def _assemble(grid, model, spec, momentum_nodes, form, momentum_kind, inverse):
         raise ValueError(
             f"t * lambda_max = {t_lam:.6f} beyond the conjugate-point bound (< pi)"
         )
+    if grid.dim == 1:
+        # load the deposit's scipy.interpolate before the sweep: imported amid
+        # the sweep's freed temporaries it raised the peak RSS of a quartic
+        # n=401 kernel-norm run from 132.6 to 135.0 MiB
+        import scipy.interpolate  # noqa: F401
     rule = build_momentum_rule(model, momentum_nodes, momentum_kind)
     Q, P = _flow_factor_grid(grid, model, spec, rule, inverse)
     n, m, d = Q.shape
@@ -420,7 +433,7 @@ def _assemble(grid, model, spec, momentum_nodes, form, momentum_kind, inverse):
         notes.append(msg)
 
     if d == 1:
-        T = _deposit_matrix_cubic(grid, Q[..., 0], G)
+        T, per_cell = _deposit_matrix_cubic(grid, Q[..., 0], G)
     else:
         T = _deposit_matrix_linear(grid, Q, G)
     if form == "likelihood":
@@ -440,6 +453,8 @@ def _assemble(grid, model, spec, momentum_nodes, form, momentum_kind, inverse):
         "notes": tuple(notes),
         "deposit": "cubic_spline" if d == 1 else "multilinear",
     }
+    if d == 1:
+        meta["images_per_cell_min"] = per_cell
     return TransferMatrix(entries=T, grid=grid, meta=meta)
 
 
@@ -539,10 +554,18 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
     grid = T.grid
     h = np.asarray(h0, dtype=float).copy()
     alpha = mass(h, grid) / mass(grid.target_values, grid)
-    limit = alpha * grid.target_values
+    # weighted norms as plain 2-norms in the symmetric frame s = sqrt(w / f)
+    keep = grid.retained
+    scale = np.sqrt(grid.weights[keep] / grid.target_values[keep])
+    limit = scale * (alpha * grid.target_values[keep])
+
+    def norm(v):
+        return math.sqrt(v @ v)
+
     ns = [0]
-    norms = [weighted_norm(h, grid)]
-    errors = [weighted_norm(h - limit, grid)]
+    sh = scale * h[keep]
+    norms = [norm(sh)]
+    errors = [norm(sh - limit)]
     anomaly = False
     rising = 0
     best = errors[0]
@@ -551,8 +574,9 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
         h = T.entries @ h
         n += 1
         ns.append(n)
-        norms.append(weighted_norm(h, grid))
-        errors.append(weighted_norm(h - limit, grid))
+        sh = scale * h[keep]
+        norms.append(norm(sh))
+        errors.append(norm(sh - limit))
         rising = rising + 1 if errors[-1] > errors[-2] else 0
         best = min(best, errors[-1])
         # wobble at the discretization floor is expected; sustained growth

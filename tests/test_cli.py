@@ -1,15 +1,24 @@
 import contextlib
 import json
+import math
+import os
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hmctransfer import cli
 from hmctransfer.cli import hmc_chain, load_config, main
-from hmctransfer.dynamics import FlowSpec
-from hmctransfer.distributions import standard_gaussian_pair
+from hmctransfer.dynamics import FlowSpec, flow_batch
+from hmctransfer.distributions import (
+    ModelPair,
+    anharmonic_pair,
+    gaussian_potential,
+    standard_gaussian_pair,
+)
 
 GAUSS_CONV = """
 [model]
@@ -274,3 +283,72 @@ def test_hmc_chain_generic_metropolis_path():
     assert samples.shape == (2000, 1)
     assert acceptance > 0.95  # tiny substeps keep the energy error small
     assert abs(np.mean(samples)) < 0.2
+
+
+def _reference_chain(model, spec, draws, rng):
+    """The leapfrog chain as one flow_batch call per draw on (1,) arrays,
+    with energies from the array evaluators."""
+    scale = np.linalg.cholesky(np.linalg.inv(model.auxiliary.params["precision"]))
+    q = np.zeros(1) + model.target.params["mean"] if model.target.is_gaussian else np.zeros(1)
+    out = np.empty((draws, 1))
+    accepted = 0
+    for i in range(draws):
+        p = scale @ rng.standard_normal(1)
+        e0 = float(model.target.value(q) + model.auxiliary.value(p))
+        Q, P = flow_batch(q, p, model, spec)
+        e1 = float(model.target.value(Q) + model.auxiliary.value(P))
+        if math.log(rng.uniform()) < e0 - e1:
+            q = Q
+            accepted += 1
+        out[i] = q
+    return out, accepted / draws
+
+
+@pytest.mark.parametrize("model, spec, accept_lo", [
+    # the benchmark's quartic well: leapfrog of 36 steps, every draw accepted
+    (anharmonic_pair(1.0, 0.5, 3.5), FlowSpec(time=0.08, steps=36, method="leapfrog"), 0.99),
+    # coarse steps on an off-center, non-unit Gaussian pair, so draws get rejected
+    (ModelPair(gaussian_potential(0.6, 2.5), gaussian_potential(0.0, 1.7), 6.0),
+     FlowSpec(time=1.6, steps=2, method="leapfrog"), 0.5),
+], ids=["quartic", "gauss-leapfrog"])
+def test_hmc_chain_matches_flow_batch_reference(model, spec, accept_lo):
+    samples, acceptance = hmc_chain(model, spec, 400, np.random.default_rng(11))
+    ref, ref_acceptance = _reference_chain(model, spec, 400, np.random.default_rng(11))
+    assert np.array_equal(samples, ref)
+    assert acceptance == ref_acceptance
+    assert accept_lo < acceptance <= 1.0
+    if accept_lo < 0.99:
+        assert acceptance < 1.0  # the rejection branch ran
+
+
+def test_hmc_chain_rejects_two_dimensional_models():
+    model = standard_gaussian_pair(dim=2, halfwidth=6.0)
+    spec = FlowSpec(time=0.5, steps=10, method="leapfrog")
+    with pytest.raises(ValueError, match="1-d"):
+        hmc_chain(model, spec, 10, np.random.default_rng(0))
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
+    cfg = write(tmp_path, "spec.ini", ANH_SMALL)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys; from hmctransfer.cli import load_config; load_config(sys.argv[1]); "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.interpolate') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code, cfg], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
+def test_operator_report_records_deposit_resolution(tmp_path):
+    cfg = write(
+        tmp_path, "op.ini", ANH_SMALL.replace("kind = spectrum", "kind = operator")
+        + "n_max = 5\ntol = 1e-9\n"
+    )
+    out = tmp_path / "out"
+    assert main(["operator", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "operator_report.json").read_text())
+    assert report["images_per_cell_min"] > 1.0
+    manifest = (out / "manifest.txt").read_text()
+    assert f"result.images_per_cell_min = {report['images_per_cell_min']:.17g}" in manifest

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -186,3 +188,25 @@ def test_numeric_mass_matches_closed_form():
     # quartic with b = 0 integrates like the Gaussian it reduces to
     pot = anharmonic_potential(1.0, 0.0, 6.0)
     assert log_density_mass(pot) == pytest.approx(0.5 * np.log(2 * np.pi), abs=1e-10)
+
+
+@pytest.mark.parametrize("pot", [
+    gaussian_potential(0.6, 2.5),
+    anharmonic_potential(1.0, 0.5, 3.5),
+], ids=["gauss-1d", "anharmonic"])
+def test_scalar_evaluators_match_array_forms(pot):
+    value_1d, grad_1d = pot.scalar
+    xs = np.random.default_rng(4).uniform(-4.0, 4.0, 1000)
+    grads = np.array([grad_1d(float(x)) for x in xs])
+    values = np.array([value_1d(float(x)) for x in xs])
+    assert type(grad_1d(0.3)) is float and type(value_1d(0.3)) is float
+    assert np.array_equal(grads, pot.grad(xs[:, None])[:, 0])
+    array_values = pot.value(xs[:, None])
+    assert np.all(np.abs(values - array_values) <= np.spacing(np.abs(array_values)))
+
+
+def test_scalar_evaluators_are_one_dimensional_only():
+    assert gaussian_potential(np.zeros(2), np.eye(2)).scalar is None
+    pot = gaussian_potential(0.0, 1.0)
+    with pytest.raises(ValueError, match="1-d"):
+        dataclasses.replace(pot, dim=2)

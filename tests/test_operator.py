@@ -307,3 +307,25 @@ def test_two_dimensional_smoke():
     assert abs(mass(T.apply(h), grid) - mass(h, grid)) < 0.05 * mass(h, grid)
     f = grid.target_values
     assert weighted_norm(T.apply(f) - f, grid) < 0.05 * weighted_norm(f, grid)
+
+
+@pytest.mark.parametrize("n, m", [(201, 257), (401, 257), (801, 257), (401, 129)])
+def test_deposit_records_images_per_cell(gauss_model, gauss_spec, n, m):
+    # the exact flow moves Q by sin(t) dp between neighbouring momentum nodes,
+    # so a cell of width h holds h / (sin(t) dp) images: 2.20, 1.10, 0.55, 0.55
+    grid = build_grid(gauss_model, n)
+    T = assemble_transfer(grid, gauss_model, gauss_spec, m)
+    nodes = build_momentum_rule(gauss_model, m).nodes[:, 0]
+    h = grid.axes[0][1] - grid.axes[0][0]
+    expected = h / (np.sin(gauss_spec.time) * (nodes[1] - nodes[0]))
+    assert T.meta["images_per_cell_min"] == pytest.approx(expected, rel=1e-6)
+
+
+def test_iterate_norms_are_weighted_norms(gauss_T, gauss_grid):
+    h0 = random_density(gauss_grid, np.random.default_rng(2))
+    trace = iterate(gauss_T, h0, 25, 1e-14)
+    limit = trace.alpha * gauss_grid.target_values
+    assert trace.norms[-1] == pytest.approx(weighted_norm(trace.final, gauss_grid), rel=1e-13)
+    assert trace.errors[-1] == pytest.approx(
+        weighted_norm(trace.final - limit, gauss_grid), rel=1e-10)
+    assert trace.norms[0] == pytest.approx(weighted_norm(h0, gauss_grid), rel=1e-13)
