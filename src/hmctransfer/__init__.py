@@ -56,7 +56,6 @@ from .tangent import (
     integrate_tangent,
     jacobian_determinants,
     spd_sqrt,
-    sqrt_product,
 )
 
 __version__ = "0.1.0"

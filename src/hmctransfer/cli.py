@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .distributions import ModelPair, gaussian_potential, anharmonic_potential
-from .dynamics import FlowSpec, PhaseState, _leapfrog, default_flow_spec, total_energy
+from .dynamics import (FlowSpec, PhaseState, _leapfrog, default_flow_spec, exact_gaussian_matrix,
+                       total_energy)
 from .kernel_spectral import assemble_kernel, certify_rate, eigen_spectrum, hs_norm
 from .operator import (
     assemble_adjoint,
@@ -30,6 +31,7 @@ from .operator import (
     iterate,
     mass,
     random_density,
+    spline_coefficients,
     weighted_inner,
     weighted_norm,
     weighted_symmetry_residual,
@@ -51,7 +53,6 @@ class ExperimentConfig:
     spec: FlowSpec
     n_per_axis: int
     momentum_nodes: int
-    momentum_rule: str | None
     seed: int
     output: str | None
     samples: int
@@ -154,15 +155,16 @@ def load_config(path: str) -> ExperimentConfig:
         )
 
     gsec = parser["grid"] if "grid" in parser else {}
+    if "momentum_rule" in gsec:
+        raise ConfigError("grid.momentum_rule: option removed; the rule follows from the "
+                          "dimension (trapezoid in 1-d, Gauss-Hermite in d >= 2)")
     esec = parser["experiment"]
-    rule = str(gsec.get("momentum_rule", "auto")).strip()
     config = ExperimentConfig(
         kind=kind,
         model=model,
         spec=spec,
         n_per_axis=int(gsec.get("n_per_axis", "401")),
         momentum_nodes=int(gsec.get("momentum_nodes", "257")),
-        momentum_rule=None if rule == "auto" else rule,
         seed=esec.getint("seed", 0),
         output=esec.get("output", None),
         samples=esec.getint("samples", 100),
@@ -184,6 +186,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("grid.momentum_nodes: need at least 2")
     if config.top_k < 2:
         raise ConfigError("experiment.top_k: need at least 2, the gap uses the second eigenvalue")
+    if config.kernel_momentum_nodes < 4:
+        raise ConfigError("experiment.kernel_momentum_nodes: need at least 4 for the not-a-knot spline")
 
     target = model.target
     config.resolved = {
@@ -202,7 +206,6 @@ def load_config(path: str) -> ExperimentConfig:
         "flow.steps": spec.steps,
         "grid.n_per_axis": config.n_per_axis,
         "grid.momentum_nodes": config.momentum_nodes,
-        "grid.momentum_rule": rule,
         "experiment.samples": config.samples,
         "experiment.draws": config.draws,
         "experiment.bins": config.bins,
@@ -316,9 +319,7 @@ def run_flow(config: ExperimentConfig, outdir: Path) -> int:
 
 def _operator_stack(config: ExperimentConfig):
     grid = build_grid(config.model, config.n_per_axis)
-    T = assemble_transfer(
-        grid, config.model, config.spec, config.momentum_nodes, momentum_kind=config.momentum_rule
-    )
+    T = assemble_transfer(grid, config.model, config.spec, config.momentum_nodes)
     return grid, T
 
 
@@ -337,9 +338,7 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> int:
         m0 = mass(h, grid)
         worst_mass = max(worst_mass, abs(mass(Th, grid) - m0) / m0)
         worst_contr = max(worst_contr, weighted_norm(Th, grid) / weighted_norm(h, grid))
-    T_adj = assemble_adjoint(
-        grid, model, config.spec, config.momentum_nodes, momentum_kind=config.momentum_rule
-    )
+    T_adj = assemble_adjoint(grid, model, config.spec, config.momentum_nodes)
     worst_dual = 0.0
     for _ in range(20):
         h = random_density(grid, rng)
@@ -426,7 +425,7 @@ def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: np.random.Gener
 
     Returns (positions of shape (draws, 1), acceptance_rate).  The exact
     Gaussian flow conserves energy exactly, so every proposal is accepted and
-    the chain reduces to a linear recursion solved in one vectorized pass.
+    the chain reduces to the linear recursion q <- a q + b p on Python floats.
     Leapfrog draws run on Python floats through the potentials' scalar
     evaluators and ``dynamics._leapfrog``, the integrator ``flow_batch`` uses,
     so each draw is bit-identical to one ``flow_batch`` call on a (1,) array.
@@ -439,14 +438,11 @@ def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: np.random.Gener
         return np.zeros((0, 1)), float("nan")
     scale = float(np.linalg.cholesky(np.linalg.inv(model.auxiliary.params["precision"]))[0, 0])
     if spec.method == "exact_gaussian":
-        from scipy.signal import lfilter
-
-        from .dynamics import exact_gaussian_matrix
-
-        mat = exact_gaussian_matrix(model, spec.time)
+        a, b = exact_gaussian_matrix(model, spec.time)[0, :2].tolist()
         mu = float(model.target.params["mean"][0])
-        p = rng.standard_normal(draws) * scale
-        centered = lfilter([mat[0, 1]], [1.0, -mat[0, 0]], p)
+        q, centered = 0.0, np.empty(draws)
+        for i, p in enumerate((rng.standard_normal(draws) * scale).tolist()):
+            centered[i] = q = a * q + b * p
         return (centered + mu)[:, None], 1.0
     value_u, grad_u = model.target.scalar
     value_v, grad_v = model.auxiliary.scalar
@@ -486,10 +482,16 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> int:
     counts, _ = np.histogram(samples[:, 0], bins=edges)
     width = edges[1] - edges[0]
     empirical = counts / (config.draws * width)
-    from scipy.interpolate import CubicSpline
+    # antiderivative of the interpolated fixed point at the bin edges
+    x = grid.axes[0]
+    c = spline_coefficients(x[None], fixed[None, :, None])[:, 0, :, 0]
 
-    dens = CubicSpline(grid.axes[0], fixed)
-    reference = np.array([dens.integrate(a, b) for a, b in zip(edges[:-1], edges[1:])]) / width
+    def partial(piece, s):
+        return s * (c[3, piece] + s * (c[2, piece] / 2 + s * (c[1, piece] / 3 + s * c[0, piece] / 4)))
+
+    whole = np.concatenate([[0.0], np.cumsum(partial(slice(None), np.diff(x)))])
+    piece = np.clip(np.searchsorted(x, edges, "right") - 1, 0, grid.n - 2)
+    reference = np.diff(whole[piece] + partial(piece, edges - x[piece])) / width
     sup = float(np.max(np.abs(empirical - reference)))
     centers = 0.5 * (edges[:-1] + edges[1:])
     write_csv(outdir / "histogram.csv", ["center", "empirical", "reference"],

@@ -1,11 +1,12 @@
 """Hamiltonian flow H_t : (q, p) -> (Q, P) and its inverse.
 
 Two backends: a closed-form map for Gaussian pairs (the linear Hamiltonian
-system solved exactly through a matrix exponential) and velocity-Verlet
-leapfrog for everything else.  Leapfrog is symplectic and time-reversible, so
-the invariance properties the operator theory needs hold exactly for the
-discrete map, not just approximately.  No Metropolis correction is applied
-anywhere; integration error is measured by the tests instead of hidden.
+system solved exactly in cos/sinc form, the package's one exact-Gaussian
+propagator) and velocity-Verlet leapfrog for everything else.  Leapfrog is
+symplectic and time-reversible, so the invariance properties the operator
+theory needs hold exactly for the discrete map, not just approximately.  No
+Metropolis correction is applied anywhere; integration error is measured by
+the tests instead of hidden.
 """
 
 from __future__ import annotations
@@ -88,26 +89,51 @@ def total_energy(state: PhaseState, model: ModelPair) -> float:
     return float(model.target.value(state.q) + model.auxiliary.value(state.p))
 
 
+def spd_sqrt(mat) -> np.ndarray:
+    """Symmetric positive definite square root via spectral decomposition."""
+    mat = np.asarray(mat, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    if np.max(np.abs(mat - mat.T)) > 1e-10 * scale:
+        raise ValueError("matrix is not symmetric")
+    vals, vecs = np.linalg.eigh(mat)
+    if vals[0] <= 0:
+        raise ValueError(f"matrix not positive definite, offending eigenvalue {vals[0]:.6e}")
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    return 0.5 * (root + root.T)
+
+
+def _linear_propagator(u, v, time: float) -> np.ndarray:
+    """2d x 2d solution map of (Q, P)' = (V P, -U Q) for spd U, V, any sign of time.
+
+    With A = sqrt(VU), B = sqrt(UV): [[cos(tA), V sin(tB) B^-1], [-U sin(tA) A^-1,
+    cos(tB)]], all blocks from one eigendecomposition sqrt(U) V sqrt(U) = E diag(w^2) E^T.
+    """
+    v = np.asarray(v, dtype=float)
+    su = spd_sqrt(u)
+    su_inv = np.linalg.inv(su)
+    vals, vecs = np.linalg.eigh(su @ v @ su)
+    if vals[0] <= 0:
+        raise ValueError(f"V not positive definite through the transform: {vals[0]:.6e}")
+    w = np.sqrt(vals)
+    cos_w = (vecs * np.cos(time * w)) @ vecs.T
+    sin_w = (vecs * (np.sin(time * w) / w)) @ vecs.T
+    return np.block([[su_inv @ cos_w @ su, v @ su @ sin_w @ su_inv],
+                     [-su @ sin_w @ su, su @ cos_w @ su_inv]])
+
+
 def exact_gaussian_matrix(model: ModelPair, time: float) -> np.ndarray:
     """2d x 2d propagator of the linear Hamiltonian system for Gaussian pairs.
 
     With target precision A and auxiliary precision B the system is
-    (Q-mu, P)' = [[0, B], [-A, 0]] (Q-mu, P); the matrix exponential solves it.
+    (Q-mu, P)' = [[0, B], [-A, 0]] (Q-mu, P).  Negative time gives the
+    inverse flow.
     """
     if not model.is_gaussian:
         raise ValueError("exact flow requested for a non-Gaussian model")
-    # imported here: scipy.linalg takes longer to import than the package itself,
-    # and leapfrog runs never need it
-    from scipy.linalg import expm
-
-    aux_mean = model.auxiliary.params["mean"]
-    if np.any(aux_mean != 0.0):
+    if np.any(model.auxiliary.params["mean"] != 0.0):
         raise ValueError("exact flow assumes a centered auxiliary Gaussian")
-    d = model.dim
-    gen = np.zeros((2 * d, 2 * d))
-    gen[:d, d:] = model.auxiliary.params["precision"]
-    gen[d:, :d] = -model.target.params["precision"]
-    return expm(time * gen)
+    precisions = model.target.params["precision"], model.auxiliary.params["precision"]
+    return _linear_propagator(*precisions, time)
 
 
 def _leapfrog(q, p, grad_u, grad_v, tau: float, steps: int):

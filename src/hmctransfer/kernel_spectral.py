@@ -6,7 +6,7 @@ normalized auxiliary density at the conjugate momentum, and the Jacobian
 factor from the momentum-to-position change of variables.  Rows are tabulated
 by flowing a dense momentum probe from each node and interpolating P and
 dQ/dp along the monotone image curve, so the map Q -> p is never inverted
-numerically.
+numerically; one batched spline solve covers the curves of all rows.
 
 A finite Hilbert-Schmidt norm makes the operator compact and certifies the
 spectral gap; the norm is computed both as a position-space double quadrature
@@ -28,6 +28,7 @@ from .operator import (
     DensityGrid,
     TransferMatrix,
     build_momentum_rule,
+    spline_coefficients,
     to_weighted_symmetric,
     weighted_inner,
     weighted_norm,
@@ -72,10 +73,8 @@ def assemble_kernel(
     """
     if grid.dim != 1:
         raise NotImplementedError("kernel tabulation is implemented for 1-d grids")
-    # imported here: scipy.interpolate loads scipy.linalg, which importing the
-    # package does not need
-    from scipy.interpolate import CubicSpline
-
+    if momentum_nodes < 4:
+        raise ValueError(f"need at least 4 kernel momentum nodes, got {momentum_nodes}")
     t_lam = spec.time * model.lambda_max
     if t_lam >= math.pi:
         raise ValueError(
@@ -83,7 +82,7 @@ def assemble_kernel(
         )
     n = grid.n
     x = grid.axes[0]
-    rule = build_momentum_rule(model, momentum_nodes, "trapezoid")
+    rule = build_momentum_rule(model, momentum_nodes)
 
     q_rep = np.repeat(grid.nodes, momentum_nodes, axis=0)
     p_rep = np.tile(rule.nodes, (n, 1))
@@ -101,16 +100,19 @@ def assemble_kernel(
     def gbar(p):
         return np.exp(-model.auxiliary.value(np.asarray(p).reshape(-1, 1)) - log_norm)
 
+    # below[i, j] counts the images Q[i, k] <= x[j]: node j on row i's curve lies
+    # in piece below - 1, the last piece closed on the right
+    first_at_or_above = np.searchsorted(x, Q) + (n + 1) * np.arange(n)[:, None]
+    below = np.cumsum(np.bincount(first_at_or_above.ravel(), minlength=n * (n + 1))
+                      .reshape(n, n + 1)[:, :n], axis=1)
+    rows, cols = np.nonzero((below > 0) & (x[None, :] <= Q[:, -1:]))
+    piece = np.minimum(below[rows, cols] - 1, momentum_nodes - 2)
+    c = spline_coefficients(Q, np.stack([P, dQdp], axis=-1), (rows, piece))
+    s = x[cols] - Q[rows, piece]
+    vals = c[3] + c[2] * s[:, None] + c[1] * (s * s)[:, None] + c[0] * (s * s * s)[:, None]
     f = grid.target_values
     K = np.zeros((n, n))
-    for i in range(n):
-        lo = np.searchsorted(x, Q[i, 0], side="left")
-        hi = np.searchsorted(x, Q[i, -1], side="right")
-        if hi <= lo:
-            continue
-        curve = CubicSpline(Q[i], np.column_stack([P[i], dQdp[i]]), extrapolate=False)
-        vals = curve(x[lo:hi])
-        K[i, lo:hi] = f[lo:hi] * gbar(vals[:, 0]) / vals[:, 1]
+    K[rows, cols] = f[cols] * gbar(vals[:, 0]) / vals[:, 1]
 
     # the double integral runs over the whole truncated domain; K/f stays
     # bounded (it is g(P) D_q), so no density floor is needed here

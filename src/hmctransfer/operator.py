@@ -10,14 +10,15 @@ the momenta back out:
 
 The matrix is assembled by momentum quadrature per position node, with the
 value h(Q) obtained by cubic-spline interpolation on the grid (linear in
-d >= 2).  Both deposits scatter local weights of the flow images with
-``np.bincount``.  In 1-d the weights are the monomials of each image's offset
-within its spline piece, and one product W @ c with the spline coefficients c
-of the identity turns them into matrix rows.  Each spline value is also
-averaged along the image curve p -> Q(q, p) under a fixed
-polynomial-reproducing filter scaled to the image spacing: a knot correction
-added to that point-value deposit, which keeps the momentum sum from aliasing
-the spline's knot jumps into grid-scale modes of negative eigenvalue.
+d >= 2), ``spline_coefficients`` being the package's one spline routine.
+Both deposits scatter local weights of the flow images with ``np.bincount``.
+In 1-d the weights are the monomials of each image's offset within its spline
+piece, and one product W @ c with the spline coefficients c of the identity
+turns them into matrix rows.  Each spline value is also averaged along the
+image curve p -> Q(q, p) under a fixed polynomial-reproducing filter scaled to
+the image spacing: a knot correction added to that point-value deposit, which
+keeps the momentum sum from aliasing the spline's knot jumps into grid-scale
+modes of negative eigenvalue.
 
 Two algebraically equivalent forms are kept: ``direct`` deposits g(P)
 evaluated along the flow, ``likelihood`` transports the ratio h/f and
@@ -48,6 +49,7 @@ __all__ = [
     "weighted_inner",
     "weighted_norm",
     "build_momentum_rule",
+    "spline_coefficients",
     "assemble_transfer",
     "assemble_adjoint",
     "weighted_symmetry_residual",
@@ -174,7 +176,6 @@ class MomentumRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
 
 def _auxiliary_halfwidth(model: ModelPair, tail: float = 1e-12) -> float:
@@ -187,50 +188,93 @@ def _auxiliary_halfwidth(model: ModelPair, tail: float = 1e-12) -> float:
     return float(probe[min(idx + 1, len(probe) - 1)])
 
 
-def build_momentum_rule(model: ModelPair, m: int, kind: str | None = None) -> MomentumRule:
+def build_momentum_rule(model: ModelPair, m: int) -> MomentumRule:
     """Momentum quadrature matched to the auxiliary density.
 
-    Default is a trapezoid rule on a box covering 1 - 1e-12 of the auxiliary
+    In 1-d a trapezoid rule on a box covering 1 - 1e-12 of the auxiliary
     mass.  Its evenly spaced nodes give images Q(q, p_k) evenly spaced along
     each flow curve, the spacing the filtered cubic deposit is scaled to; how
     many images fall in a deposit cell depends on m, the grid and the flow,
-    and nothing here checks it.  Gauss-Hermite nodes matched to a Gaussian
-    auxiliary are available as an option; they integrate smooth observables
-    superbly but undersample the deposit at desk-scale node counts.
+    and nothing here checks it.  In d >= 2 a tensor Gauss-Hermite rule matched
+    to the Gaussian auxiliary, whose few nodes per axis keep the m^d images of
+    the multilinear deposit affordable.
     """
     if m < 2:
         raise ValueError("need at least 2 momentum nodes")
     d = model.dim
-    if kind is None:
-        kind = "trapezoid" if d == 1 else "gauss_hermite"
-    if kind == "gauss_hermite":
+    if d == 1:
+        pts, wt = _trapezoid_axis(_auxiliary_halfwidth(model), m)
+        pts = pts[:, None]
+        wt = wt * np.exp(-model.auxiliary.value(pts))
+    else:
         if not model.auxiliary.is_gaussian:
             raise ValueError("gauss_hermite rule requires a Gaussian auxiliary density")
         x, w = np.polynomial.hermite.hermgauss(m)
         z = math.sqrt(2.0) * x
         w = w / math.sqrt(math.pi)
-        prec = model.auxiliary.params["precision"]
-        vals, vecs = np.linalg.eigh(prec)
+        vals, vecs = np.linalg.eigh(model.auxiliary.params["precision"])
         # map standard-normal nodes through the covariance square root
         transform = (vecs / np.sqrt(vals)) @ vecs.T
-        axes = [z] * d
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*[z] * d, indexing="ij")
         pts = np.stack([g.ravel() for g in mesh], axis=-1) @ transform.T
         wt = w
         for _ in range(d - 1):
             wt = np.multiply.outer(wt, w)
         wt = wt.ravel()
-    elif kind == "trapezoid":
-        if d != 1:
-            raise ValueError("trapezoid momentum rule is 1-d only")
-        half = _auxiliary_halfwidth(model)
-        pts, wt = _trapezoid_axis(half, m)
-        pts = pts[:, None]
-        wt = wt * np.exp(-model.auxiliary.value(pts))
-    else:
-        raise ValueError(f"unknown momentum rule {kind!r}")
     wt = wt / wt.sum()
-    return MomentumRule(nodes=pts, weights=wt, kind=kind)
+    return MomentumRule(nodes=pts, weights=wt)
+
+
+def spline_coefficients(x: np.ndarray, y: np.ndarray, pieces=None) -> np.ndarray:
+    """Not-a-knot cubic spline through y(x) for x of shape (B, N), N >= 4, and y (B, N, R).
+
+    One forward and one backward sweep along N solve the tridiagonal system for
+    the knot slopes of all B curves (de Boor, A Practical Guide to Splines,
+    ch. IV), without pivoting: the matrix is diagonally dominant after the
+    first elimination.  Returns scipy's ``CubicSpline(...).c`` layout, c[r]
+    multiplying s^(3 - r), s the offset from the left knot: every piece,
+    (4, B, N - 1, R), or piece k of curve ``rows`` for ``pieces=(rows, k)``.
+    """
+    n = x.shape[1]
+    if n < 4:
+        raise ValueError(f"not-a-knot spline needs at least 4 knots, got {n}")
+    dx = np.diff(x, axis=1)
+    dxr = dx[..., None]
+    slope = np.diff(y, axis=1) / dxr
+
+    # tridiagonal rows: lower[i] * s[i - 1] + diag[i] * s[i] + upper[i] * s[i + 1] = b[i]
+    diag, upper, lower = np.empty((3,) + x.shape)
+    b = np.empty(y.shape)
+    diag[:, 1:-1] = 2 * (dx[:, :-1] + dx[:, 1:])
+    upper[:, 1:-1] = dx[:, :-1]
+    lower[:, 1:-1] = dx[:, 1:]
+    b[:, 1:-1] = 3 * (dxr[:, 1:] * slope[:, :-1] + dxr[:, :-1] * slope[:, 1:])
+    # not-a-knot: the cubic coefficient is continuous at the second and last-but-one knot
+    span = (x[:, 2] - x[:, 0])[:, None]
+    diag[:, 0], upper[:, 0] = dx[:, 1], span[:, 0]
+    b[:, 0] = ((dxr[:, 0] + 2 * span) * dxr[:, 1] * slope[:, 0] + dxr[:, 0] ** 2 * slope[:, 1]) / span
+    span = (x[:, -1] - x[:, -3])[:, None]
+    diag[:, -1], lower[:, -1] = dx[:, -2], span[:, 0]
+    b[:, -1] = (dxr[:, -1] ** 2 * slope[:, -2]
+                + (2 * span + dxr[:, -1]) * dxr[:, -2] * slope[:, -1]) / span
+    for i in range(1, n):
+        fact = lower[:, i] / diag[:, i - 1]
+        diag[:, i] = diag[:, i] - fact * upper[:, i - 1]
+        b[:, i] = b[:, i] - fact[:, None] * b[:, i - 1]
+    b[:, -1] = b[:, -1] / diag[:, -1, None]
+    for i in range(n - 2, -1, -1):
+        b[:, i] = (b[:, i] - upper[:, i, None] * b[:, i + 1]) / diag[:, i, None]
+
+    if pieces is None:
+        left, right = np.s_[:, :-1], np.s_[:, 1:]
+    else:
+        rows, k = pieces
+        left, right = (rows, k), (rows, k + 1)
+    h = (x[right] - x[left])[..., None]
+    rise = (y[right] - y[left]) / h
+    s0 = b[left]
+    t = (s0 + b[right] - 2 * rise) / h
+    return np.stack((t / h, (rise - s0) / h - t, s0, y[left]))
 
 
 @dataclass
@@ -298,15 +342,11 @@ def _deposit_matrix_cubic(grid: DensityGrid, Q: np.ndarray, G: np.ndarray) -> np
     Returns the matrix and the resolution h / max(delta) over the in-box
     images: the fewest images per grid cell along any flow curve.
     """
-    # imported here: scipy.interpolate loads scipy.linalg, which importing the
-    # package does not need
-    from scipy.interpolate import CubicSpline
-
     x = grid.axes[0]
     n = grid.n
     n_rows, m = G.shape
     h = x[1] - x[0]
-    c = CubicSpline(x, np.eye(n), axis=0).c
+    c = spline_coefficients(x[None], np.eye(n)[None])[:, 0]
     q = Q.reshape(-1)
     g = G.reshape(-1)
     rows = np.repeat(np.arange(n_rows), m)
@@ -390,7 +430,7 @@ def _flow_factor_grid(grid, model, spec, rule, inverse):
     return Q.reshape(n, m, -1), P.reshape(n, m, -1)
 
 
-def _assemble(grid, model, spec, momentum_nodes, form, momentum_kind, inverse):
+def _assemble(grid, model, spec, momentum_nodes, form, inverse):
     if form not in ("direct", "likelihood"):
         raise ValueError(f"unknown assembly form {form!r}")
     # conjugate points first appear at t * sqrt(lambda_max) >= pi for constant
@@ -400,12 +440,7 @@ def _assemble(grid, model, spec, momentum_nodes, form, momentum_kind, inverse):
         raise ValueError(
             f"t * lambda_max = {t_lam:.6f} beyond the conjugate-point bound (< pi)"
         )
-    if grid.dim == 1:
-        # load the deposit's scipy.interpolate before the sweep: imported amid
-        # the sweep's freed temporaries it raised the peak RSS of a quartic
-        # n=401 kernel-norm run from 132.6 to 135.0 MiB
-        import scipy.interpolate  # noqa: F401
-    rule = build_momentum_rule(model, momentum_nodes, momentum_kind)
+    rule = build_momentum_rule(model, momentum_nodes)
     Q, P = _flow_factor_grid(grid, model, spec, rule, inverse)
     n, m, d = Q.shape
 
@@ -446,7 +481,6 @@ def _assemble(grid, model, spec, momentum_nodes, form, momentum_kind, inverse):
         "method": spec.method,
         "time": spec.time,
         "steps": spec.steps,
-        "momentum_kind": rule.kind,
         "momentum_nodes": momentum_nodes,
         "frac_outside": frac_outside,
         "leaked_mass": leaked,
@@ -464,10 +498,9 @@ def assemble_transfer(
     spec: FlowSpec,
     momentum_nodes: int,
     form: str = "direct",
-    momentum_kind: str | None = None,
 ) -> TransferMatrix:
     """Assemble the transfer operator by momentum quadrature of the flow."""
-    return _assemble(grid, model, spec, momentum_nodes, form, momentum_kind, inverse=False)
+    return _assemble(grid, model, spec, momentum_nodes, form, inverse=False)
 
 
 def assemble_adjoint(
@@ -476,10 +509,9 @@ def assemble_adjoint(
     spec: FlowSpec,
     momentum_nodes: int,
     form: str = "direct",
-    momentum_kind: str | None = None,
 ) -> TransferMatrix:
     """Assemble the adjoint operator: same construction through the inverse flow."""
-    return _assemble(grid, model, spec, momentum_nodes, form, momentum_kind, inverse=True)
+    return _assemble(grid, model, spec, momentum_nodes, form, inverse=True)
 
 
 def to_weighted_symmetric(T: TransferMatrix):

@@ -7,7 +7,8 @@ initial condition.  Two backends are kept deliberately:
   discrete map actually used for kernel assembly, and
 * the closed-form block exponential in cos/sinc of sqrt(VU), sqrt(UV) built
   from running-average Hessians, exact when the Hessians are constant
-  (Gaussian models) and a diagnostic approximation otherwise.
+  (Gaussian models) and a diagnostic approximation otherwise; it is the
+  exact-Gaussian propagator of ``dynamics`` applied to the averages.
 
 Also provides the Jacobian factors D_q = 1/|det dQ/dp|, D_p = 1/|det dP/dq|
 and the regime bounds on their product valid for t * lambda_max < pi/2.
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ModelPair
-from .dynamics import FlowSpec, PhaseState, exact_gaussian_matrix, flow_batch
+from .dynamics import (FlowSpec, PhaseState, _linear_propagator, exact_gaussian_matrix, flow_batch,
+                       spd_sqrt)
 
 __all__ = [
     "TangentBlocks",
@@ -31,7 +33,6 @@ __all__ = [
     "integrate_tangent",
     "tangent_batch",
     "spd_sqrt",
-    "sqrt_product",
     "block_exponential",
     "jacobian_determinants",
     "determinant_bounds",
@@ -101,10 +102,8 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     if spec.method == "exact_gaussian":
         Q, P = flow_batch(qs, ps, model, spec)
         mat = exact_gaussian_matrix(model, spec.time)
-        blocks = tuple(
-            np.broadcast_to(mat[i * d:(i + 1) * d, j * d:(j + 1) * d], (n, d, d)).copy()
-            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
-        )
+        blocks = tuple(np.broadcast_to(b, (n, d, d)).copy()
+                       for b in (mat[:d, :d], mat[:d, d:], mat[d:, :d], mat[d:, d:]))
         Ubar = np.broadcast_to(model.target.params["precision"], (n, d, d)).copy()
         Vbar = np.broadcast_to(model.auxiliary.params["precision"], (n, d, d)).copy()
         return Q, P, blocks, Ubar, Vbar
@@ -148,57 +147,16 @@ def integrate_tangent(state: PhaseState, model: ModelPair, spec: FlowSpec):
     return out_state, out_blocks, RunningAverages(Ubar=Ubar[0], Vbar=Vbar[0], time=spec.time)
 
 
-def spd_sqrt(mat) -> np.ndarray:
-    """Symmetric positive definite square root via spectral decomposition."""
-    mat = np.asarray(mat, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.T)) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(mat)
-    if vals[0] <= 0:
-        raise ValueError(f"matrix not positive definite, offending eigenvalue {vals[0]:.6e}")
-    root = (vecs * np.sqrt(vals)) @ vecs.T
-    return 0.5 * (root + root.T)
-
-
-def sqrt_product(v, u) -> np.ndarray:
-    """A with A A = V U, positive real spectrum, for spd V and U.
-
-    Uses the similarity sqrt(VU) = sqrt(U)^-1 sqrt(sqrt(U) V sqrt(U)) sqrt(U),
-    which reduces the problem to a symmetric one.
-    """
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    su = spd_sqrt(u)
-    inner = spd_sqrt(su @ v @ su)
-    return np.linalg.solve(su, inner) @ su
-
-
 def block_exponential(averages: RunningAverages) -> TangentBlocks:
     """Closed-form solution blocks from the running-average Hessians.
 
     With A = sqrt(Vbar Ubar), B = sqrt(Ubar Vbar) and t the averaging time:
-    [[cos(tA), t Vbar sinc(tB)], [-t Ubar sinc(tA), cos(tB)]].
-    All matrix functions are evaluated spectrally through the symmetric
-    similarity transform, so only one eigendecomposition is needed.
+    [[cos(tA), t Vbar sinc(tB)], [-t Ubar sinc(tA), cos(tB)]], the
+    exact-Gaussian propagator for the constant Hessians Ubar and Vbar.
     """
-    u = np.asarray(averages.Ubar, dtype=float)
-    v = np.asarray(averages.Vbar, dtype=float)
-    t = averages.time
-    su = spd_sqrt(u)
-    su_inv = np.linalg.inv(su)
-    vals, vecs = np.linalg.eigh(su @ v @ su)
-    if vals[0] <= 0:
-        raise ValueError(f"Vbar not positive definite through the transform: {vals[0]:.6e}")
-    w = np.sqrt(vals)
-    cos_w = (vecs * np.cos(t * w)) @ vecs.T
-    sinc_w = (vecs * sinc(t * w)) @ vecs.T
-    return TangentBlocks(
-        dQdq=su_inv @ cos_w @ su,
-        dQdp=t * v @ su @ sinc_w @ su_inv,
-        dPdq=-t * su @ sinc_w @ su,
-        dPdp=su @ cos_w @ su_inv,
-    )
+    mat = _linear_propagator(averages.Ubar, averages.Vbar, averages.time)
+    d = mat.shape[0] // 2
+    return TangentBlocks(mat[:d, :d], mat[:d, d:], mat[d:, :d], mat[d:, d:])
 
 
 def jacobian_determinants(blocks: TangentBlocks):

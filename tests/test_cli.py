@@ -12,7 +12,7 @@ import pytest
 
 from hmctransfer import cli
 from hmctransfer.cli import hmc_chain, load_config, main
-from hmctransfer.dynamics import FlowSpec, flow_batch
+from hmctransfer.dynamics import FlowSpec, exact_gaussian_matrix, flow_batch
 from hmctransfer.distributions import (
     ModelPair,
     anharmonic_pair,
@@ -329,16 +329,27 @@ def test_hmc_chain_rejects_two_dimensional_models():
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
-    cfg = write(tmp_path, "spec.ini", ANH_SMALL)
+    # every subcommand on a quartic (leapfrog) and a Gaussian (exact flow)
+    # config, in a fresh process: the package runs on NumPy alone
+    smoke = "samples = 10\ndraws = 2000\nn_max = 2000\ntol = 1e-6\nkernel_momentum_nodes = 257\n"
+    gauss = GAUSS_CONV.replace("n_per_axis = 401", "n_per_axis = 201").replace(
+        "momentum_nodes = 257", "momentum_nodes = 129").replace("n_max = 400\ntol = 1e-12\n", "")
+    runs = []
+    for name, text in (("quartic", ANH_SMALL), ("gauss", gauss)):
+        cfg = write(tmp_path, f"{name}.ini", text + smoke)
+        runs += [[kind, "--config", cfg, "--out", str(tmp_path / name / kind)] for kind in cli.RUNNERS]
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
-        "import sys; from hmctransfer.cli import load_config; load_config(sys.argv[1]); "
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.interpolate') if m in sys.modules))"
+        "import json, sys; from hmctransfer.cli import main; "
+        "codes = [main(args) for args in json.loads(sys.argv[1])]; "
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", code, cfg], env=env, capture_output=True,
-                         text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    run = subprocess.run([sys.executable, "-W", "ignore", "-c", code, json.dumps(runs)], env=env,
+                         capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(run.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(runs), run.stderr
+    assert loaded == []
 
 
 def test_operator_report_records_deposit_resolution(tmp_path):
@@ -352,3 +363,30 @@ def test_operator_report_records_deposit_resolution(tmp_path):
     assert report["images_per_cell_min"] > 1.0
     manifest = (out / "manifest.txt").read_text()
     assert f"result.images_per_cell_min = {report['images_per_cell_min']:.17g}" in manifest
+
+
+def test_exact_gaussian_chain_matches_linear_filter():
+    # the exact chain is the first-order recursion q <- a q + b p that
+    # scipy.signal.lfilter solves; the float loop gives the same bits
+    from scipy.signal import lfilter
+
+    model = ModelPair(gaussian_potential(0.6, 2.5), gaussian_potential(0.0, 1.7), 6.0)
+    spec = FlowSpec(time=0.7, steps=1, method="exact_gaussian")
+    samples, acceptance = hmc_chain(model, spec, 100000, np.random.default_rng(3))
+    mat = exact_gaussian_matrix(model, spec.time)
+    scale = np.linalg.cholesky(np.linalg.inv(model.auxiliary.params["precision"]))[0, 0]
+    p = np.random.default_rng(3).standard_normal(100000) * scale
+    ref = lfilter([mat[0, 1]], [1.0, -mat[0, 0]], p) + 0.6
+    assert acceptance == 1.0
+    assert np.array_equal(samples[:, 0], ref)
+
+
+def test_removed_and_invalid_grid_options_are_named(tmp_path):
+    # configparser ignores unknown keys, so the removed option must be refused by name
+    cfg = write(tmp_path, "rule.ini", ANH_SMALL.replace("[grid]", "[grid]\nmomentum_rule = gauss_hermite"))
+    with pytest.raises(cli.ConfigError, match="grid.momentum_rule"):
+        load_config(cfg)
+    cfg = write(tmp_path, "kern.ini", ANH_SMALL + "kernel_momentum_nodes = 3\n")
+    with pytest.raises(cli.ConfigError, match="experiment.kernel_momentum_nodes"):
+        load_config(cfg)
+    assert main(["kernel-norm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

@@ -9,6 +9,7 @@ from hmctransfer import (
     assemble_transfer,
     build_grid,
     certify_rate,
+    default_flow_spec,
     determinant_bounds,
     eigen_spectrum,
     hs_norm,
@@ -19,7 +20,8 @@ from hmctransfer import (
     standard_gaussian_pair,
     weighted_norm,
 )
-from hmctransfer.operator import TransferMatrix
+from hmctransfer.operator import TransferMatrix, build_momentum_rule
+from hmctransfer.tangent import tangent_batch
 
 
 def mehler_kernel(grid, t):
@@ -213,3 +215,37 @@ def test_anharmonic_kernel_consistency(anh_grid, anh_model, anh_spec, anh_T):
     assert gap < 1e-6 * np.max(np.abs(h))
     _, upper = determinant_bounds(anh_model, anh_spec.time)
     assert value <= upper * (1 + 1e-6)
+
+
+def _kernel_per_row_reference(grid, model, spec, m):
+    """K(q_i, x_j) with one scipy CubicSpline of (P, dQ/dp) over Q per row."""
+    from scipy.interpolate import CubicSpline
+
+    n, x, f = grid.n, grid.axes[0], grid.target_values
+    rule = build_momentum_rule(model, m)
+    Q, P, blocks, _, _ = tangent_batch(np.repeat(grid.nodes, m, axis=0), np.tile(rule.nodes, (n, 1)),
+                                       model, spec)
+    Q, P, dQdp = Q.reshape(n, m), P.reshape(n, m), blocks[1].reshape(n, m)
+    K = np.zeros((n, n))
+    for i in range(n):
+        on = (x >= Q[i, 0]) & (x <= Q[i, -1])
+        vals = CubicSpline(Q[i], np.column_stack([P[i], dQdp[i]]))(x[on])
+        g = np.exp(-model.auxiliary.value(vals[:, :1]) - model.auxiliary_log_mass())
+        K[i, on] = f[on] * g / vals[:, 1]
+    return K
+
+
+def test_kernel_matches_per_row_spline_reference(gauss_kernel, gauss_grid, gauss_model, gauss_spec):
+    quartic = anharmonic_pair(1.0, 0.5, halfwidth=3.5)
+    grid = build_grid(quartic, 201)
+    spec = default_flow_spec(quartic, 0.08)
+    cases = [(gauss_kernel.values, gauss_grid, gauss_model, gauss_spec, 1025),
+             (assemble_kernel(grid, quartic, spec, 257).values, grid, quartic, spec, 257)]
+    for K, grid, model, spec, m in cases:
+        ref = _kernel_per_row_reference(grid, model, spec, m)
+        assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_kernel_needs_four_momentum_nodes(gauss_grid, gauss_model, gauss_spec):
+    with pytest.raises(ValueError, match="at least 4"):
+        assemble_kernel(gauss_grid, gauss_model, gauss_spec, momentum_nodes=3)

@@ -24,6 +24,7 @@ from hmctransfer.operator import (
     _FILTER_WEIGHTS,
     TransferMatrix,
     build_momentum_rule,
+    spline_coefficients,
     _probe_densities,
 )
 
@@ -90,18 +91,20 @@ def test_cauchy_schwarz(gauss_grid):
 
 
 def test_momentum_rules(gauss_model):
-    for kind in (None, "trapezoid", "gauss_hermite"):
-        rule = build_momentum_rule(gauss_model, 65, kind)
+    # the rule follows from the dimension: trapezoid in 1-d, tensor Gauss-Hermite in 2-d
+    for model in (gauss_model, standard_gaussian_pair(dim=2, halfwidth=6.0)):
+        rule = build_momentum_rule(model, 9)
+        assert rule.nodes.shape == (9**model.dim, model.dim)
+        steps = np.diff(rule.nodes[:9, -1])
+        assert np.allclose(steps, steps[0]) == (model.dim == 1)
         assert rule.weights.sum() == pytest.approx(1.0)
         assert np.all(rule.weights > 0)
     with pytest.raises(ValueError):
         build_momentum_rule(gauss_model, 1)
-    with pytest.raises(ValueError):
-        build_momentum_rule(gauss_model, 65, "simpson")
 
 
 def test_trapezoid_rule_covers_auxiliary_mass(gauss_model):
-    rule = build_momentum_rule(gauss_model, 257, "trapezoid")
+    rule = build_momentum_rule(gauss_model, 257)
     half = float(np.max(np.abs(rule.nodes)))
     from scipy.stats import norm
 
@@ -329,3 +332,31 @@ def test_iterate_norms_are_weighted_norms(gauss_T, gauss_grid):
     assert trace.errors[-1] == pytest.approx(
         weighted_norm(trace.final - limit, gauss_grid), rel=1e-10)
     assert trace.norms[0] == pytest.approx(weighted_norm(h0, gauss_grid), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [16, 401, 1601])
+def test_spline_coefficients_match_scipy_on_identity(n):
+    # the deposit's cardinals: the spline of the identity on the uniform grid
+    x = np.linspace(-3.5, 3.5, n)
+    c = spline_coefficients(x[None], np.eye(n)[None])[:, 0]
+    ref = CubicSpline(x, np.eye(n)).c
+    for power in range(4):
+        assert np.max(np.abs(c[power] - ref[power])) <= 1e-14 * np.max(np.abs(ref[power]))
+
+
+@pytest.mark.parametrize("knots", [4, 5, 9, 200])
+def test_spline_coefficients_match_scipy_on_batched_rows(knots):
+    rng = np.random.default_rng(knots)
+    x = np.cumsum(rng.uniform(0.05, 1.0, (6, knots)), axis=1) - 2.0
+    y = rng.normal(size=(6, knots, 3))
+    c = spline_coefficients(x, y)
+    rows, pieces = np.nonzero(rng.uniform(size=(6, knots - 1)) < 0.4)
+    some = spline_coefficients(x, y, (rows, pieces))
+    assert np.array_equal(some, c[:, rows, pieces])
+    for b in range(6):
+        ref = CubicSpline(x[b], y[b]).c
+        for power in range(4):
+            scale = np.max(np.abs(ref[power]), axis=0)
+            assert np.all(np.abs(c[power, b] - ref[power]) <= 1e-14 * scale)
+    with pytest.raises(ValueError, match="4 knots"):
+        spline_coefficients(x[:, :3], y[:, :3])

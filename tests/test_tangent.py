@@ -14,10 +14,10 @@ from hmctransfer import (
     integrate_tangent,
     jacobian_determinants,
     spd_sqrt,
-    sqrt_product,
     standard_gaussian_pair,
 )
-from hmctransfer.dynamics import flow_batch
+from hmctransfer.distributions import ModelPair, gaussian_potential
+from hmctransfer.dynamics import exact_gaussian_matrix, flow_batch
 from hmctransfer.tangent import SingularJacobianError, sinc, tangent_batch
 
 
@@ -84,18 +84,22 @@ def test_spd_sqrt_reports_offending_eigenvalue():
         spd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
-def test_sqrt_product():
-    assert sqrt_product(np.eye(2), np.eye(2)) == pytest.approx(np.eye(2))
-    assert sqrt_product(np.array([[1.0]]), np.array([[4.0]]))[0, 0] == pytest.approx(2.0)
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        v, u = random_spd(rng, 3), random_spd(rng, 3)
-        a = sqrt_product(v, u)
-        vu = v @ u
-        assert np.linalg.norm(a @ a - vu) < 1e-10 * np.linalg.norm(vu)
-        eigs = np.linalg.eigvals(a)
-        assert np.all(np.abs(eigs.imag) < 1e-10 * np.abs(eigs.real))
-        assert np.all(eigs.real > 0)
+@pytest.mark.parametrize("t", [0.7, -0.7, np.pi / 2, 1.6])
+def test_exact_gaussian_matrix_matches_matrix_exponential(t):
+    # negative time is the inverse flow; the 2-d pair has non-commuting precisions
+    pairs = [
+        standard_gaussian_pair(),
+        ModelPair(gaussian_potential(0.6, 2.5), gaussian_potential(0.0, 1.7), 6.0),
+        ModelPair(gaussian_potential(np.array([0.3, -0.2]), np.array([[2.0, 0.5], [0.5, 1.0]])),
+                  gaussian_potential(np.zeros(2), np.array([[1.5, 0.2], [0.2, 0.8]])), 6.0),
+    ]
+    for model in pairs:
+        d = model.dim
+        gen = np.zeros((2 * d, 2 * d))
+        gen[:d, d:] = model.auxiliary.params["precision"]
+        gen[d:, :d] = -model.target.params["precision"]
+        ref = expm(t * gen)
+        assert np.max(np.abs(exact_gaussian_matrix(model, t) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_block_exponential_identity_pair():
