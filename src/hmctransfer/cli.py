@@ -349,6 +349,7 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> int:
 
     trace = iterate(T, _h0(config, grid), config.n_max, config.tol)
     write_csv(outdir / "trace.csv", ["n", "norm", "error"], [trace.steps, trace.norms, trace.errors])
+    floor_at = int(np.argmin(trace.errors))
     report = {
         "fixed_point_residual": fp,
         "mass_error_max": worst_mass,
@@ -359,6 +360,9 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> int:
         "iteration_converged": trace.converged,
         "iteration_anomaly": trace.anomaly,
         "limit_mass_ratio": trace.alpha,
+        # the smallest error reached, which the stop rule does not act on
+        "iteration_error_floor": float(trace.errors[floor_at]),
+        "iteration_floor_step": int(trace.steps[floor_at]),
     }
     if "images_per_cell_min" in T.meta:  # the 1-d cubic deposit's resolution
         report["images_per_cell_min"] = T.meta["images_per_cell_min"]

@@ -220,7 +220,7 @@ def anharmonic_potential(a: float, b: float, halfwidth: float) -> Potential:
 
     def hess(x):
         x = _as_points(x, 1)
-        return (a + 3.0 * b * x[..., 0] ** 2)[..., None, None] * np.ones((1, 1))
+        return (a + 3.0 * b * (x * x)).reshape(x.shape[:-1] + (1, 1))
 
     return Potential(
         dim=1,

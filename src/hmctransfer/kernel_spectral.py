@@ -86,7 +86,7 @@ def assemble_kernel(
 
     q_rep = np.repeat(grid.nodes, momentum_nodes, axis=0)
     p_rep = np.tile(rule.nodes, (n, 1))
-    Q, P, blocks, _, _ = tangent_batch(q_rep, p_rep, model, spec)
+    Q, P, blocks, _, _ = tangent_batch(q_rep, p_rep, model, spec, p_column_only=True)
     Q = Q.reshape(n, momentum_nodes)
     P = P.reshape(n, momentum_nodes)
     dQdp = blocks[1].reshape(n, momentum_nodes)

@@ -365,6 +365,23 @@ def test_operator_report_records_deposit_resolution(tmp_path):
     assert f"result.images_per_cell_min = {report['images_per_cell_min']:.17g}" in manifest
 
 
+def test_operator_report_names_the_iteration_floor(tmp_path):
+    cfg = write(
+        tmp_path, "op.ini", ANH_SMALL.replace("kind = spectrum", "kind = operator")
+        + "n_max = 60\ntol = 1e-12\n"
+    )
+    out = tmp_path / "out"
+    assert main(["operator", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "operator_report.json").read_text())
+    rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+    assert report["iteration_error_floor"] == rows[:, 2].min()
+    assert report["iteration_floor_step"] == int(rows[np.argmin(rows[:, 2]), 0])
+    assert report["iteration_floor_step"] > 0
+    manifest = (out / "manifest.txt").read_text()
+    assert f"result.iteration_error_floor = {report['iteration_error_floor']:.17g}" in manifest
+    assert f"result.iteration_floor_step = {report['iteration_floor_step']}" in manifest
+
+
 def test_exact_gaussian_chain_matches_linear_filter():
     # the exact chain is the first-order recursion q <- a q + b p that
     # scipy.signal.lfilter solves; the float loop gives the same bits

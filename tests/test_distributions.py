@@ -205,6 +205,21 @@ def test_scalar_evaluators_match_array_forms(pot):
     assert np.all(np.abs(values - array_values) <= np.spacing(np.abs(array_values)))
 
 
+def test_anharmonic_hess_is_the_curvature_bit_for_bit():
+    a, b = 1.0, 0.5
+    pot = anharmonic_potential(a, b, 3.5)
+    xs = np.random.default_rng(4).uniform(-4.0, 4.0, 1000)
+    expected = a + 3.0 * b * (xs * xs)
+    # the square is exact either way: x * x and x ** 2 round alike
+    assert np.array_equal(expected, a + 3.0 * b * xs**2)
+    batch = pot.hess(xs[:, None])
+    assert batch.shape == (1000, 1, 1)
+    assert np.array_equal(batch[:, 0, 0], expected)
+    singles = [pot.hess(np.array([x])) for x in xs]
+    assert all(h.shape == (1, 1) for h in singles)
+    assert np.array_equal(np.array(singles)[:, 0, 0], expected)
+
+
 def test_scalar_evaluators_are_one_dimensional_only():
     assert gaussian_potential(np.zeros(2), np.eye(2)).scalar is None
     pot = gaussian_potential(0.0, 1.0)

@@ -18,7 +18,9 @@ from hmctransfer import (
 )
 from hmctransfer.distributions import ModelPair, gaussian_potential
 from hmctransfer.dynamics import exact_gaussian_matrix, flow_batch
-from hmctransfer.tangent import SingularJacobianError, sinc, tangent_batch
+from hmctransfer import kernel_spectral
+from hmctransfer.operator import build_grid
+from hmctransfer.tangent import BLOCK_POINTS, SingularJacobianError, sinc, tangent_batch
 
 
 def random_spd(rng, d):
@@ -271,3 +273,88 @@ def test_sinc_series_switchover():
     assert vals[1] == pytest.approx(1.0 - 1e-12 / 6.0)
     assert vals[3] == pytest.approx(np.sin(0.5) / 0.5)
     assert abs(vals[4]) < 1e-15
+
+
+def unblocked_tangent(qs, ps, model, spec):
+    """One pass of the leapfrog variational loop over all points with (N, d, d) matmuls."""
+    n, d = qs.shape
+    tau = spec.time / spec.steps
+    q, p = qs.copy(), ps.copy()
+    eye = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    dQdq, dQdp, dPdq, dPdp = eye, np.zeros((n, d, d)), np.zeros((n, d, d)), eye.copy()
+    gq = model.target.grad(q)
+    hq = model.target.hess(q)
+    u_sum = 0.5 * hq
+    v_sum = 0.5 * model.auxiliary.hess(p)
+    for step in range(spec.steps):
+        p = p - 0.5 * tau * gq
+        dPdq = dPdq - 0.5 * tau * hq @ dQdq
+        dPdp = dPdp - 0.5 * tau * hq @ dQdp
+        hp = model.auxiliary.hess(p)
+        q = q + tau * model.auxiliary.grad(p)
+        dQdq = dQdq + tau * hp @ dPdq
+        dQdp = dQdp + tau * hp @ dPdp
+        gq = model.target.grad(q)
+        hq = model.target.hess(q)
+        p = p - 0.5 * tau * gq
+        dPdq = dPdq - 0.5 * tau * hq @ dQdq
+        dPdp = dPdp - 0.5 * tau * hq @ dQdp
+        last = step == spec.steps - 1
+        u_sum = u_sum + (0.5 if last else 1.0) * hq
+        v_sum = v_sum + (0.5 if last else 1.0) * model.auxiliary.hess(p)
+    return q, p, (dQdq, dQdp, dPdq, dPdp), u_sum / spec.steps, v_sum / spec.steps
+
+
+def leapfrog_pairs():
+    gauss_2d = ModelPair(
+        gaussian_potential(np.array([0.3, -0.2]), np.array([[2.0, 0.5], [0.5, 1.0]])),
+        gaussian_potential(np.zeros(2), np.array([[1.5, 0.2], [0.2, 0.8]])), 6.0)
+    return [
+        (anharmonic_pair(1.0, 0.5, 3.5), FlowSpec(time=0.08, steps=36, method="leapfrog")),
+        (gauss_2d, FlowSpec(time=0.5, steps=7, method="leapfrog")),
+    ]
+
+
+@pytest.mark.parametrize("model, spec", leapfrog_pairs(), ids=["quartic", "gauss-2d"])
+def test_blocked_tangent_matches_unblocked_loop_bit_for_bit(model, spec):
+    # two full blocks and a short tail
+    n = 2 * BLOCK_POINTS + 7
+    rng = np.random.default_rng(5)
+    qs = rng.uniform(-2.0, 2.0, (n, model.dim))
+    ps = rng.normal(size=(n, model.dim))
+    got = tangent_batch(qs, ps, model, spec)
+    ref = unblocked_tangent(qs, ps, model, spec)
+    for a, b in zip(got[:2] + got[3:], ref[:2] + ref[3:]):
+        assert np.array_equal(a, b)
+    for a, b in zip(got[2], ref[2]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("model, spec", leapfrog_pairs() + [
+    (standard_gaussian_pair(), FlowSpec(time=0.7, steps=1, method="exact_gaussian")),
+    (standard_gaussian_pair(dim=2), FlowSpec(time=0.7, steps=1, method="exact_gaussian")),
+], ids=["quartic", "gauss-2d", "exact-1d", "exact-2d"])
+def test_p_column_request_returns_the_same_p_column(model, spec):
+    rng = np.random.default_rng(6)
+    n = BLOCK_POINTS + 3
+    qs = rng.uniform(-2.0, 2.0, (n, model.dim))
+    ps = rng.normal(size=(n, model.dim))
+    Q, P, (dQdq, dQdp, dPdq, dPdp), Ubar, Vbar = tangent_batch(qs, ps, model, spec)
+    Qc, Pc, (cQdq, cQdp, cPdq, cPdp), Uc, Vc = tangent_batch(qs, ps, model, spec, p_column_only=True)
+    assert cQdq is None and cPdq is None
+    for a, b in [(Q, Qc), (P, Pc), (dQdp, cQdp), (dPdp, cPdp), (Ubar, Uc), (Vbar, Vc)]:
+        assert np.array_equal(a, b)
+
+
+def test_kernel_asks_for_the_p_column_only(monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return tangent_batch(*args, **kwargs)
+
+    monkeypatch.setattr(kernel_spectral, "tangent_batch", recording)
+    model = anharmonic_pair(1.0, 0.5, 3.5)
+    kernel_spectral.assemble_kernel(build_grid(model, 41), model, default_flow_spec(model, 0.08),
+                                    momentum_nodes=65)
+    assert calls == [{"p_column_only": True}]
