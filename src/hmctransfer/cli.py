@@ -188,6 +188,16 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("experiment.top_k: need at least 2, the gap uses the second eigenvalue")
     if config.kernel_momentum_nodes < 4:
         raise ConfigError("experiment.kernel_momentum_nodes: need at least 4 for the not-a-knot spline")
+    if config.n_max < 0:
+        raise ConfigError("experiment.n_max: must be non-negative")
+    if not (math.isfinite(config.tol) and config.tol > 0):
+        raise ConfigError(f"experiment.tol: must be finite and positive, got {config.tol}")
+    if config.draws < 0:
+        raise ConfigError("experiment.draws: must be non-negative")
+    if config.bins < 1:
+        raise ConfigError("experiment.bins: need at least 1")
+    if config.samples < 1:
+        raise ConfigError("experiment.samples: need at least 1")
 
     target = model.target
     config.resolved = {
@@ -239,11 +249,12 @@ def write_manifest(outdir: Path, config: ExperimentConfig, extra: dict | None = 
 
 
 def write_csv(path: Path, header: list, columns: list):
-    rows = ["" + ",".join(header)]
-    n = len(columns[0])
-    for i in range(n):
-        rows.append(",".join(_fmt(col[i]) for col in columns))
-    path.write_text("\n".join(rows) + "\n")
+    # Python scalars format faster than numpy ones, to the same text
+    columns = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
+    # streamed row by row: the whole text is never held in memory
+    with path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
 
 
 def write_json(path: Path, payload: dict):
@@ -264,7 +275,7 @@ def run_flow(config: ExperimentConfig, outdir: Path) -> int:
 
     d = model.dim
     times, qs, ps, energies, dets = [0.0], [state.q], [state.p], [total_energy(state, model)], [1.0]
-    n_check = max(1, config.samples)
+    n_check = config.samples
     if spec.method == "exact_gaussian":
         for s in np.linspace(spec.time / n_check, spec.time, n_check):
             seg = FlowSpec(time=s, steps=1, method="exact_gaussian")

@@ -26,6 +26,14 @@ re-weights by f, which avoids the division at deposit time.  For the exact
 flow they differ only by the O(h^4) spline interpolation error in the grid
 spacing h, which does not depend on the momentum node count; under leapfrog
 the difference measures the energy-conservation error.
+
+``iterate`` runs the fixed-point iteration h -> T h.  A run that goes past n
+steps (n the grid size) with budget left to pay for forming T^B switches to
+block mode, B = ``BLOCK_STEPS``: the B latest iterates advance together by
+one product with T^B, which reads the matrix once per B steps instead of once
+per step.  The stop rules are replayed per step, so a blocked run ends at the
+step the one-matvec loop ends at, with norms and errors equal to that loop's
+up to rounding.
 """
 
 from __future__ import annotations
@@ -561,6 +569,11 @@ def weighted_symmetry_residual(T: TransferMatrix) -> float:
     return worst
 
 
+# Steps per block-mode product X <- T^B X.  A power of two: T^B takes
+# log2(B) squarings.
+BLOCK_STEPS = 32
+
+
 @dataclass(frozen=True)
 class IterationTrace:
     """Per-step norms and errors of the fixed-point iteration h -> T h."""
@@ -579,9 +592,24 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
     """Iterate the operator, tracking ||T^n h|| and the error to alpha f.
 
     alpha = mass(h0) / mass(f) identifies the limit density.  The norm column
-    realizes the monotone limit V(h) = lim ||T^n h||^2.  The run stops with an
-    anomaly (broken discretization) when the error has risen ten steps in a
-    row and exceeds three times the best error so far.
+    realizes the monotone limit V(h) = lim ||T^n h||^2.  The run stops once
+    the error is below ``tol``, at step ``n_max``, or with an anomaly (broken
+    discretization) when the error has risen ten steps in a row and exceeds
+    three times the best error so far.
+
+    Each step is one matvec until the run has taken n steps, n the grid size.
+    If it has not stopped by then and the budget left, n_max - n, is at least
+    log2(B) n steps, whose matvecs cost as many flops as the log2(B) squarings
+    that form T^B (B = ``BLOCK_STEPS``), the run switches to block mode after
+    B - 1 more matvecs: the B latest iterates X = [h_k, ..., h_{k+B-1}]
+    advance together as X <- T^B X, one product that reads the matrix once
+    for B steps.  The norms and errors of a block are computed at once, and
+    the stop rules are then replayed step by step, so the trace ends at the
+    step the one-matvec loop ends at.  Up to step n + B - 1 the trace is
+    bitwise that loop's; after it, T^B X rounds differently from B matvecs,
+    and norms and errors agree with the loop's to rounding (about 1e-13
+    relative over 12000 steps at n = 401).  ``final`` is the iterate at the
+    last step, an array of its own.
     """
     grid = T.grid
     h = np.asarray(h0, dtype=float).copy()
@@ -594,30 +622,61 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
     def norm(v):
         return math.sqrt(v @ v)
 
-    ns = [0]
     sh = scale * h[keep]
     norms = [norm(sh)]
     errors = [norm(sh - limit)]
     anomaly = False
     rising = 0
     best = errors[0]
-    n = 0
-    while errors[-1] >= tol and n < n_max:
-        h = T.entries @ h
-        n += 1
-        ns.append(n)
-        sh = scale * h[keep]
-        norms.append(norm(sh))
-        errors.append(norm(sh - limit))
-        rising = rising + 1 if errors[-1] > errors[-2] else 0
-        best = min(best, errors[-1])
+
+    def running() -> bool:
+        return not anomaly and errors[-1] >= tol and len(errors) <= n_max
+
+    def record(norm_n: float, error_n: float):
+        nonlocal anomaly, rising, best
+        norms.append(norm_n)
+        errors.append(error_n)
+        rising = rising + 1 if error_n > errors[-2] else 0
+        best = min(best, error_n)
         # wobble at the discretization floor is expected; sustained growth
         # well above the best error seen means a broken discretization
-        if rising >= 10 and errors[-1] > 3.0 * best:
-            anomaly = True
-            break
+        anomaly = rising >= 10 and error_n > 3.0 * best
+
+    start = grid.n
+    squarings = BLOCK_STEPS.bit_length() - 1
+    blocked = n_max - start >= squarings * start
+    if blocked:
+        block = np.empty((BLOCK_STEPS, grid.n))
+    warm = start + BLOCK_STEPS - 1 if blocked else n_max
+    n = 0
+    while running() and n < warm:
+        h = T.entries @ h
+        n += 1
+        sh = scale * h[keep]
+        record(norm(sh), norm(sh - limit))
+        if blocked and n >= start:
+            block[n - start] = h
+    if blocked and running():
+        power = T.entries
+        for _ in range(squarings):
+            power = power @ power
+        # products alternate between two buffers; a fresh array per block
+        # raised the CLI's peak RSS by ~0.7 MiB at n = 401
+        spare = np.empty_like(block)
+        while running():
+            np.matmul(block, power.T, out=spare)
+            block, spare = spare, block
+            s = block[:, keep] * scale
+            d = s - limit
+            block_norms = np.sqrt(np.einsum("ij,ij->i", s, s)).tolist()
+            block_errors = np.sqrt(np.einsum("ij,ij->i", d, d)).tolist()
+            for j in range(BLOCK_STEPS):
+                record(block_norms[j], block_errors[j])
+                if not running():
+                    break
+        h = block[j].copy()
     return IterationTrace(
-        steps=np.array(ns),
+        steps=np.arange(len(errors)),
         norms=np.array(norms),
         errors=np.array(errors),
         alpha=alpha,

@@ -250,6 +250,27 @@ def test_config_validation_messages(tmp_path):
     with pytest.raises(cli.ConfigError, match="experiment.top_k"):
         load_config(cfg)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o4")]) == 1
+    # iteration and sampler settings that would otherwise run nothing or fail inside numpy
+    for line in ["n_max = -5", "tol = nan", "tol = inf", "tol = 0", "tol = -1e-7", "draws = -3",
+                 "bins = 0", "samples = 0"]:
+        field = line.split(" = ")[0]
+        cfg = write(tmp_path, f"{field}.ini", ANH_SMALL.replace("top_k = 6", f"top_k = 6\n{line}"))
+        with pytest.raises(cli.ConfigError, match=f"experiment.{field}"):
+            load_config(cfg)
+        assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o5")]) == 1
+
+
+def test_write_csv_bytes_match_per_cell_format(tmp_path):
+    # the reference formats every cell on its own, numpy scalars included
+    floats = np.concatenate([np.linspace(-1.0, 2.0, 8) ** 3 / 7, [-0.0, np.nan, np.inf, 1e-300]])
+    columns = [np.arange(-3, 9), floats, np.arange(12) % 3 == 0, [np.float64(v) for v in floats[::-1]],
+               list(range(12))]
+    header = ["n", "x", "flag", "y", "k"]
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, header, columns)
+    rows = [",".join(header)] + [",".join(cli._fmt(col[i]) for col in columns) for i in range(12)]
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+    assert path.read_text().splitlines()[1] == "-3,-0.14285714285714285,true,1e-300,0"
 
 
 def test_threads_flag_accepted(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -22,6 +24,8 @@ from hmctransfer.distributions import ModelPair
 from hmctransfer.dynamics import flow_batch
 from hmctransfer.operator import (
     _FILTER_WEIGHTS,
+    BLOCK_STEPS,
+    IterationTrace,
     TransferMatrix,
     build_momentum_rule,
     spline_coefficients,
@@ -270,6 +274,140 @@ def test_iterate_does_not_flag_wobble_at_the_floor(anh_trace):
     assert not anh_trace.anomaly
     rises = np.diff(anh_trace.errors) > 0
     assert np.lib.stride_tricks.sliding_window_view(rises, 10).all(axis=1).any()
+
+
+def _reference_iterate(T, h0, n_max, tol):
+    """One matvec h <- T.entries @ h per step, under iterate's stop rules."""
+    grid = T.grid
+    keep = grid.retained
+    scale = np.sqrt(grid.weights[keep] / grid.target_values[keep])
+    h = np.asarray(h0, dtype=float).copy()
+    alpha = mass(h, grid) / mass(grid.target_values, grid)
+    limit = scale * (alpha * grid.target_values[keep])
+
+    def norm(v):
+        return math.sqrt(v @ v)
+
+    norms, errors = [norm(scale * h[keep])], [norm(scale * h[keep] - limit)]
+    rising, best, anomaly = 0, errors[0], False
+    while errors[-1] >= tol and len(errors) - 1 < n_max:
+        h = T.entries @ h
+        sh = scale * h[keep]
+        norms.append(norm(sh))
+        errors.append(norm(sh - limit))
+        rising = rising + 1 if errors[-1] > errors[-2] else 0
+        best = min(best, errors[-1])
+        if rising >= 10 and errors[-1] > 3.0 * best:
+            anomaly = True
+            break
+    return IterationTrace(steps=np.arange(len(errors)), norms=np.array(norms),
+                          errors=np.array(errors), alpha=alpha, tol=tol,
+                          converged=bool(errors[-1] < tol), anomaly=anomaly, final=h)
+
+
+def _assert_same_run(trace, ref, slack=1.0):
+    """Same stop, bitwise before block mode, rounding-level agreement after it.
+
+    ``slack`` widens the error and ``final`` bounds for operators that
+    amplify rounding.
+    """
+    n = trace.final.size
+    assert trace.steps[-1] == ref.steps[-1]
+    assert np.array_equal(trace.steps, ref.steps)
+    assert (trace.converged, trace.anomaly, trace.alpha) == (ref.converged, ref.anomaly, ref.alpha)
+    assert np.array_equal(trace.norms[:n + 1], ref.norms[:n + 1])
+    assert np.array_equal(trace.errors[:n + 1], ref.errors[:n + 1])
+    assert np.all(np.abs(trace.norms - ref.norms) <= 1e-12 * ref.norms)
+    assert np.all(np.abs(trace.errors - ref.errors) <= slack * 1e-14 * ref.norms[0])
+    assert np.max(np.abs(trace.final - ref.final)) <= slack * 1e-12 * np.max(np.abs(ref.final))
+    assert trace.final.flags.owndata
+
+
+def test_iterate_block_mode_matches_matvec_loop_on_quartic(anh_T, anh_grid, anh_trace):
+    # 12000 steps at n = 401: block mode from step 401 + BLOCK_STEPS on
+    bump = np.exp(-0.5 * (anh_grid.nodes[:, 0] - 0.8) ** 2 / 0.16)
+    _assert_same_run(anh_trace, _reference_iterate(anh_T, bump, 12000, 1e-7))
+
+
+@pytest.mark.parametrize("h0, n_max, tol", [
+    ("bump", 12000, 1e-7), ("bump", 60, 1e-12), ("random", 25, 1e-14), ("target", 50, 1e-6),
+])
+def test_iterate_short_runs_are_the_matvec_loop(gauss_T, gauss_grid, h0, n_max, tol):
+    # runs that stop before n steps never reach block mode: every field bitwise
+    q = gauss_grid.nodes[:, 0]
+    start = {"bump": np.exp(-0.5 * (q - 1.3) ** 2 / 0.49),
+             "random": random_density(gauss_grid, np.random.default_rng(2)),
+             "target": gauss_grid.target_values}[h0]
+    trace = iterate(gauss_T, start, n_max, tol)
+    ref = _reference_iterate(gauss_T, start, n_max, tol)
+    assert trace.steps[-1] < gauss_grid.n
+    for name in IterationTrace.__dataclass_fields__:
+        assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+
+
+def _synthetic_transfer(eigenvalues, coefficients):
+    """T = S^-1 A S on a 20-node grid, A symmetric with eigenvalue 1 on sqrt(w f).
+
+    S = diag(sqrt(w / f)) maps to the symmetric frame, so T f = f and T keeps
+    mass; the listed eigenvalues get the listed coefficients in h0, the other
+    modes decay at |mu| <= 0.3 from coefficients <= 0.1.
+    """
+    grid = build_grid(standard_gaussian_pair(halfwidth=5.0), 20)
+    assert grid.retained.all()
+    n = grid.n
+    rng = np.random.default_rng(0)
+    u0 = np.sqrt(grid.weights * grid.target_values)
+    U, _ = np.linalg.qr(np.column_stack([u0, rng.normal(size=(n, n - 1))]))
+    rest = n - 1 - len(eigenvalues)
+    mu = np.concatenate([[1.0], eigenvalues, 0.3 * rng.uniform(-1, 1, rest)])
+    c = np.concatenate([[1.0], coefficients, 0.1 * rng.uniform(-1, 1, rest)])
+    s = np.sqrt(grid.weights / grid.target_values)
+    A = (U * mu) @ U.T
+    return TransferMatrix(entries=A * s[None, :] / s[:, None], grid=grid), (U @ c) / s
+
+
+def _assert_stops_inside_a_block(trace, ref, n, slack=1.0):
+    # block mode reached, and the stop falls strictly inside a block
+    _assert_same_run(trace, ref, slack)
+    stop = int(trace.steps[-1])
+    assert stop > n + BLOCK_STEPS
+    assert 0 < (stop - n) % BLOCK_STEPS < BLOCK_STEPS - 1
+    assert trace.final.base is None
+
+
+def test_iterate_block_mode_stops_at_tol_inside_a_block():
+    T, h0 = _synthetic_transfer([0.9], [1.0])
+    n = T.grid.n
+    errors = _reference_iterate(T, h0, 400, 0.0).errors
+    k = n + 2 * BLOCK_STEPS - 13
+    tol = math.sqrt(errors[k - 1] * errors[k])  # crossed between steps k - 1 and k
+    trace = iterate(T, h0, 400, tol)
+    ref = _reference_iterate(T, h0, 400, tol)
+    assert ref.steps[-1] == k and ref.converged
+    _assert_stops_inside_a_block(trace, ref, n)
+
+
+def test_iterate_block_mode_stops_at_an_anomaly_inside_a_block():
+    # a mode growing at 1.1 from 1e-8 overtakes the one decaying at 0.95 near
+    # step 120 and trips the anomaly rule at step 141.  Seeded far above
+    # rounding, so both loops trip at the same step; seeded at 0 it grows from
+    # rounding alone, which the two loops do differently.  The growth also
+    # amplifies their rounding differences, to 1.3e-12 of norms[0] in the errors.
+    T, h0 = _synthetic_transfer([0.95, 1.1], [1.0, 1e-8])
+    trace = iterate(T, h0, 1000, 1e-300)
+    ref = _reference_iterate(T, h0, 1000, 1e-300)
+    assert ref.anomaly and ref.steps[-1] == 141
+    _assert_stops_inside_a_block(trace, ref, T.grid.n, slack=1e3)
+
+
+def test_iterate_block_mode_stops_at_n_max_inside_a_block():
+    T, h0 = _synthetic_transfer([0.9], [1.0])
+    n_max = 150
+    assert n_max % BLOCK_STEPS
+    trace = iterate(T, h0, n_max, 1e-300)
+    ref = _reference_iterate(T, h0, n_max, 1e-300)
+    assert ref.steps[-1] == n_max and not ref.converged and not ref.anomaly
+    _assert_stops_inside_a_block(trace, ref, T.grid.n)
 
 
 def test_random_density_positive_and_reproducible(gauss_grid):
