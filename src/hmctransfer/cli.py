@@ -198,6 +198,14 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("experiment.bins: need at least 1")
     if config.samples < 1:
         raise ConfigError("experiment.samples: need at least 1")
+    # a zero-width or out-of-box initial bump has (almost) no mass on the grid,
+    # and the iteration would report convergence at step 0
+    if not (math.isfinite(config.h0_sigma) and config.h0_sigma > 0):
+        raise ConfigError(f"experiment.h0_sigma: must be finite and positive, got {config.h0_sigma}")
+    L = model.domain_halfwidth
+    if not -L <= config.h0_center <= L:
+        raise ConfigError(f"experiment.h0_center: must be finite and lie in [-{L}, {L}], "
+                          f"got {config.h0_center}")
 
     target = model.target
     config.resolved = {
@@ -251,10 +259,14 @@ def write_manifest(outdir: Path, config: ExperimentConfig, extra: dict | None = 
 def write_csv(path: Path, header: list, columns: list):
     # Python scalars format faster than numpy ones, to the same text
     columns = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
-    # streamed row by row: the whole text is never held in memory
+    # a column of Python floats skips _fmt's type dispatch; every column is a
+    # lazy map, so rows are formatted as they are streamed out and the whole
+    # text is never held in memory
+    cells = [map("{:.17g}".format if all(type(v) is float for v in col) else _fmt, col)
+             for col in columns]
     with path.open("w") as out:
         out.write(",".join(header) + "\n")
-        out.writelines(",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
+        out.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def write_json(path: Path, payload: dict):

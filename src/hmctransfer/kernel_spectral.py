@@ -6,7 +6,9 @@ normalized auxiliary density at the conjugate momentum, and the Jacobian
 factor from the momentum-to-position change of variables.  Rows are tabulated
 by flowing a dense momentum probe from each node and interpolating P and
 dQ/dp along the monotone image curve, so the map Q -> p is never inverted
-numerically; one batched spline solve covers the curves of all rows.
+numerically; one batched spline solve covers the curves of all rows.  The
+probes are flowed momentum-major, so the curves reach the solve knot-major in
+memory, the layout its sweep along the knots walks contiguously.
 
 A finite Hilbert-Schmidt norm makes the operator compact and certifies the
 spectral gap; the norm is computed both as a position-space double quadrature
@@ -84,12 +86,14 @@ def assemble_kernel(
     x = grid.axes[0]
     rule = build_momentum_rule(model, momentum_nodes)
 
-    q_rep = np.repeat(grid.nodes, momentum_nodes, axis=0)
-    p_rep = np.tile(rule.nodes, (n, 1))
+    # probes flow momentum-major, so Q, P and dQ/dp come out knot-major: their
+    # (row, knot) transposed views are the layout the spline sweep walks
+    q_rep = np.tile(grid.nodes, (momentum_nodes, 1))
+    p_rep = np.repeat(rule.nodes, n, axis=0)
     Q, P, blocks, _, _ = tangent_batch(q_rep, p_rep, model, spec, p_column_only=True)
-    Q = Q.reshape(n, momentum_nodes)
-    P = P.reshape(n, momentum_nodes)
-    dQdp = blocks[1].reshape(n, momentum_nodes)
+    Q = Q.reshape(momentum_nodes, n).T
+    P = P.reshape(momentum_nodes, n).T
+    dQdp = blocks[1].reshape(momentum_nodes, n).T
     if np.any(dQdp <= 0):
         raise ValueError("dQ/dp lost positivity along a probe; conjugate point reached")
     if np.any(np.diff(Q, axis=1) <= 0):
@@ -107,7 +111,9 @@ def assemble_kernel(
                       .reshape(n, n + 1)[:, :n], axis=1)
     rows, cols = np.nonzero((below > 0) & (x[None, :] <= Q[:, -1:]))
     piece = np.minimum(below[rows, cols] - 1, momentum_nodes - 2)
-    c = spline_coefficients(Q, np.stack([P, dQdp], axis=-1), (rows, piece))
+    # the interpolated values stacked knot-major, passed as a (row, knot, 2) view
+    curves = np.stack([P.T, dQdp.T], axis=-1).transpose(1, 0, 2)
+    c = spline_coefficients(Q, curves, (rows, piece))
     s = x[cols] - Q[rows, piece]
     vals = c[3] + c[2] * s[:, None] + c[1] * (s * s)[:, None] + c[0] * (s * s * s)[:, None]
     f = grid.target_values

@@ -202,10 +202,10 @@ def build_momentum_rule(model: ModelPair, m: int) -> MomentumRule:
     In 1-d a trapezoid rule on a box covering 1 - 1e-12 of the auxiliary
     mass.  Its evenly spaced nodes give images Q(q, p_k) evenly spaced along
     each flow curve, the spacing the filtered cubic deposit is scaled to; how
-    many images fall in a deposit cell depends on m, the grid and the flow,
-    and nothing here checks it.  In d >= 2 a tensor Gauss-Hermite rule matched
-    to the Gaussian auxiliary, whose few nodes per axis keep the m^d images of
-    the multilinear deposit affordable.
+    many images fall in a deposit cell depends on m, the grid and the flow;
+    the 1-d deposit records the fewest and flags fewer than one.  In d >= 2 a
+    tensor Gauss-Hermite rule matched to the Gaussian auxiliary, whose few
+    nodes per axis keep the m^d images of the multilinear deposit affordable.
     """
     if m < 2:
         raise ValueError("need at least 2 momentum nodes")
@@ -242,6 +242,14 @@ def spline_coefficients(x: np.ndarray, y: np.ndarray, pieces=None) -> np.ndarray
     first elimination.  Returns scipy's ``CubicSpline(...).c`` layout, c[r]
     multiplying s^(3 - r), s the offset from the left knot: every piece,
     (4, B, N - 1, R), or piece k of curve ``rows`` for ``pieces=(rows, k)``.
+
+    The sweep steps along the knot axis, so its buffers are laid out knot
+    axis first in memory, as (B, N) and (B, N, R) views of (N, B) and
+    (N, B, R) blocks: each step then reads and writes B contiguous values.
+    Inputs of any layout are accepted; x and y given the same way, as
+    transposed views of knot-major arrays, keep the differences and slopes
+    knot-major too.  Every operation is elementwise, so the coefficients do
+    not depend on the layout.
     """
     n = x.shape[1]
     if n < 4:
@@ -251,8 +259,8 @@ def spline_coefficients(x: np.ndarray, y: np.ndarray, pieces=None) -> np.ndarray
     slope = np.diff(y, axis=1) / dxr
 
     # tridiagonal rows: lower[i] * s[i - 1] + diag[i] * s[i] + upper[i] * s[i + 1] = b[i]
-    diag, upper, lower = np.empty((3,) + x.shape)
-    b = np.empty(y.shape)
+    diag, upper, lower = np.empty((3, n, x.shape[0])).transpose(0, 2, 1)
+    b = np.empty((n, y.shape[0], y.shape[2])).transpose(1, 0, 2)
     diag[:, 1:-1] = 2 * (dx[:, :-1] + dx[:, 1:])
     upper[:, 1:-1] = dx[:, :-1]
     lower[:, 1:-1] = dx[:, 1:]
@@ -267,11 +275,12 @@ def spline_coefficients(x: np.ndarray, y: np.ndarray, pieces=None) -> np.ndarray
                 + (2 * span + dxr[:, -1]) * dxr[:, -2] * slope[:, -1]) / span
     for i in range(1, n):
         fact = lower[:, i] / diag[:, i - 1]
-        diag[:, i] = diag[:, i] - fact * upper[:, i - 1]
-        b[:, i] = b[:, i] - fact[:, None] * b[:, i - 1]
-    b[:, -1] = b[:, -1] / diag[:, -1, None]
+        diag[:, i] -= fact * upper[:, i - 1]
+        b[:, i] -= fact[:, None] * b[:, i - 1]
+    b[:, -1] /= diag[:, -1, None]
     for i in range(n - 2, -1, -1):
-        b[:, i] = (b[:, i] - upper[:, i, None] * b[:, i + 1]) / diag[:, i, None]
+        b[:, i] -= upper[:, i, None] * b[:, i + 1]
+        b[:, i] /= diag[:, i, None]
 
     if pieces is None:
         left, right = np.s_[:, :-1], np.s_[:, 1:]
@@ -477,6 +486,13 @@ def _assemble(grid, model, spec, momentum_nodes, form, inverse):
 
     if d == 1:
         T, per_cell = _deposit_matrix_cubic(grid, Q[..., 0], G)
+        if per_cell < 1:
+            msg = (
+                f"under-resolved deposit: {per_cell:.3f} flow images per grid cell on the "
+                f"sparsest curve (< 1); raise momentum_nodes"
+            )
+            warnings.warn(msg)
+            notes.append(msg)
     else:
         T = _deposit_matrix_linear(grid, Q, G)
     if form == "likelihood":
@@ -595,7 +611,10 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
     realizes the monotone limit V(h) = lim ||T^n h||^2.  The run stops once
     the error is below ``tol``, at step ``n_max``, or with an anomaly (broken
     discretization) when the error has risen ten steps in a row and exceeds
-    three times the best error so far.
+    three times the best error so far.  An h0 whose mass is zero or not
+    finite raises ``ValueError``: its limit alpha f would be zero or
+    undefined, and a zero h0 would read as converged at step 0.  A signed h0
+    of negative mass is accepted; its limit alpha f is well defined.
 
     Each step is one matvec until the run has taken n steps, n the grid size.
     If it has not stopped by then and the budget left, n_max - n, is at least
@@ -613,7 +632,10 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
     """
     grid = T.grid
     h = np.asarray(h0, dtype=float).copy()
-    alpha = mass(h, grid) / mass(grid.target_values, grid)
+    h_mass = mass(h, grid)
+    if not (math.isfinite(h_mass) and h_mass != 0):
+        raise ValueError(f"initial density must have finite nonzero mass, got {h_mass}")
+    alpha = h_mass / mass(grid.target_values, grid)
     # weighted norms as plain 2-norms in the symmetric frame s = sqrt(w / f)
     keep = grid.retained
     scale = np.sqrt(grid.weights[keep] / grid.target_values[keep])

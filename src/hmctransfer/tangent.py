@@ -15,9 +15,13 @@ variational loop runs on one block of ``BLOCK_POINTS`` points before the next
 block starts, so the block's arrays stay in cache instead of streaming
 through memory on every step.  Every operation is pointwise, so the blocks
 reproduce the unblocked loop bit for bit.  In d = 1 the (N, 1, 1) block
-products are single multiplications and run elementwise.  A caller that
-needs only the p-column (dQ/dp, dP/dp), as the kernel tabulation does, can
-ask for it alone and skip propagating the q-column.
+products are single multiplications and run elementwise.  A Gaussian
+auxiliary's Hessian is its precision at every momentum, so the loop reads
+the (d, d) precision once and broadcasts it over the points, in the drift
+products and in the Vbar sum, instead of building an (N, d, d) copy twice
+per step; any other auxiliary is asked for its Hessian at each step.  A
+caller that needs only the p-column (dQ/dp, dP/dp), as the kernel
+tabulation does, can ask for it alone and skip propagating the q-column.
 
 Also provides the Jacobian factors D_q = 1/|det dQ/dp|, D_p = 1/|det dP/dq|
 and the regime bounds on their product valid for t * lambda_max < pi/2.
@@ -109,8 +113,10 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec, *, p_column_only: bo
     discrete map; the averages use the trapezoid rule over substep Hessians,
     matching the integrator's order.  The leapfrog loop runs over blocks of
     ``BLOCK_POINTS`` points, with elementwise products in d = 1; the result
-    is bit-identical to one unblocked pass.  With ``p_column_only`` only the
-    p-column (dQdp, dPdp) is computed and dQdq, dPdq come back as None.
+    is bit-identical to one unblocked pass.  For a Gaussian auxiliary its
+    precision stands in for the per-point Hessian, with the same operations
+    per point.  With ``p_column_only`` only the p-column (dQdp, dPdp) is
+    computed and dQdq, dPdq come back as None.
     """
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
     ps = np.atleast_2d(np.asarray(ps, dtype=float))
@@ -148,6 +154,12 @@ def _leapfrog_tangent(qs, ps, model: ModelPair, spec: FlowSpec, p_column_only: b
     # a (n, 1, 1) @ (n, 1, 1) product is one multiplication per point
     mul = np.multiply if d == 1 else np.matmul
     tau = spec.time / spec.steps
+    hess_v = model.auxiliary.hess
+    if model.auxiliary.is_gaussian:
+        # the precision is the Hessian at every p, read once: a (d, d) that
+        # broadcasts over the points with the same operations per point
+        def hess_v(_, precision=model.auxiliary.params["precision"]):
+            return precision
     q = qs.copy()
     p = ps.copy()
     dQdq, dQdp, dPdq, dPdp = _identity_blocks(n, d)
@@ -157,7 +169,7 @@ def _leapfrog_tangent(qs, ps, model: ModelPair, spec: FlowSpec, p_column_only: b
     gq = model.target.grad(q)
     hq = model.target.hess(q)
     u_sum = 0.5 * hq
-    v_sum = 0.5 * model.auxiliary.hess(p)
+    v_sum = 0.5 * hess_v(p)
     for step in range(spec.steps):
         p -= 0.5 * tau * gq
         kick = 0.5 * tau * hq
@@ -165,7 +177,7 @@ def _leapfrog_tangent(qs, ps, model: ModelPair, spec: FlowSpec, p_column_only: b
             dPdq -= mul(kick, dQdq)
         dPdp -= mul(kick, dQdp)
 
-        drift = tau * model.auxiliary.hess(p)
+        drift = tau * hess_v(p)
         q += tau * model.auxiliary.grad(p)
         if not p_column_only:
             dQdq += mul(drift, dPdq)
@@ -181,7 +193,7 @@ def _leapfrog_tangent(qs, ps, model: ModelPair, spec: FlowSpec, p_column_only: b
 
         last = step == spec.steps - 1
         u_sum += (0.5 if last else 1.0) * hq
-        v_sum += (0.5 if last else 1.0) * model.auxiliary.hess(p)
+        v_sum += (0.5 if last else 1.0) * hess_v(p)
     return q, p, (dQdq, dQdp, dPdq, dPdp), u_sum / spec.steps, v_sum / spec.steps
 
 

@@ -251,8 +251,12 @@ def test_config_validation_messages(tmp_path):
         load_config(cfg)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o4")]) == 1
     # iteration and sampler settings that would otherwise run nothing or fail inside numpy
+    # and initial bumps with no mass on the grid, which would "converge" at step 0
+    # (the box is [-3.5, 3.5])
     for line in ["n_max = -5", "tol = nan", "tol = inf", "tol = 0", "tol = -1e-7", "draws = -3",
-                 "bins = 0", "samples = 0"]:
+                 "bins = 0", "samples = 0", "h0_sigma = 0", "h0_sigma = -0.7", "h0_sigma = nan",
+                 "h0_sigma = inf", "h0_center = 9", "h0_center = -3.6", "h0_center = nan",
+                 "h0_center = inf"]:
         field = line.split(" = ")[0]
         cfg = write(tmp_path, f"{field}.ini", ANH_SMALL.replace("top_k = 6", f"top_k = 6\n{line}"))
         with pytest.raises(cli.ConfigError, match=f"experiment.{field}"):

@@ -462,6 +462,23 @@ def test_deposit_records_images_per_cell(gauss_model, gauss_spec, n, m):
     assert T.meta["images_per_cell_min"] == pytest.approx(expected, rel=1e-6)
 
 
+@pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+def test_iterate_rejects_an_initial_density_without_finite_mass(gauss_T, gauss_grid, fill):
+    # a zero h0 has limit 0 and error 0 at step 0: it would read as converged
+    with pytest.raises(ValueError, match="finite nonzero mass"):
+        iterate(gauss_T, np.full(gauss_grid.n, fill), 50, 1e-6)
+
+
+def test_under_resolved_deposit_flags_itself(gauss_model, gauss_spec, gauss_T):
+    # 1.10 images per cell at n = 401, 0.55 at n = 801 (m = 257 both)
+    assert not any("under-resolved" in note for note in gauss_T.meta["notes"])
+    grid = build_grid(gauss_model, 801)
+    with pytest.warns(UserWarning, match="under-resolved deposit: 0.55"):
+        T = assemble_transfer(grid, gauss_model, gauss_spec, 257)
+    assert T.meta["images_per_cell_min"] < 1
+    assert [note for note in T.meta["notes"] if "under-resolved" in note]
+
+
 def test_iterate_norms_are_weighted_norms(gauss_T, gauss_grid):
     h0 = random_density(gauss_grid, np.random.default_rng(2))
     trace = iterate(gauss_T, h0, 25, 1e-14)
@@ -491,6 +508,11 @@ def test_spline_coefficients_match_scipy_on_batched_rows(knots):
     rows, pieces = np.nonzero(rng.uniform(size=(6, knots - 1)) < 0.4)
     some = spline_coefficients(x, y, (rows, pieces))
     assert np.array_equal(some, c[:, rows, pieces])
+    # the same curves as transposed views of knot-major arrays, as the kernel passes them
+    x_view = np.ascontiguousarray(x.T).T
+    y_view = np.ascontiguousarray(y.transpose(1, 0, 2)).transpose(1, 0, 2)
+    assert np.array_equal(spline_coefficients(x_view, y_view), c)
+    assert np.array_equal(spline_coefficients(x_view, y_view, (rows, pieces)), some)
     for b in range(6):
         ref = CubicSpline(x[b], y[b]).c
         for power in range(4):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -344,6 +346,34 @@ def test_p_column_request_returns_the_same_p_column(model, spec):
     assert cQdq is None and cPdq is None
     for a, b in [(Q, Qc), (P, Pc), (dQdp, cQdp), (dPdp, cPdp), (Ubar, Uc), (Vbar, Vc)]:
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("model, spec", leapfrog_pairs(), ids=["quartic", "gauss-2d"])
+@pytest.mark.parametrize("p_column_only", [False, True])
+@pytest.mark.parametrize("kind", ["gaussian", "custom"])
+def test_gaussian_auxiliary_hessian_is_read_once(model, spec, p_column_only, kind):
+    # a Gaussian auxiliary's Hessian is never called; the same quadratic under
+    # another kind is asked for it at the start and after every step, per block
+    calls = []
+
+    def counting(p):
+        calls.append(len(p))
+        return model.auxiliary.hess(p)
+
+    counted = ModelPair(model.target, dataclasses.replace(model.auxiliary, hess=counting, kind=kind),
+                        model.domain_halfwidth)
+    rng = np.random.default_rng(7)
+    n = BLOCK_POINTS + 5
+    qs = rng.uniform(-2.0, 2.0, (n, model.dim))
+    ps = rng.normal(size=(n, model.dim))
+    got = tangent_batch(qs, ps, counted, spec, p_column_only=p_column_only)
+    ref = tangent_batch(qs, ps, model, spec, p_column_only=p_column_only)
+    per_block = 2 * spec.steps + 1
+    assert calls == ([] if kind == "gaussian" else [BLOCK_POINTS] * per_block + [5] * per_block)
+    for a, b in zip(got[:2] + got[3:], ref[:2] + ref[3:]):
+        assert np.array_equal(a, b)
+    for a, b in zip(got[2], ref[2]):
+        assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_kernel_asks_for_the_p_column_only(monkeypatch):
