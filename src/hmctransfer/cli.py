@@ -83,8 +83,8 @@ def _build_model(cfg: configparser.ConfigParser) -> ModelPair:
     sec = cfg["model"]
     family = sec.get("family", "gaussian").strip()
     halfwidth = sec.getfloat("halfwidth", 8.0)
-    if halfwidth <= 0:
-        raise ConfigError("model.halfwidth: must be positive")
+    if not (math.isfinite(halfwidth) and halfwidth > 0):
+        raise ConfigError(f"model.halfwidth: must be finite and positive, got {halfwidth}")
     if family == "gaussian":
         mean = np.array([float(v) for v in sec.get("mean", "0.0").split(",")])
         precision = _parse_matrix(sec.get("precision", "1.0"), "model.precision")
@@ -128,8 +128,8 @@ def load_config(path: str) -> ExperimentConfig:
 
     fsec = parser["flow"] if "flow" in parser else {}
     time = float(fsec.get("time", "0.7"))
-    if time <= 0:
-        raise ConfigError("flow.time: must be positive")
+    if not (math.isfinite(time) and time > 0):
+        raise ConfigError(f"flow.time: must be finite and positive, got {time}")
     method = str(fsec.get("method", "auto")).strip()
     steps = str(fsec.get("steps", "auto")).strip()
     if method == "auto":

@@ -89,8 +89,10 @@ class ModelPair:
             raise ValueError(
                 f"dimension mismatch: target {self.target.dim}, auxiliary {self.auxiliary.dim}"
             )
-        if self.domain_halfwidth <= 0:
-            raise ValueError("domain_halfwidth must be positive")
+        if not (math.isfinite(self.domain_halfwidth) and self.domain_halfwidth > 0):
+            raise ValueError(
+                f"domain_halfwidth must be finite and positive, got {self.domain_halfwidth}"
+            )
         if self.auxiliary_even:
             probe = np.linspace(0.3, 2.1, 4)[:, None] * np.ones(self.dim)
             asym = np.max(np.abs(self.auxiliary.value(probe) - self.auxiliary.value(-probe)))

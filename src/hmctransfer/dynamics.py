@@ -61,8 +61,8 @@ class FlowSpec:
     method: str = "leapfrog"
 
     def __post_init__(self):
-        if self.time <= 0:
-            raise ValueError(f"flow time must be positive, got {self.time}")
+        if not (math.isfinite(self.time) and self.time > 0):
+            raise ValueError(f"flow time must be finite and positive, got {self.time}")
         if self.steps < 1:
             raise ValueError(f"substep count must be positive, got {self.steps}")
         if self.method not in ("exact_gaussian", "leapfrog"):

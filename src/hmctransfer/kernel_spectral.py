@@ -72,6 +72,13 @@ def assemble_kernel(
     stays positive and p -> Q(q, p) is strictly monotone for every node.
     Arrival points outside the probed image curve carry kernel value zero
     (the auxiliary density is already negligible there).
+
+    Memory: of the tangent data only Q, P and dQ/dp are kept, each
+    (n, momentum_nodes); the momentum-space HS estimate is taken before the
+    spline, and P and dQ/dp are released once stacked into its curves.  The
+    peak is inside the spline solve, which holds Q, the curves (twice Q's
+    size) and its own buffers; at large n the coefficients of the (row, node)
+    pairs, 4 x 2 doubles each, take over.
     """
     if grid.dim != 1:
         raise NotImplementedError("kernel tabulation is implemented for 1-d grids")
@@ -88,12 +95,10 @@ def assemble_kernel(
 
     # probes flow momentum-major, so Q, P and dQ/dp come out knot-major: their
     # (row, knot) transposed views are the layout the spline sweep walks
-    q_rep = np.tile(grid.nodes, (momentum_nodes, 1))
-    p_rep = np.repeat(rule.nodes, n, axis=0)
-    Q, P, blocks, _, _ = tangent_batch(q_rep, p_rep, model, spec, p_column_only=True)
-    Q = Q.reshape(momentum_nodes, n).T
-    P = P.reshape(momentum_nodes, n).T
-    dQdp = blocks[1].reshape(momentum_nodes, n).T
+    flowed = tangent_batch(np.tile(grid.nodes, (momentum_nodes, 1)),
+                           np.repeat(rule.nodes, n, axis=0), model, spec, p_column_only=True)
+    Q, P, dQdp = (a.reshape(momentum_nodes, n).T for a in (flowed[0], flowed[1], flowed[2][1]))
+    del flowed  # dP/dp and the Hessian averages are not used
     if np.any(dQdp <= 0):
         raise ValueError("dQ/dp lost positivity along a probe; conjugate point reached")
     if np.any(np.diff(Q, axis=1) <= 0):
@@ -104,15 +109,25 @@ def assemble_kernel(
     def gbar(p):
         return np.exp(-model.auxiliary.value(np.asarray(p).reshape(-1, 1)) - log_norm)
 
+    # restrict to image points inside the box: the change of variables maps
+    # the position-space double integral over box x box exactly onto
+    # {(q, p): Q(q, p) inside the box}
+    w = grid.weights
+    gP = gbar(P.reshape(-1)).reshape(n, -1)
+    in_box = (Q >= x[0]) & (Q <= x[-1])
+    hs_mom = float(np.einsum("i,k,ik->", w, rule.weights, in_box * gP / dQdp))
+    del gP, in_box
+
     # below[i, j] counts the images Q[i, k] <= x[j]: node j on row i's curve lies
     # in piece below - 1, the last piece closed on the right
-    first_at_or_above = np.searchsorted(x, Q) + (n + 1) * np.arange(n)[:, None]
-    below = np.cumsum(np.bincount(first_at_or_above.ravel(), minlength=n * (n + 1))
-                      .reshape(n, n + 1)[:, :n], axis=1)
+    below = np.cumsum(np.bincount((np.searchsorted(x, Q) + (n + 1) * np.arange(n)[:, None]).ravel(),
+                                  minlength=n * (n + 1)).reshape(n, n + 1)[:, :n], axis=1)
     rows, cols = np.nonzero((below > 0) & (x[None, :] <= Q[:, -1:]))
     piece = np.minimum(below[rows, cols] - 1, momentum_nodes - 2)
+    del below
     # the interpolated values stacked knot-major, passed as a (row, knot, 2) view
     curves = np.stack([P.T, dQdp.T], axis=-1).transpose(1, 0, 2)
+    del P, dQdp
     c = spline_coefficients(Q, curves, (rows, piece))
     s = x[cols] - Q[rows, piece]
     vals = c[3] + c[2] * s[:, None] + c[1] * (s * s)[:, None] + c[0] * (s * s * s)[:, None]
@@ -122,16 +137,8 @@ def assemble_kernel(
 
     # the double integral runs over the whole truncated domain; K/f stays
     # bounded (it is g(P) D_q), so no density floor is needed here
-    w = grid.weights
     ratio = K / f[None, :]
     hs_pos = float(np.einsum("i,j,ij->", w / f, w, K * ratio))
-
-    # restrict to image points inside the box: the change of variables maps
-    # the position-space double integral over box x box exactly onto
-    # {(q, p): Q(q, p) inside the box}
-    gP = gbar(P.reshape(-1)).reshape(n, -1)
-    in_box = (Q >= x[0]) & (Q <= x[-1])
-    hs_mom = float(np.einsum("i,k,ik->", w, rule.weights, in_box * gP / dQdp))
 
     return KernelField(
         values=K,
@@ -160,10 +167,12 @@ def hs_norm(field: KernelField, grid: DensityGrid) -> float:
     """Squared Hilbert-Schmidt norm of the kernel.
 
     Returns the position-space double quadrature after checking it against
-    the momentum-space formula; disagreement beyond 1e-3 relative is reported
-    as a consistency failure.
+    the momentum-space formula; disagreement beyond 1e-3 relative, or an
+    estimate that is not finite, is reported as a consistency failure.
     """
     a, b = field.hs_norm_sq, field.hs_norm_sq_momentum
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"Hilbert-Schmidt estimates not finite: position {a} vs momentum {b}")
     rel = abs(a - b) / max(abs(a), 1e-300)
     if rel > 1e-3:
         raise ValueError(
@@ -199,12 +208,12 @@ def eigen_spectrum(T: TransferMatrix, grid: DensityGrid, k: int) -> SpectralRepo
     For an even auxiliary density the operator is self-adjoint in the
     weighted inner product, so its spectrum is real and the second eigenvalue
     is the convergence rate.  That is a precondition here: a functional
-    residual of 1e-6 or more raises instead of returning a spectrum.
+    residual of 1e-6 or more, or NaN, raises instead of returning a spectrum.
     """
     if k < 2:
         raise ValueError(f"top-k spectrum needs k >= 2 for the gap, got k = {k}")
     residual = weighted_symmetry_residual(T)
-    if residual >= 1e-6:
+    if not residual < 1e-6:  # a NaN residual fails too
         raise ValueError(f"operator not self-adjoint (residual {residual:.3e})")
 
     A, mask, scale = to_weighted_symmetric(T)

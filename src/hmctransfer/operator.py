@@ -250,6 +250,14 @@ def spline_coefficients(x: np.ndarray, y: np.ndarray, pieces=None) -> np.ndarray
     transposed views of knot-major arrays, keep the differences and slopes
     knot-major too.  Every operation is elementwise, so the coefficients do
     not depend on the layout.
+
+    Memory: the right-hand side b is filled in place before the matrix, so
+    the slopes (B, N - 1, R) are released before the three (B, N) bands
+    exist, and the knot spacings once the bands are set; no (B, N, R)
+    temporary is made.  The sweep's peak holds the spacings, b and the bands.
+    The coefficients follow with a few temporaries of one coefficient's size;
+    they are the peak when the output outgrows the sweep's buffers (every
+    piece of a wide R, or many requested pieces).
     """
     n = x.shape[1]
     if n < 4:
@@ -258,21 +266,31 @@ def spline_coefficients(x: np.ndarray, y: np.ndarray, pieces=None) -> np.ndarray
     dxr = dx[..., None]
     slope = np.diff(y, axis=1) / dxr
 
-    # tridiagonal rows: lower[i] * s[i - 1] + diag[i] * s[i] + upper[i] * s[i + 1] = b[i]
-    diag, upper, lower = np.empty((3, n, x.shape[0])).transpose(0, 2, 1)
+    # tridiagonal rows: lower[i] * s[i - 1] + diag[i] * s[i] + upper[i] * s[i + 1] = b[i];
+    # b comes first, so the slopes are gone before the matrix exists
     b = np.empty((n, y.shape[0], y.shape[2])).transpose(1, 0, 2)
-    diag[:, 1:-1] = 2 * (dx[:, :-1] + dx[:, 1:])
+    # not-a-knot: the cubic coefficient is continuous at the second and last-but-one knot
+    head = (x[:, 2] - x[:, 0])[:, None]
+    b[:, 0] = ((dxr[:, 0] + 2 * head) * dxr[:, 1] * slope[:, 0] + dxr[:, 0] ** 2 * slope[:, 1]) / head
+    tail = (x[:, -1] - x[:, -3])[:, None]
+    b[:, -1] = (dxr[:, -1] ** 2 * slope[:, -2]
+                + (2 * tail + dxr[:, -1]) * dxr[:, -2] * slope[:, -1]) / tail
+    # b[i] = 3 (dx[i] slope[i - 1] + dx[i - 1] slope[i]) in place, without temporaries:
+    # products commute, so it rounds as the out-of-place expression
+    inner = b[:, 1:-1]
+    np.multiply(dxr[:, 1:], slope[:, :-1], out=inner)
+    slope[:, 1:] *= dxr[:, :-1]
+    inner += slope[:, 1:]
+    inner *= 3
+    del slope
+    diag, upper, lower = np.empty((3, n, x.shape[0])).transpose(0, 2, 1)
+    np.add(dx[:, :-1], dx[:, 1:], out=diag[:, 1:-1])
+    diag[:, 1:-1] *= 2
     upper[:, 1:-1] = dx[:, :-1]
     lower[:, 1:-1] = dx[:, 1:]
-    b[:, 1:-1] = 3 * (dxr[:, 1:] * slope[:, :-1] + dxr[:, :-1] * slope[:, 1:])
-    # not-a-knot: the cubic coefficient is continuous at the second and last-but-one knot
-    span = (x[:, 2] - x[:, 0])[:, None]
-    diag[:, 0], upper[:, 0] = dx[:, 1], span[:, 0]
-    b[:, 0] = ((dxr[:, 0] + 2 * span) * dxr[:, 1] * slope[:, 0] + dxr[:, 0] ** 2 * slope[:, 1]) / span
-    span = (x[:, -1] - x[:, -3])[:, None]
-    diag[:, -1], lower[:, -1] = dx[:, -2], span[:, 0]
-    b[:, -1] = (dxr[:, -1] ** 2 * slope[:, -2]
-                + (2 * span + dxr[:, -1]) * dxr[:, -2] * slope[:, -1]) / span
+    diag[:, 0], upper[:, 0] = dx[:, 1], head[:, 0]
+    diag[:, -1], lower[:, -1] = dx[:, -2], tail[:, 0]
+    del dx, dxr
     for i in range(1, n):
         fact = lower[:, i] / diag[:, i - 1]
         diag[:, i] -= fact * upper[:, i - 1]
@@ -281,6 +299,7 @@ def spline_coefficients(x: np.ndarray, y: np.ndarray, pieces=None) -> np.ndarray
     for i in range(n - 2, -1, -1):
         b[:, i] -= upper[:, i, None] * b[:, i + 1]
         b[:, i] /= diag[:, i, None]
+    del diag, upper, lower
 
     if pieces is None:
         left, right = np.s_[:, :-1], np.s_[:, 1:]
@@ -358,6 +377,13 @@ def _deposit_matrix_cubic(grid: DensityGrid, Q: np.ndarray, G: np.ndarray) -> np
 
     Returns the matrix and the resolution h / max(delta) over the in-box
     images: the fewest images per grid cell along any flow curve.
+
+    Memory: W, shaped (rows, 4, pieces), takes one (rows, pieces) scatter per
+    power into its slice W[:, r] and is released after W @ c; c is released
+    once J is built, and the in-box image arrays after the scatter.  The peak
+    is the solve for c or the point deposit, which holds c, W, the output and
+    the in-box arrays; the knot loop after it holds the output, J, Psi and
+    the arrays of the images within reach of a knot.
     """
     x = grid.axes[0]
     n = grid.n
@@ -369,26 +395,28 @@ def _deposit_matrix_cubic(grid: DensityGrid, Q: np.ndarray, G: np.ndarray) -> np
     rows = np.repeat(np.arange(n_rows), m)
 
     # point deposit: local monomials G s^(3 - r) of the in-box images, one
-    # scatter per power, times the coefficient map
+    # scatter per power into W[:, r], times the coefficient map
     inside = (q >= x[0]) & (q <= x[-1])
     q_in, local = q[inside], g[inside]
     piece = np.clip(np.searchsorted(x, q_in, "right") - 1, 0, n - 2)
     s = q_in - x[piece]
-    slot = rows[inside] * (4 * (n - 1)) + piece
-    W = np.zeros(n_rows * 4 * (n - 1))
+    slot = rows[inside] * (n - 1) + piece
+    del q_in, piece
+    W = np.empty((n_rows, 4, n - 1))
     for r in range(3, -1, -1):
-        W += np.bincount(slot + r * (n - 1), weights=local, minlength=W.size)
+        W[:, r] = np.bincount(slot, weights=local, minlength=n_rows * (n - 1)).reshape(n_rows, -1)
         local = local * s
     out = W.reshape(n_rows, -1) @ c.reshape(-1, n)
+    del W, local, s, slot
 
     # knot coefficients: cubic jumps at every knot, then the lower Taylor
     # coefficients (p = 0, 1, 2) entering at the left edge and leaving at the right
-    edge_rows = [(0, p, c[3 - p, 0]) for p in range(3)] + [
-        (n - 1, p, -sum(math.comb(r, p) * h ** (r - p) * c[3 - r, -1] for r in range(p, 4)))
-        for p in range(3)
-    ]
+    edges = [(0, p) for p in range(3)] + [(n - 1, p) for p in range(3)]
     J = np.vstack([np.diff(c[0], axis=0, prepend=0.0, append=0.0)]
-                  + [row for _, _, row in edge_rows])
+                  + [c[3 - p, 0] for p in range(3)]
+                  + [-sum(math.comb(r, p) * h ** (r - p) * c[3 - r, -1] for r in range(p, 4))
+                     for p in range(3)])
+    del c
 
     delta = np.abs(np.gradient(Q, axis=1)).reshape(-1)
     widest = float(np.max(delta[inside], initial=0.0))
@@ -397,6 +425,7 @@ def _deposit_matrix_cubic(grid: DensityGrid, Q: np.ndarray, G: np.ndarray) -> np
     lo = np.clip(np.ceil((q - reach - x[0]) / h), 0, n).astype(int)
     hi = np.clip(np.floor((q + reach - x[0]) / h), -1, n - 1).astype(int)
     live = (delta > 0) & (hi >= lo)
+    del inside, reach
     q, g, rows, delta, lo, hi = (a[live] for a in (q, g, rows, delta, lo, hi))
     width = len(J)
     Psi = np.zeros(n_rows * width)
@@ -406,7 +435,7 @@ def _deposit_matrix_cubic(grid: DensityGrid, Q: np.ndarray, G: np.ndarray) -> np
         u = (q[sel] - x[knot[sel]]) / delta[sel]
         w = g[sel] * delta[sel] ** 3 * _filter_excess(u, 3)
         Psi += np.bincount(rows[sel] * width + knot[sel], weights=w, minlength=Psi.size)
-    for col, (knot, p, _) in enumerate(edge_rows, start=n):
+    for col, (knot, p) in enumerate(edges, start=n):
         sel = (lo <= knot) & (knot <= hi)
         u = (q[sel] - x[knot]) / delta[sel]
         w = g[sel] * delta[sel] ** p * _filter_excess(u, p, closed=knot == 0)
@@ -484,6 +513,7 @@ def _assemble(grid, model, spec, momentum_nodes, form, inverse):
         warnings.warn(msg)
         notes.append(msg)
 
+    del P, inside, leak_w  # the deposit reads Q and G alone
     if d == 1:
         T, per_cell = _deposit_matrix_cubic(grid, Q[..., 0], G)
         if per_cell < 1:
@@ -570,19 +600,20 @@ def weighted_symmetry_residual(T: TransferMatrix) -> float:
 
     Measured functionally, max over smooth probe pairs of
     |<T a, b> - <a, T b>| / (||a|| ||b||), the deviation the Hilbert-space
-    argument actually uses.
+    argument actually uses.  NaN when any pair's deviation is NaN.
     """
     grid = T.grid
     probes = _probe_densities(grid)
     norms = [weighted_norm(p, grid) for p in probes]
     images = [T.apply(p) for p in probes]
-    worst = 0.0
+    gaps = []
     for i in range(len(probes)):
         for j in range(i + 1, len(probes)):
             lhs = weighted_inner(images[i], probes[j], grid)
             rhs = weighted_inner(probes[i], images[j], grid)
-            worst = max(worst, abs(lhs - rhs) / (norms[i] * norms[j]))
-    return worst
+            gaps.append(abs(lhs - rhs) / (norms[i] * norms[j]))
+    # np.max, unlike max, does not skip a NaN
+    return float(np.max(gaps))
 
 
 # Steps per block-mode product X <- T^B X.  A power of two: T^B takes

@@ -262,6 +262,15 @@ def test_config_validation_messages(tmp_path):
         with pytest.raises(cli.ConfigError, match=f"experiment.{field}"):
             load_config(cfg)
         assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o5")]) == 1
+    # a NaN flow time compares false against both time <= 0 and the conjugate-point
+    # bound, and ran to an all-zero operator; a non-finite half-width failed elsewhere
+    for field, line in [("flow.time", "time = 0.08"), ("model.halfwidth", "halfwidth = 3.5")]:
+        key = field.split(".")[1]
+        for value in ("nan", "inf"):
+            cfg = write(tmp_path, f"{key}-{value}.ini", ANH_SMALL.replace(line, f"{key} = {value}"))
+            with pytest.raises(cli.ConfigError, match=f"{field}: must be finite and positive"):
+                load_config(cfg)
+            assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o6")]) == 1
 
 
 def test_write_csv_bytes_match_per_cell_format(tmp_path):

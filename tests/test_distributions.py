@@ -169,6 +169,16 @@ def test_model_pair_rejects_false_evenness_claim():
         )
 
 
+@pytest.mark.parametrize("halfwidth", [np.nan, np.inf, 0.0, -1.0])
+def test_model_pair_rejects_a_bad_halfwidth(halfwidth):
+    with pytest.raises(ValueError, match="domain_halfwidth must be finite and positive"):
+        ModelPair(
+            target=gaussian_potential(0.0, 1.0),
+            auxiliary=gaussian_potential(0.0, 1.0),
+            domain_halfwidth=halfwidth,
+        )
+
+
 def test_model_pair_bounds_cover_both_potentials():
     model = anharmonic_pair(2.0, 0.5, 3.0)
     assert model.lambda_min == 1.0  # auxiliary standard normal

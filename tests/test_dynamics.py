@@ -43,6 +43,13 @@ def test_zero_time_rejected():
         FlowSpec(time=1.0, steps=1, method="rk4")
 
 
+@pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_rejected(time):
+    # NaN passes time <= 0, and an infinite time flows to NaN
+    with pytest.raises(ValueError, match="finite and positive"):
+        FlowSpec(time=time, steps=1, method="leapfrog")
+
+
 def test_leapfrog_converges_to_exact_rotation():
     model = standard_gaussian_pair()
     state = PhaseState(q=np.array([1.0]), p=np.array([0.0]))

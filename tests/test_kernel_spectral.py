@@ -6,6 +6,7 @@ import pytest
 from hmctransfer import (
     FlowSpec,
     IterationTrace,
+    KernelField,
     anharmonic_pair,
     assemble_kernel,
     assemble_transfer,
@@ -22,7 +23,7 @@ from hmctransfer import (
     standard_gaussian_pair,
     weighted_norm,
 )
-from hmctransfer.operator import TransferMatrix, build_momentum_rule
+from hmctransfer.operator import TransferMatrix, build_momentum_rule, weighted_symmetry_residual
 from hmctransfer.tangent import tangent_batch
 
 
@@ -254,12 +255,29 @@ def test_kernel_needs_four_momentum_nodes(gauss_grid, gauss_model, gauss_spec):
 
 
 def test_quartic_kernel_tabulation_peak_memory(anh_grid, anh_model, anh_spec):
-    # the spline reads the flowed curves through transposed views, not copies:
-    # 70.85 MiB traced at n = 401 / 1025; a transposing copy reads over 74 MiB
+    # the spline reads the flowed curves through transposed views, not copies,
+    # and every array is released after its last use: 28.8 MiB traced at
+    # n = 401 / 1025; holding them all to the return read 70.85 MiB
     tracemalloc.start()
     try:
         assemble_kernel(anh_grid, anh_model, anh_spec, 1025)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 71 * 2**20
+    assert peak <= 31 * 2**20
+
+
+def test_hs_norm_refuses_non_finite_estimates(gauss_kernel, gauss_grid):
+    # NaN compares false against the agreement bound, so finiteness is checked first
+    K = gauss_kernel.values
+    for a, b in [(1.0, np.nan), (np.nan, 1.0), (np.inf, np.inf)]:
+        with pytest.raises(ValueError, match="not finite"):
+            hs_norm(KernelField(K, a, b), gauss_grid)
+
+
+def test_spectrum_refuses_a_nan_operator(gauss_T, gauss_grid):
+    broken = TransferMatrix(entries=np.full_like(gauss_T.entries, np.nan), grid=gauss_grid,
+                            meta=dict(gauss_T.meta))
+    assert np.isnan(weighted_symmetry_residual(broken))
+    with pytest.raises(ValueError, match="self-adjoint"):
+        eigen_spectrum(broken, gauss_grid, k=4)
