@@ -32,7 +32,6 @@ from .kernel_spectral import (
     certify_rate,
     eigen_spectrum,
     hs_norm,
-    kernel_apply,
 )
 from .operator import (
     DensityGrid,

@@ -182,8 +182,10 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("experiment.seed: must be non-negative")
     if config.n_per_axis < 16:
         raise ConfigError("grid.n_per_axis: need at least 16")
-    if config.momentum_nodes < 2:
-        raise ConfigError("grid.momentum_nodes: need at least 2")
+    least = 4 if model.dim == 1 else 2  # in 1-d the probes are the kernel spline's knots
+    if config.momentum_nodes < least:
+        raise ConfigError(f"grid.momentum_nodes: need at least {least} in {model.dim}-d, "
+                          f"got {config.momentum_nodes}")
     if config.top_k < 2:
         raise ConfigError("experiment.top_k: need at least 2, the gap uses the second eigenvalue")
     if config.kernel_momentum_nodes < 4:
@@ -387,8 +389,8 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> int:
         "iteration_error_floor": float(trace.errors[floor_at]),
         "iteration_floor_step": int(trace.steps[floor_at]),
     }
-    if "images_per_cell_min" in T.meta:  # the 1-d cubic deposit's resolution
-        report["images_per_cell_min"] = T.meta["images_per_cell_min"]
+    if "kernel_width_cells" in T.meta:  # the 1-d Nystrom matrix's resolution
+        report["kernel_width_cells"] = T.meta["kernel_width_cells"]
     write_json(outdir / "operator_report.json", report)
     write_manifest(outdir, config, {f"result.{k}": v for k, v in report.items()})
     return 0
@@ -413,10 +415,10 @@ def run_spectrum(config: ExperimentConfig, outdir: Path) -> int:
 
 
 def run_kernel_norm(config: ExperimentConfig, outdir: Path) -> int:
-    grid, T = _operator_stack(config)
+    grid = build_grid(config.model, config.n_per_axis)
     field = assemble_kernel(grid, config.model, config.spec, config.kernel_momentum_nodes)
     value = hs_norm(field, grid)
-    report = eigen_spectrum(T, grid, min(grid.n - 1, 64))
+    report = eigen_spectrum(field.transfer(grid), grid, min(grid.n - 1, 64))
     payload = {
         "hs_norm_sq": value,
         "hs_norm_sq_momentum": field.hs_norm_sq_momentum,

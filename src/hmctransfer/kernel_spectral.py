@@ -8,7 +8,9 @@ by flowing a dense momentum probe from each node and interpolating P and
 dQ/dp along the monotone image curve, so the map Q -> p is never inverted
 numerically; one batched spline solve covers the curves of all rows.  The
 probes are flowed momentum-major, so the curves reach the solve knot-major in
-memory, the layout its sweep along the knots walks contiguously.
+memory, the layout its sweep along the knots walks contiguously.  Through the
+inverse flow the same tabulation gives the adjoint's kernel, and
+``KernelField.transfer`` the Nystrom matrix that ``assemble_transfer`` returns.
 
 A finite Hilbert-Schmidt norm makes the operator compact and certifies the
 spectral gap; the norm is computed both as a position-space double quadrature
@@ -25,11 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import ModelPair
-from .dynamics import FlowSpec
+from .dynamics import FlowSpec, flow_batch
 from .operator import (
     DensityGrid,
     TransferMatrix,
+    _truncation,
     build_momentum_rule,
+    check_conjugate_bound,
     spline_coefficients,
     to_weighted_symmetric,
     weighted_inner,
@@ -43,7 +47,6 @@ __all__ = [
     "SpectralReport",
     "RateCertificate",
     "assemble_kernel",
-    "kernel_apply",
     "hs_norm",
     "eigen_spectrum",
     "certify_rate",
@@ -59,46 +62,66 @@ class KernelField:
     hs_norm_sq_momentum: float
     meta: dict = field(default_factory=dict)
 
+    def transfer(self, grid: DensityGrid) -> TransferMatrix:
+        """Nystrom matrix T_ij = K(q_i, x_j) w_j / f_j of the kernel on the grid's rule.
+
+        The trapezoid error falls as exp(-2 pi^2 s^2) in the kernel width s
+        in cells: in the Gaussian rate and mass 1e-12 at s = 2, 5e-9 at 1,
+        1e-2 at 0.5 (n = 401).  Below one cell this raises ``ValueError``.
+        """
+        width = self.meta["kernel_width_cells"]
+        if not width >= 1:
+            raise ValueError(f"kernel_width_cells = {width:.3g} < 1: the grid cannot resolve "
+                             f"the kernel; refine the grid or lengthen the flow")
+        return TransferMatrix(entries=self.values * (grid.weights / grid.target_values),
+                              grid=grid, meta=dict(self.meta))
+
 
 def assemble_kernel(
     grid: DensityGrid,
     model: ModelPair,
     spec: FlowSpec,
     momentum_nodes: int = 1025,
+    *,
+    inverse: bool = False,
 ) -> KernelField:
     """Tabulate K(q_i, Q_j) from flow plus tangent data along momentum probes.
 
     Valid in the invertibility regime t * lambda_max < pi/2, where dQ/dp
     stays positive and p -> Q(q, p) is strictly monotone for every node.
     Arrival points outside the probed image curve carry kernel value zero
-    (the auxiliary density is already negligible there).
+    (the auxiliary density is already negligible there).  With ``inverse``
+    the probes flow through the inverse map, along which Q falls with p: they
+    are read in reverse order, so Q rises, and |dQ/dp| enters D_q, giving
+    the adjoint's kernel.  ``meta`` records the probe images' domain
+    truncation and ``kernel_width_cells``, the min over rows of
+    |Q(q_i, sigma) - Q(q_i, -sigma)| / 2h, sigma the auxiliary standard
+    deviation and h the grid spacing.
 
     Memory: of the tangent data only Q, P and dQ/dp are kept, each
-    (n, momentum_nodes); the momentum-space HS estimate is taken before the
-    spline, and P and dQ/dp are released once stacked into its curves.  The
-    peak is inside the spline solve, which holds Q, the curves (twice Q's
-    size) and its own buffers; at large n the coefficients of the (row, node)
-    pairs, 4 x 2 doubles each, take over.
+    (n, momentum_nodes); P and dQ/dp are released once stacked into the
+    spline's curves.  The peak is inside the spline solve, which holds Q,
+    the curves (twice Q's size) and its own buffers; at large n the values
+    at the (row, node) pairs, a few arrays of 2 doubles per pair, take over.
     """
     if grid.dim != 1:
         raise NotImplementedError("kernel tabulation is implemented for 1-d grids")
     if momentum_nodes < 4:
         raise ValueError(f"need at least 4 kernel momentum nodes, got {momentum_nodes}")
-    t_lam = spec.time * model.lambda_max
-    if t_lam >= math.pi:
-        raise ValueError(
-            f"t * lambda_max = {t_lam:.6f} beyond the conjugate-point bound (< pi)"
-        )
+    check_conjugate_bound(model, spec)
     n = grid.n
     x = grid.axes[0]
     rule = build_momentum_rule(model, momentum_nodes)
+    order = slice(None, None, -1 if inverse else 1)
+    probes, probe_weights = rule.nodes[order], rule.weights[order]
 
     # probes flow momentum-major, so Q, P and dQ/dp come out knot-major: their
     # (row, knot) transposed views are the layout the spline sweep walks
-    flowed = tangent_batch(np.tile(grid.nodes, (momentum_nodes, 1)),
-                           np.repeat(rule.nodes, n, axis=0), model, spec, p_column_only=True)
+    flowed = tangent_batch(np.tile(grid.nodes, (momentum_nodes, 1)), np.repeat(probes, n, axis=0),
+                           model, spec, p_column_only=True, **({"inverse": True} if inverse else {}))
     Q, P, dQdp = (a.reshape(momentum_nodes, n).T for a in (flowed[0], flowed[1], flowed[2][1]))
     del flowed  # dP/dp and the Hessian averages are not used
+    dQdp = -dQdp if inverse else dQdp
     if np.any(dQdp <= 0):
         raise ValueError("dQ/dp lost positivity along a probe; conjugate point reached")
     if np.any(np.diff(Q, axis=1) <= 0):
@@ -113,10 +136,17 @@ def assemble_kernel(
     # the position-space double integral over box x box exactly onto
     # {(q, p): Q(q, p) inside the box}
     w = grid.weights
+    f = grid.target_values
     gP = gbar(P.reshape(-1)).reshape(n, -1)
     in_box = (Q >= x[0]) & (Q <= x[-1])
-    hs_mom = float(np.einsum("i,k,ik->", w, rule.weights, in_box * gP / dQdp))
+    hs_mom = float(np.einsum("i,k,ik->", w, probe_weights, in_box * gP / dQdp))
+    truncation = _truncation(grid, in_box, (probe_weights / gbar(probes)) * gP)
     del gP, in_box
+
+    sigma = math.sqrt(float(rule.weights @ rule.nodes[:, 0] ** 2))
+    ends, _ = flow_batch(np.tile(grid.nodes, (2, 1)), np.repeat([[sigma], [-sigma]], n, axis=0),
+                         model, spec, inverse=inverse)
+    width = float(np.min(np.abs(ends[:n, 0] - ends[n:, 0])) / (2 * (x[1] - x[0])))
 
     # below[i, j] counts the images Q[i, k] <= x[j]: node j on row i's curve lies
     # in piece below - 1, the last piece closed on the right
@@ -128,39 +158,31 @@ def assemble_kernel(
     # the interpolated values stacked knot-major, passed as a (row, knot, 2) view
     curves = np.stack([P.T, dQdp.T], axis=-1).transpose(1, 0, 2)
     del P, dQdp
-    c = spline_coefficients(Q, curves, (rows, piece))
-    s = x[cols] - Q[rows, piece]
-    vals = c[3] + c[2] * s[:, None] + c[1] * (s * s)[:, None] + c[0] * (s * s * s)[:, None]
-    f = grid.target_values
+    vals = spline_coefficients(Q, curves, (rows, piece, x[cols] - Q[rows, piece]))
+    del curves, piece, Q
     K = np.zeros((n, n))
     K[rows, cols] = f[cols] * gbar(vals[:, 0]) / vals[:, 1]
 
     # the double integral runs over the whole truncated domain; K/f stays
     # bounded (it is g(P) D_q), so no density floor is needed here
-    ratio = K / f[None, :]
-    hs_pos = float(np.einsum("i,j,ij->", w / f, w, K * ratio))
+    hs_pos = float(np.einsum("i,j,ij->", w / f, w, K * (K / f[None, :])))
 
     return KernelField(
         values=K,
         hs_norm_sq=hs_pos,
         hs_norm_sq_momentum=hs_mom,
         meta={
+            "inverse": inverse,
+            "gaussian_model": model.is_gaussian,
             "time": spec.time,
             "method": spec.method,
             "steps": spec.steps,
             "momentum_nodes": momentum_nodes,
             "momentum_halfwidth": float(rule.nodes[-1, 0]),
-            "gaussian_model": model.is_gaussian,
+            "kernel_width_cells": width,
+            **truncation,
         },
     )
-
-
-def kernel_apply(field: KernelField, grid: DensityGrid, h) -> np.ndarray:
-    """Apply the operator through the kernel: (T h)(q_i) = <h, K(q_i, .)>."""
-    h = np.asarray(h, dtype=float)
-    m = grid.retained
-    ratio = field.values[:, m] / grid.target_values[m]
-    return ratio @ (grid.weights[m] * h[m])
 
 
 def hs_norm(field: KernelField, grid: DensityGrid) -> float:

@@ -8,24 +8,19 @@ the momenta back out:
 
     (T h)(q) = int h(Q(q, p)) g(P(q, p)) dp,   g normalized to unit mass.
 
-The matrix is assembled by momentum quadrature per position node, with the
-value h(Q) obtained by cubic-spline interpolation on the grid (linear in
-d >= 2), ``spline_coefficients`` being the package's one spline routine.
-Both deposits scatter local weights of the flow images with ``np.bincount``.
-In 1-d the weights are the monomials of each image's offset within its spline
-piece, and one product W @ c with the spline coefficients c of the identity
-turns them into matrix rows.  Each spline value is also averaged along the
-image curve p -> Q(q, p) under a fixed polynomial-reproducing filter scaled to
-the image spacing: a knot correction added to that point-value deposit, which
-keeps the momentum sum from aliasing the spline's knot jumps into grid-scale
-modes of negative eigenvalue.
+In 1-d, p -> Q changes this into (T h)(q) = int h(Q) K(q, Q) / f(Q) dQ with
+the explicit kernel K(q, Q) = f(Q) g(P) / |dQ/dp| of ``kernel_spectral``, and
+the matrix is its Nystrom discretization on the grid's trapezoid rule,
+T_ij = K(q_i, x_j) w_j / f_j (Atkinson, The Numerical Solution of Integral
+Equations of the Second Kind, 1997, ch. 4): nonnegative entries, and the
+symmetry of K(q, Q) / sqrt(f(q) f(Q)) carried node by node into the
+symmetric frame.  The rule converges exponentially for the smooth kernel
+rows (Trefethen and Weideman, SIAM Review 56, 2014) once the kernel spans a
+grid cell; a narrower one is refused.  The adjoint uses the inverse flow.
 
-Two algebraically equivalent forms are kept: ``direct`` deposits g(P)
-evaluated along the flow, ``likelihood`` transports the ratio h/f and
-re-weights by f, which avoids the division at deposit time.  For the exact
-flow they differ only by the O(h^4) spline interpolation error in the grid
-spacing h, which does not depend on the momentum node count; under leapfrog
-the difference measures the energy-conservation error.
+In d >= 2 the matrix is assembled by momentum quadrature per position node:
+the flow images' weights are scattered onto the corners of their grid cells
+with ``np.bincount``, a multilinear interpolation of h(Q).
 
 ``iterate`` runs the fixed-point iteration h -> T h.  A run that goes past n
 steps (n the grid size) with budget left to pay for forming T^B switches to
@@ -58,6 +53,7 @@ __all__ = [
     "weighted_norm",
     "build_momentum_rule",
     "spline_coefficients",
+    "check_conjugate_bound",
     "assemble_transfer",
     "assemble_adjoint",
     "weighted_symmetry_residual",
@@ -179,8 +175,8 @@ def weighted_norm(h, grid: DensityGrid) -> float:
 @dataclass(frozen=True)
 class MomentumRule:
     """Quadrature nodes p_k and weights for integrals against the normalized
-    auxiliary density; weights sum to one, so the constant likelihood is
-    reproduced exactly."""
+    auxiliary density; weights sum to one, so a constant integrand is
+    integrated exactly."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -200,12 +196,11 @@ def build_momentum_rule(model: ModelPair, m: int) -> MomentumRule:
     """Momentum quadrature matched to the auxiliary density.
 
     In 1-d a trapezoid rule on a box covering 1 - 1e-12 of the auxiliary
-    mass.  Its evenly spaced nodes give images Q(q, p_k) evenly spaced along
-    each flow curve, the spacing the filtered cubic deposit is scaled to; how
-    many images fall in a deposit cell depends on m, the grid and the flow;
-    the 1-d deposit records the fewest and flags fewer than one.  In d >= 2 a
-    tensor Gauss-Hermite rule matched to the Gaussian auxiliary, whose few
-    nodes per axis keep the m^d images of the multilinear deposit affordable.
+    mass: the probes along which the kernel tabulation flows each node and
+    splines P and dQ/dp over the image curve, so m counts knots of that
+    spline, and the kernel needs m >= 4.  In d >= 2 a tensor Gauss-Hermite rule
+    matched to the Gaussian auxiliary, whose few nodes per axis keep the m^d
+    images of the multilinear deposit affordable.
     """
     if m < 2:
         raise ValueError("need at least 2 momentum nodes")
@@ -233,15 +228,16 @@ def build_momentum_rule(model: ModelPair, m: int) -> MomentumRule:
     return MomentumRule(nodes=pts, weights=wt)
 
 
-def spline_coefficients(x: np.ndarray, y: np.ndarray, pieces=None) -> np.ndarray:
+def spline_coefficients(x: np.ndarray, y: np.ndarray, at=None) -> np.ndarray:
     """Not-a-knot cubic spline through y(x) for x of shape (B, N), N >= 4, and y (B, N, R).
 
     One forward and one backward sweep along N solve the tridiagonal system for
     the knot slopes of all B curves (de Boor, A Practical Guide to Splines,
     ch. IV), without pivoting: the matrix is diagonally dominant after the
     first elimination.  Returns scipy's ``CubicSpline(...).c`` layout, c[r]
-    multiplying s^(3 - r), s the offset from the left knot: every piece,
-    (4, B, N - 1, R), or piece k of curve ``rows`` for ``pieces=(rows, k)``.
+    multiplying s^(3 - r), s the offset from the left knot, (4, B, N - 1, R);
+    or, for ``at=(rows, k, s)``, the values (len(rows), R) of piece k of
+    curve ``rows`` at offset s, by Horner's rule.
 
     The sweep steps along the knot axis, so its buffers are laid out knot
     axis first in memory, as (B, N) and (B, N, R) views of (N, B) and
@@ -257,7 +253,9 @@ def spline_coefficients(x: np.ndarray, y: np.ndarray, pieces=None) -> np.ndarray
     temporary is made.  The sweep's peak holds the spacings, b and the bands.
     The coefficients follow with a few temporaries of one coefficient's size;
     they are the peak when the output outgrows the sweep's buffers (every
-    piece of a wide R, or many requested pieces).
+    piece of a wide R).  Point values take the coefficients one at a time
+    into Horner's rule, so about five (points, R) arrays exist at once: with
+    many points they are the peak.
     """
     n = x.shape[1]
     if n < 4:
@@ -301,16 +299,33 @@ def spline_coefficients(x: np.ndarray, y: np.ndarray, pieces=None) -> np.ndarray
         b[:, i] /= diag[:, i, None]
     del diag, upper, lower
 
-    if pieces is None:
-        left, right = np.s_[:, :-1], np.s_[:, 1:]
+    if at is None:
+        left, right, s = np.s_[:, :-1], np.s_[:, 1:], None
     else:
-        rows, k = pieces
+        rows, k, s = at
         left, right = (rows, k), (rows, k + 1)
     h = (x[right] - x[left])[..., None]
     rise = (y[right] - y[left]) / h
     s0 = b[left]
     t = (s0 + b[right] - 2 * rise) / h
-    return np.stack((t / h, (rise - s0) / h - t, s0, y[left]))
+    if s is None:
+        return np.stack((t / h, (rise - s0) / h - t, s0, y[left]))
+    # Horner's rule in place, each coefficient released once it is taken in
+    s = s[:, None]
+    value = t / h
+    value *= s
+    rise -= s0
+    rise /= h
+    rise -= t
+    del t
+    value += rise
+    del rise
+    value *= s
+    value += s0
+    del s0
+    value *= s
+    value += y[left]
+    return value
 
 
 @dataclass
@@ -323,124 +338,6 @@ class TransferMatrix:
 
     def apply(self, h) -> np.ndarray:
         return self.entries @ np.asarray(h, dtype=float)
-
-
-# Image filter K = sum_l a_l Lambda_{l delta}: unit-mass hats of half-width
-# l * delta.  The weights cancel the second and fourth moments, so K reproduces
-# polynomials of degree <= 5, and every hat vanishes at multiples of 2 pi / delta.
-_FILTER_WEIGHTS = ((1, 1.5), (2, -0.6), (3, 0.1))
-_FILTER_REACH = _FILTER_WEIGHTS[-1][0]  # support half-width in units of delta
-
-
-def _filter_excess(u: np.ndarray, p: int, closed: bool = False) -> np.ndarray:
-    """psi_p(u) = (K * x_+^p)(u) - u_+^p for the filter at unit spacing.
-
-    Each hat acts as a second difference of F_p(x) = x_+^(p+2) / ((p+1)(p+2)),
-    the second antiderivative of x_+^p.  psi_p vanishes for |u| >= 3.
-    ``closed`` counts u = 0 into the step u_+^0, as at the left box edge,
-    where the point value includes the knot.
-    """
-    def F(x):
-        return np.maximum(x, 0.0) ** (p + 2) / ((p + 1) * (p + 2))
-
-    out = -2.0 * F(u) * sum(a / l**2 for l, a in _FILTER_WEIGHTS)
-    for l, a in _FILTER_WEIGHTS:
-        out += a * (F(u + l) + F(u - l)) / l**2
-    step = u >= 0 if closed else u > 0
-    return out - step * np.maximum(u, 0.0) ** p
-
-
-def _deposit_matrix_cubic(grid: DensityGrid, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Accumulate T_ij = sum_k G[i, k] (K * c_j)(Q[i, k]) with cubic-spline cardinals c_j.
-
-    The cardinals are read once as spline coefficients of the identity:
-    c[r, piece, j] multiplies s^(3 - r) on ``piece``, with s the offset from
-    its left knot.  The point deposit sum_k G[i, k] c_j(Q[i, k]) is then
-    W @ c, where W[i, (r, piece)] sums G[i, k] s^(3 - r) over the in-box
-    images of row i in that piece; images outside the grid contribute
-    nothing (truncated mass).
-
-    Point values sampled at the image spacing delta, which need not resolve a
-    grid cell, alias the third-derivative jumps of c_j at the knots into
-    grid-scale modes.  Each point value is therefore replaced by its average
-    under the filter K, scaled to the local image spacing delta (the central
-    difference of Q along the momentum nodes, one-sided at the ends).  On a
-    single cubic piece the average equals the point value, so the filtered
-    deposit is the point deposit plus a knot correction Psi @ J:
-
-    - J[(kappa, p), j] is the coefficient of (x - x_kappa)_+^p in c_j: the
-      jump of the cubic coefficient (p = 3) at every knot, and at the box
-      edges, where c_j drops to zero, the Taylor coefficients (p < 3) of its
-      first and last pieces;
-    - Psi[i, (kappa, p)] = sum_k G[i, k] delta^p psi_p((Q[i, k] - x_kappa) / delta),
-      nonzero only for knots within 3 delta of an image.
-
-    Returns the matrix and the resolution h / max(delta) over the in-box
-    images: the fewest images per grid cell along any flow curve.
-
-    Memory: W, shaped (rows, 4, pieces), takes one (rows, pieces) scatter per
-    power into its slice W[:, r] and is released after W @ c; c is released
-    once J is built, and the in-box image arrays after the scatter.  The peak
-    is the solve for c or the point deposit, which holds c, W, the output and
-    the in-box arrays; the knot loop after it holds the output, J, Psi and
-    the arrays of the images within reach of a knot.
-    """
-    x = grid.axes[0]
-    n = grid.n
-    n_rows, m = G.shape
-    h = x[1] - x[0]
-    c = spline_coefficients(x[None], np.eye(n)[None])[:, 0]
-    q = Q.reshape(-1)
-    g = G.reshape(-1)
-    rows = np.repeat(np.arange(n_rows), m)
-
-    # point deposit: local monomials G s^(3 - r) of the in-box images, one
-    # scatter per power into W[:, r], times the coefficient map
-    inside = (q >= x[0]) & (q <= x[-1])
-    q_in, local = q[inside], g[inside]
-    piece = np.clip(np.searchsorted(x, q_in, "right") - 1, 0, n - 2)
-    s = q_in - x[piece]
-    slot = rows[inside] * (n - 1) + piece
-    del q_in, piece
-    W = np.empty((n_rows, 4, n - 1))
-    for r in range(3, -1, -1):
-        W[:, r] = np.bincount(slot, weights=local, minlength=n_rows * (n - 1)).reshape(n_rows, -1)
-        local = local * s
-    out = W.reshape(n_rows, -1) @ c.reshape(-1, n)
-    del W, local, s, slot
-
-    # knot coefficients: cubic jumps at every knot, then the lower Taylor
-    # coefficients (p = 0, 1, 2) entering at the left edge and leaving at the right
-    edges = [(0, p) for p in range(3)] + [(n - 1, p) for p in range(3)]
-    J = np.vstack([np.diff(c[0], axis=0, prepend=0.0, append=0.0)]
-                  + [c[3 - p, 0] for p in range(3)]
-                  + [-sum(math.comb(r, p) * h ** (r - p) * c[3 - r, -1] for r in range(p, 4))
-                     for p in range(3)])
-    del c
-
-    delta = np.abs(np.gradient(Q, axis=1)).reshape(-1)
-    widest = float(np.max(delta[inside], initial=0.0))
-    per_cell = float(h / widest) if widest > 0 else math.inf
-    reach = _FILTER_REACH * delta
-    lo = np.clip(np.ceil((q - reach - x[0]) / h), 0, n).astype(int)
-    hi = np.clip(np.floor((q + reach - x[0]) / h), -1, n - 1).astype(int)
-    live = (delta > 0) & (hi >= lo)
-    del inside, reach
-    q, g, rows, delta, lo, hi = (a[live] for a in (q, g, rows, delta, lo, hi))
-    width = len(J)
-    Psi = np.zeros(n_rows * width)
-    for offset in range(int(np.max(hi - lo, initial=-1)) + 1):
-        knot = lo + offset
-        sel = knot <= hi
-        u = (q[sel] - x[knot[sel]]) / delta[sel]
-        w = g[sel] * delta[sel] ** 3 * _filter_excess(u, 3)
-        Psi += np.bincount(rows[sel] * width + knot[sel], weights=w, minlength=Psi.size)
-    for col, (knot, p) in enumerate(edges, start=n):
-        sel = (lo <= knot) & (knot <= hi)
-        u = (q[sel] - x[knot]) / delta[sel]
-        w = g[sel] * delta[sel] ** p * _filter_excess(u, p, closed=knot == 0)
-        Psi += np.bincount(rows[sel] * width + col, weights=w, minlength=Psi.size)
-    return out + Psi.reshape(n_rows, width) @ J, per_cell
 
 
 def _deposit_matrix_linear(grid: DensityGrid, points: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -467,43 +364,13 @@ def _deposit_matrix_linear(grid: DensityGrid, points: np.ndarray, G: np.ndarray)
     return out.reshape(n_rows, grid.n)
 
 
-def _flow_factor_grid(grid, model, spec, rule, inverse):
-    """Flow all (node, momentum) pairs; return Q, P of shape (n, m, d)."""
-    n, m = grid.n, rule.nodes.shape[0]
-    q_rep = np.repeat(grid.nodes, m, axis=0)
-    p_rep = np.tile(rule.nodes, (n, 1))
-    Q, P = flow_batch(q_rep, p_rep, model, spec, inverse=inverse)
-    return Q.reshape(n, m, -1), P.reshape(n, m, -1)
-
-
-def _assemble(grid, model, spec, momentum_nodes, form, inverse):
-    if form not in ("direct", "likelihood"):
-        raise ValueError(f"unknown assembly form {form!r}")
-    # conjugate points first appear at t * sqrt(lambda_max) >= pi for constant
-    # curvature; the operator itself stays well defined up to there
-    t_lam = spec.time * model.lambda_max
-    if t_lam >= math.pi:
-        raise ValueError(
-            f"t * lambda_max = {t_lam:.6f} beyond the conjugate-point bound (< pi)"
-        )
-    rule = build_momentum_rule(model, momentum_nodes)
-    Q, P = _flow_factor_grid(grid, model, spec, rule, inverse)
-    n, m, d = Q.shape
-
-    log_w = np.log(rule.weights)[None, :]
-    if form == "direct":
-        v_at_nodes = model.auxiliary.value(rule.nodes)
-        v_at_images = model.auxiliary.value(P.reshape(-1, d)).reshape(n, m)
-        G = np.exp(log_w + v_at_nodes[None, :] - v_at_images)
-    else:
-        G = np.exp(np.broadcast_to(log_w, (n, m)).copy())
-
-    inside = grid.inside(Q)
+def _truncation(grid: DensityGrid, inside: np.ndarray, G: np.ndarray) -> dict:
+    """Share of flow images outside the box, the relative mass they carry out
+    (image k of node i weighs G[i, k], its probe weight times g(P) / g(p)) and
+    a warning note when the share exceeds 1e-3, for an operator's meta."""
     frac_outside = 1.0 - float(np.count_nonzero(inside)) / inside.size
     f = grid.target_values
-    total_f = float(grid.weights @ f)
-    leak_w = G * ~inside
-    leaked = float((grid.weights * f) @ leak_w.sum(axis=1)) / total_f
+    leaked = float((grid.weights * f) @ (G * ~inside).sum(axis=1)) / float(grid.weights @ f)
     notes = []
     if frac_outside > 1e-3:
         msg = (
@@ -512,38 +379,43 @@ def _assemble(grid, model, spec, momentum_nodes, form, inverse):
         )
         warnings.warn(msg)
         notes.append(msg)
+    return {"frac_outside": frac_outside, "leaked_mass": leaked, "notes": tuple(notes)}
 
-    del P, inside, leak_w  # the deposit reads Q and G alone
-    if d == 1:
-        T, per_cell = _deposit_matrix_cubic(grid, Q[..., 0], G)
-        if per_cell < 1:
-            msg = (
-                f"under-resolved deposit: {per_cell:.3f} flow images per grid cell on the "
-                f"sparsest curve (< 1); raise momentum_nodes"
-            )
-            warnings.warn(msg)
-            notes.append(msg)
-    else:
-        T = _deposit_matrix_linear(grid, Q, G)
-    if form == "likelihood":
-        T = (f[:, None] / f[None, :]) * T
+
+def check_conjugate_bound(model: ModelPair, spec: FlowSpec):
+    """Refuse t * lambda_max >= pi, where conjugate points first appear for
+    constant curvature; the operator itself stays well defined up to there."""
+    t_lam = spec.time * model.lambda_max
+    if t_lam >= math.pi:
+        raise ValueError(f"t * lambda_max = {t_lam:.6f} beyond the conjugate-point bound (< pi)")
+
+
+def _assemble(grid, model, spec, momentum_nodes, inverse):
+    if grid.dim == 1:
+        # kernel_spectral builds on this module, so it is imported at call time
+        from .kernel_spectral import assemble_kernel
+
+        return assemble_kernel(grid, model, spec, momentum_nodes, inverse=inverse).transfer(grid)
+    check_conjugate_bound(model, spec)
+    rule = build_momentum_rule(model, momentum_nodes)
+    n, m = grid.n, len(rule.weights)
+    Q, P = flow_batch(np.repeat(grid.nodes, m, axis=0), np.tile(rule.nodes, (n, 1)), model, spec,
+                      inverse=inverse)
+    Q = Q.reshape(n, m, -1)
+    v_images = model.auxiliary.value(P).reshape(n, m)
+    G = np.exp(np.log(rule.weights) + model.auxiliary.value(rule.nodes) - v_images)
 
     meta = {
-        "form": form,
         "inverse": inverse,
         "gaussian_model": model.is_gaussian,
         "method": spec.method,
         "time": spec.time,
         "steps": spec.steps,
         "momentum_nodes": momentum_nodes,
-        "frac_outside": frac_outside,
-        "leaked_mass": leaked,
-        "notes": tuple(notes),
-        "deposit": "cubic_spline" if d == 1 else "multilinear",
+        **_truncation(grid, grid.inside(Q), G),
+        "deposit": "multilinear",
     }
-    if d == 1:
-        meta["images_per_cell_min"] = per_cell
-    return TransferMatrix(entries=T, grid=grid, meta=meta)
+    return TransferMatrix(entries=_deposit_matrix_linear(grid, Q, G), grid=grid, meta=meta)
 
 
 def assemble_transfer(
@@ -551,10 +423,11 @@ def assemble_transfer(
     model: ModelPair,
     spec: FlowSpec,
     momentum_nodes: int,
-    form: str = "direct",
 ) -> TransferMatrix:
-    """Assemble the transfer operator by momentum quadrature of the flow."""
-    return _assemble(grid, model, spec, momentum_nodes, form, inverse=False)
+    """Assemble the transfer operator: in 1-d the Nystrom matrix of the
+    kernel tabulated on ``momentum_nodes`` probes, in d >= 2 the multilinear
+    deposit of a ``momentum_nodes``-per-axis momentum quadrature."""
+    return _assemble(grid, model, spec, momentum_nodes, inverse=False)
 
 
 def assemble_adjoint(
@@ -562,10 +435,9 @@ def assemble_adjoint(
     model: ModelPair,
     spec: FlowSpec,
     momentum_nodes: int,
-    form: str = "direct",
 ) -> TransferMatrix:
     """Assemble the adjoint operator: same construction through the inverse flow."""
-    return _assemble(grid, model, spec, momentum_nodes, form, inverse=True)
+    return _assemble(grid, model, spec, momentum_nodes, inverse=True)
 
 
 def to_weighted_symmetric(T: TransferMatrix):
@@ -744,8 +616,8 @@ def random_density(grid: DensityGrid, rng: np.random.Generator, components: int 
     """Smooth random density: a small Gaussian mixture well inside the box.
 
     Centers stay within a quarter of the half-width and widths are a few grid
-    cells wide, so tails vanish long before the domain boundary and the
-    interpolated deposit stays positive.
+    cells wide, so tails vanish long before the domain boundary.  The density
+    is positive, so its image under the nonnegative Nystrom matrix is too.
     """
     L = grid.halfwidth
     d = grid.dim

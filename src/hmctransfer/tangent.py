@@ -105,7 +105,8 @@ def _identity_blocks(n, d):
     return eye, zero.copy(), zero.copy(), eye.copy()
 
 
-def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec, *, p_column_only: bool = False):
+def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec, *, p_column_only: bool = False,
+                  inverse: bool = False):
     """Co-integrate flow and variational equation for a batch of states.
 
     Returns (Q, P, (dQdq, dQdp, dPdq, dPdp), Ubar, Vbar) with leading batch
@@ -116,7 +117,8 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec, *, p_column_only: bo
     is bit-identical to one unblocked pass.  For a Gaussian auxiliary its
     precision stands in for the per-point Hessian, with the same operations
     per point.  With ``p_column_only`` only the p-column (dQdp, dPdp) is
-    computed and dQdq, dPdq come back as None.
+    computed and dQdq, dPdq come back as None.  ``inverse`` runs the inverse
+    flow, as ``flow_batch`` does: negative time for both backends.
     """
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
     ps = np.atleast_2d(np.asarray(ps, dtype=float))
@@ -124,8 +126,8 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec, *, p_column_only: bo
     wanted = (not p_column_only, True, not p_column_only, True)
 
     if spec.method == "exact_gaussian":
-        Q, P = flow_batch(qs, ps, model, spec)
-        mat = exact_gaussian_matrix(model, spec.time)
+        Q, P = flow_batch(qs, ps, model, spec, inverse=inverse)
+        mat = exact_gaussian_matrix(model, -spec.time if inverse else spec.time)
         blocks = tuple(np.broadcast_to(b, (n, d, d)).copy() if want else None
                        for b, want in zip((mat[:d, :d], mat[:d, d:], mat[d:, :d], mat[d:, d:]),
                                           wanted))
@@ -141,19 +143,21 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec, *, p_column_only: bo
     for lo in range(0, n, BLOCK_POINTS):
         at = slice(lo, lo + BLOCK_POINTS)
         Q[at], P[at], part, Ubar[at], Vbar[at] = _leapfrog_tangent(qs[at], ps[at], model, spec,
-                                                                   p_column_only)
+                                                                   p_column_only, inverse)
         for out, b in zip(blocks, part):
             if out is not None:
                 out[at] = b
     return Q, P, blocks, Ubar, Vbar
 
 
-def _leapfrog_tangent(qs, ps, model: ModelPair, spec: FlowSpec, p_column_only: bool):
+def _leapfrog_tangent(qs, ps, model: ModelPair, spec: FlowSpec, p_column_only: bool,
+                      inverse: bool):
     """Leapfrog flow and chain-rule blocks of one block of points."""
     n, d = qs.shape
     # a (n, 1, 1) @ (n, 1, 1) product is one multiplication per point
     mul = np.multiply if d == 1 else np.matmul
-    tau = spec.time / spec.steps
+    # the step ``flow_batch`` takes, reversed for the inverse flow
+    tau = (-spec.time if inverse else spec.time) / spec.steps
     hess_v = model.auxiliary.hess
     if model.auxiliary.is_gaussian:
         # the precision is the Hessian at every p, read once: a (d, d) that

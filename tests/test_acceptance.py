@@ -111,7 +111,10 @@ def test_criterion_05_spectral_oracle(gauss_report, gauss_grid):
 def test_criterion_06_hilbert_schmidt_identity(gauss_kernel, gauss_report):
     oracle = 1.0 / np.sin(0.7) ** 2
     hs_err = abs(gauss_kernel.hs_norm_sq - oracle) / oracle
-    id_err = abs(gauss_report.sum_squares - gauss_kernel.hs_norm_sq) / gauss_kernel.hs_norm_sq
+    # sum mu^2 of the Nystrom matrix is the position-space quadrature of the same
+    # kernel, so the identity is checked against the momentum-space estimate
+    hs_momentum = gauss_kernel.hs_norm_sq_momentum
+    id_err = abs(gauss_report.sum_squares - hs_momentum) / hs_momentum
     ok = hs_err < 1e-3 and id_err < 1e-3
     report(6, "Hilbert-Schmidt identity", max(hs_err, id_err), 1e-3, ok)
 

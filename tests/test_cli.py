@@ -386,7 +386,7 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     assert loaded == []
 
 
-def test_operator_report_records_deposit_resolution(tmp_path):
+def test_operator_report_records_kernel_width(tmp_path, capsys):
     cfg = write(
         tmp_path, "op.ini", ANH_SMALL.replace("kind = spectrum", "kind = operator")
         + "n_max = 5\ntol = 1e-9\n"
@@ -394,9 +394,15 @@ def test_operator_report_records_deposit_resolution(tmp_path):
     out = tmp_path / "out"
     assert main(["operator", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "operator_report.json").read_text())
-    assert report["images_per_cell_min"] > 1.0
+    # t = 0.08 moves Q by about t sigma either side, over cells of 7 / 200
+    assert report["kernel_width_cells"] == pytest.approx(0.08 / 0.035, rel=0.05)
     manifest = (out / "manifest.txt").read_text()
-    assert f"result.images_per_cell_min = {report['images_per_cell_min']:.17g}" in manifest
+    assert f"result.kernel_width_cells = {report['kernel_width_cells']:.17g}" in manifest
+    # the same run on a twelfth of a cell is refused by name, exit code 1
+    short = write(tmp_path, "short.ini", open(cfg).read().replace("time = 0.08", "time = 0.003"))
+    capsys.readouterr()
+    assert main(["operator", "--config", short, "--out", str(tmp_path / "err")]) == 1
+    assert "kernel_width_cells" in capsys.readouterr().err
 
 
 def test_operator_report_names_the_iteration_floor(tmp_path):
@@ -441,3 +447,8 @@ def test_removed_and_invalid_grid_options_are_named(tmp_path):
     with pytest.raises(cli.ConfigError, match="experiment.kernel_momentum_nodes"):
         load_config(cfg)
     assert main(["kernel-norm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    # in 1-d the probes are the knots of the kernel's not-a-knot spline
+    cfg = write(tmp_path, "probes.ini", ANH_SMALL.replace("momentum_nodes = 129", "momentum_nodes = 3"))
+    with pytest.raises(cli.ConfigError, match="grid.momentum_nodes: need at least 4"):
+        load_config(cfg)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "p")]) == 1

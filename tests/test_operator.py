@@ -24,13 +24,12 @@ from hmctransfer import (
 from hmctransfer.distributions import ModelPair
 from hmctransfer.dynamics import flow_batch
 from hmctransfer.operator import (
-    _FILTER_WEIGHTS,
     BLOCK_STEPS,
     IterationTrace,
     TransferMatrix,
     build_momentum_rule,
     spline_coefficients,
-    _probe_densities,
+    to_weighted_symmetric,
 )
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -144,74 +143,14 @@ def test_norm_contraction(gauss_T, gauss_grid):
     assert weighted_norm(gauss_T.apply(f), gauss_grid) <= weighted_norm(f, gauss_grid) * (1 + 1e-10)
 
 
-def test_positivity(gauss_T, gauss_grid):
+def test_positivity(gauss_T, gauss_grid, anh_T):
+    # Nystrom entries K w / f are nonnegative, so positive densities stay positive
+    assert np.min(gauss_T.entries) >= 0
+    assert np.min(anh_T.entries) >= 0
     rng = np.random.default_rng(125)
     for _ in range(20):
         h = random_density(gauss_grid, rng)
         assert np.min(gauss_T.apply(h)) >= -1e-12 * np.max(np.abs(h))
-
-
-def _filtered_deposit_reference(model, grid, spec, m):
-    """T_ij = sum_k G_ik int K_delta(y) c_j(Q_ik + y) dy from the definition.
-
-    c_j is the cubic-spline cardinal extended by zero outside the box and
-    K_delta the filter's hat mix scaled to the local image spacing.  4-point
-    Gauss-Legendre between every hat kink and every knot integrates the
-    piecewise-polynomial integrand exactly.
-    """
-    x = grid.axes[0]
-    n = grid.n
-    rule = build_momentum_rule(model, m)
-    Q, P = flow_batch(np.repeat(grid.nodes, m, axis=0), np.tile(rule.nodes, (n, 1)), model, spec)
-    Q = Q.reshape(n, m)
-    G = rule.weights * np.exp(model.auxiliary.value(rule.nodes) - model.auxiliary.value(P).reshape(n, m))
-    delta = np.abs(np.gradient(Q, axis=1))
-    assert np.all(delta > 0)
-    cardinals = CubicSpline(x, np.eye(n), extrapolate=False)
-    nodes, weights = np.polynomial.legendre.leggauss(4)
-    T = np.zeros((n, n))
-    for i, k in np.ndindex(n, m):
-        q, reach = Q[i, k], 3 * delta[i, k]
-        cuts = np.union1d(delta[i, k] * np.arange(-3, 4), x[np.abs(x - q) < reach] - q)
-        mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * np.diff(cuts)
-        y = (mid[:, None] + half[:, None] * nodes).ravel()
-        kernel = sum(a * np.maximum(0.0, 1.0 - np.abs(y) / (l * delta[i, k])) / (l * delta[i, k])
-                     for l, a in _FILTER_WEIGHTS)
-        quad = (half[:, None] * weights).ravel() * kernel
-        T[i] += G[i, k] * (quad @ np.nan_to_num(cardinals(q + y)))
-    return T
-
-
-@pytest.mark.parametrize("model, n, m, time", [
-    (standard_gaussian_pair(halfwidth=8.0), 40, 33, 0.7),
-    (standard_gaussian_pair(halfwidth=3.0), 32, 17, 0.7),
-    (anharmonic_pair(1.0, 0.5, halfwidth=3.5), 32, 33, 0.08),
-], ids=["gauss", "gauss-narrow-box", "quartic"])
-def test_deposit_matches_filtered_definition(model, n, m, time):
-    # the narrow box puts images outside the grid, where the cardinals drop to zero;
-    # a point-value deposit without the knot correction misses by 0.03 to 1.6
-    grid = build_grid(model, n)
-    spec = default_flow_spec(model, time)
-    T = assemble_transfer(grid, model, spec, m).entries
-    T_ref = _filtered_deposit_reference(model, grid, spec, m)
-    assert np.max(np.abs(T - T_ref)) <= 1e-10 * np.max(np.abs(T_ref))
-
-
-def test_direct_and_likelihood_forms_agree(gauss_grid, gauss_model, gauss_spec, gauss_T):
-    # for the exact flow the forms differ only by the O(h^4) cubic-spline
-    # interpolation error: halving the grid spacing shrinks the gap 16-fold,
-    # whereas a wrong f_i / f_j reweighting leaves an O(1) gap that does not shrink
-    def form_gaps(grid, T_direct):
-        T_like = assemble_transfer(grid, gauss_model, gauss_spec, 257, form="likelihood")
-        return np.array([
-            weighted_norm(T_direct.apply(h) - T_like.apply(h), grid) / weighted_norm(h, grid)
-            for h in _probe_densities(grid)
-        ])
-
-    coarse = build_grid(gauss_model, 201)
-    coarse_gaps = form_gaps(coarse, assemble_transfer(coarse, gauss_model, gauss_spec, 257))
-    gaps = form_gaps(gauss_grid, gauss_T)
-    assert np.all(gaps <= coarse_gaps / 12)
 
 
 def test_adjoint_duality(gauss_T, gauss_Tadj, gauss_grid):
@@ -224,23 +163,25 @@ def test_adjoint_duality(gauss_T, gauss_Tadj, gauss_grid):
         assert abs(lhs - rhs) <= 1e-7 * weighted_norm(h, gauss_grid) * weighted_norm(k, gauss_grid)
 
 
-def test_adjoint_equals_transfer_for_even_auxiliary(gauss_T, gauss_Tadj):
-    scale = np.max(np.abs(gauss_T.entries))
-    assert np.max(np.abs(gauss_T.entries - gauss_Tadj.entries)) < 1e-7 * scale
+def test_adjoint_equals_transfer_for_even_auxiliary(gauss_T, gauss_Tadj, anh_grid, anh_model, anh_spec,
+                                                   anh_T):
+    # the inverse flow at -p is the forward flow at p with P negated, on both
+    # backends, and the rule is symmetric: the adjoint's kernel is T's, bit for bit
+    assert gauss_Tadj.meta["inverse"] and not gauss_T.meta["inverse"]
+    assert np.array_equal(gauss_T.entries, gauss_Tadj.entries)
+    assert np.array_equal(anh_T.entries, assemble_adjoint(anh_grid, anh_model, anh_spec, 257).entries)
 
 
 def test_self_adjointness_residual(gauss_T):
     assert weighted_symmetry_residual(gauss_T) < 1e-7
 
 
-def test_short_time_operator_is_identity_like(gauss_grid, gauss_model):
+def test_short_time_operator_is_refused_by_kernel_width(gauss_grid, gauss_model):
+    # at t = 1e-12 the kernel is a spike far narrower than a grid cell
     spec = FlowSpec(time=1e-12, steps=1, method="exact_gaussian")
-    T = assemble_transfer(gauss_grid, gauss_model, spec, 257)
-    T_adj = assemble_adjoint(gauss_grid, gauss_model, spec, 257)
-    rng = np.random.default_rng(127)
-    h = random_density(gauss_grid, rng)
-    assert weighted_norm(T.apply(h) - h, gauss_grid) < 1e-8 * weighted_norm(h, gauss_grid)
-    assert weighted_norm(T.apply(h) - T_adj.apply(h), gauss_grid) < 1e-8 * weighted_norm(h, gauss_grid)
+    for assemble in (assemble_transfer, assemble_adjoint):
+        with pytest.raises(ValueError, match="kernel_width_cells = 2.5e-11 < 1"):
+            assemble(gauss_grid, gauss_model, spec, 257)
 
 
 def test_iterate_fixed_point_terminates_immediately(gauss_T, gauss_grid):
@@ -424,8 +365,8 @@ def test_assembly_validation(gauss_grid, gauss_model):
     with pytest.raises(ValueError, match="conjugate"):
         assemble_transfer(gauss_grid, gauss_model, spec, 65)
     good = FlowSpec(time=0.7, steps=1, method="exact_gaussian")
-    with pytest.raises(ValueError, match="form"):
-        assemble_transfer(gauss_grid, gauss_model, good, 65, form="galerkin")
+    with pytest.raises(ValueError, match="at least 4"):
+        assemble_transfer(gauss_grid, gauss_model, good, 3)
 
 
 def test_domain_truncation_warning():
@@ -451,18 +392,6 @@ def test_two_dimensional_smoke():
     assert weighted_norm(T.apply(f) - f, grid) < 0.05 * weighted_norm(f, grid)
 
 
-@pytest.mark.parametrize("n, m", [(201, 257), (401, 257), (801, 257), (401, 129)])
-def test_deposit_records_images_per_cell(gauss_model, gauss_spec, n, m):
-    # the exact flow moves Q by sin(t) dp between neighbouring momentum nodes,
-    # so a cell of width h holds h / (sin(t) dp) images: 2.20, 1.10, 0.55, 0.55
-    grid = build_grid(gauss_model, n)
-    T = assemble_transfer(grid, gauss_model, gauss_spec, m)
-    nodes = build_momentum_rule(gauss_model, m).nodes[:, 0]
-    h = grid.axes[0][1] - grid.axes[0][0]
-    expected = h / (np.sin(gauss_spec.time) * (nodes[1] - nodes[0]))
-    assert T.meta["images_per_cell_min"] == pytest.approx(expected, rel=1e-6)
-
-
 @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
 def test_iterate_rejects_an_initial_density_without_finite_mass(gauss_T, gauss_grid, fill):
     # a zero h0 has limit 0 and error 0 at step 0: it would read as converged
@@ -470,14 +399,22 @@ def test_iterate_rejects_an_initial_density_without_finite_mass(gauss_T, gauss_g
         iterate(gauss_T, np.full(gauss_grid.n, fill), 50, 1e-6)
 
 
-def test_under_resolved_deposit_flags_itself(gauss_model, gauss_spec, gauss_T):
-    # 1.10 images per cell at n = 401, 0.55 at n = 801 (m = 257 both)
-    assert not any("under-resolved" in note for note in gauss_T.meta["notes"])
-    grid = build_grid(gauss_model, 801)
-    with pytest.warns(UserWarning, match="under-resolved deposit: 0.55"):
-        T = assemble_transfer(grid, gauss_model, gauss_spec, 257)
-    assert T.meta["images_per_cell_min"] < 1
-    assert [note for note in T.meta["notes"] if "under-resolved" in note]
+@pytest.mark.parametrize("n, time", [(201, 0.7), (401, 0.7), (801, 0.7), (401, 0.05), (401, 0.035)])
+def test_transfer_records_and_gates_the_kernel_width(gauss_model, n, time):
+    # the exact flow maps p = +-sigma to Q = q cos t +- sigma sin t, so the
+    # kernel spans sigma sin t / h cells, sigma = 1 to the rule's accuracy:
+    # 8.05, 16.1, 32.2, 1.25 and 0.875.  The Nystrom matrix is refused below one
+    grid = build_grid(gauss_model, n)
+    spec = FlowSpec(time=time, steps=1, method="exact_gaussian")
+    width = np.sin(time) / (grid.axes[0][1] - grid.axes[0][0])
+    if width < 1:
+        with pytest.raises(ValueError, match=f"kernel_width_cells = {width:.3g} < 1"):
+            assemble_transfer(grid, gauss_model, spec, 257)
+        return
+    T = assemble_transfer(grid, gauss_model, spec, 257)
+    assert T.meta["kernel_width_cells"] == pytest.approx(width, rel=1e-10)
+    h = random_density(grid, np.random.default_rng(3))
+    assert abs(mass(T.apply(h), grid) - mass(h, grid)) < 1e-7 * mass(h, grid)
 
 
 def test_iterate_norms_are_weighted_norms(gauss_T, gauss_grid):
@@ -492,7 +429,7 @@ def test_iterate_norms_are_weighted_norms(gauss_T, gauss_grid):
 
 @pytest.mark.parametrize("n", [16, 401, 1601])
 def test_spline_coefficients_match_scipy_on_identity(n):
-    # the deposit's cardinals: the spline of the identity on the uniform grid
+    # cardinal splines: the spline of the identity on a uniform grid
     x = np.linspace(-3.5, 3.5, n)
     c = spline_coefficients(x[None], np.eye(n)[None])[:, 0]
     ref = CubicSpline(x, np.eye(n)).c
@@ -506,31 +443,58 @@ def test_spline_coefficients_match_scipy_on_batched_rows(knots):
     x = np.cumsum(rng.uniform(0.05, 1.0, (6, knots)), axis=1) - 2.0
     y = rng.normal(size=(6, knots, 3))
     c = spline_coefficients(x, y)
-    rows, pieces = np.nonzero(rng.uniform(size=(6, knots - 1)) < 0.4)
-    some = spline_coefficients(x, y, (rows, pieces))
-    assert np.array_equal(some, c[:, rows, pieces])
+    # point values on random rows, the knots and both ends among them
+    rows = rng.integers(0, 6, 200)
+    points = np.concatenate([rng.uniform(x[rows[:150], 0], x[rows[:150], -1]),
+                             x[rows[150:], rng.integers(0, knots, 50)]])
+    pieces = np.array([min(np.searchsorted(x[r], v, "right") - 1, knots - 2)
+                       for r, v in zip(rows, points)])
+    at = (rows, pieces, points - x[rows, pieces])
+    values = spline_coefficients(x, y, at)
     # the same curves as transposed views of knot-major arrays, as the kernel passes them
     x_view = np.ascontiguousarray(x.T).T
     y_view = np.ascontiguousarray(y.transpose(1, 0, 2)).transpose(1, 0, 2)
     assert np.array_equal(spline_coefficients(x_view, y_view), c)
-    assert np.array_equal(spline_coefficients(x_view, y_view, (rows, pieces)), some)
+    assert np.array_equal(spline_coefficients(x_view, y_view, at), values)
     for b in range(6):
-        ref = CubicSpline(x[b], y[b]).c
+        spline = CubicSpline(x[b], y[b])
         for power in range(4):
-            scale = np.max(np.abs(ref[power]), axis=0)
-            assert np.all(np.abs(c[power, b] - ref[power]) <= 1e-14 * scale)
+            scale = np.max(np.abs(spline.c[power]), axis=0)
+            assert np.all(np.abs(c[power, b] - spline.c[power]) <= 1e-14 * scale)
+        ref = spline(points[rows == b])
+        assert np.all(np.abs(values[rows == b] - ref) <= 1e-14 * np.max(np.abs(ref), axis=0))
     with pytest.raises(ValueError, match="4 knots"):
         spline_coefficients(x[:, :3], y[:, :3])
 
 
 def test_quartic_transfer_assembly_peak_memory(anh_grid, anh_model, anh_spec):
-    # the deposit scatters each power into its own slice of W, and every array
-    # is released after its last use: 16.95 MiB traced at n = 401 / m = 257;
-    # holding them all to the return read 33.1 MiB
+    # Horner's rule takes the spline coefficients one at a time, and every
+    # array is released after its last use: 7.9 MiB traced at n = 401 / m = 257;
+    # the filtered cubic deposit this matrix replaced read 16.95 MiB
     tracemalloc.start()
     try:
         assemble_transfer(anh_grid, anh_model, anh_spec, 257)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 19 * 2**20
+    assert peak <= 10 * 2**20
+
+
+def test_gaussian_transfer_assembly_peak_memory(gauss_model, gauss_spec):
+    # n = 801 / m = 257: the stacked spline coefficients took the peak to 74.2 MiB
+    grid = build_grid(gauss_model, 801)
+    tracemalloc.start()
+    try:
+        assemble_transfer(grid, gauss_model, gauss_spec, 257)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 55 * 2**20
+
+
+def test_quartic_nystrom_spectrum(anh_T, anh_report):
+    # the rate and a symmetric frame free of the filtered deposit's spurious
+    # negative eigenvalue (-3.45e-3 at the box edge)
+    assert abs(anh_report.rate_bound - 0.994608792) <= 1e-8
+    A, _, _ = to_weighted_symmetric(anh_T)
+    assert np.linalg.eigvalsh(0.5 * (A + A.T)).min() >= -1e-8

@@ -385,6 +385,7 @@ def test_kernel_asks_for_the_p_column_only(monkeypatch):
 
     monkeypatch.setattr(kernel_spectral, "tangent_batch", recording)
     model = anharmonic_pair(1.0, 0.5, 3.5)
-    kernel_spectral.assemble_kernel(build_grid(model, 41), model, default_flow_spec(model, 0.08),
-                                    momentum_nodes=65)
-    assert calls == [{"p_column_only": True}]
+    for inverse in (False, True):
+        kernel_spectral.assemble_kernel(build_grid(model, 41), model, default_flow_spec(model, 0.08),
+                                        momentum_nodes=65, inverse=inverse)
+    assert calls == [{"p_column_only": True}, {"p_column_only": True, "inverse": True}]
