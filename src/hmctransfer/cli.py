@@ -67,6 +67,18 @@ class ExperimentConfig:
     resolved: dict
 
 
+def _number(sec, name: str, kind, default):
+    """Value of ``name`` = section.key parsed as ``kind`` (int or float), or ``default``."""
+    key = name.split(".")[1]
+    if key not in sec:
+        return default
+    try:
+        return kind(sec[key])
+    except ValueError as exc:
+        raise ConfigError(f"{name}: expected {'an integer' if kind is int else 'a number'}, "
+                          f"got {sec[key]!r}") from exc
+
+
 def _parse_matrix(text: str, name: str) -> np.ndarray:
     try:
         rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
@@ -82,18 +94,21 @@ def _parse_matrix(text: str, name: str) -> np.ndarray:
 def _build_model(cfg: configparser.ConfigParser) -> ModelPair:
     sec = cfg["model"]
     family = sec.get("family", "gaussian").strip()
-    halfwidth = sec.getfloat("halfwidth", 8.0)
+    halfwidth = _number(sec, "model.halfwidth", float, 8.0)
     if not (math.isfinite(halfwidth) and halfwidth > 0):
         raise ConfigError(f"model.halfwidth: must be finite and positive, got {halfwidth}")
     if family == "gaussian":
-        mean = np.array([float(v) for v in sec.get("mean", "0.0").split(",")])
+        try:
+            mean = np.array([float(v) for v in sec.get("mean", "0.0").split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"model.mean: cannot parse vector {sec['mean']!r}") from exc
         precision = _parse_matrix(sec.get("precision", "1.0"), "model.precision")
         if precision.shape[0] != mean.shape[0]:
             raise ConfigError("model.precision: shape incompatible with model.mean")
         target = gaussian_potential(mean, precision)
     elif family == "anharmonic":
         target = anharmonic_potential(
-            sec.getfloat("a", 1.0), sec.getfloat("b", 0.0), halfwidth
+            _number(sec, "model.a", float, 1.0), _number(sec, "model.b", float, 0.0), halfwidth
         )
     else:
         raise ConfigError(f"model.family: unknown family {family!r}")
@@ -127,7 +142,7 @@ def load_config(path: str) -> ExperimentConfig:
     model = _build_model(parser)
 
     fsec = parser["flow"] if "flow" in parser else {}
-    time = float(fsec.get("time", "0.7"))
+    time = _number(fsec, "flow.time", float, 0.7)
     if not (math.isfinite(time) and time > 0):
         raise ConfigError(f"flow.time: must be finite and positive, got {time}")
     method = str(fsec.get("method", "auto")).strip()
@@ -138,8 +153,9 @@ def load_config(path: str) -> ExperimentConfig:
         if steps == "auto":
             spec = default_flow_spec(model, time, method=method)
         else:
+            steps = _number(fsec, "flow.steps", int, None)
             try:
-                spec = FlowSpec(time=time, steps=int(steps), method=method)
+                spec = FlowSpec(time=time, steps=steps, method=method)
             except ValueError as exc:
                 raise ConfigError(f"flow: {exc}") from exc
     else:
@@ -163,19 +179,19 @@ def load_config(path: str) -> ExperimentConfig:
         kind=kind,
         model=model,
         spec=spec,
-        n_per_axis=int(gsec.get("n_per_axis", "401")),
-        momentum_nodes=int(gsec.get("momentum_nodes", "257")),
-        seed=esec.getint("seed", 0),
+        n_per_axis=_number(gsec, "grid.n_per_axis", int, 401),
+        momentum_nodes=_number(gsec, "grid.momentum_nodes", int, 257),
+        seed=_number(esec, "experiment.seed", int, 0),
         output=esec.get("output", None),
-        samples=esec.getint("samples", 100),
-        draws=esec.getint("draws", 100000),
-        bins=esec.getint("bins", 100),
-        n_max=esec.getint("n_max", 400),
-        tol=esec.getfloat("tol", 1e-10),
-        top_k=esec.getint("top_k", 8),
-        h0_center=esec.getfloat("h0_center", 1.3),
-        h0_sigma=esec.getfloat("h0_sigma", 0.7),
-        kernel_momentum_nodes=esec.getint("kernel_momentum_nodes", 1025),
+        samples=_number(esec, "experiment.samples", int, 100),
+        draws=_number(esec, "experiment.draws", int, 100000),
+        bins=_number(esec, "experiment.bins", int, 100),
+        n_max=_number(esec, "experiment.n_max", int, 400),
+        tol=_number(esec, "experiment.tol", float, 1e-10),
+        top_k=_number(esec, "experiment.top_k", int, 8),
+        h0_center=_number(esec, "experiment.h0_center", float, 1.3),
+        h0_sigma=_number(esec, "experiment.h0_sigma", float, 0.7),
+        kernel_momentum_nodes=_number(esec, "experiment.kernel_momentum_nodes", int, 1025),
         resolved={},
     )
     if config.seed < 0:
@@ -513,12 +529,17 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> int:
     empirical = counts / (config.draws * width)
     # antiderivative of the interpolated fixed point at the bin edges
     x = grid.axes[0]
-    c = spline_coefficients(x[None], fixed[None, :, None])[:, 0, :, 0]
+    slopes = spline_coefficients(x[None], fixed[None, :, None])[0, :, 0]
+    h = np.diff(x)
+    rise = np.diff(fixed) / h
+    t = (slopes[:-1] + slopes[1:] - 2 * rise) / h
+    # power-form coefficients of each piece, c[r] multiplying s^(3 - r)
+    c = np.stack((t / h, (rise - slopes[:-1]) / h - t, slopes[:-1], fixed[:-1]))
 
     def partial(piece, s):
         return s * (c[3, piece] + s * (c[2, piece] / 2 + s * (c[1, piece] / 3 + s * c[0, piece] / 4)))
 
-    whole = np.concatenate([[0.0], np.cumsum(partial(slice(None), np.diff(x)))])
+    whole = np.concatenate([[0.0], np.cumsum(partial(slice(None), h))])
     piece = np.clip(np.searchsorted(x, edges, "right") - 1, 0, grid.n - 2)
     reference = np.diff(whole[piece] + partial(piece, edges - x[piece])) / width
     sup = float(np.max(np.abs(empirical - reference)))
@@ -558,6 +579,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        # the overrides are checked as the config values they replace
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads: need at least 1, got {args.threads}")
         config = load_config(args.config)
         if config.kind != args.command:
             # the subcommand wins; the config's kind is a default

@@ -3,14 +3,14 @@
 The operator acts as (T h)(q) = <h, K(q, .)> in the f-weighted inner product
 with K(q, Q) = f(Q) g(P_q(Q)) D_q(Q): the target at the arrival point, the
 normalized auxiliary density at the conjugate momentum, and the Jacobian
-factor from the momentum-to-position change of variables.  Rows are tabulated
-by flowing a dense momentum probe from each node and interpolating P and
-dQ/dp along the monotone image curve, so the map Q -> p is never inverted
-numerically; one batched spline solve covers the curves of all rows.  The
-probes are flowed momentum-major, so the curves reach the solve knot-major in
-memory, the layout its sweep along the knots walks contiguously.  Through the
-inverse flow the same tabulation gives the adjoint's kernel, and
-``KernelField.transfer`` the Nystrom matrix that ``assemble_transfer`` returns.
+factor D_q = |dp/dQ| of the momentum-to-position change of variables.  Rows
+are tabulated by flowing a dense momentum probe from each node and splining
+(P, p) over Q along the monotone image curve: P is the spline's value and D_q
+the slope of p, so neither Q -> p is inverted nor a tangent flowed; one
+batched spline solve covers the curves of all rows, read knot-major, the
+layout its sweep walks contiguously.  Through the inverse flow the same
+tabulation gives the adjoint's kernel, and ``KernelField.transfer`` the
+Nystrom matrix that ``assemble_transfer`` returns.
 
 A finite Hilbert-Schmidt norm makes the operator compact and certifies the
 spectral gap; the norm is computed both as a position-space double quadrature
@@ -40,7 +40,6 @@ from .operator import (
     weighted_norm,
     weighted_symmetry_residual,
 )
-from .tangent import tangent_batch
 
 __all__ = [
     "KernelField",
@@ -85,47 +84,55 @@ def assemble_kernel(
     *,
     inverse: bool = False,
 ) -> KernelField:
-    """Tabulate K(q_i, Q_j) from flow plus tangent data along momentum probes.
+    """Tabulate K(q_i, Q_j) = f(Q_j) g(P) |dp/dQ| from one flow of momentum probes.
 
-    Valid in the invertibility regime t * lambda_max < pi/2, where dQ/dp
-    stays positive and p -> Q(q, p) is strictly monotone for every node.
-    Arrival points outside the probed image curve carry kernel value zero
-    (the auxiliary density is already negligible there).  With ``inverse``
-    the probes flow through the inverse map, along which Q falls with p: they
-    are read in reverse order, so Q rises, and |dQ/dp| enters D_q, giving
-    the adjoint's kernel.  ``meta`` records the probe images' domain
-    truncation and ``kernel_width_cells``, the min over rows of
+    Valid in the invertibility regime t * lambda_max < pi/2, where
+    p -> Q(q, p) is strictly monotone for every node: Q must rise strictly
+    along every probe and dp/dQ stay positive, else ``ValueError``.  Arrival
+    points outside the probed image curve carry kernel value zero (the
+    auxiliary density is already negligible there).  With ``inverse`` the
+    probes flow through the inverse map, along which Q falls with p: they are
+    read in reverse order, so Q rises, and -p is splined, so its slope is
+    |dp/dQ|, giving the adjoint's kernel.  ``meta`` records the probe images'
+    domain truncation and ``kernel_width_cells``, the min over rows of
     |Q(q_i, sigma) - Q(q_i, -sigma)| / 2h, sigma the auxiliary standard
     deviation and h the grid spacing.
 
-    Memory: of the tangent data only Q, P and dQ/dp are kept, each
-    (n, momentum_nodes); P and dQ/dp are released once stacked into the
-    spline's curves.  The peak is inside the spline solve, which holds Q,
-    the curves (twice Q's size) and its own buffers; at large n the values
-    at the (row, node) pairs, a few arrays of 2 doubles per pair, take over.
+    Memory: the flow's P is copied into the spline's curves (P, p) and
+    released before the solve.  The peak is inside the solve, which holds Q,
+    the curves (twice Q's size) and its own buffers; at large n the values at
+    the (row, node) pairs, a few arrays of one double per pair updated in
+    place, take over.
     """
     if grid.dim != 1:
         raise NotImplementedError("kernel tabulation is implemented for 1-d grids")
     if momentum_nodes < 4:
         raise ValueError(f"need at least 4 kernel momentum nodes, got {momentum_nodes}")
     check_conjugate_bound(model, spec)
-    n = grid.n
+    n, m = grid.n, momentum_nodes
     x = grid.axes[0]
-    rule = build_momentum_rule(model, momentum_nodes)
+    rule = build_momentum_rule(model, m)
     order = slice(None, None, -1 if inverse else 1)
-    probes, probe_weights = rule.nodes[order], rule.weights[order]
+    probes, probe_weights = rule.nodes[order, 0], rule.weights[order]
+    sigma = math.sqrt(float(rule.weights @ rule.nodes[:, 0] ** 2))
 
-    # probes flow momentum-major, so Q, P and dQ/dp come out knot-major: their
-    # (row, knot) transposed views are the layout the spline sweep walks
-    flowed = tangent_batch(np.tile(grid.nodes, (momentum_nodes, 1)), np.repeat(probes, n, axis=0),
-                           model, spec, p_column_only=True, **({"inverse": True} if inverse else {}))
-    Q, P, dQdp = (a.reshape(momentum_nodes, n).T for a in (flowed[0], flowed[1], flowed[2][1]))
-    del flowed  # dP/dp and the Hessian averages are not used
-    dQdp = -dQdp if inverse else dQdp
-    if np.any(dQdp <= 0):
-        raise ValueError("dQ/dp lost positivity along a probe; conjugate point reached")
-    if np.any(np.diff(Q, axis=1) <= 0):
+    # one sweep: the probes momentum-major, so Q and P come out knot-major for
+    # the spline, then the +-sigma width probes
+    Q, P = flow_batch(np.tile(grid.nodes, (m + 2, 1)),
+                      np.repeat(np.append(probes, [sigma, -sigma]), n)[:, None], model, spec,
+                      inverse=inverse)
+    Q = Q.reshape(m + 2, n)
+    width = float(np.min(np.abs(Q[m] - Q[m + 1])) / (2 * (x[1] - x[0])))
+    Q = Q[:m].T
+    if not np.all(np.diff(Q, axis=1) > 0):
         raise ValueError("momentum-to-position map not strictly monotone on a probe")
+    # the curves (P, +-p) stacked knot-major, passed as a (row, knot, 2) view
+    p = np.broadcast_to((-probes if inverse else probes)[:, None], (m, n))
+    curves = np.stack([P[:m * n].reshape(m, n), p], axis=-1).transpose(1, 0, 2)
+    del P, p
+    slopes = spline_coefficients(Q, curves)
+    if not np.all(slopes[:, :, 1] > 0):
+        raise ValueError("dp/dQ lost positivity along a probe; conjugate point reached")
 
     log_norm = model.auxiliary_log_mass()
 
@@ -137,31 +144,30 @@ def assemble_kernel(
     # {(q, p): Q(q, p) inside the box}
     w = grid.weights
     f = grid.target_values
-    gP = gbar(P.reshape(-1)).reshape(n, -1)
+    gP = gbar(curves[:, :, 0].reshape(-1)).reshape(n, -1)
     in_box = (Q >= x[0]) & (Q <= x[-1])
-    hs_mom = float(np.einsum("i,k,ik->", w, probe_weights, in_box * gP / dQdp))
+    hs_mom = float(np.einsum("i,k,ik->", w, probe_weights, in_box * gP * slopes[:, :, 1]))
     truncation = _truncation(grid, in_box, (probe_weights / gbar(probes)) * gP)
     del gP, in_box
-
-    sigma = math.sqrt(float(rule.weights @ rule.nodes[:, 0] ** 2))
-    ends, _ = flow_batch(np.tile(grid.nodes, (2, 1)), np.repeat([[sigma], [-sigma]], n, axis=0),
-                         model, spec, inverse=inverse)
-    width = float(np.min(np.abs(ends[:n, 0] - ends[n:, 0])) / (2 * (x[1] - x[0])))
 
     # below[i, j] counts the images Q[i, k] <= x[j]: node j on row i's curve lies
     # in piece below - 1, the last piece closed on the right
     below = np.cumsum(np.bincount((np.searchsorted(x, Q) + (n + 1) * np.arange(n)[:, None]).ravel(),
                                   minlength=n * (n + 1)).reshape(n, n + 1)[:, :n], axis=1)
     rows, cols = np.nonzero((below > 0) & (x[None, :] <= Q[:, -1:]))
-    piece = np.minimum(below[rows, cols] - 1, momentum_nodes - 2)
+    piece = np.minimum(below[rows, cols] - 1, m - 2)
     del below
-    # the interpolated values stacked knot-major, passed as a (row, knot, 2) view
-    curves = np.stack([P.T, dQdp.T], axis=-1).transpose(1, 0, 2)
-    del P, dQdp
-    vals = spline_coefficients(Q, curves, (rows, piece, x[cols] - Q[rows, piece]))
-    del curves, piece, Q
+    at, nxt = (rows, piece), (rows, piece + 1)
+    h = Q[nxt] - Q[at]
+    s = x[cols] - Q[at]
+    del Q
+    P_at = _spline_piece(curves[:, :, 0], slopes[:, :, 0], at, nxt, h, s)
+    D_at = _spline_piece(curves[:, :, 1], slopes[:, :, 1], at, nxt, h, s, slope=True)
+    del curves, slopes, at, nxt, piece, h, s
+    if not np.all(D_at > 0):
+        raise ValueError("dp/dQ lost positivity between probes; conjugate point reached")
     K = np.zeros((n, n))
-    K[rows, cols] = f[cols] * gbar(vals[:, 0]) / vals[:, 1]
+    K[rows, cols] = f[cols] * gbar(P_at) * D_at
 
     # the double integral runs over the whole truncated domain; K/f stays
     # bounded (it is g(P) D_q), so no density floor is needed here
@@ -183,6 +189,34 @@ def assemble_kernel(
             **truncation,
         },
     )
+
+
+def _spline_piece(y, slopes, at, nxt, h, s, slope=False):
+    """Value, or with ``slope`` the slope, at offset s into the pieces from knots ``at`` to
+    ``nxt``, h apart, in CubicSpline's form ((c0 s + c1) s + s0) s + y0, built in place."""
+    s0 = slopes[at]
+    c1 = y[nxt]
+    c1 -= y[at]
+    c1 /= h  # the secant slope
+    c0 = slopes[nxt]
+    c0 += s0
+    c0 -= 2 * c1
+    c0 /= h
+    c1 -= s0
+    c1 /= h
+    c1 -= c0
+    c0 /= h
+    if slope:  # (3 c0 s + 2 c1) s + s0
+        c0 *= 3
+        c1 *= 2
+    c0 *= s
+    c0 += c1
+    c0 *= s
+    c0 += s0
+    if not slope:
+        c0 *= s
+        c0 += y[at]
+    return c0
 
 
 def hs_norm(field: KernelField, grid: DensityGrid) -> float:

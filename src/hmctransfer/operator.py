@@ -9,7 +9,7 @@ the momenta back out:
     (T h)(q) = int h(Q(q, p)) g(P(q, p)) dp,   g normalized to unit mass.
 
 In 1-d, p -> Q changes this into (T h)(q) = int h(Q) K(q, Q) / f(Q) dQ with
-the explicit kernel K(q, Q) = f(Q) g(P) / |dQ/dp| of ``kernel_spectral``, and
+the explicit kernel K(q, Q) = f(Q) g(P) |dp/dQ| of ``kernel_spectral``, and
 the matrix is its Nystrom discretization on the grid's trapezoid rule,
 T_ij = K(q_i, x_j) w_j / f_j (Atkinson, The Numerical Solution of Integral
 Equations of the Second Kind, 1997, ch. 4): nonnegative entries, and the
@@ -197,7 +197,7 @@ def build_momentum_rule(model: ModelPair, m: int) -> MomentumRule:
 
     In 1-d a trapezoid rule on a box covering 1 - 1e-12 of the auxiliary
     mass: the probes along which the kernel tabulation flows each node and
-    splines P and dQ/dp over the image curve, so m counts knots of that
+    splines P and p over the image curve, so m counts knots of that
     spline, and the kernel needs m >= 4.  In d >= 2 a tensor Gauss-Hermite rule
     matched to the Gaussian auxiliary, whose few nodes per axis keep the m^d
     images of the multilinear deposit affordable.
@@ -228,34 +228,29 @@ def build_momentum_rule(model: ModelPair, m: int) -> MomentumRule:
     return MomentumRule(nodes=pts, weights=wt)
 
 
-def spline_coefficients(x: np.ndarray, y: np.ndarray, at=None) -> np.ndarray:
-    """Not-a-knot cubic spline through y(x) for x of shape (B, N), N >= 4, and y (B, N, R).
+def spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot slopes (B, N, R) of the not-a-knot cubic splines through y(x), x (B, N), N >= 4.
 
     One forward and one backward sweep along N solve the tridiagonal system for
     the knot slopes of all B curves (de Boor, A Practical Guide to Splines,
     ch. IV), without pivoting: the matrix is diagonally dominant after the
-    first elimination.  Returns scipy's ``CubicSpline(...).c`` layout, c[r]
-    multiplying s^(3 - r), s the offset from the left knot, (4, B, N - 1, R);
-    or, for ``at=(rows, k, s)``, the values (len(rows), R) of piece k of
-    curve ``rows`` at offset s, by Horner's rule.
+    first elimination.  With the knot values the slopes fix every piece as a
+    cubic Hermite interpolant, so callers evaluate only the pieces, values or
+    derivatives they need.
 
     The sweep steps along the knot axis, so its buffers are laid out knot
     axis first in memory, as (B, N) and (B, N, R) views of (N, B) and
-    (N, B, R) blocks: each step then reads and writes B contiguous values.
-    Inputs of any layout are accepted; x and y given the same way, as
-    transposed views of knot-major arrays, keep the differences and slopes
-    knot-major too.  Every operation is elementwise, so the coefficients do
-    not depend on the layout.
+    (N, B, R) blocks: each step then reads and writes B contiguous values,
+    and the slopes come back as such a view.  Inputs of any layout are
+    accepted; x and y given the same way, as transposed views of knot-major
+    arrays, keep the differences knot-major too.  Every operation is
+    elementwise, so the slopes do not depend on the layout.
 
-    Memory: the right-hand side b is filled in place before the matrix, so
-    the slopes (B, N - 1, R) are released before the three (B, N) bands
-    exist, and the knot spacings once the bands are set; no (B, N, R)
-    temporary is made.  The sweep's peak holds the spacings, b and the bands.
-    The coefficients follow with a few temporaries of one coefficient's size;
-    they are the peak when the output outgrows the sweep's buffers (every
-    piece of a wide R).  Point values take the coefficients one at a time
-    into Horner's rule, so about five (points, R) arrays exist at once: with
-    many points they are the peak.
+    Memory: the right-hand side b, which the sweep turns into the slopes in
+    place, is filled before the matrix, so the secant slopes (B, N - 1, R)
+    are released before the three (B, N) bands exist, and the knot spacings
+    once the bands are set; no (B, N, R) temporary is made.  The peak holds
+    the spacings, b and the bands.
     """
     n = x.shape[1]
     if n < 4:
@@ -265,7 +260,7 @@ def spline_coefficients(x: np.ndarray, y: np.ndarray, at=None) -> np.ndarray:
     slope = np.diff(y, axis=1) / dxr
 
     # tridiagonal rows: lower[i] * s[i - 1] + diag[i] * s[i] + upper[i] * s[i + 1] = b[i];
-    # b comes first, so the slopes are gone before the matrix exists
+    # b comes first, so the secant slopes are gone before the matrix exists
     b = np.empty((n, y.shape[0], y.shape[2])).transpose(1, 0, 2)
     # not-a-knot: the cubic coefficient is continuous at the second and last-but-one knot
     head = (x[:, 2] - x[:, 0])[:, None]
@@ -297,35 +292,7 @@ def spline_coefficients(x: np.ndarray, y: np.ndarray, at=None) -> np.ndarray:
     for i in range(n - 2, -1, -1):
         b[:, i] -= upper[:, i, None] * b[:, i + 1]
         b[:, i] /= diag[:, i, None]
-    del diag, upper, lower
-
-    if at is None:
-        left, right, s = np.s_[:, :-1], np.s_[:, 1:], None
-    else:
-        rows, k, s = at
-        left, right = (rows, k), (rows, k + 1)
-    h = (x[right] - x[left])[..., None]
-    rise = (y[right] - y[left]) / h
-    s0 = b[left]
-    t = (s0 + b[right] - 2 * rise) / h
-    if s is None:
-        return np.stack((t / h, (rise - s0) / h - t, s0, y[left]))
-    # Horner's rule in place, each coefficient released once it is taken in
-    s = s[:, None]
-    value = t / h
-    value *= s
-    rise -= s0
-    rise /= h
-    rise -= t
-    del t
-    value += rise
-    del rise
-    value *= s
-    value += s0
-    del s0
-    value *= s
-    value += y[left]
-    return value
+    return b
 
 
 @dataclass

@@ -4,24 +4,11 @@ The blocks evolve under the generator [[0, V''], [-U'', 0]] with identity
 initial condition.  Two backends are kept deliberately:
 
 * chain rule through the leapfrog substeps, the exact derivative of the
-  discrete map actually used for kernel assembly, and
+  discrete map that ``flow_batch`` applies, and
 * the closed-form block exponential in cos/sinc of sqrt(VU), sqrt(UV) built
   from running-average Hessians, exact when the Hessians are constant
   (Gaussian models) and a diagnostic approximation otherwise; it is the
   exact-Gaussian propagator of ``dynamics`` applied to the averages.
-
-The leapfrog backend runs point-block by point-block: every step of the
-variational loop runs on one block of ``BLOCK_POINTS`` points before the next
-block starts, so the block's arrays stay in cache instead of streaming
-through memory on every step.  Every operation is pointwise, so the blocks
-reproduce the unblocked loop bit for bit.  In d = 1 the (N, 1, 1) block
-products are single multiplications and run elementwise.  A Gaussian
-auxiliary's Hessian is its precision at every momentum, so the loop reads
-the (d, d) precision once and broadcasts it over the points, in the drift
-products and in the Vbar sum, instead of building an (N, d, d) copy twice
-per step; any other auxiliary is asked for its Hessian at each step.  A
-caller that needs only the p-column (dQ/dp, dP/dp), as the kernel
-tabulation does, can ask for it alone and skip propagating the q-column.
 
 Also provides the Jacobian factors D_q = 1/|det dQ/dp|, D_p = 1/|det dP/dq|
 and the regime bounds on their product valid for t * lambda_max < pi/2.
@@ -94,110 +81,56 @@ class RunningAverages:
     time: float
 
 
-# Points per block of the leapfrog tangent loop.  In d = 1 a block's working
-# set (about 15 arrays of this length, ~2 MiB) fits a 4 MiB per-core L2 cache.
-BLOCK_POINTS = 16384
-
-
-def _identity_blocks(n, d):
-    eye = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    zero = np.zeros((n, d, d))
-    return eye, zero.copy(), zero.copy(), eye.copy()
-
-
-def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec, *, p_column_only: bool = False,
-                  inverse: bool = False):
+def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     """Co-integrate flow and variational equation for a batch of states.
 
     Returns (Q, P, (dQdq, dQdp, dPdq, dPdp), Ubar, Vbar) with leading batch
     axis.  For leapfrog the blocks are the exact chain-rule derivatives of the
     discrete map; the averages use the trapezoid rule over substep Hessians,
-    matching the integrator's order.  The leapfrog loop runs over blocks of
-    ``BLOCK_POINTS`` points, with elementwise products in d = 1; the result
-    is bit-identical to one unblocked pass.  For a Gaussian auxiliary its
-    precision stands in for the per-point Hessian, with the same operations
-    per point.  With ``p_column_only`` only the p-column (dQdp, dPdp) is
-    computed and dQdq, dPdq come back as None.  ``inverse`` runs the inverse
-    flow, as ``flow_batch`` does: negative time for both backends.
+    matching the integrator's order.
     """
-    qs = np.atleast_2d(np.asarray(qs, dtype=float))
-    ps = np.atleast_2d(np.asarray(ps, dtype=float))
-    n, d = qs.shape
-    wanted = (not p_column_only, True, not p_column_only, True)
+    q = np.atleast_2d(np.array(qs, dtype=float))
+    p = np.atleast_2d(np.array(ps, dtype=float))
+    n, d = q.shape
 
     if spec.method == "exact_gaussian":
-        Q, P = flow_batch(qs, ps, model, spec, inverse=inverse)
-        mat = exact_gaussian_matrix(model, -spec.time if inverse else spec.time)
-        blocks = tuple(np.broadcast_to(b, (n, d, d)).copy() if want else None
-                       for b, want in zip((mat[:d, :d], mat[:d, d:], mat[d:, :d], mat[d:, d:]),
-                                          wanted))
+        Q, P = flow_batch(q, p, model, spec)
+        mat = exact_gaussian_matrix(model, spec.time)
+        blocks = tuple(np.broadcast_to(b, (n, d, d)).copy()
+                       for b in (mat[:d, :d], mat[:d, d:], mat[d:, :d], mat[d:, d:]))
         Ubar = np.broadcast_to(model.target.params["precision"], (n, d, d)).copy()
         Vbar = np.broadcast_to(model.auxiliary.params["precision"], (n, d, d)).copy()
         return Q, P, blocks, Ubar, Vbar
 
-    Q = np.empty((n, d))
-    P = np.empty((n, d))
-    blocks = tuple(np.empty((n, d, d)) if want else None for want in wanted)
-    Ubar = np.empty((n, d, d))
-    Vbar = np.empty((n, d, d))
-    for lo in range(0, n, BLOCK_POINTS):
-        at = slice(lo, lo + BLOCK_POINTS)
-        Q[at], P[at], part, Ubar[at], Vbar[at] = _leapfrog_tangent(qs[at], ps[at], model, spec,
-                                                                   p_column_only, inverse)
-        for out, b in zip(blocks, part):
-            if out is not None:
-                out[at] = b
-    return Q, P, blocks, Ubar, Vbar
-
-
-def _leapfrog_tangent(qs, ps, model: ModelPair, spec: FlowSpec, p_column_only: bool,
-                      inverse: bool):
-    """Leapfrog flow and chain-rule blocks of one block of points."""
-    n, d = qs.shape
-    # a (n, 1, 1) @ (n, 1, 1) product is one multiplication per point
-    mul = np.multiply if d == 1 else np.matmul
-    # the step ``flow_batch`` takes, reversed for the inverse flow
-    tau = (-spec.time if inverse else spec.time) / spec.steps
-    hess_v = model.auxiliary.hess
-    if model.auxiliary.is_gaussian:
-        # the precision is the Hessian at every p, read once: a (d, d) that
-        # broadcasts over the points with the same operations per point
-        def hess_v(_, precision=model.auxiliary.params["precision"]):
-            return precision
-    q = qs.copy()
-    p = ps.copy()
-    dQdq, dQdp, dPdq, dPdp = _identity_blocks(n, d)
-    if p_column_only:
-        dQdq = dPdq = None
+    tau = spec.time / spec.steps
+    eye = np.broadcast_to(np.eye(d), (n, d, d))
+    dQdq, dQdp, dPdq, dPdp = eye.copy(), np.zeros((n, d, d)), np.zeros((n, d, d)), eye.copy()
     # the end-of-step gradient and Hessian are the next step's starting ones
     gq = model.target.grad(q)
     hq = model.target.hess(q)
     u_sum = 0.5 * hq
-    v_sum = 0.5 * hess_v(p)
+    v_sum = 0.5 * model.auxiliary.hess(p)
     for step in range(spec.steps):
         p -= 0.5 * tau * gq
         kick = 0.5 * tau * hq
-        if not p_column_only:
-            dPdq -= mul(kick, dQdq)
-        dPdp -= mul(kick, dQdp)
+        dPdq -= kick @ dQdq
+        dPdp -= kick @ dQdp
 
-        drift = tau * hess_v(p)
+        drift = tau * model.auxiliary.hess(p)
         q += tau * model.auxiliary.grad(p)
-        if not p_column_only:
-            dQdq += mul(drift, dPdq)
-        dQdp += mul(drift, dPdp)
+        dQdq += drift @ dPdq
+        dQdp += drift @ dPdp
 
         gq = model.target.grad(q)
         hq = model.target.hess(q)
         p -= 0.5 * tau * gq
         kick = 0.5 * tau * hq
-        if not p_column_only:
-            dPdq -= mul(kick, dQdq)
-        dPdp -= mul(kick, dQdp)
+        dPdq -= kick @ dQdq
+        dPdp -= kick @ dQdp
 
         last = step == spec.steps - 1
         u_sum += (0.5 if last else 1.0) * hq
-        v_sum += (0.5 if last else 1.0) * hess_v(p)
+        v_sum += (0.5 if last else 1.0) * model.auxiliary.hess(p)
     return q, p, (dQdq, dQdp, dPdq, dPdp), u_sum / spec.steps, v_sum / spec.steps
 
 

@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -271,6 +272,36 @@ def test_config_validation_messages(tmp_path):
             with pytest.raises(cli.ConfigError, match=f"{field}: must be finite and positive"):
                 load_config(cfg)
             assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o6")]) == 1
+    # one malformed value per numeric key: each is named, not reported as a runtime error
+    malformed = [("model.halfwidth", "3.5x"), ("model.a", "one"), ("model.b", "0.5.0"),
+                 ("flow.time", "abc"), ("flow.steps", "abc"), ("grid.n_per_axis", "4o1"),
+                 ("grid.momentum_nodes", "12.5"), ("experiment.seed", "0x1"),
+                 ("experiment.samples", "1e2"), ("experiment.draws", "5e3"),
+                 ("experiment.bins", "ten"), ("experiment.n_max", "4oo"), ("experiment.tol", "1e-"),
+                 ("experiment.top_k", "6.0"), ("experiment.h0_center", "1,3"),
+                 ("experiment.h0_sigma", "0.7s"), ("experiment.kernel_momentum_nodes", "1O25")]
+    for field, value in malformed:
+        section, key = field.split(".")
+        text = re.sub(rf"^{key} = .*\n", "", ANH_SMALL, flags=re.M)  # the valid value, if set
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        if key == "steps":
+            text = text.replace("[flow]\n", "[flow]\nmethod = leapfrog\n")
+        cfg = write(tmp_path, f"bad-{key}.ini", text)
+        with pytest.raises(cli.ConfigError, match=f"{field}: expected"):
+            load_config(cfg)
+        assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o7")]) == 1
+    cfg = write(tmp_path, "bad-mean.ini", GAUSS_CONV.replace("mean = 0.0", "mean = 0.o"))
+    with pytest.raises(cli.ConfigError, match="model.mean"):
+        load_config(cfg)
+    assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o8")]) == 1
+
+
+def test_cli_overrides_are_validated(tmp_path, capsys):
+    # a negative seed failed inside numpy, and a thread cap below one ran uncapped
+    cfg = write(tmp_path, "spec.ini", ANH_SMALL)
+    for flag, value in [("--seed", "-2"), ("--threads", "0"), ("--threads", "-3")]:
+        assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o"), flag, value]) == 1
+        assert f"configuration error: {flag}:" in capsys.readouterr().err
 
 
 def test_write_csv_bytes_match_per_cell_format(tmp_path):

@@ -8,6 +8,7 @@ from hmctransfer import (
     IterationTrace,
     KernelField,
     anharmonic_pair,
+    assemble_adjoint,
     assemble_kernel,
     assemble_transfer,
     build_grid,
@@ -22,6 +23,8 @@ from hmctransfer import (
     standard_gaussian_pair,
     weighted_norm,
 )
+from hmctransfer import kernel_spectral, tangent
+from hmctransfer.dynamics import flow_batch
 from hmctransfer.operator import TransferMatrix, build_momentum_rule, weighted_symmetry_residual
 from hmctransfer.tangent import tangent_batch
 
@@ -217,7 +220,24 @@ def test_anharmonic_kernel_consistency(anh_grid, anh_model, anh_spec, anh_T):
 
 
 def _kernel_per_row_reference(grid, model, spec, m):
-    """K(q_i, x_j) with one scipy CubicSpline of (P, dQ/dp) over Q per row."""
+    """K(q_i, x_j) = f g(P) dp/dQ with one scipy CubicSpline of (P, p) over Q per row."""
+    from scipy.interpolate import CubicSpline
+
+    n, x, f = grid.n, grid.axes[0], grid.target_values
+    rule = build_momentum_rule(model, m)
+    Q, P = flow_batch(np.repeat(grid.nodes, m, axis=0), np.tile(rule.nodes, (n, 1)), model, spec)
+    Q, P = Q.reshape(n, m), P.reshape(n, m)
+    K = np.zeros((n, n))
+    for i in range(n):
+        on = (x >= Q[i, 0]) & (x <= Q[i, -1])
+        spline = CubicSpline(Q[i], np.column_stack([P[i], rule.nodes[:, 0]]))
+        g = np.exp(-model.auxiliary.value(spline(x[on])[:, :1]) - model.auxiliary_log_mass())
+        K[i, on] = f[on] * g * spline(x[on], 1)[:, 1]
+    return K
+
+
+def _variational_kernel_reference(grid, model, spec, m):
+    """K(q_i, x_j) = f g(P) / dQ/dp with dQ/dp from the tangent flow, splined per row."""
     from scipy.interpolate import CubicSpline
 
     n, x, f = grid.n, grid.axes[0], grid.target_values
@@ -234,15 +254,47 @@ def _kernel_per_row_reference(grid, model, spec, m):
     return K
 
 
-def test_kernel_matches_per_row_spline_reference(gauss_kernel, gauss_grid, gauss_model, gauss_spec):
+def _reference_cases(gauss_kernel, gauss_grid, gauss_model, gauss_spec):
     quartic = anharmonic_pair(1.0, 0.5, halfwidth=3.5)
     grid = build_grid(quartic, 201)
     spec = default_flow_spec(quartic, 0.08)
-    cases = [(gauss_kernel.values, gauss_grid, gauss_model, gauss_spec, 1025),
-             (assemble_kernel(grid, quartic, spec, 257).values, grid, quartic, spec, 257)]
-    for K, grid, model, spec, m in cases:
+    return [(gauss_kernel.values, gauss_grid, gauss_model, gauss_spec, 1025),
+            (assemble_kernel(grid, quartic, spec, 257).values, grid, quartic, spec, 257)]
+
+
+def test_kernel_matches_per_row_spline_reference(gauss_kernel, gauss_grid, gauss_model, gauss_spec):
+    for K, grid, model, spec, m in _reference_cases(gauss_kernel, gauss_grid, gauss_model, gauss_spec):
         ref = _kernel_per_row_reference(grid, model, spec, m)
         assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_kernel_matches_variational_route(gauss_kernel, gauss_grid, gauss_model, gauss_spec):
+    # the same kernel with D_q = 1 / (dQ/dp) taken from the tangent flow instead
+    # of the slope of the p spline: the two agree to the spline's accuracy
+    for K, grid, model, spec, m in _reference_cases(gauss_kernel, gauss_grid, gauss_model, gauss_spec):
+        ref = _variational_kernel_reference(grid, model, spec, m)
+        assert np.max(np.abs(K - ref)) <= 1e-11 * np.max(np.abs(K))
+
+
+def test_kernel_tabulation_is_one_flow_sweep(monkeypatch):
+    # probes and width probes flow together, and no tangent flow is run
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel ran the tangent flow")
+
+    sweeps = []
+
+    def counting(*args, **kwargs):
+        sweeps.append(len(args[0]))
+        return flow_batch(*args, **kwargs)
+
+    monkeypatch.setattr(tangent, "tangent_batch", refuse)
+    monkeypatch.setattr(kernel_spectral, "flow_batch", counting)
+    model = anharmonic_pair(1.0, 0.5, 3.5)
+    grid, spec = build_grid(model, 201), default_flow_spec(model, 0.08)
+    for assemble in (assemble_transfer, assemble_adjoint, assemble_kernel):
+        sweeps.clear()
+        assemble(grid, model, spec, 65)
+        assert sweeps == [201 * (65 + 2)]
 
 
 def test_kernel_needs_four_momentum_nodes(gauss_grid, gauss_model, gauss_spec):
@@ -252,7 +304,7 @@ def test_kernel_needs_four_momentum_nodes(gauss_grid, gauss_model, gauss_spec):
 
 def test_quartic_kernel_tabulation_peak_memory(anh_grid, anh_model, anh_spec):
     # the spline reads the flowed curves through transposed views, not copies,
-    # and every array is released after its last use: 28.8 MiB traced at
+    # and every array is released after its last use: 28.3 MiB traced at
     # n = 401 / 1025; holding them all to the return read 70.85 MiB
     tracemalloc.start()
     try:

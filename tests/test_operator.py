@@ -21,6 +21,7 @@ from hmctransfer import (
     weighted_norm,
     weighted_symmetry_residual,
 )
+from hmctransfer.cli import main
 from hmctransfer.distributions import ModelPair
 from hmctransfer.dynamics import flow_batch
 from hmctransfer.operator import (
@@ -182,6 +183,23 @@ def test_short_time_operator_is_refused_by_kernel_width(gauss_grid, gauss_model)
     for assemble in (assemble_transfer, assemble_adjoint):
         with pytest.raises(ValueError, match="kernel_width_cells = 2.5e-11 < 1"):
             assemble(gauss_grid, gauss_model, spec, 257)
+
+
+def test_non_monotone_momentum_map_is_refused(tmp_path, capsys):
+    # t * lambda_max = 3 < pi passes the conjugate-point check, but two leapfrog
+    # steps of 1.5 make p -> Q decreasing: dQ/dp = 1.5 - 1.5 * 1.25 = -0.375
+    model = standard_gaussian_pair()
+    spec = FlowSpec(3.0, steps=2, method="leapfrog")
+    grid = build_grid(model, 101)
+    for assemble in (assemble_transfer, assemble_adjoint):
+        with pytest.raises(ValueError, match="lost positivity|not strictly monotone"):
+            assemble(grid, model, spec, 65)
+    cfg = tmp_path / "decreasing.ini"
+    cfg.write_text("[model]\nfamily = gaussian\n[flow]\ntime = 3.0\nmethod = leapfrog\nsteps = 2\n"
+                   "[grid]\nn_per_axis = 101\nmomentum_nodes = 65\n[experiment]\nkind = operator\n")
+    assert main(["operator", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "lost positivity" in err or "not strictly monotone" in err
 
 
 def test_iterate_fixed_point_terminates_immediately(gauss_T, gauss_grid):
@@ -431,10 +449,9 @@ def test_iterate_norms_are_weighted_norms(gauss_T, gauss_grid):
 def test_spline_coefficients_match_scipy_on_identity(n):
     # cardinal splines: the spline of the identity on a uniform grid
     x = np.linspace(-3.5, 3.5, n)
-    c = spline_coefficients(x[None], np.eye(n)[None])[:, 0]
-    ref = CubicSpline(x, np.eye(n)).c
-    for power in range(4):
-        assert np.max(np.abs(c[power] - ref[power])) <= 1e-14 * np.max(np.abs(ref[power]))
+    slopes = spline_coefficients(x[None], np.eye(n)[None])[0]
+    ref = CubicSpline(x, np.eye(n))(x, 1)
+    assert np.max(np.abs(slopes - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("knots", [4, 5, 9, 200])
@@ -442,35 +459,25 @@ def test_spline_coefficients_match_scipy_on_batched_rows(knots):
     rng = np.random.default_rng(knots)
     x = np.cumsum(rng.uniform(0.05, 1.0, (6, knots)), axis=1) - 2.0
     y = rng.normal(size=(6, knots, 3))
-    c = spline_coefficients(x, y)
-    # point values on random rows, the knots and both ends among them
-    rows = rng.integers(0, 6, 200)
-    points = np.concatenate([rng.uniform(x[rows[:150], 0], x[rows[:150], -1]),
-                             x[rows[150:], rng.integers(0, knots, 50)]])
-    pieces = np.array([min(np.searchsorted(x[r], v, "right") - 1, knots - 2)
-                       for r, v in zip(rows, points)])
-    at = (rows, pieces, points - x[rows, pieces])
-    values = spline_coefficients(x, y, at)
+    slopes = spline_coefficients(x, y)
     # the same curves as transposed views of knot-major arrays, as the kernel passes them
     x_view = np.ascontiguousarray(x.T).T
     y_view = np.ascontiguousarray(y.transpose(1, 0, 2)).transpose(1, 0, 2)
-    assert np.array_equal(spline_coefficients(x_view, y_view), c)
-    assert np.array_equal(spline_coefficients(x_view, y_view, at), values)
+    assert np.array_equal(spline_coefficients(x_view, y_view), slopes)
     for b in range(6):
         spline = CubicSpline(x[b], y[b])
-        for power in range(4):
-            scale = np.max(np.abs(spline.c[power]), axis=0)
-            assert np.all(np.abs(c[power, b] - spline.c[power]) <= 1e-14 * scale)
-        ref = spline(points[rows == b])
-        assert np.all(np.abs(values[rows == b] - ref) <= 1e-14 * np.max(np.abs(ref), axis=0))
+        # the left-knot slopes are scipy's linear coefficients, the last its end slope
+        scale = np.max(np.abs(spline.c[2]), axis=0)
+        assert np.all(np.abs(slopes[b, :-1] - spline.c[2]) <= 1e-14 * scale)
+        assert np.all(np.abs(slopes[b, -1] - spline(x[b, -1], 1)) <= 1e-14 * scale)
     with pytest.raises(ValueError, match="4 knots"):
         spline_coefficients(x[:, :3], y[:, :3])
 
 
 def test_quartic_transfer_assembly_peak_memory(anh_grid, anh_model, anh_spec):
-    # Horner's rule takes the spline coefficients one at a time, and every
-    # array is released after its last use: 7.9 MiB traced at n = 401 / m = 257;
-    # the filtered cubic deposit this matrix replaced read 16.95 MiB
+    # the spline pieces are evaluated in place, and every array is released
+    # after its last use: 7.1 MiB traced at n = 401 / m = 257; the filtered
+    # cubic deposit this matrix replaced read 16.95 MiB
     tracemalloc.start()
     try:
         assemble_transfer(anh_grid, anh_model, anh_spec, 257)
@@ -481,7 +488,8 @@ def test_quartic_transfer_assembly_peak_memory(anh_grid, anh_model, anh_spec):
 
 
 def test_gaussian_transfer_assembly_peak_memory(gauss_model, gauss_spec):
-    # n = 801 / m = 257: the stacked spline coefficients took the peak to 74.2 MiB
+    # n = 801 / m = 257: 35.5 MiB traced; the stacked spline coefficients took
+    # the peak to 74.2 MiB, evaluating the pieces out of place to 48.8 MiB
     grid = build_grid(gauss_model, 801)
     tracemalloc.start()
     try:
