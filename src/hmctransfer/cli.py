@@ -146,20 +146,18 @@ def load_config(path: str) -> ExperimentConfig:
     if not (math.isfinite(time) and time > 0):
         raise ConfigError(f"flow.time: must be finite and positive, got {time}")
     method = str(fsec.get("method", "auto")).strip()
-    steps = str(fsec.get("steps", "auto")).strip()
     if method == "auto":
-        spec = default_flow_spec(model, time)
-    elif method in ("exact_gaussian", "leapfrog"):
-        if steps == "auto":
-            spec = default_flow_spec(model, time, method=method)
-        else:
-            steps = _number(fsec, "flow.steps", int, None)
-            try:
-                spec = FlowSpec(time=time, steps=steps, method=method)
-            except ValueError as exc:
-                raise ConfigError(f"flow: {exc}") from exc
-    else:
+        method = "exact_gaussian" if model.is_gaussian else "leapfrog"
+    if method not in ("exact_gaussian", "leapfrog"):
         raise ConfigError(f"flow.method: unknown method {method!r}")
+    if str(fsec.get("steps", "auto")).strip() == "auto":
+        spec = default_flow_spec(model, time, method=method)
+    else:
+        steps = _number(fsec, "flow.steps", int, None)
+        try:
+            spec = FlowSpec(time=time, steps=steps, method=method)
+        except ValueError as exc:
+            raise ConfigError(f"flow: {exc}") from exc
     if spec.method == "exact_gaussian" and not model.is_gaussian:
         raise ConfigError("flow.method: exact_gaussian requires a Gaussian model pair")
 

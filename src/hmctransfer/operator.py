@@ -284,14 +284,20 @@ def spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     diag[:, 0], upper[:, 0] = dx[:, 1], head[:, 0]
     diag[:, -1], lower[:, -1] = dx[:, -2], tail[:, 0]
     del dx, dxr
+    # the sweep steps through the knot-major bases, one contiguous knot row at a
+    # time, into two reused buffers: the same products and differences as
+    # b[:, i] -= fact[:, None] * b[:, i - 1] and diag[:, i] -= fact * upper[:, i - 1],
+    # b first, since the diag product overwrites fact
+    diag_k, upper_k, lower_k, b_k = diag.T, upper.T, lower.T, b.transpose(1, 0, 2)
+    fact, prod = np.empty(x.shape[0]), np.empty(b_k.shape[1:])
     for i in range(1, n):
-        fact = lower[:, i] / diag[:, i - 1]
-        diag[:, i] -= fact * upper[:, i - 1]
-        b[:, i] -= fact[:, None] * b[:, i - 1]
-    b[:, -1] /= diag[:, -1, None]
+        np.divide(lower_k[i], diag_k[i - 1], out=fact)
+        b_k[i] -= np.multiply(fact[:, None], b_k[i - 1], out=prod)
+        diag_k[i] -= np.multiply(fact, upper_k[i - 1], out=fact)
+    b_k[-1] /= diag_k[-1, :, None]
     for i in range(n - 2, -1, -1):
-        b[:, i] -= upper[:, i, None] * b[:, i + 1]
-        b[:, i] /= diag[:, i, None]
+        b_k[i] -= np.multiply(upper_k[i, :, None], b_k[i + 1], out=prod)
+        b_k[i] /= diag_k[i, :, None]
     return b
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import json
 import math
 import os
@@ -294,6 +295,39 @@ def test_config_validation_messages(tmp_path):
     with pytest.raises(cli.ConfigError, match="model.mean"):
         load_config(cfg)
     assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o8")]) == 1
+
+
+def test_flow_steps_apply_without_method(tmp_path):
+    # with no flow.method the default substep count used to win over steps, and
+    # a malformed steps value was never parsed
+    cfg = write(tmp_path, "steps5.ini", ANH_SMALL.replace("time = 0.08", "time = 0.08\nsteps = 5"))
+    spec = load_config(cfg).spec
+    assert (spec.method, spec.steps) == ("leapfrog", 5)
+    out = tmp_path / "out"
+    assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
+    assert "flow.steps = 5\n" in (out / "manifest.txt").read_text()
+    cfg = write(tmp_path, "steps-abc.ini", ANH_SMALL.replace("time = 0.08", "time = 0.08\nsteps = abc"))
+    with pytest.raises(cli.ConfigError, match="flow.steps: expected an integer"):
+        load_config(cfg)
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_benchmark_configs_resolve_to_the_quartic_leapfrog(tmp_path):
+    # the benchmark's workload configs, full and smoke, read as the benchmark writes them
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(bench)
+    finally:
+        del sys.modules[spec.name]
+    assert bench.WORKLOADS
+    for name, workload in bench.WORKLOADS.items():
+        for smoke in (False, True):
+            cfg = write(tmp_path, f"{name}-{smoke}.ini", bench.config_text(workload, smoke))
+            flow_spec = load_config(cfg).spec
+            assert (flow_spec.method, flow_spec.steps, flow_spec.time) == ("leapfrog", 36, 0.08)
 
 
 def test_cli_overrides_are_validated(tmp_path, capsys):

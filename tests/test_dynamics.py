@@ -14,7 +14,7 @@ from hmctransfer import (
     standard_gaussian_pair,
     total_energy,
 )
-from hmctransfer.dynamics import flow_batch
+from hmctransfer.dynamics import BLOCK_POINTS, flow_batch
 
 
 def test_exact_flow_is_rotation():
@@ -82,6 +82,47 @@ def test_leapfrog_roundtrip_is_exact():
     Q, P = flow_batch(qs, ps, model, spec)
     qb, pb = flow_batch(Q, P, model, spec, inverse=True)
     assert max(np.max(np.abs(qb - qs)), np.max(np.abs(pb - ps))) < 1e-10
+
+
+def plain_leapfrog(qs, ps, model, spec, inverse):
+    """Kick-drift-kick over all points in one pass, a new array per update."""
+    tau = (-spec.time if inverse else spec.time) / spec.steps
+    q, p = qs, ps
+    gq = model.target.grad(q)
+    for _ in range(spec.steps):
+        p = p - 0.5 * tau * gq
+        q = q + tau * model.auxiliary.grad(p)
+        gq = model.target.grad(q)
+        p = p - 0.5 * tau * gq
+    return q, p
+
+
+CORRELATED_2D = ModelPair(
+    target=gaussian_potential([0.3, -0.2], [[2.0, 0.7], [0.7, 1.1]]),
+    auxiliary=gaussian_potential([0.0, 0.0], [[1.3, 0.2], [0.2, 0.8]]),
+    domain_halfwidth=6.0,
+)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("model, spec", [
+    (anharmonic_pair(1.0, 0.5, 3.5), FlowSpec(time=0.08, steps=36, method="leapfrog")),
+    (CORRELATED_2D, FlowSpec(time=0.9, steps=7, method="leapfrog")),
+], ids=["quartic", "gauss-2d"])
+def test_blocked_flow_batch_matches_plain_loop_bit_for_bit(model, spec, inverse):
+    # more than two blocks with a ragged tail, a single point and a stacked batch
+    d = model.dim
+    rng = np.random.default_rng(4)
+    for shape in [(d,), (2 * BLOCK_POINTS + 7, d), (5, 7, d)]:
+        qs = rng.uniform(-2.0, 2.0, size=shape)
+        ps = rng.normal(size=shape)
+        q0, p0 = qs.copy(), ps.copy()
+        Q, P = flow_batch(qs, ps, model, spec, inverse=inverse)
+        ref_q, ref_p = plain_leapfrog(q0, p0, model, spec, inverse)
+        assert Q.shape == P.shape == shape
+        assert np.array_equal(Q, ref_q) and np.array_equal(P, ref_p)
+        # the in-place updates never reach the caller's arrays
+        assert np.array_equal(qs, q0) and np.array_equal(ps, p0)
 
 
 def test_total_energy_values():
