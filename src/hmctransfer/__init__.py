@@ -2,8 +2,9 @@
 
 Discretizes the density-evolution operator of HMC on truncated log-concave
 models, integrates the Hamiltonian and variational flows, assembles the
-explicit kernel, and measures fixed points, spectra and geometric convergence
-rates against closed-form oracles.
+operator from the explicit kernel (1-d) or a momentum deposit (d >= 2), and
+measures fixed points, spectra and geometric convergence rates against
+closed-form oracles.
 """
 
 from .distributions import (
@@ -25,10 +26,8 @@ from .dynamics import (
     total_energy,
 )
 from .kernel_spectral import (
-    KernelField,
     RateCertificate,
     SpectralReport,
-    assemble_kernel,
     certify_rate,
     eigen_spectrum,
     hs_norm,

@@ -23,7 +23,7 @@ from . import __version__
 from .distributions import ModelPair, gaussian_potential, anharmonic_potential
 from .dynamics import (FlowSpec, PhaseState, _leapfrog, default_flow_spec, exact_gaussian_matrix,
                        total_energy)
-from .kernel_spectral import assemble_kernel, certify_rate, eigen_spectrum, hs_norm
+from .kernel_spectral import certify_rate, eigen_spectrum, hs_norm
 from .operator import (
     assemble_adjoint,
     assemble_transfer,
@@ -91,6 +91,15 @@ def _parse_matrix(text: str, name: str) -> np.ndarray:
     return np.array(rows)
 
 
+def _potential(fields: dict, make, *args):
+    """``make(*args)``, its ``ValueError`` turned into a ``ConfigError`` naming the config
+    field that ``fields`` maps the faulty argument to (the message's first word)."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{fields.get(str(exc).split()[0], 'model')}: {exc}") from exc
+
+
 def _build_model(cfg: configparser.ConfigParser) -> ModelPair:
     sec = cfg["model"]
     family = sec.get("family", "gaussian").strip()
@@ -105,17 +114,19 @@ def _build_model(cfg: configparser.ConfigParser) -> ModelPair:
         precision = _parse_matrix(sec.get("precision", "1.0"), "model.precision")
         if precision.shape[0] != mean.shape[0]:
             raise ConfigError("model.precision: shape incompatible with model.mean")
-        target = gaussian_potential(mean, precision)
+        target = _potential({"mean": "model.mean", "precision": "model.precision"},
+                            gaussian_potential, mean, precision)
     elif family == "anharmonic":
-        target = anharmonic_potential(
-            _number(sec, "model.a", float, 1.0), _number(sec, "model.b", float, 0.0), halfwidth
-        )
+        target = _potential({"a": "model.a", "b": "model.b", "halfwidth": "model.halfwidth"},
+                            anharmonic_potential, _number(sec, "model.a", float, 1.0),
+                            _number(sec, "model.b", float, 0.0), halfwidth)
     else:
         raise ConfigError(f"model.family: unknown family {family!r}")
     aux_prec = _parse_matrix(sec.get("auxiliary_precision", "1.0"), "model.auxiliary_precision")
     if aux_prec.shape == (1, 1) and target.dim > 1:
         aux_prec = aux_prec[0, 0] * np.eye(target.dim)
-    auxiliary = gaussian_potential(np.zeros(target.dim), aux_prec)
+    auxiliary = _potential({"precision": "model.auxiliary_precision"},
+                           gaussian_potential, np.zeros(target.dim), aux_prec)
     try:
         return ModelPair(
             target=target,
@@ -429,13 +440,17 @@ def run_spectrum(config: ExperimentConfig, outdir: Path) -> int:
 
 
 def run_kernel_norm(config: ExperimentConfig, outdir: Path) -> int:
+    # the momentum-space HS estimate needs the 1-d kernel; in d >= 2 the deposit would
+    # also flow kernel_momentum_nodes^d probes from every node before hs_norm refused
+    if config.model.dim != 1:
+        raise ConfigError("kernel-norm: only 1-d models are supported")
     grid = build_grid(config.model, config.n_per_axis)
-    field = assemble_kernel(grid, config.model, config.spec, config.kernel_momentum_nodes)
-    value = hs_norm(field, grid)
-    report = eigen_spectrum(field.transfer(grid), grid, min(grid.n - 1, 64))
+    T = assemble_transfer(grid, config.model, config.spec, config.kernel_momentum_nodes)
+    value = hs_norm(T)
+    report = eigen_spectrum(T, grid, min(grid.n - 1, 64))
     payload = {
         "hs_norm_sq": value,
-        "hs_norm_sq_momentum": field.hs_norm_sq_momentum,
+        "hs_norm_sq_momentum": T.meta["hs_norm_sq_momentum"],
         "sum_mu_sq": report.sum_squares,
     }
     if config.spec.time * config.model.lambda_max < math.pi / 2:

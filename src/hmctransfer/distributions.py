@@ -139,11 +139,18 @@ def _array_forms(value, grad):
 def gaussian_potential(mean, precision) -> Potential:
     """Quadratic potential (x-m)' P (x-m) / 2 of a Gaussian density.
 
-    ``precision`` must be symmetric positive definite; a scalar is accepted
-    as the 1-d case.  The concavity bounds are the extreme eigenvalues of P.
+    ``mean`` must be finite and ``precision`` finite, symmetric and positive
+    definite; a scalar is accepted as the 1-d case.  A ``ValueError`` message
+    begins with the name of the argument at fault.  The concavity bounds are
+    the extreme eigenvalues of P.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     precision = np.atleast_2d(np.asarray(precision, dtype=float))
+    if not np.all(np.isfinite(mean)):
+        raise ValueError(f"mean must be finite, got {mean.tolist()}")
+    # checked before the symmetry test, where inf - inf would be NaN
+    if not np.all(np.isfinite(precision)):
+        raise ValueError(f"precision must be finite, got {precision.tolist()}")
     d = mean.shape[0]
     if precision.shape != (d, d):
         raise ValueError(f"precision shape {precision.shape} incompatible with dim {d}")
@@ -202,14 +209,15 @@ def anharmonic_potential(a: float, b: float, halfwidth: float) -> Potential:
 
     The curvature a + 3 b x^2 is unbounded globally, so the upper concavity
     bound is declared on the truncated domain ``[-halfwidth, halfwidth]`` and
-    every grid computation must stay inside it.
+    every grid computation must stay inside it.  A ``ValueError`` message
+    begins with the name of the argument at fault.
     """
-    if a <= 0:
-        raise ValueError(f"need a > 0, got {a}")
-    if b < 0:
-        raise ValueError(f"need b >= 0, got {b}")
-    if halfwidth <= 0:
-        raise ValueError(f"need halfwidth > 0, got {halfwidth}")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"a must be finite and positive, got {a}")
+    if not (math.isfinite(b) and b >= 0):
+        raise ValueError(f"b must be finite and non-negative, got {b}")
+    if not (math.isfinite(halfwidth) and halfwidth > 0):
+        raise ValueError(f"halfwidth must be finite and positive, got {halfwidth}")
 
     def value_1d(x):
         x2 = x * x

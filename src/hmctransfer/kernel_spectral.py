@@ -1,40 +1,27 @@
-"""Explicit kernel K(q, Q), Hilbert-Schmidt norm, spectra and rate certificates.
+"""Hilbert-Schmidt norm, spectra and rate certificates of the transfer operator.
 
-The operator acts as (T h)(q) = <h, K(q, .)> in the f-weighted inner product
-with K(q, Q) = f(Q) g(P_q(Q)) D_q(Q): the target at the arrival point, the
-normalized auxiliary density at the conjugate momentum, and the Jacobian
-factor D_q = |dp/dQ| of the momentum-to-position change of variables.  Rows
-are tabulated by flowing a dense momentum probe from each node and splining
-(P, p) over Q along the monotone image curve: P is the spline's value and D_q
-the slope of p, so neither Q -> p is inverted nor a tangent flowed; one
-batched spline solve covers the curves of all rows, read knot-major, the
-layout its sweep walks contiguously.  Through the inverse flow the same
-tabulation gives the adjoint's kernel, and ``KernelField.transfer`` the
-Nystrom matrix that ``assemble_transfer`` returns.
-
-A finite Hilbert-Schmidt norm makes the operator compact and certifies the
-spectral gap; the norm is computed both as a position-space double quadrature
-and through the momentum-space formula int g(p) g(P) D_q dq dp, and the two
-must agree.
+In 1-d ``assemble_transfer`` returns the Nystrom matrix T_ij = K_ij w_j / f_j
+of the explicit kernel K(q, Q) = f(Q) g(P_q(Q)) |dp/dQ|, so (T h)(q) =
+<h, K(q, .)> in the f-weighted inner product.  A finite Hilbert-Schmidt norm
+makes the operator compact and certifies the spectral gap; ``hs_norm`` takes
+it as a position-space double quadrature of the matrix and checks it against
+the momentum-space formula int g(p) g(P) D_q dq dp that the tabulation
+records.  ``eigen_spectrum`` diagonalizes the operator in its weighted
+symmetric frame, and ``certify_rate`` fits the iteration's geometric rate
+against the second eigenvalue.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ModelPair
-from .dynamics import FlowSpec, flow_batch
 from .operator import (
     DensityGrid,
     TransferMatrix,
-    _truncation,
-    build_momentum_rule,
-    check_conjugate_bound,
-    spline_coefficients,
     to_weighted_symmetric,
     weighted_inner,
     weighted_norm,
@@ -42,191 +29,32 @@ from .operator import (
 )
 
 __all__ = [
-    "KernelField",
     "SpectralReport",
     "RateCertificate",
-    "assemble_kernel",
     "hs_norm",
     "eigen_spectrum",
     "certify_rate",
 ]
 
 
-@dataclass(frozen=True)
-class KernelField:
-    """Kernel values on the grid with both Hilbert-Schmidt norm estimates."""
+def hs_norm(T: TransferMatrix) -> float:
+    """Squared Hilbert-Schmidt norm of the operator.
 
-    values: np.ndarray
-    hs_norm_sq: float
-    hs_norm_sq_momentum: float
-    meta: dict = field(default_factory=dict)
-
-    def transfer(self, grid: DensityGrid) -> TransferMatrix:
-        """Nystrom matrix T_ij = K(q_i, x_j) w_j / f_j of the kernel on the grid's rule.
-
-        The trapezoid error falls as exp(-2 pi^2 s^2) in the kernel width s
-        in cells: in the Gaussian rate and mass 1e-12 at s = 2, 5e-9 at 1,
-        1e-2 at 0.5 (n = 401).  Below one cell this raises ``ValueError``.
-        """
-        width = self.meta["kernel_width_cells"]
-        if not width >= 1:
-            raise ValueError(f"kernel_width_cells = {width:.3g} < 1: the grid cannot resolve "
-                             f"the kernel; refine the grid or lengthen the flow")
-        return TransferMatrix(entries=self.values * (grid.weights / grid.target_values),
-                              grid=grid, meta=dict(self.meta))
-
-
-def assemble_kernel(
-    grid: DensityGrid,
-    model: ModelPair,
-    spec: FlowSpec,
-    momentum_nodes: int = 1025,
-    *,
-    inverse: bool = False,
-) -> KernelField:
-    """Tabulate K(q_i, Q_j) = f(Q_j) g(P) |dp/dQ| from one flow of momentum probes.
-
-    Valid in the invertibility regime t * lambda_max < pi/2, where
-    p -> Q(q, p) is strictly monotone for every node: Q must rise strictly
-    along every probe and dp/dQ stay positive, else ``ValueError``.  Arrival
-    points outside the probed image curve carry kernel value zero (the
-    auxiliary density is already negligible there).  With ``inverse`` the
-    probes flow through the inverse map, along which Q falls with p: they are
-    read in reverse order, so Q rises, and -p is splined, so its slope is
-    |dp/dQ|, giving the adjoint's kernel.  ``meta`` records the probe images'
-    domain truncation and ``kernel_width_cells``, the min over rows of
-    |Q(q_i, sigma) - Q(q_i, -sigma)| / 2h, sigma the auxiliary standard
-    deviation and h the grid spacing.
-
-    Memory: the flow's P is copied into the spline's curves (P, p) and
-    released before the solve.  The peak is inside the solve, which holds Q,
-    the curves (twice Q's size) and its own buffers; at large n the values at
-    the (row, node) pairs, a few arrays of one double per pair updated in
-    place, take over.
+    The position-space double quadrature sum (w_i / f_i) (f_j / w_j) T_ij^2
+    over all nodes, the kernel's int int K^2 / (f f) of the Nystrom matrix;
+    K / f stays bounded (it is g(P) D_q), so no density floor is needed.  It
+    is returned after checking it against the momentum-space estimate
+    ``T.meta["hs_norm_sq_momentum"]``, which only the 1-d kernel tabulation
+    records; without it this raises ``ValueError``.  Disagreement beyond 1e-3
+    relative, or an estimate that is not finite, is reported as a consistency
+    failure.
     """
-    if grid.dim != 1:
-        raise NotImplementedError("kernel tabulation is implemented for 1-d grids")
-    if momentum_nodes < 4:
-        raise ValueError(f"need at least 4 kernel momentum nodes, got {momentum_nodes}")
-    check_conjugate_bound(model, spec)
-    n, m = grid.n, momentum_nodes
-    x = grid.axes[0]
-    rule = build_momentum_rule(model, m)
-    order = slice(None, None, -1 if inverse else 1)
-    probes, probe_weights = rule.nodes[order, 0], rule.weights[order]
-    sigma = math.sqrt(float(rule.weights @ rule.nodes[:, 0] ** 2))
-
-    # one sweep: the probes momentum-major, so Q and P come out knot-major for
-    # the spline, then the +-sigma width probes
-    Q, P = flow_batch(np.tile(grid.nodes, (m + 2, 1)),
-                      np.repeat(np.append(probes, [sigma, -sigma]), n)[:, None], model, spec,
-                      inverse=inverse)
-    Q = Q.reshape(m + 2, n)
-    width = float(np.min(np.abs(Q[m] - Q[m + 1])) / (2 * (x[1] - x[0])))
-    Q = Q[:m].T
-    if not np.all(np.diff(Q, axis=1) > 0):
-        raise ValueError("momentum-to-position map not strictly monotone on a probe")
-    # the curves (P, +-p) stacked knot-major, passed as a (row, knot, 2) view
-    p = np.broadcast_to((-probes if inverse else probes)[:, None], (m, n))
-    curves = np.stack([P[:m * n].reshape(m, n), p], axis=-1).transpose(1, 0, 2)
-    del P, p
-    slopes = spline_coefficients(Q, curves)
-    if not np.all(slopes[:, :, 1] > 0):
-        raise ValueError("dp/dQ lost positivity along a probe; conjugate point reached")
-
-    log_norm = model.auxiliary_log_mass()
-
-    def gbar(p):
-        return np.exp(-model.auxiliary.value(np.asarray(p).reshape(-1, 1)) - log_norm)
-
-    # restrict to image points inside the box: the change of variables maps
-    # the position-space double integral over box x box exactly onto
-    # {(q, p): Q(q, p) inside the box}
-    w = grid.weights
-    f = grid.target_values
-    gP = gbar(curves[:, :, 0].reshape(-1)).reshape(n, -1)
-    in_box = (Q >= x[0]) & (Q <= x[-1])
-    hs_mom = float(np.einsum("i,k,ik->", w, probe_weights, in_box * gP * slopes[:, :, 1]))
-    truncation = _truncation(grid, in_box, (probe_weights / gbar(probes)) * gP)
-    del gP, in_box
-
-    # below[i, j] counts the images Q[i, k] <= x[j]: node j on row i's curve lies
-    # in piece below - 1, the last piece closed on the right
-    below = np.cumsum(np.bincount((np.searchsorted(x, Q) + (n + 1) * np.arange(n)[:, None]).ravel(),
-                                  minlength=n * (n + 1)).reshape(n, n + 1)[:, :n], axis=1)
-    rows, cols = np.nonzero((below > 0) & (x[None, :] <= Q[:, -1:]))
-    piece = np.minimum(below[rows, cols] - 1, m - 2)
-    del below
-    at, nxt = (rows, piece), (rows, piece + 1)
-    h = Q[nxt] - Q[at]
-    s = x[cols] - Q[at]
-    del Q
-    P_at = _spline_piece(curves[:, :, 0], slopes[:, :, 0], at, nxt, h, s)
-    D_at = _spline_piece(curves[:, :, 1], slopes[:, :, 1], at, nxt, h, s, slope=True)
-    del curves, slopes, at, nxt, piece, h, s
-    if not np.all(D_at > 0):
-        raise ValueError("dp/dQ lost positivity between probes; conjugate point reached")
-    K = np.zeros((n, n))
-    K[rows, cols] = f[cols] * gbar(P_at) * D_at
-
-    # the double integral runs over the whole truncated domain; K/f stays
-    # bounded (it is g(P) D_q), so no density floor is needed here
-    hs_pos = float(np.einsum("i,j,ij->", w / f, w, K * (K / f[None, :])))
-
-    return KernelField(
-        values=K,
-        hs_norm_sq=hs_pos,
-        hs_norm_sq_momentum=hs_mom,
-        meta={
-            "inverse": inverse,
-            "gaussian_model": model.is_gaussian,
-            "time": spec.time,
-            "method": spec.method,
-            "steps": spec.steps,
-            "momentum_nodes": momentum_nodes,
-            "momentum_halfwidth": float(rule.nodes[-1, 0]),
-            "kernel_width_cells": width,
-            **truncation,
-        },
-    )
-
-
-def _spline_piece(y, slopes, at, nxt, h, s, slope=False):
-    """Value, or with ``slope`` the slope, at offset s into the pieces from knots ``at`` to
-    ``nxt``, h apart, in CubicSpline's form ((c0 s + c1) s + s0) s + y0, built in place."""
-    s0 = slopes[at]
-    c1 = y[nxt]
-    c1 -= y[at]
-    c1 /= h  # the secant slope
-    c0 = slopes[nxt]
-    c0 += s0
-    c0 -= 2 * c1
-    c0 /= h
-    c1 -= s0
-    c1 /= h
-    c1 -= c0
-    c0 /= h
-    if slope:  # (3 c0 s + 2 c1) s + s0
-        c0 *= 3
-        c1 *= 2
-    c0 *= s
-    c0 += c1
-    c0 *= s
-    c0 += s0
-    if not slope:
-        c0 *= s
-        c0 += y[at]
-    return c0
-
-
-def hs_norm(field: KernelField, grid: DensityGrid) -> float:
-    """Squared Hilbert-Schmidt norm of the kernel.
-
-    Returns the position-space double quadrature after checking it against
-    the momentum-space formula; disagreement beyond 1e-3 relative, or an
-    estimate that is not finite, is reported as a consistency failure.
-    """
-    a, b = field.hs_norm_sq, field.hs_norm_sq_momentum
+    b = T.meta.get("hs_norm_sq_momentum")
+    if b is None:
+        raise ValueError("hs_norm needs hs_norm_sq_momentum, which only the 1-d kernel "
+                         f"tabulation records; this operator is {T.grid.dim}-d")
+    r = T.grid.weights / T.grid.target_values
+    a = float(np.einsum("i,j,ij,ij->", r, 1 / r, T.entries, T.entries))
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"Hilbert-Schmidt estimates not finite: position {a} vs momentum {b}")
     rel = abs(a - b) / max(abs(a), 1e-300)

@@ -12,7 +12,6 @@ import pytest
 from hmctransfer import (
     anharmonic_pair,
     assemble_adjoint,
-    assemble_kernel,
     assemble_transfer,
     build_grid,
     default_flow_spec,
@@ -49,7 +48,8 @@ def gauss_Tadj(gauss_grid, gauss_model, gauss_spec):
 
 @pytest.fixture(scope="session")
 def gauss_kernel(gauss_grid, gauss_model, gauss_spec):
-    return assemble_kernel(gauss_grid, gauss_model, gauss_spec, momentum_nodes=1025)
+    # the Nystrom matrix of the kernel tabulated on 1025 probes, as kernel-norm builds it
+    return assemble_transfer(gauss_grid, gauss_model, gauss_spec, 1025)
 
 
 @pytest.fixture(scope="session")

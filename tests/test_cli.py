@@ -214,6 +214,18 @@ def test_kernel_norm_report(tmp_path):
     assert report["hs_norm_sq"] <= report["hs_bound_from_determinants"]
 
 
+def test_kernel_norm_refuses_a_two_dimensional_model(tmp_path, capsys):
+    # the d >= 2 deposit records no momentum-space HS estimate, and it would flow
+    # kernel_momentum_nodes^2 probes from every node first
+    text = GAUSS_CONV.replace("mean = 0.0", "mean = 0.0, 0.0").replace(
+        "precision = 1.0", "precision = 1.0, 1.0").replace("n_per_axis = 401", "n_per_axis = 24")
+    cfg = write(tmp_path, "kern2d.ini", text + "kernel_momentum_nodes = 4\n")
+    out = tmp_path / "out"
+    assert main(["kernel-norm", "--config", cfg, "--out", str(out)]) == 1
+    assert "kernel-norm: only 1-d models are supported" in capsys.readouterr().err
+    assert not (out / "kernel_report.json").exists()
+
+
 def test_sampler_check(tmp_path):
     cfg = write(tmp_path, "samp.ini", SAMPLER)
     out = tmp_path / "out"
@@ -295,6 +307,23 @@ def test_config_validation_messages(tmp_path):
     with pytest.raises(cli.ConfigError, match="model.mean"):
         load_config(cfg)
     assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o8")]) == 1
+    # non-finite or out-of-range model parameters: the flow ran to NaN energy drift and
+    # closure distance, a = inf divided by zero, and a, b < 0 failed without a field name
+    cases = []
+    for value in ("nan", "inf", "-1"):
+        cases += [("model.a", ANH_SMALL, "a = 1.0", f"a = {value}"),
+                  ("model.b", ANH_SMALL, "b = 0.5", f"b = {value}")]
+    for value in ("nan", "inf"):
+        cases += [("model.mean", GAUSS_CONV, "mean = 0.0", f"mean = {value}"),
+                  ("model.precision", GAUSS_CONV, "precision = 1.0", f"precision = {value}"),
+                  ("model.auxiliary_precision", GAUSS_CONV, "halfwidth = 8.0",
+                   f"halfwidth = 8.0\nauxiliary_precision = {value}")]
+    for field, base, line, replacement in cases:
+        key = field.split(".")[1]
+        cfg = write(tmp_path, f"{key}.ini", base.replace(line, replacement))
+        with pytest.raises(cli.ConfigError, match=f"^{field}: {key.split('_')[-1]} must be finite"):
+            load_config(cfg)
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / "o9")]) == 1
 
 
 def test_flow_steps_apply_without_method(tmp_path):

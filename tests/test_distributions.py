@@ -54,6 +54,12 @@ def test_gaussian_rejects_bad_precision():
         gaussian_potential(np.zeros(2), np.diag([1.0, -1.0]))
     with pytest.raises(ValueError, match="symmetric"):
         gaussian_potential(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+    # non-finite values are named by argument, the first word the CLI maps to a config field
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^mean must be finite"):
+            gaussian_potential(bad, 1.0)
+        with pytest.raises(ValueError, match="^precision must be finite"):
+            gaussian_potential(np.zeros(2), np.array([[1.0, bad], [bad, 1.0]]))
 
 
 def test_anharmonic_reduces_to_gaussian_when_quartic_off():
@@ -84,6 +90,11 @@ def test_anharmonic_rejects_bad_parameters():
         anharmonic_potential(1.0, -0.1, 2.0)
     with pytest.raises(ValueError):
         anharmonic_potential(1.0, 1.0, 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        for name, args in [("a", (bad, 1.0, 2.0)), ("b", (1.0, bad, 2.0)),
+                           ("halfwidth", (1.0, 1.0, bad))]:
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                anharmonic_potential(*args)
 
 
 def test_density_values():

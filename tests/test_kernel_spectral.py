@@ -6,10 +6,8 @@ import pytest
 from hmctransfer import (
     FlowSpec,
     IterationTrace,
-    KernelField,
     anharmonic_pair,
     assemble_adjoint,
-    assemble_kernel,
     assemble_transfer,
     build_grid,
     certify_rate,
@@ -23,10 +21,15 @@ from hmctransfer import (
     standard_gaussian_pair,
     weighted_norm,
 )
-from hmctransfer import kernel_spectral, tangent
+from hmctransfer import operator, tangent
 from hmctransfer.dynamics import flow_batch
 from hmctransfer.operator import TransferMatrix, build_momentum_rule, weighted_symmetry_residual
 from hmctransfer.tangent import tangent_batch
+
+
+def kernel(T):
+    """K(q_i, x_j) = T_ij f_j / w_j: the kernel table behind a 1-d Nystrom matrix."""
+    return T.entries * (T.grid.target_values / T.grid.weights)
 
 
 def mehler_kernel(grid, t):
@@ -43,65 +46,62 @@ def mehler_kernel(grid, t):
 def test_kernel_matches_closed_form(gauss_kernel, gauss_grid):
     closed = mehler_kernel(gauss_grid, 0.7)
     sel = closed > 1e-9 * closed.max()
-    rel = np.max(np.abs(gauss_kernel.values[sel] - closed[sel]) / closed[sel])
+    rel = np.max(np.abs(kernel(gauss_kernel)[sel] - closed[sel]) / closed[sel])
     assert rel < 1e-6
 
 
 def test_kernel_row_integrals_reproduce_target(gauss_kernel, gauss_grid):
-    # applying the kernel to the target itself integrates each row
+    # applying the operator to the target itself integrates each kernel row
     f = gauss_grid.target_values
-    row = gauss_kernel.values @ gauss_grid.weights
+    row = gauss_kernel.apply(f)
     assert weighted_norm(row - f, gauss_grid) < 1e-7 * weighted_norm(f, gauss_grid)
     interior = np.abs(gauss_grid.nodes[:, 0]) <= 5.0
     assert np.max(np.abs(row[interior] - f[interior]) / f[interior]) < 1e-7
 
 
 def test_kernel_symmetric_for_even_auxiliary(gauss_kernel):
-    K = gauss_kernel.values
+    K = kernel(gauss_kernel)
     sel = K > 1e-9 * K.max()
     sym = np.abs(K - K.T)
     assert np.max(sym[sel] / K[sel]) < 1e-6
 
 
 def test_kernel_nonnegative(gauss_kernel):
-    assert np.min(gauss_kernel.values) >= 0.0
+    assert np.min(gauss_kernel.entries) >= 0.0
 
 
 def test_hs_norm_oracle(gauss_kernel, gauss_grid):
     oracle = 1.0 / np.sin(0.7) ** 2
-    value = hs_norm(gauss_kernel, gauss_grid)
+    value = hs_norm(gauss_kernel)
     assert abs(value - oracle) < 1e-3 * oracle
-    both = (gauss_kernel.hs_norm_sq, gauss_kernel.hs_norm_sq_momentum)
-    assert abs(both[0] - both[1]) < 1e-4 * both[0]
+    assert abs(value - gauss_kernel.meta["hs_norm_sq_momentum"]) < 1e-4 * value
 
 
 def test_hs_norm_bounded_by_determinant_cap(gauss_kernel, gauss_model):
     _, upper = determinant_bounds(gauss_model, 0.7)
-    assert gauss_kernel.hs_norm_sq <= upper * (1 + 1e-6)
+    assert hs_norm(gauss_kernel) <= upper * (1 + 1e-6)
 
 
 def test_hs_norm_near_quarter_period(gauss_grid, gauss_model):
     # the operator approaches the rank-one projection onto the target
     spec = FlowSpec(time=np.pi / 2, steps=1, method="exact_gaussian")
-    field = assemble_kernel(gauss_grid, gauss_model, spec, momentum_nodes=1025)
-    assert abs(field.hs_norm_sq - 1.0) < 1e-6
+    assert abs(hs_norm(assemble_transfer(gauss_grid, gauss_model, spec, 1025)) - 1.0) < 1e-6
     T = assemble_transfer(gauss_grid, gauss_model, spec, 257)
     report = eigen_spectrum(T, gauss_grid, k=6)
     assert abs(report.eigenvalues[1]) < 1e-3
 
 
 def test_hs_consistency_failure_detected(gauss_kernel, gauss_grid):
-    from dataclasses import replace
-
-    broken = replace(gauss_kernel, hs_norm_sq_momentum=gauss_kernel.hs_norm_sq * 1.01)
+    meta = {**gauss_kernel.meta, "hs_norm_sq_momentum": hs_norm(gauss_kernel) * 1.01}
+    broken = TransferMatrix(entries=gauss_kernel.entries, grid=gauss_grid, meta=meta)
     with pytest.raises(ValueError, match="disagree"):
-        hs_norm(broken, gauss_grid)
+        hs_norm(broken)
 
 
 def test_kernel_regime_validation(gauss_grid, gauss_model):
     spec = FlowSpec(time=3.2, steps=1, method="exact_gaussian")
     with pytest.raises(ValueError, match="conjugate"):
-        assemble_kernel(gauss_grid, gauss_model, spec)
+        assemble_transfer(gauss_grid, gauss_model, spec, 1025)
 
 
 def test_spectrum_matches_mehler_eigenvalues(gauss_report):
@@ -144,7 +144,8 @@ def test_hilbert_schmidt_identity(gauss_report, gauss_kernel):
     total = gauss_report.sum_squares
     oracle = 1.0 / np.sin(0.7) ** 2
     assert abs(total - oracle) < 1e-3 * oracle
-    assert abs(total - gauss_kernel.hs_norm_sq_momentum) < 1e-3 * gauss_kernel.hs_norm_sq_momentum
+    hs_momentum = gauss_kernel.meta["hs_norm_sq_momentum"]
+    assert abs(total - hs_momentum) < 1e-3 * hs_momentum
     # tail beyond the computed modes is negligible
     assert gauss_report.eigenvalues[-1] ** 2 < 1e-6
 
@@ -207,13 +208,13 @@ def test_certificate_anharmonic_internal_consistency(anh_report, anh_trace):
 
 
 def test_anharmonic_kernel_consistency(anh_grid, anh_model, anh_spec, anh_T):
-    field = assemble_kernel(anh_grid, anh_model, anh_spec, momentum_nodes=1025)
-    value = hs_norm(field, anh_grid)
-    assert abs(field.hs_norm_sq - field.hs_norm_sq_momentum) < 1e-4 * value
+    T = assemble_transfer(anh_grid, anh_model, anh_spec, 1025)
+    value = hs_norm(T)
+    assert abs(value - T.meta["hs_norm_sq_momentum"]) < 1e-4 * value
     rng = np.random.default_rng(31)
     h = random_density(anh_grid, rng)
     # 257 probes against 1025: the kernel is converged in the probe count
-    gap = np.max(np.abs(anh_T.apply(h) - field.transfer(anh_grid).apply(h)))
+    gap = np.max(np.abs(anh_T.apply(h) - T.apply(h)))
     assert gap < 1e-6 * np.max(np.abs(h))
     _, upper = determinant_bounds(anh_model, anh_spec.time)
     assert value <= upper * (1 + 1e-6)
@@ -258,8 +259,8 @@ def _reference_cases(gauss_kernel, gauss_grid, gauss_model, gauss_spec):
     quartic = anharmonic_pair(1.0, 0.5, halfwidth=3.5)
     grid = build_grid(quartic, 201)
     spec = default_flow_spec(quartic, 0.08)
-    return [(gauss_kernel.values, gauss_grid, gauss_model, gauss_spec, 1025),
-            (assemble_kernel(grid, quartic, spec, 257).values, grid, quartic, spec, 257)]
+    return [(kernel(gauss_kernel), gauss_grid, gauss_model, gauss_spec, 1025),
+            (kernel(assemble_transfer(grid, quartic, spec, 257)), grid, quartic, spec, 257)]
 
 
 def test_kernel_matches_per_row_spline_reference(gauss_kernel, gauss_grid, gauss_model, gauss_spec):
@@ -288,10 +289,10 @@ def test_kernel_tabulation_is_one_flow_sweep(monkeypatch):
         return flow_batch(*args, **kwargs)
 
     monkeypatch.setattr(tangent, "tangent_batch", refuse)
-    monkeypatch.setattr(kernel_spectral, "flow_batch", counting)
+    monkeypatch.setattr(operator, "flow_batch", counting)
     model = anharmonic_pair(1.0, 0.5, 3.5)
     grid, spec = build_grid(model, 201), default_flow_spec(model, 0.08)
-    for assemble in (assemble_transfer, assemble_adjoint, assemble_kernel):
+    for assemble in (assemble_transfer, assemble_adjoint):
         sweeps.clear()
         assemble(grid, model, spec, 65)
         assert sweeps == [201 * (65 + 2)]
@@ -299,7 +300,7 @@ def test_kernel_tabulation_is_one_flow_sweep(monkeypatch):
 
 def test_kernel_needs_four_momentum_nodes(gauss_grid, gauss_model, gauss_spec):
     with pytest.raises(ValueError, match="at least 4"):
-        assemble_kernel(gauss_grid, gauss_model, gauss_spec, momentum_nodes=3)
+        assemble_transfer(gauss_grid, gauss_model, gauss_spec, 3)
 
 
 def test_quartic_kernel_tabulation_peak_memory(anh_grid, anh_model, anh_spec):
@@ -308,7 +309,7 @@ def test_quartic_kernel_tabulation_peak_memory(anh_grid, anh_model, anh_spec):
     # n = 401 / 1025; holding them all to the return read 70.85 MiB
     tracemalloc.start()
     try:
-        assemble_kernel(anh_grid, anh_model, anh_spec, 1025)
+        assemble_transfer(anh_grid, anh_model, anh_spec, 1025)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -316,11 +317,25 @@ def test_quartic_kernel_tabulation_peak_memory(anh_grid, anh_model, anh_spec):
 
 
 def test_hs_norm_refuses_non_finite_estimates(gauss_kernel, gauss_grid):
-    # NaN compares false against the agreement bound, so finiteness is checked first
-    K = gauss_kernel.values
-    for a, b in [(1.0, np.nan), (np.nan, 1.0), (np.inf, np.inf)]:
+    # NaN compares false against the agreement bound, so finiteness is checked first;
+    # the position estimate turns NaN or inf through one entry of the matrix
+    hs = hs_norm(gauss_kernel)
+    for entry, b in [(None, np.nan), (np.nan, hs), (np.inf, np.inf)]:
+        entries = gauss_kernel.entries.copy()
+        if entry is not None:
+            entries[200, 200] = entry
+        meta = {**gauss_kernel.meta, "hs_norm_sq_momentum": b}
         with pytest.raises(ValueError, match="not finite"):
-            hs_norm(KernelField(K, a, b), gauss_grid)
+            hs_norm(TransferMatrix(entries=entries, grid=gauss_grid, meta=meta))
+
+
+def test_hs_norm_refuses_an_operator_without_the_momentum_estimate():
+    # the d >= 2 deposit records no momentum-space estimate to check against
+    model = standard_gaussian_pair(dim=2, halfwidth=6.0)
+    grid = build_grid(model, 24)
+    T = assemble_transfer(grid, model, default_flow_spec(model, 0.7), 4)
+    with pytest.raises(ValueError, match="hs_norm_sq_momentum.*1-d"):
+        hs_norm(T)
 
 
 def test_spectrum_refuses_a_nan_operator(gauss_T, gauss_grid):
