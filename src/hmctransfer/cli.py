@@ -1,6 +1,8 @@
 """Experiment driver: config parsing, pipelines, machine-readable outputs.
 
 Subcommands: flow, operator, spectrum, kernel-norm, convergence, sampler-check.
+``SETTINGS`` is the one list of the numeric [grid] / [experiment] settings, with
+their defaults and bounds.
 Each run writes a manifest echoing the fully resolved configuration plus CSV
 and JSON-style result files with 17-significant-digit formatting, so repeated
 runs with the same config and seed are bit-identical.  Exit codes: 0 on pass,
@@ -46,15 +48,36 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
 
+# Every numeric [grid] / [experiment] setting: "section.key": (type, default, least).
+# An int may equal its least value; a float must be finite and above it.
+SETTINGS = {
+    "grid.n_per_axis": (int, 401, 16),
+    "grid.momentum_nodes": (int, 257, 2),  # at least 4 in 1-d, checked with the model
+    "experiment.seed": (int, 0, 0),
+    "experiment.samples": (int, 100, 1),
+    "experiment.draws": (int, 100000, 0),
+    "experiment.bins": (int, 100, 1),
+    "experiment.n_max": (int, 400, 0),
+    "experiment.tol": (float, 1e-10, 0.0),
+    "experiment.top_k": (int, 8, 2),  # the gap uses the second eigenvalue
+    # a zero-width or out-of-box initial bump has (almost) no mass on the grid,
+    # and the iteration would report convergence at step 0
+    "experiment.h0_center": (float, 1.3, -math.inf),  # inside the box, checked with the model
+    "experiment.h0_sigma": (float, 0.7, 0.0),
+    "experiment.kernel_momentum_nodes": (int, 1025, 4),  # the not-a-knot spline's knots
+}
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
     model: ModelPair
     spec: FlowSpec
+    output: str | None
+    resolved: dict
     n_per_axis: int
     momentum_nodes: int
     seed: int
-    output: str | None
     samples: int
     draws: int
     bins: int
@@ -64,7 +87,6 @@ class ExperimentConfig:
     h0_center: float
     h0_sigma: float
     kernel_momentum_nodes: int
-    resolved: dict
 
 
 def _number(sec, name: str, kind, default):
@@ -138,7 +160,9 @@ def _build_model(cfg: configparser.ConfigParser) -> ModelPair:
         raise ConfigError(f"model: {exc}") from exc
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, command: str | None = None) -> ExperimentConfig:
+    """The experiment of the INI file at ``path``.  ``command``, the subcommand run,
+    overrides the file's ``experiment.kind``, the checks included."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
     if not read:
@@ -148,6 +172,7 @@ def load_config(path: str) -> ExperimentConfig:
     kind = parser["experiment"]["kind"].strip()
     if kind not in ALL_KINDS:
         raise ConfigError(f"experiment.kind: unknown kind {kind!r}, expected one of {ALL_KINDS}")
+    kind = command or kind
     if "model" not in parser:
         raise ConfigError("model: section missing")
     model = _build_model(parser)
@@ -179,90 +204,45 @@ def load_config(path: str) -> ExperimentConfig:
             f"must be < pi for {kind} experiments"
         )
 
-    gsec = parser["grid"] if "grid" in parser else {}
-    if "momentum_rule" in gsec:
+    if "grid" in parser and "momentum_rule" in parser["grid"]:
         raise ConfigError("grid.momentum_rule: option removed; the rule follows from the "
                           "dimension (trapezoid in 1-d, Gauss-Hermite in d >= 2)")
-    esec = parser["experiment"]
-    config = ExperimentConfig(
-        kind=kind,
-        model=model,
-        spec=spec,
-        n_per_axis=_number(gsec, "grid.n_per_axis", int, 401),
-        momentum_nodes=_number(gsec, "grid.momentum_nodes", int, 257),
-        seed=_number(esec, "experiment.seed", int, 0),
-        output=esec.get("output", None),
-        samples=_number(esec, "experiment.samples", int, 100),
-        draws=_number(esec, "experiment.draws", int, 100000),
-        bins=_number(esec, "experiment.bins", int, 100),
-        n_max=_number(esec, "experiment.n_max", int, 400),
-        tol=_number(esec, "experiment.tol", float, 1e-10),
-        top_k=_number(esec, "experiment.top_k", int, 8),
-        h0_center=_number(esec, "experiment.h0_center", float, 1.3),
-        h0_sigma=_number(esec, "experiment.h0_sigma", float, 0.7),
-        kernel_momentum_nodes=_number(esec, "experiment.kernel_momentum_nodes", int, 1025),
-        resolved={},
-    )
-    if config.seed < 0:
-        raise ConfigError("experiment.seed: must be non-negative")
-    if config.n_per_axis < 16:
-        raise ConfigError("grid.n_per_axis: need at least 16")
-    least = 4 if model.dim == 1 else 2  # in 1-d the probes are the kernel spline's knots
-    if config.momentum_nodes < least:
-        raise ConfigError(f"grid.momentum_nodes: need at least {least} in {model.dim}-d, "
-                          f"got {config.momentum_nodes}")
-    if config.top_k < 2:
-        raise ConfigError("experiment.top_k: need at least 2, the gap uses the second eigenvalue")
-    if config.kernel_momentum_nodes < 4:
-        raise ConfigError("experiment.kernel_momentum_nodes: need at least 4 for the not-a-knot spline")
-    if config.n_max < 0:
-        raise ConfigError("experiment.n_max: must be non-negative")
-    if not (math.isfinite(config.tol) and config.tol > 0):
-        raise ConfigError(f"experiment.tol: must be finite and positive, got {config.tol}")
-    if config.draws < 0:
-        raise ConfigError("experiment.draws: must be non-negative")
-    if config.bins < 1:
-        raise ConfigError("experiment.bins: need at least 1")
-    if config.samples < 1:
-        raise ConfigError("experiment.samples: need at least 1")
-    # a zero-width or out-of-box initial bump has (almost) no mass on the grid,
-    # and the iteration would report convergence at step 0
-    if not (math.isfinite(config.h0_sigma) and config.h0_sigma > 0):
-        raise ConfigError(f"experiment.h0_sigma: must be finite and positive, got {config.h0_sigma}")
+    settings = {}
+    for name, (type_, default, least) in SETTINGS.items():
+        section = name.split(".")[0]
+        value = _number(parser[section] if section in parser else {}, name, type_, default)
+        if not (value >= least if type_ is int else math.isfinite(value) and value > least):
+            bound = f"at least {least}" if type_ is int else f"a finite number above {least:g}"
+            raise ConfigError(f"{name}: need {bound}, got {value}")
+        settings[name] = value
+    # the bounds that depend on the model
+    if model.dim == 1 and settings["grid.momentum_nodes"] < 4:  # the kernel spline's knots
+        raise ConfigError(f"grid.momentum_nodes: need at least 4 in 1-d, "
+                          f"got {settings['grid.momentum_nodes']}")
     L = model.domain_halfwidth
-    if not -L <= config.h0_center <= L:
-        raise ConfigError(f"experiment.h0_center: must be finite and lie in [-{L}, {L}], "
-                          f"got {config.h0_center}")
+    if not -L <= settings["experiment.h0_center"] <= L:
+        raise ConfigError(f"experiment.h0_center: need a value in [-{L}, {L}], "
+                          f"got {settings['experiment.h0_center']}")
 
-    target = model.target
-    config.resolved = {
-        "experiment.kind": kind,
-        "experiment.seed": config.seed,
-        "model.family": target.kind,
-        "model.dim": model.dim,
-        "model.halfwidth": model.domain_halfwidth,
-        "model.lambda_min": model.lambda_min,
-        "model.lambda_max": model.lambda_max,
-        "model.params": {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in target.params.items()
+    return ExperimentConfig(
+        kind=kind, model=model, spec=spec, output=parser["experiment"].get("output", None),
+        resolved={
+            **settings,
+            "experiment.kind": kind,
+            "model.family": model.target.kind,
+            "model.dim": model.dim,
+            "model.halfwidth": model.domain_halfwidth,
+            "model.lambda_min": model.lambda_min,
+            "model.lambda_max": model.lambda_max,
+            "model.params": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+                             for k, v in model.target.params.items()},
+            "flow.time": spec.time,
+            "flow.method": spec.method,
+            "flow.steps": spec.steps,
+            "version": __version__,
         },
-        "flow.time": spec.time,
-        "flow.method": spec.method,
-        "flow.steps": spec.steps,
-        "grid.n_per_axis": config.n_per_axis,
-        "grid.momentum_nodes": config.momentum_nodes,
-        "experiment.samples": config.samples,
-        "experiment.draws": config.draws,
-        "experiment.bins": config.bins,
-        "experiment.n_max": config.n_max,
-        "experiment.tol": config.tol,
-        "experiment.top_k": config.top_k,
-        "experiment.h0_center": config.h0_center,
-        "experiment.h0_sigma": config.h0_sigma,
-        "experiment.kernel_momentum_nodes": config.kernel_momentum_nodes,
-        "version": __version__,
-    }
-    return config
+        **{name.split(".")[1]: value for name, value in settings.items()},
+    )
 
 
 def _fmt(x) -> str:
@@ -597,11 +577,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads: need at least 1, got {args.threads}")
-        config = load_config(args.config)
-        if config.kind != args.command:
-            # the subcommand wins; the config's kind is a default
-            config.kind = args.command
-            config.resolved["experiment.kind"] = args.command
+        config = load_config(args.config, args.command)
         if args.seed is not None:
             config.seed = args.seed
             config.resolved["experiment.seed"] = args.seed

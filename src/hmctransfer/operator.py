@@ -95,7 +95,9 @@ class DensityGrid:
 
     @property
     def halfwidth(self) -> float:
-        return float(self.axes[0][-1])
+        """Largest |coordinate| of a retained node: the probe and random densities
+        scale with the region the weighted norms see, not with the whole box."""
+        return float(np.max(np.abs(self.nodes[self.retained])))
 
     @property
     def retained(self) -> np.ndarray:

@@ -303,6 +303,17 @@ def test_config_validation_messages(tmp_path):
         with pytest.raises(cli.ConfigError, match=f"{field}: expected"):
             load_config(cfg)
         assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o7")]) == 1
+    # every table setting, one value past its bound; a setting added to the table is covered
+    for field, (type_, _, least) in cli.SETTINGS.items():
+        section, key = field.split(".")
+        values = [least - 1] if type_ is int else [least, "nan", "inf"]
+        for value in values:
+            text = re.sub(rf"^{key} = .*\n", "", ANH_SMALL, flags=re.M)
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+            cfg = write(tmp_path, f"least-{key}.ini", text)
+            with pytest.raises(cli.ConfigError, match=f"^{field}: need "):
+                load_config(cfg)
+            assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o10")]) == 1
     cfg = write(tmp_path, "bad-mean.ini", GAUSS_CONV.replace("mean = 0.0", "mean = 0.o"))
     with pytest.raises(cli.ConfigError, match="model.mean"):
         load_config(cfg)
@@ -324,6 +335,36 @@ def test_config_validation_messages(tmp_path):
         with pytest.raises(cli.ConfigError, match=f"^{field}: {key.split('_')[-1]} must be finite"):
             load_config(cfg)
         assert main(["flow", "--config", cfg, "--out", str(tmp_path / "o9")]) == 1
+
+
+def test_conjugate_point_refusal_follows_the_subcommand(tmp_path, capsys):
+    # t = 2 pi is past the conjugate-point bound: refused for operator experiments only,
+    # whichever kind the file names
+    for kind, command, code in [("operator", "flow", 0), ("flow", "operator", 1)]:
+        cfg = write(tmp_path, f"{kind}.ini", FLOW_PERIOD.replace("kind = flow", f"kind = {kind}"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / kind)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("configuration error: flow.time:") and "operator" in err
+    manifest = (tmp_path / "operator" / "manifest.txt").read_text()
+    assert "experiment.kind = flow\n" in manifest
+
+
+@pytest.mark.parametrize("halfwidth", [12.0, 16.0])
+def test_wide_gaussian_box_passes_the_gates(tmp_path, halfwidth):
+    # the probe and random densities follow the retained nodes, not the box, so on a
+    # wide box they stay inside the region the weighted norms see
+    text = GAUSS_CONV.replace("halfwidth = 8.0", f"halfwidth = {halfwidth}")
+    text = text.replace("n_max = 400", "n_max = 50")
+    cfg = write(tmp_path, "wide.ini", text)
+    assert main(["operator", "--config", cfg, "--out", str(tmp_path / "op")]) == 0
+    report = json.loads((tmp_path / "op" / "operator_report.json").read_text())
+    for key in ("mass_error_max", "duality_residual_max", "self_adjointness_residual"):
+        assert report[key] <= 1e-7, key
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "sp")]) == 0
+    rows = (tmp_path / "sp" / "spectrum.csv").read_text().splitlines()[1:7]
+    mu = np.array([float(row.split(",")[1]) for row in rows])
+    assert np.max(np.abs(mu - np.cos(0.7) ** np.arange(6))) <= 1e-6
 
 
 def test_flow_steps_apply_without_method(tmp_path):
