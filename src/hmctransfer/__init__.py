@@ -47,12 +47,8 @@ from .operator import (
     weighted_symmetry_residual,
 )
 from .tangent import (
-    RunningAverages,
     TangentBlocks,
-    block_exponential,
     determinant_bounds,
-    integrate_tangent,
-    jacobian_determinants,
     spd_sqrt,
 )
 

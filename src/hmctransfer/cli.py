@@ -24,10 +24,9 @@ import numpy as np
 from . import __version__
 from .distributions import ModelPair, gaussian_potential, anharmonic_potential
 from .dynamics import (FlowSpec, PhaseState, _leapfrog, default_flow_spec, exact_gaussian_matrix,
-                       total_energy)
+                       momentum_flip_conjugacy_residual, total_energy)
 from .kernel_spectral import certify_rate, eigen_spectrum, hs_norm
 from .operator import (
-    assemble_adjoint,
     assemble_transfer,
     build_grid,
     iterate,
@@ -52,7 +51,7 @@ class ConfigError(ValueError):
 # An int may equal its least value; a float must be finite and above it.
 SETTINGS = {
     "grid.n_per_axis": (int, 401, 16),
-    "grid.momentum_nodes": (int, 257, 2),  # at least 4 in 1-d, checked with the model
+    "grid.momentum_nodes": (int, 257, 2),  # at least 4 in 1-d, the kernel spline's knots
     "experiment.seed": (int, 0, 0),
     "experiment.samples": (int, 100, 1),
     "experiment.draws": (int, 100000, 0),
@@ -209,16 +208,15 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
                           "dimension (trapezoid in 1-d, Gauss-Hermite in d >= 2)")
     settings = {}
     for name, (type_, default, least) in SETTINGS.items():
+        if name == "grid.momentum_nodes" and model.dim == 1:
+            least = 4
         section = name.split(".")[0]
         value = _number(parser[section] if section in parser else {}, name, type_, default)
         if not (value >= least if type_ is int else math.isfinite(value) and value > least):
             bound = f"at least {least}" if type_ is int else f"a finite number above {least:g}"
             raise ConfigError(f"{name}: need {bound}, got {value}")
         settings[name] = value
-    # the bounds that depend on the model
-    if model.dim == 1 and settings["grid.momentum_nodes"] < 4:  # the kernel spline's knots
-        raise ConfigError(f"grid.momentum_nodes: need at least 4 in 1-d, "
-                          f"got {settings['grid.momentum_nodes']}")
+    # the bound that depends on the model
     L = model.domain_halfwidth
     if not -L <= settings["experiment.h0_center"] <= L:
         raise ConfigError(f"experiment.h0_center: need a value in [-{L}, {L}], "
@@ -298,7 +296,7 @@ def run_flow(config: ExperimentConfig, outdir: Path) -> int:
     if spec.method == "exact_gaussian":
         for s in np.linspace(spec.time / n_check, spec.time, n_check):
             seg = FlowSpec(time=s, steps=1, method="exact_gaussian")
-            Q, P, blocks, _, _ = tangent_batch(state.q[None], state.p[None], model, seg)
+            Q, P, blocks = tangent_batch(state.q[None], state.p[None], model, seg)
             times.append(s)
             qs.append(Q[0])
             ps.append(P[0])
@@ -312,7 +310,7 @@ def run_flow(config: ExperimentConfig, outdir: Path) -> int:
         while done < spec.steps:
             take = min(per, spec.steps - done)
             seg = FlowSpec(time=take * spec.time / spec.steps, steps=take, method="leapfrog")
-            Q, P, blocks, _, _ = tangent_batch(q[None], p[None], model, seg)
+            Q, P, blocks = tangent_batch(q[None], p[None], model, seg)
             q, p = Q[0], P[0]
             jac = TangentBlocks(*(b[0] for b in blocks)).matrix() @ jac
             done += take
@@ -368,7 +366,13 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> int:
         m0 = mass(h, grid)
         worst_mass = max(worst_mass, abs(mass(Th, grid) - m0) / m0)
         worst_contr = max(worst_contr, weighted_norm(Th, grid) / weighted_norm(h, grid))
-    T_adj = assemble_adjoint(grid, model, config.spec, config.momentum_nodes)
+    # T* = T: _build_model's auxiliary is a zero-mean Gaussian, so even, and the
+    # momentum-flip conjugacy tau . H^-1 . tau = H then makes T self-adjoint;
+    # the residual of that premise is recorded at every node, p = +-sigma
+    T_adj = T
+    sigma = np.full(model.dim, 1.0 / math.sqrt(model.auxiliary.lambda_lo))
+    conjugacy = momentum_flip_conjugacy_residual(
+        model, config.spec, [PhaseState(q=x, p=s) for x in grid.nodes for s in (sigma, -sigma)])
     worst_dual = 0.0
     for _ in range(20):
         h = random_density(grid, rng)
@@ -386,6 +390,7 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> int:
         "contraction_factor_max": worst_contr,
         "self_adjointness_residual": weighted_symmetry_residual(T),
         "duality_residual_max": worst_dual,
+        "momentum_flip_conjugacy_residual": conjugacy,
         "leaked_mass": T.meta["leaked_mass"],
         "iteration_converged": trace.converged,
         "iteration_anomaly": trace.anomaly,

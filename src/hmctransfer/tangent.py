@@ -1,17 +1,13 @@
 """Variational flow of the derivative blocks d(Q,P)/d(q,p).
 
 The blocks evolve under the generator [[0, V''], [-U'', 0]] with identity
-initial condition.  Two backends are kept deliberately:
+initial condition.  One backend, following the flow's own: for leapfrog the
+chain rule through the substeps, the exact derivative of the discrete map
+that ``flow_batch`` applies; for Gaussian pairs the exact-Gaussian propagator
+of ``dynamics``, the same matrix at every state.
 
-* chain rule through the leapfrog substeps, the exact derivative of the
-  discrete map that ``flow_batch`` applies, and
-* the closed-form block exponential in cos/sinc of sqrt(VU), sqrt(UV) built
-  from running-average Hessians, exact when the Hessians are constant
-  (Gaussian models) and a diagnostic approximation otherwise; it is the
-  exact-Gaussian propagator of ``dynamics`` applied to the averages.
-
-Also provides the Jacobian factors D_q = 1/|det dQ/dp|, D_p = 1/|det dP/dq|
-and the regime bounds on their product valid for t * lambda_max < pi/2.
+Also provides the regime bounds on the Jacobian factors' product
+D_q * D_p = 1/|det dQ/dp| * 1/|det dP/dq|, valid for t * lambda_max < pi/2.
 """
 
 from __future__ import annotations
@@ -22,25 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ModelPair
-from .dynamics import (FlowSpec, PhaseState, _linear_propagator, exact_gaussian_matrix, flow_batch,
-                       spd_sqrt)
+from .dynamics import FlowSpec, exact_gaussian_matrix, flow_batch, spd_sqrt
 
 __all__ = [
     "TangentBlocks",
-    "RunningAverages",
-    "SingularJacobianError",
     "sinc",
-    "integrate_tangent",
     "tangent_batch",
     "spd_sqrt",
-    "block_exponential",
-    "jacobian_determinants",
     "determinant_bounds",
 ]
-
-
-class SingularJacobianError(ValueError):
-    """A derivative block is numerically singular (conjugate point reached)."""
 
 
 def sinc(x):
@@ -72,22 +58,12 @@ class TangentBlocks:
         return float(np.linalg.det(self.matrix()))
 
 
-@dataclass(frozen=True)
-class RunningAverages:
-    """Time averages (1/t) int_0^t of the Hessians along a trajectory."""
-
-    Ubar: np.ndarray
-    Vbar: np.ndarray
-    time: float
-
-
 def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     """Co-integrate flow and variational equation for a batch of states.
 
-    Returns (Q, P, (dQdq, dQdp, dPdq, dPdp), Ubar, Vbar) with leading batch
-    axis.  For leapfrog the blocks are the exact chain-rule derivatives of the
-    discrete map; the averages use the trapezoid rule over substep Hessians,
-    matching the integrator's order.
+    Returns (Q, P, (dQdq, dQdp, dPdq, dPdp)) with leading batch axis.  For
+    leapfrog the blocks are the exact chain-rule derivatives of the discrete
+    map.
     """
     q = np.atleast_2d(np.array(qs, dtype=float))
     p = np.atleast_2d(np.array(ps, dtype=float))
@@ -98,9 +74,7 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
         mat = exact_gaussian_matrix(model, spec.time)
         blocks = tuple(np.broadcast_to(b, (n, d, d)).copy()
                        for b in (mat[:d, :d], mat[:d, d:], mat[d:, :d], mat[d:, d:]))
-        Ubar = np.broadcast_to(model.target.params["precision"], (n, d, d)).copy()
-        Vbar = np.broadcast_to(model.auxiliary.params["precision"], (n, d, d)).copy()
-        return Q, P, blocks, Ubar, Vbar
+        return Q, P, blocks
 
     tau = spec.time / spec.steps
     eye = np.broadcast_to(np.eye(d), (n, d, d))
@@ -108,9 +82,7 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     # the end-of-step gradient and Hessian are the next step's starting ones
     gq = model.target.grad(q)
     hq = model.target.hess(q)
-    u_sum = 0.5 * hq
-    v_sum = 0.5 * model.auxiliary.hess(p)
-    for step in range(spec.steps):
+    for _ in range(spec.steps):
         p -= 0.5 * tau * gq
         kick = 0.5 * tau * hq
         dPdq -= kick @ dQdq
@@ -127,46 +99,7 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
         kick = 0.5 * tau * hq
         dPdq -= kick @ dQdq
         dPdp -= kick @ dQdp
-
-        last = step == spec.steps - 1
-        u_sum += (0.5 if last else 1.0) * hq
-        v_sum += (0.5 if last else 1.0) * model.auxiliary.hess(p)
-    return q, p, (dQdq, dQdp, dPdq, dPdp), u_sum / spec.steps, v_sum / spec.steps
-
-
-def integrate_tangent(state: PhaseState, model: ModelPair, spec: FlowSpec):
-    """Flow one state together with its tangent blocks and running averages."""
-    Q, P, blocks, Ubar, Vbar = tangent_batch(state.q[None, :], state.p[None, :], model, spec)
-    out_state = PhaseState(q=Q[0], p=P[0])
-    out_blocks = TangentBlocks(*(b[0] for b in blocks))
-    return out_state, out_blocks, RunningAverages(Ubar=Ubar[0], Vbar=Vbar[0], time=spec.time)
-
-
-def block_exponential(averages: RunningAverages) -> TangentBlocks:
-    """Closed-form solution blocks from the running-average Hessians.
-
-    With A = sqrt(Vbar Ubar), B = sqrt(Ubar Vbar) and t the averaging time:
-    [[cos(tA), t Vbar sinc(tB)], [-t Ubar sinc(tA), cos(tB)]], the
-    exact-Gaussian propagator for the constant Hessians Ubar and Vbar.
-    """
-    mat = _linear_propagator(averages.Ubar, averages.Vbar, averages.time)
-    d = mat.shape[0] // 2
-    return TangentBlocks(mat[:d, :d], mat[:d, d:], mat[d:, :d], mat[d:, d:])
-
-
-def jacobian_determinants(blocks: TangentBlocks):
-    """(D_q, D_p) = (1/|det dQ/dp|, 1/|det dP/dq|).
-
-    Raises SingularJacobianError when a block determinant vanishes, which
-    signals an integration time at or beyond a conjugate point.
-    """
-    det_qp = float(np.linalg.det(blocks.dQdp))
-    det_pq = float(np.linalg.det(blocks.dPdq))
-    if abs(det_qp) < 1e-14:
-        raise SingularJacobianError(f"dQdp block singular, |det| = {abs(det_qp):.3e}")
-    if abs(det_pq) < 1e-14:
-        raise SingularJacobianError(f"dPdq block singular, |det| = {abs(det_pq):.3e}")
-    return 1.0 / abs(det_qp), 1.0 / abs(det_pq)
+    return q, p, (dQdq, dQdp, dPdq, dPdp)
 
 
 def determinant_bounds(model: ModelPair, time: float):

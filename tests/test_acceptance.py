@@ -13,14 +13,13 @@ import pytest
 
 from hmctransfer import (
     PhaseState,
+    TangentBlocks,
     anharmonic_pair,
-    block_exponential,
     certify_rate,
     default_flow_spec,
     determinant_bounds,
     flow,
     hs_norm,
-    integrate_tangent,
     inverse_flow,
     iterate,
     mass,
@@ -32,10 +31,17 @@ from hmctransfer import (
     weighted_symmetry_residual,
 )
 from hmctransfer.cli import main
+from hmctransfer.distributions import ModelPair, gaussian_potential
 from hmctransfer.dynamics import FlowSpec, flow_batch
 from hmctransfer.tangent import tangent_batch
 
 COS07 = np.cos(0.7)
+
+
+def blocks_at(state, model, spec):
+    """The tangent blocks of one phase state."""
+    _, _, blocks = tangent_batch(state.q[None], state.p[None], model, spec)
+    return TangentBlocks(*(b[0] for b in blocks))
 
 
 def report(num, name, value, bound, ok):
@@ -138,8 +144,7 @@ def test_criterion_08_tangent_correctness(anh_model):
     worst = 0.0
     for _ in range(50):
         state = PhaseState(q=rng.uniform(-1.5, 1.5, 1), p=rng.normal(size=1))
-        _, blocks, _ = integrate_tangent(state, anh_model, spec)
-        jac = blocks.matrix()
+        jac = blocks_at(state, anh_model, spec).matrix()
         fd = np.zeros((2, 2))
         for col, (dq, dp) in enumerate([(eps, 0.0), (0.0, eps)]):
             Qp, Pp = flow_batch(state.q + dq, state.p + dp, anh_model, spec)
@@ -150,16 +155,15 @@ def test_criterion_08_tangent_correctness(anh_model):
     report(8, "tangent vs finite differences", worst, 1e-5, worst < 1e-5)
 
 
-def test_criterion_09_closed_form_solution(gauss_model, anh_model):
-    spec = FlowSpec(time=0.7, steps=1, method="exact_gaussian")
-    state = PhaseState(q=np.array([0.4]), p=np.array([1.1]))
-    _, blocks, averages = integrate_tangent(state, gauss_model, spec)
-    gap = float(np.max(np.abs(blocks.matrix() - block_exponential(averages).matrix())))
-    aspec = default_flow_spec(anh_model, 0.3)
-    astate = PhaseState(q=np.array([1.4]), p=np.array([0.8]))
-    _, ablocks, aavg = integrate_tangent(astate, anh_model, aspec)
-    agap = float(np.max(np.abs(ablocks.matrix() - block_exponential(aavg).matrix())))
-    print(f"          criterion  9 diagnostic: non-Gaussian closed-form discrepancy {agap:.3e}")
+def test_criterion_09_closed_form_solution():
+    # target precision 4, auxiliary precision 1: the blocks turn at omega = 2
+    model = ModelPair(gaussian_potential(0.0, 4.0), gaussian_potential(0.0, 1.0), 6.0)
+    t = 0.4
+    spec = FlowSpec(time=t, steps=1, method="exact_gaussian")
+    blocks = blocks_at(PhaseState(q=np.array([0.4]), p=np.array([1.1])), model, spec)
+    closed = np.array([[np.cos(2 * t), np.sin(2 * t) / 2],
+                       [-2 * np.sin(2 * t), np.cos(2 * t)]])
+    gap = float(np.max(np.abs(blocks.matrix() - closed)))
     report(9, "closed form (constant Hessians)", gap, 1e-8, gap < 1e-8)
 
 
@@ -179,7 +183,7 @@ def test_criterion_10_determinant_bounds():
         ps.extend(p[keep])
     qs = np.array(qs[:1000])[:, None]
     ps = np.array(ps[:1000])[:, None]
-    _, _, blocks, _, _ = tangent_batch(qs, ps, model, spec)
+    _, _, blocks = tangent_batch(qs, ps, model, spec)
     prod = 1.0 / (np.abs(blocks[1][:, 0, 0]) * np.abs(blocks[2][:, 0, 0]))
     ok = prod.min() >= lower - 1e-9 and prod.max() <= upper + 1e-9
     report(10, "determinant bounds", prod.max(), upper, ok)
@@ -191,10 +195,8 @@ def test_criterion_11_volume_preservation(gauss_model, anh_model):
     gspec = FlowSpec(time=0.7, steps=1, method="exact_gaussian")
     aspec = default_flow_spec(anh_model, 0.3)
     for _ in range(50):
-        gstate = PhaseState(q=rng.uniform(-3, 3, 1), p=rng.normal(size=1))
-        _, gb, _ = integrate_tangent(gstate, gauss_model, gspec)
-        astate = PhaseState(q=rng.uniform(-2, 2, 1), p=rng.normal(size=1))
-        _, ab, _ = integrate_tangent(astate, anh_model, aspec)
+        gb = blocks_at(PhaseState(q=rng.uniform(-3, 3, 1), p=rng.normal(size=1)), gauss_model, gspec)
+        ab = blocks_at(PhaseState(q=rng.uniform(-2, 2, 1), p=rng.normal(size=1)), anh_model, aspec)
         worst = max(worst, abs(gb.det() - 1.0), abs(ab.det() - 1.0))
     report(11, "volume preservation", worst, 1e-10, worst < 1e-10)
 

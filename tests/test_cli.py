@@ -185,7 +185,29 @@ def test_operator_report(tmp_path):
     assert report["mass_error_max"] < 1e-6
     assert report["self_adjointness_residual"] < 1e-6
     assert report["duality_residual_max"] < 1e-6
+    # the premise of T* = T, at criterion 12's leapfrog bound
+    assert report["momentum_flip_conjugacy_residual"] <= 1e-10
+    manifest = (out / "manifest.txt").read_text()
+    residual = report["momentum_flip_conjugacy_residual"]
+    assert f"result.momentum_flip_conjugacy_residual = {residual:.17g}" in manifest
     assert (out / "trace.csv").exists()
+
+
+def test_operator_run_tabulates_the_kernel_once(tmp_path, monkeypatch):
+    # the adjoint is T for the CLI's even auxiliary, so no second tabulation is made
+    from hmctransfer import operator
+
+    nystrom, calls = operator._nystrom, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return nystrom(*args, **kwargs)
+
+    monkeypatch.setattr(operator, "_nystrom", counting)
+    cfg = write(tmp_path, "op.ini", ANH_SMALL.replace("kind = spectrum", "kind = operator")
+                + "n_max = 5\n")
+    assert main(["operator", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_spectrum_report(tmp_path):
@@ -583,7 +605,10 @@ def test_removed_and_invalid_grid_options_are_named(tmp_path):
         load_config(cfg)
     assert main(["kernel-norm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     # in 1-d the probes are the knots of the kernel's not-a-knot spline
-    cfg = write(tmp_path, "probes.ini", ANH_SMALL.replace("momentum_nodes = 129", "momentum_nodes = 3"))
-    with pytest.raises(cli.ConfigError, match="grid.momentum_nodes: need at least 4"):
-        load_config(cfg)
-    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "p")]) == 1
+    # one minimum, whichever value is below it
+    for value in (1, 3):
+        cfg = write(tmp_path, f"probes{value}.ini",
+                    ANH_SMALL.replace("momentum_nodes = 129", f"momentum_nodes = {value}"))
+        with pytest.raises(cli.ConfigError, match="grid.momentum_nodes: need at least 4"):
+            load_config(cfg)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / f"p{value}")]) == 1

@@ -243,8 +243,8 @@ def _variational_kernel_reference(grid, model, spec, m):
 
     n, x, f = grid.n, grid.axes[0], grid.target_values
     rule = build_momentum_rule(model, m)
-    Q, P, blocks, _, _ = tangent_batch(np.repeat(grid.nodes, m, axis=0), np.tile(rule.nodes, (n, 1)),
-                                       model, spec)
+    Q, P, blocks = tangent_batch(np.repeat(grid.nodes, m, axis=0), np.tile(rule.nodes, (n, 1)),
+                                 model, spec)
     Q, P, dQdp = Q.reshape(n, m), P.reshape(n, m), blocks[1].reshape(n, m)
     K = np.zeros((n, n))
     for i in range(n):

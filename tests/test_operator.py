@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -387,7 +388,7 @@ def test_assembly_validation(gauss_grid, gauss_model):
         assemble_transfer(gauss_grid, gauss_model, good, 3)
 
 
-def test_domain_truncation_warning():
+def test_domain_truncation_warning(anh_grid, anh_model, anh_spec):
     # a narrow box loses visible mass through the boundary
     model = standard_gaussian_pair(halfwidth=3.0)
     grid = build_grid(model, 64)
@@ -395,6 +396,12 @@ def test_domain_truncation_warning():
     with pytest.warns(UserWarning, match="truncation"):
         T = assemble_transfer(grid, model, spec, 65)
     assert T.meta["leaked_mass"] > 1e-4
+    # the quartic's probes reach into the auxiliary's tails: a few percent of
+    # their images leave the box, carrying no mass that matters, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        T = assemble_transfer(anh_grid, anh_model, anh_spec, 257)
+    assert T.meta["frac_outside"] > 1e-3 and T.meta["leaked_mass"] < 1e-6
 
 
 def test_two_dimensional_smoke():
