@@ -23,6 +23,7 @@ from .dynamics import (
     flow,
     inverse_flow,
     momentum_flip_conjugacy_residual,
+    spd_sqrt,
     total_energy,
 )
 from .kernel_spectral import (
@@ -46,10 +47,6 @@ from .operator import (
     weighted_norm,
     weighted_symmetry_residual,
 )
-from .tangent import (
-    TangentBlocks,
-    determinant_bounds,
-    spd_sqrt,
-)
+from .tangent import determinant_bounds
 
 __version__ = "0.1.0"

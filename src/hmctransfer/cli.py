@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .distributions import ModelPair, gaussian_potential, anharmonic_potential
-from .dynamics import (FlowSpec, PhaseState, _leapfrog, default_flow_spec, exact_gaussian_matrix,
-                       momentum_flip_conjugacy_residual, total_energy)
+from .dynamics import (FlowSpec, _leapfrog, default_flow_spec, exact_gaussian_matrix,
+                       momentum_flip_conjugacy_residual)
 from .kernel_spectral import certify_rate, eigen_spectrum, hs_norm
 from .operator import (
     assemble_transfer,
@@ -37,10 +37,7 @@ from .operator import (
     weighted_norm,
     weighted_symmetry_residual,
 )
-from .tangent import TangentBlocks, determinant_bounds, tangent_batch
-
-OPERATOR_KINDS = ("operator", "spectrum", "kernel-norm", "convergence")
-ALL_KINDS = ("flow",) + OPERATOR_KINDS + ("sampler-check",)
+from .tangent import determinant_bounds, tangent_batch
 
 
 class ConfigError(ValueError):
@@ -196,8 +193,9 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
     if spec.method == "exact_gaussian" and not model.is_gaussian:
         raise ConfigError("flow.method: exact_gaussian requires a Gaussian model pair")
 
-    # operator-building experiments must stay below the conjugate-point bound
-    if kind in OPERATOR_KINDS and time * model.lambda_max >= math.pi:
+    # every experiment but flow builds an operator, which must stay below the
+    # conjugate-point bound
+    if kind != "flow" and time * model.lambda_max >= math.pi:
         raise ConfigError(
             f"flow.time: t * lambda_max = {time * model.lambda_max:.4f} "
             f"must be < pi for {kind} experiments"
@@ -287,38 +285,31 @@ def _h0(config: ExperimentConfig, grid):
 def run_flow(config: ExperimentConfig, outdir: Path) -> int:
     model, spec = config.model, config.spec
     rng = np.random.default_rng(config.seed)
-    q0 = rng.uniform(-0.5, 0.5, size=model.dim) + 1.0 if model.dim == 1 else rng.normal(size=model.dim)
-    state = PhaseState(q=q0, p=np.zeros(model.dim))
-
     d = model.dim
-    times, qs, ps, energies, dets = [0.0], [state.q], [state.p], [total_energy(state, model)], [1.0]
-    n_check = config.samples
-    if spec.method == "exact_gaussian":
-        for s in np.linspace(spec.time / n_check, spec.time, n_check):
-            seg = FlowSpec(time=s, steps=1, method="exact_gaussian")
-            Q, P, blocks = tangent_batch(state.q[None], state.p[None], model, seg)
-            times.append(s)
-            qs.append(Q[0])
-            ps.append(P[0])
-            energies.append(float(model.target.value(Q[0]) + model.auxiliary.value(P[0])))
-            dets.append(float(np.linalg.det(TangentBlocks(*(b[0] for b in blocks)).matrix())))
-    else:
-        per = max(1, spec.steps // n_check)
-        jac = np.eye(2 * d)
-        q, p = state.q.copy(), state.p.copy()
-        done = 0
-        while done < spec.steps:
-            take = min(per, spec.steps - done)
-            seg = FlowSpec(time=take * spec.time / spec.steps, steps=take, method="leapfrog")
-            Q, P, blocks = tangent_batch(q[None], p[None], model, seg)
-            q, p = Q[0], P[0]
-            jac = TangentBlocks(*(b[0] for b in blocks)).matrix() @ jac
-            done += take
-            times.append(done * spec.time / spec.steps)
-            qs.append(q)
-            ps.append(p)
-            energies.append(float(model.target.value(q) + model.auxiliary.value(p)))
-            dets.append(float(np.linalg.det(jac)))
+    q = rng.uniform(-0.5, 0.5, size=d) + 1.0 if d == 1 else rng.normal(size=d)
+    p = np.zeros(d)
+
+    def energy(q, p):
+        return float(model.target.value(q) + model.auxiliary.value(p))
+
+    times, qs, ps, energies, dets = [0.0], [q], [p], [energy(q, p)], [1.0]
+    # leapfrog runs in pieces of whole steps, the exact map in `samples` equal
+    # pieces; the Jacobian so far is the product of the pieces' Jacobians
+    total = spec.steps if spec.method == "leapfrog" else config.samples
+    per = max(1, total // config.samples)
+    jac = np.eye(2 * d)
+    done = 0
+    while done < total:
+        take = min(per, total - done)
+        seg = FlowSpec(time=take * spec.time / total, steps=take, method=spec.method)
+        Q, P, J = tangent_batch(q[None], p[None], model, seg)
+        q, p, jac = Q[0], P[0], J[0] @ jac
+        done += take
+        times.append(done * spec.time / total)
+        qs.append(q)
+        ps.append(p)
+        energies.append(energy(q, p))
+        dets.append(float(np.linalg.det(jac)))
 
     cols = [times]
     header = ["s"]
@@ -372,7 +363,7 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> int:
     T_adj = T
     sigma = np.full(model.dim, 1.0 / math.sqrt(model.auxiliary.lambda_lo))
     conjugacy = momentum_flip_conjugacy_residual(
-        model, config.spec, [PhaseState(q=x, p=s) for x in grid.nodes for s in (sigma, -sigma)])
+        model, config.spec, np.repeat(grid.nodes, 2, axis=0), np.tile([sigma, -sigma], (grid.n, 1)))
     worst_dual = 0.0
     for _ in range(20):
         h = random_density(grid, rng)
@@ -408,7 +399,7 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> int:
 
 def run_spectrum(config: ExperimentConfig, outdir: Path) -> int:
     grid, T = _operator_stack(config)
-    report = eigen_spectrum(T, grid, config.top_k)
+    report = eigen_spectrum(T, config.top_k)
     ks = np.arange(len(report.eigenvalues))
     write_csv(outdir / "spectrum.csv", ["k", "mu"], [ks, report.eigenvalues])
     payload = {
@@ -432,7 +423,7 @@ def run_kernel_norm(config: ExperimentConfig, outdir: Path) -> int:
     grid = build_grid(config.model, config.n_per_axis)
     T = assemble_transfer(grid, config.model, config.spec, config.kernel_momentum_nodes)
     value = hs_norm(T)
-    report = eigen_spectrum(T, grid, min(grid.n - 1, 64))
+    report = eigen_spectrum(T, min(grid.n - 1, 64))
     payload = {
         "hs_norm_sq": value,
         "hs_norm_sq_momentum": T.meta["hs_norm_sq_momentum"],
@@ -448,7 +439,7 @@ def run_kernel_norm(config: ExperimentConfig, outdir: Path) -> int:
 
 def run_convergence(config: ExperimentConfig, outdir: Path) -> int:
     grid, T = _operator_stack(config)
-    report = eigen_spectrum(T, grid, config.top_k)
+    report = eigen_spectrum(T, config.top_k)
     trace = iterate(T, _h0(config, grid), config.n_max, config.tol)
     cert = certify_rate(report, trace)
     write_csv(outdir / "trace.csv", ["n", "norm", "error"], [trace.steps, trace.norms, trace.errors])
@@ -517,7 +508,7 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> int:
         return 0
 
     grid, T = _operator_stack(config)
-    report = eigen_spectrum(T, grid, 2)
+    report = eigen_spectrum(T, 2)
     fixed = report.leading_vector / mass(report.leading_vector, grid)
 
     L = model.domain_halfwidth
@@ -560,6 +551,7 @@ RUNNERS = {
     "convergence": run_convergence,
     "sampler-check": run_sampler_check,
 }
+ALL_KINDS = tuple(RUNNERS)
 
 
 def main(argv=None) -> int:

@@ -149,9 +149,11 @@ def exact_gaussian_matrix(model: ModelPair, time: float) -> np.ndarray:
 def _leapfrog(q, p, grad_u, grad_v, tau: float, steps: int):
     """Velocity-Verlet (kick-drift-kick): ``steps`` steps of size ``tau``.
 
-    Plain arithmetic on whatever q and p are: (N, d) blocks with the array
-    gradients (``flow_batch``), or Python floats with the scalar gradients of
-    a 1-d pair (the HMC chain), so both run the same integrator.
+    Plain arithmetic on whatever q and p are, so three callers run the same
+    integrator: ``flow_batch`` on (N, d) blocks with the array gradients,
+    ``cli.hmc_chain`` on Python floats with the scalar gradients of a 1-d pair,
+    and ``tangent.tangent_batch`` on lifted (N, d, 1 + 2d) arrays whose
+    gradients also apply the chain rule to the derivative columns.
 
     Each kick ``half * grad_u(q)`` is computed once and subtracted twice at a
     step boundary, the closing kick of one step and the opening kick of the
@@ -220,20 +222,19 @@ def inverse_flow(state: PhaseState, model: ModelPair, spec: FlowSpec) -> PhaseSt
     return PhaseState(q=Q, p=P)
 
 
-def momentum_flip_conjugacy_residual(model: ModelPair, spec: FlowSpec, states) -> float:
-    """Max deviation of tau . H^{-1} . tau from H over the given states.
+def momentum_flip_conjugacy_residual(model: ModelPair, spec: FlowSpec, q, p) -> float:
+    """Max deviation of tau . H^{-1} . tau from H over the states (q, p), shape (N, d).
 
     tau flips the momentum sign.  A zero residual certifies the conjugacy that
     makes the transfer operator self-adjoint for even auxiliary densities.
-    The states are stacked and flowed by one forward and one inverse sweep.
+    The states are flowed by one forward and one inverse sweep; an empty
+    batch gives 0.0.
     """
     if not model.auxiliary_even:
         raise ValueError("momentum-flip conjugacy requires an even auxiliary density")
-    states = list(states)
-    if not states:
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    if q.size == 0:
         return 0.0
-    q = np.array([s.q for s in states])
-    p = np.array([s.p for s in states])
     Q, P = flow_batch(q, p, model, spec)
     back_q, back_p = flow_batch(q, -p, model, spec, inverse=True)
     return float(max(np.max(np.abs(back_q - Q)), np.max(np.abs(back_p + P))))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import (
-    DensityGrid,
     TransferMatrix,
     to_weighted_symmetric,
     weighted_inner,
@@ -86,8 +85,8 @@ class SpectralReport:
         return float(np.sum(self.eigenvalues**2))
 
 
-def eigen_spectrum(T: TransferMatrix, grid: DensityGrid, k: int) -> SpectralReport:
-    """Top-k eigenvalues through the weighted-similarity symmetric form.
+def eigen_spectrum(T: TransferMatrix, k: int) -> SpectralReport:
+    """Top-k eigenvalues of T through the weighted-similarity symmetric form on ``T.grid``.
 
     For an even auxiliary density the operator is self-adjoint in the
     weighted inner product, so its spectrum is real and the second eigenvalue
@@ -100,6 +99,7 @@ def eigen_spectrum(T: TransferMatrix, grid: DensityGrid, k: int) -> SpectralRepo
     if not residual < 1e-6:  # a NaN residual fails too
         raise ValueError(f"operator not self-adjoint (residual {residual:.3e})")
 
+    grid = T.grid
     A, mask, scale = to_weighted_symmetric(T)
     sym = 0.5 * (A + A.T)
     vals, vecs = np.linalg.eigh(sym)

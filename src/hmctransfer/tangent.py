@@ -1,10 +1,13 @@
-"""Variational flow of the derivative blocks d(Q,P)/d(q,p).
+"""Jacobian J = d(Q,P)/d(q,p) of the flow map, carried by the flow's own integrator.
 
-The blocks evolve under the generator [[0, V''], [-U'', 0]] with identity
-initial condition.  One backend, following the flow's own: for leapfrog the
-chain rule through the substeps, the exact derivative of the discrete map
-that ``flow_batch`` applies; for Gaussian pairs the exact-Gaussian propagator
-of ``dynamics``, the same matrix at every state.
+Leapfrog is a partitioned Runge-Kutta method, so the derivative of its discrete
+map is leapfrog applied to the variational equation.  ``tangent_batch`` lifts
+each point to an array whose column 0 is the point and whose columns 1..2d are
+its derivatives along (q0, p0), and runs ``dynamics._leapfrog`` on it with
+gradients that carry the chain rule, z -> [grad U(z0), hess U(z0) z1..2d]:
+Q and P are ``flow_batch``'s, bit for bit, and J comes out of the same kicks
+and drifts.  For Gaussian pairs J is the exact-Gaussian propagator of
+``dynamics``, the same matrix at every state.
 
 Also provides the regime bounds on the Jacobian factors' product
 D_q * D_p = 1/|det dQ/dp| * 1/|det dP/dq|, valid for t * lambda_max < pi/2.
@@ -13,18 +16,15 @@ D_q * D_p = 1/|det dQ/dp| * 1/|det dP/dq|, valid for t * lambda_max < pi/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import ModelPair
-from .dynamics import FlowSpec, exact_gaussian_matrix, flow_batch, spd_sqrt
+from .dynamics import FlowSpec, _leapfrog, exact_gaussian_matrix, flow_batch
 
 __all__ = [
-    "TangentBlocks",
     "sinc",
     "tangent_batch",
-    "spd_sqrt",
     "determinant_bounds",
 ]
 
@@ -38,68 +38,35 @@ def sinc(x):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class TangentBlocks:
-    """The four d x d blocks of the flow derivative."""
-
-    dQdq: np.ndarray
-    dQdp: np.ndarray
-    dPdq: np.ndarray
-    dPdp: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        """Full 2d x 2d Jacobian."""
-        top = np.hstack([self.dQdq, self.dQdp])
-        bot = np.hstack([self.dPdq, self.dPdp])
-        return np.vstack([top, bot])
-
-    def det(self) -> float:
-        """Determinant of the full Jacobian; 1 for a symplectic map."""
-        return float(np.linalg.det(self.matrix()))
+def _lifted(potential):
+    """z -> [grad(z0), hess(z0) z1..2d]: the gradient of ``potential`` on lifted arrays
+    z of shape (n, d, 1 + 2d), with its chain rule on the derivative columns."""
+    def grad(z):
+        x = z[..., 0]
+        return np.concatenate([potential.grad(x)[..., None], potential.hess(x) @ z[..., 1:]], -1)
+    return grad
 
 
 def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
-    """Co-integrate flow and variational equation for a batch of states.
+    """Flow a batch of states and differentiate the map.
 
-    Returns (Q, P, (dQdq, dQdp, dPdq, dPdp)) with leading batch axis.  For
-    leapfrog the blocks are the exact chain-rule derivatives of the discrete
-    map.
+    Returns (Q, P, J), with Q and P of shape (n, d) and the Jacobian
+    J = d(Q,P)/d(q,p) of shape (n, 2d, 2d).  For leapfrog J is the exact
+    derivative of the discrete map that ``flow_batch`` applies.
     """
-    q = np.atleast_2d(np.array(qs, dtype=float))
-    p = np.atleast_2d(np.array(ps, dtype=float))
+    q = np.atleast_2d(np.asarray(qs, dtype=float))
+    p = np.atleast_2d(np.asarray(ps, dtype=float))
     n, d = q.shape
-
     if spec.method == "exact_gaussian":
         Q, P = flow_batch(q, p, model, spec)
-        mat = exact_gaussian_matrix(model, spec.time)
-        blocks = tuple(np.broadcast_to(b, (n, d, d)).copy()
-                       for b in (mat[:d, :d], mat[:d, d:], mat[d:, :d], mat[d:, d:]))
-        return Q, P, blocks
+        return Q, P, np.tile(exact_gaussian_matrix(model, spec.time), (n, 1, 1))
 
-    tau = spec.time / spec.steps
-    eye = np.broadcast_to(np.eye(d), (n, d, d))
-    dQdq, dQdp, dPdq, dPdp = eye.copy(), np.zeros((n, d, d)), np.zeros((n, d, d)), eye.copy()
-    # the end-of-step gradient and Hessian are the next step's starting ones
-    gq = model.target.grad(q)
-    hq = model.target.hess(q)
-    for _ in range(spec.steps):
-        p -= 0.5 * tau * gq
-        kick = 0.5 * tau * hq
-        dPdq -= kick @ dQdq
-        dPdp -= kick @ dQdp
+    def lift(x, k):  # x with d(x)/d(q0, p0) = [I, 0] (k = 0) or [0, I] (k = d)
+        return np.concatenate([x[..., None], np.tile(np.eye(d, 2 * d, k), (n, 1, 1))], -1)
 
-        drift = tau * model.auxiliary.hess(p)
-        q += tau * model.auxiliary.grad(p)
-        dQdq += drift @ dPdq
-        dQdp += drift @ dPdp
-
-        gq = model.target.grad(q)
-        hq = model.target.hess(q)
-        p -= 0.5 * tau * gq
-        kick = 0.5 * tau * hq
-        dPdq -= kick @ dQdq
-        dPdp -= kick @ dQdp
-    return q, p, (dQdq, dQdp, dPdq, dPdp)
+    Q, P = _leapfrog(lift(q, 0), lift(p, d), _lifted(model.target), _lifted(model.auxiliary),
+                     spec.time / spec.steps, spec.steps)
+    return Q[..., 0], P[..., 0], np.concatenate([Q[..., 1:], P[..., 1:]], axis=1)
 
 
 def determinant_bounds(model: ModelPair, time: float):

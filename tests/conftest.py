@@ -53,8 +53,8 @@ def gauss_kernel(gauss_grid, gauss_model, gauss_spec):
 
 
 @pytest.fixture(scope="session")
-def gauss_report(gauss_T, gauss_grid):
-    return eigen_spectrum(gauss_T, gauss_grid, k=64)
+def gauss_report(gauss_T):
+    return eigen_spectrum(gauss_T, k=64)
 
 
 @pytest.fixture(scope="session")
@@ -78,8 +78,8 @@ def anh_T(anh_grid, anh_model, anh_spec):
 
 
 @pytest.fixture(scope="session")
-def anh_report(anh_T, anh_grid):
-    return eigen_spectrum(anh_T, anh_grid, k=16)
+def anh_report(anh_T):
+    return eigen_spectrum(anh_T, k=16)
 
 
 @pytest.fixture(scope="session")

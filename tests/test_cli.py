@@ -360,16 +360,20 @@ def test_config_validation_messages(tmp_path):
 
 
 def test_conjugate_point_refusal_follows_the_subcommand(tmp_path, capsys):
-    # t = 2 pi is past the conjugate-point bound: refused for operator experiments only,
-    # whichever kind the file names
-    for kind, command, code in [("operator", "flow", 0), ("flow", "operator", 1)]:
+    # t = 2 pi is past the conjugate-point bound: refused for every experiment but flow,
+    # whichever kind the file names; sampler-check builds an operator too, and used to
+    # run its whole chain before failing
+    for kind, command, code in [("operator", "flow", 0), ("flow", "operator", 1),
+                                ("flow", "sampler-check", 1)]:
+        out = tmp_path / command
         cfg = write(tmp_path, f"{kind}.ini", FLOW_PERIOD.replace("kind = flow", f"kind = {kind}"))
-        assert main([command, "--config", cfg, "--out", str(tmp_path / kind)]) == code
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
         err = capsys.readouterr().err
         if code:
-            assert err.startswith("configuration error: flow.time:") and "operator" in err
-    manifest = (tmp_path / "operator" / "manifest.txt").read_text()
+            assert err.startswith("configuration error: flow.time:") and command in err
+    manifest = (tmp_path / "flow" / "manifest.txt").read_text()
     assert "experiment.kind = flow\n" in manifest
+    assert not (tmp_path / "sampler-check" / "sampler_report.json").exists()
 
 
 @pytest.mark.parametrize("halfwidth", [12.0, 16.0])

@@ -161,16 +161,16 @@ def test_momentum_flip_conjugacy():
     rng = np.random.default_rng(2)
     gauss = standard_gaussian_pair()
     gspec = default_flow_spec(gauss, 0.7)
-    states = [PhaseState(q=rng.uniform(-2, 2, 1), p=rng.normal(size=1)) for _ in range(50)]
-    assert momentum_flip_conjugacy_residual(gauss, gspec, states) < 1e-12
+    q, p = rng.uniform(-2, 2, (50, 1)), rng.normal(size=(50, 1))
+    assert momentum_flip_conjugacy_residual(gauss, gspec, q, p) < 1e-12
 
     quartic = anharmonic_pair(1.0, 0.5, 3.5)
     qspec = default_flow_spec(quartic, 0.3)
-    states = [PhaseState(q=rng.uniform(-2, 2, 1), p=rng.normal(size=1)) for _ in range(50)]
-    assert momentum_flip_conjugacy_residual(quartic, qspec, states) < 1e-10
+    q, p = rng.uniform(-2, 2, (50, 1)), rng.normal(size=(50, 1))
+    assert momentum_flip_conjugacy_residual(quartic, qspec, q, p) < 1e-10
 
-    origin = [PhaseState(q=np.zeros(1), p=np.zeros(1))]
-    assert momentum_flip_conjugacy_residual(gauss, gspec, origin) == 0.0
+    assert momentum_flip_conjugacy_residual(gauss, gspec, np.zeros((1, 1)), np.zeros((1, 1))) == 0.0
+    assert momentum_flip_conjugacy_residual(gauss, gspec, np.zeros((0, 1)), np.zeros((0, 1))) == 0.0
 
 
 def test_flip_conjugacy_requires_even_auxiliary():
@@ -182,7 +182,7 @@ def test_flip_conjugacy_requires_even_auxiliary():
     )
     spec = default_flow_spec(model, 0.3, method="leapfrog")
     with pytest.raises(ValueError, match="even"):
-        momentum_flip_conjugacy_residual(model, spec, [PhaseState(q=np.zeros(1), p=np.zeros(1))])
+        momentum_flip_conjugacy_residual(model, spec, np.zeros((1, 1)), np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("maker,time", [(standard_gaussian_pair, 0.7), (lambda: anharmonic_pair(1.0, 0.5, 3.5), 0.08)])

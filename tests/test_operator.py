@@ -408,7 +408,10 @@ def test_two_dimensional_smoke():
     model = standard_gaussian_pair(dim=2, halfwidth=6.0)
     grid = build_grid(model, 24)
     spec = default_flow_spec(model, 0.5)
-    T = assemble_transfer(grid, model, spec, 15)
+    # the outer Gauss-Hermite nodes (|p| = 6.36) carry 18% of the images out of the
+    # 6-sigma box: a true leak of 3.2e-6 relative mass
+    with pytest.warns(UserWarning, match="domain truncation"):
+        T = assemble_transfer(grid, model, spec, 15)
     assert T.meta["deposit"] == "multilinear"
     rng = np.random.default_rng(1)
     h = random_density(grid, rng)

@@ -4,7 +4,6 @@ from scipy.linalg import expm
 
 from hmctransfer import (
     FlowSpec,
-    TangentBlocks,
     anharmonic_pair,
     default_flow_spec,
     determinant_bounds,
@@ -22,32 +21,33 @@ def random_spd(rng, d):
 
 
 def blocks_at(q, p, model, spec):
-    """The tangent blocks of one state (q, p)."""
-    _, _, blocks = tangent_batch(np.atleast_1d(q)[None], np.atleast_1d(p)[None], model, spec)
-    return TangentBlocks(*(b[0] for b in blocks))
+    """The flow Jacobian d(Q,P)/d(q,p) at one state (q, p)."""
+    _, _, J = tangent_batch(np.atleast_1d(q)[None], np.atleast_1d(p)[None], model, spec)
+    return J[0]
 
 
-def jacobian_factors(blocks):
+def jacobian_factors(J):
     """(D_q, D_p) = (1/|det dQ/dp|, 1/|det dP/dq|)."""
-    return 1.0 / abs(np.linalg.det(blocks.dQdp)), 1.0 / abs(np.linalg.det(blocks.dPdq))
+    d = len(J) // 2
+    return 1.0 / abs(np.linalg.det(J[:d, d:])), 1.0 / abs(np.linalg.det(J[d:, :d]))
 
 
 def test_gaussian_blocks_are_rotation():
     model = standard_gaussian_pair()
     t = 0.9
     spec = FlowSpec(time=t, steps=1, method="exact_gaussian")
-    blocks = blocks_at(0.7, -0.2, model, spec)
-    assert blocks.dQdq[0, 0] == pytest.approx(np.cos(t), abs=1e-12)
-    assert blocks.dQdp[0, 0] == pytest.approx(np.sin(t), abs=1e-12)
-    assert blocks.dPdq[0, 0] == pytest.approx(-np.sin(t), abs=1e-12)
-    assert blocks.dPdp[0, 0] == pytest.approx(np.cos(t), abs=1e-12)
+    J = blocks_at(0.7, -0.2, model, spec)
+    assert J[0, 0] == pytest.approx(np.cos(t), abs=1e-12)
+    assert J[0, 1] == pytest.approx(np.sin(t), abs=1e-12)
+    assert J[1, 0] == pytest.approx(-np.sin(t), abs=1e-12)
+    assert J[1, 1] == pytest.approx(np.cos(t), abs=1e-12)
 
 
 def test_blocks_reduce_to_identity_at_short_time():
     model = anharmonic_pair(1.0, 0.5, 3.5)
     spec = FlowSpec(time=1e-12, steps=1, method="leapfrog")
-    blocks = blocks_at(1.0, 0.5, model, spec)
-    assert np.max(np.abs(blocks.matrix() - np.eye(2))) < 1e-10
+    J = blocks_at(1.0, 0.5, model, spec)
+    assert np.max(np.abs(J - np.eye(2))) < 1e-10
 
 
 def test_tangent_blocks_match_finite_differences():
@@ -57,7 +57,7 @@ def test_tangent_blocks_match_finite_differences():
     eps = 1e-5
     for _ in range(50):
         q, p = rng.uniform(-1.5, 1.5, 1), rng.normal(size=1)
-        jac = blocks_at(q, p, model, spec).matrix()
+        jac = blocks_at(q, p, model, spec)
         fd = np.zeros((2, 2))
         for col, (dq, dp) in enumerate([(eps, 0.0), (0.0, eps)]):
             Qp, Pp = flow_batch(q + dq, p + dp, model, spec)
@@ -180,8 +180,8 @@ def test_anharmonic_product_inside_bounds():
         if model.target.value(np.array([q])) + 0.5 * p**2 < 0.999 * u_edge:
             qs.append([q])
             ps.append([p])
-    _, _, blocks = tangent_batch(np.array(qs), np.array(ps), model, spec)
-    prod = 1.0 / (np.abs(blocks[1][:, 0, 0]) * np.abs(blocks[2][:, 0, 0]))
+    _, _, J = tangent_batch(np.array(qs), np.array(ps), model, spec)
+    prod = 1.0 / (np.abs(J[:, 0, 1]) * np.abs(J[:, 1, 0]))
     assert prod.min() >= lower - 1e-9
     assert prod.max() <= upper + 1e-9
 
@@ -191,13 +191,13 @@ def test_full_jacobian_determinant_is_one():
     quartic = anharmonic_pair(1.0, 0.5, 3.5)
     qspec = default_flow_spec(quartic, 0.3)
     for _ in range(20):
-        blocks = blocks_at(rng.uniform(-2, 2, 1), rng.normal(size=1), quartic, qspec)
-        assert abs(blocks.det() - 1.0) < 1e-12
+        J = blocks_at(rng.uniform(-2, 2, 1), rng.normal(size=1), quartic, qspec)
+        assert abs(np.linalg.det(J) - 1.0) < 1e-12
     gauss = standard_gaussian_pair(dim=2)
     gspec = FlowSpec(time=0.6, steps=1, method="exact_gaussian")
     for _ in range(10):
-        blocks = blocks_at(rng.normal(size=2), rng.normal(size=2), gauss, gspec)
-        assert abs(blocks.det() - 1.0) < 1e-10
+        J = blocks_at(rng.normal(size=2), rng.normal(size=2), gauss, gspec)
+        assert abs(np.linalg.det(J) - 1.0) < 1e-10
 
 
 def test_sinc_series_switchover():
@@ -209,29 +209,24 @@ def test_sinc_series_switchover():
     assert abs(vals[4]) < 1e-15
 
 
-def unblocked_tangent(qs, ps, model, spec):
-    """One pass of the leapfrog variational loop over all points with (N, d, d) matmuls."""
+def chain_rule_leapfrog(qs, ps, model, spec):
+    """Kick-drift-kick over all points with a new array per update, each update of
+    (q, p) followed by its chain rule on dq, dp = d(q, p)/d(q0, p0), shape (n, d, 2d)."""
     n, d = qs.shape
     tau = spec.time / spec.steps
-    q, p = qs.copy(), ps.copy()
-    eye = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    dQdq, dQdp, dPdq, dPdp = eye, np.zeros((n, d, d)), np.zeros((n, d, d)), eye.copy()
-    gq = model.target.grad(q)
-    hq = model.target.hess(q)
+    half = 0.5 * tau
+    q, p = qs, ps
+    dq = np.tile(np.eye(d, 2 * d), (n, 1, 1))
+    dp = np.tile(np.eye(d, 2 * d, d), (n, 1, 1))
     for _ in range(spec.steps):
-        p = p - 0.5 * tau * gq
-        dPdq = dPdq - 0.5 * tau * hq @ dQdq
-        dPdp = dPdp - 0.5 * tau * hq @ dQdp
+        p = p - half * model.target.grad(q)
+        dp = dp - half * (model.target.hess(q) @ dq)
         hp = model.auxiliary.hess(p)
         q = q + tau * model.auxiliary.grad(p)
-        dQdq = dQdq + tau * hp @ dPdq
-        dQdp = dQdp + tau * hp @ dPdp
-        gq = model.target.grad(q)
-        hq = model.target.hess(q)
-        p = p - 0.5 * tau * gq
-        dPdq = dPdq - 0.5 * tau * hq @ dQdq
-        dPdp = dPdp - 0.5 * tau * hq @ dQdp
-    return q, p, (dQdq, dQdp, dPdq, dPdp)
+        dq = dq + tau * (hp @ dp)
+        p = p - half * model.target.grad(q)
+        dp = dp - half * (model.target.hess(q) @ dq)
+    return q, p, np.concatenate([dq, dp], axis=1)
 
 
 def leapfrog_pairs():
@@ -245,14 +240,17 @@ def leapfrog_pairs():
 
 
 @pytest.mark.parametrize("model, spec", leapfrog_pairs(), ids=["quartic", "gauss-2d"])
-def test_blocked_tangent_matches_unblocked_loop_bit_for_bit(model, spec):
+def test_tangent_batch_is_the_flow_and_its_chain_rule_bit_for_bit(model, spec):
+    # the lifted leapfrog gives flow_batch's points and, in every kick and drift,
+    # the written-out chain rule: (tau / 2) (H . dq), not ((tau / 2) H) . dq
     n = 1000
     rng = np.random.default_rng(5)
     qs = rng.uniform(-2.0, 2.0, (n, model.dim))
     ps = rng.normal(size=(n, model.dim))
-    got = tangent_batch(qs, ps, model, spec)
-    ref = unblocked_tangent(qs, ps, model, spec)
-    for a, b in zip(got[:2], ref[:2]):
-        assert np.array_equal(a, b)
-    for a, b in zip(got[2], ref[2]):
-        assert np.array_equal(a, b)
+    Q, P, J = tangent_batch(qs, ps, model, spec)
+    for got, ref in zip((Q, P), flow_batch(qs, ps, model, spec)):
+        assert np.array_equal(got, ref)
+    ref_q, ref_p, ref_J = chain_rule_leapfrog(qs, ps, model, spec)
+    assert np.array_equal(Q, ref_q) and np.array_equal(P, ref_p)
+    assert J.shape == (n, 2 * model.dim, 2 * model.dim)
+    assert np.array_equal(J, ref_J)
