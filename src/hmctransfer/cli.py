@@ -260,16 +260,28 @@ def write_manifest(outdir: Path, config: ExperimentConfig, extra: dict | None = 
 
 
 def write_csv(path: Path, header: list, columns: list):
-    # Python scalars format faster than numpy ones, to the same text
-    columns = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
-    # a column of Python floats skips _fmt's type dispatch; every column is a
-    # lazy map, so rows are formatted as they are streamed out and the whole
-    # text is never held in memory
-    cells = [map("{:.17g}".format if all(type(v) is float for v in col) else _fmt, col)
-             for col in columns]
+    # one %-format per file: a column of floats or of ints (bool is not one)
+    # skips _fmt's type dispatch; an array's elements are judged by its dtype,
+    # since its tolist gives Python scalars
+    specs = []
+    for col in columns:
+        if isinstance(col, np.ndarray):
+            floats, ints = col.dtype.kind == "f", col.dtype.kind in "iu"
+        else:
+            floats = all(type(v) is float for v in col)
+            ints = not floats and all(type(v) is int for v in col)
+        specs.append("%.17g" if floats else "%d" if ints else "%s")
+    line = ",".join(specs) + "\n"
+    # rows go out in joined blocks, one write per block, and only a block's
+    # scalars and text are held at a time; Python scalars format faster than
+    # numpy ones, to the same text
     with path.open("w") as out:
         out.write(",".join(header) + "\n")
-        out.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for lo in range(0, min(map(len, columns), default=0), 1024):
+            block = [col[lo:lo + 1024] for col in columns]
+            block = [col.tolist() if isinstance(col, np.ndarray) else col for col in block]
+            block = [map(_fmt, col) if spec == "%s" else col for col, spec in zip(block, specs)]
+            out.write("".join(line % row for row in zip(*block)))
 
 
 def write_json(path: Path, payload: dict):
@@ -518,7 +530,7 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> int:
     empirical = counts / (config.draws * width)
     # antiderivative of the interpolated fixed point at the bin edges
     x = grid.axes[0]
-    slopes = spline_coefficients(x[None], fixed[None, :, None])[0, :, 0]
+    slopes = spline_coefficients(x[None], [fixed[None]])[0, :, 0]
     h = np.diff(x)
     rise = np.diff(fixed) / h
     t = (slopes[:-1] + slopes[1:] - 2 * rise) / h

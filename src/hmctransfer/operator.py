@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import ModelPair, density_value
-from .dynamics import FlowSpec, flow_batch
+from .dynamics import BLOCK_POINTS, FlowSpec, flow_batch
 
 __all__ = [
     "DensityGrid",
@@ -244,76 +244,77 @@ def build_momentum_rule(model: ModelPair, m: int) -> MomentumRule:
     return MomentumRule(nodes=pts, weights=wt)
 
 
-def spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Knot slopes (B, N, R) of the not-a-knot cubic splines through y(x), x (B, N), N >= 4.
+def spline_coefficients(x: np.ndarray, curves) -> np.ndarray:
+    """Knot slopes (B, N, R) of the not-a-knot cubic splines through the R curves y(x).
 
-    One forward and one backward sweep along N solve the tridiagonal system for
-    the knot slopes of all B curves (de Boor, A Practical Guide to Splines,
-    ch. IV), without pivoting: the matrix is diagonally dominant after the
-    first elimination.  With the knot values the slopes fix every piece as a
-    cubic Hermite interpolant, so callers evaluate only the pieces, values or
-    derivatives they need.
+    x is (B, N), N >= 4, and ``curves`` a sequence of R arrays (B, N), each of
+    any layout and possibly a broadcast view.  One forward and one backward
+    sweep along N solve the tridiagonal system for the knot slopes of all B
+    rows (de Boor, A Practical Guide to Splines, ch. IV), without pivoting:
+    the matrix is diagonally dominant after the first elimination.  With the
+    knot values the slopes fix every piece as a cubic Hermite interpolant, so
+    callers evaluate only the pieces, values or derivatives they need.
 
     The sweep steps along the knot axis, so its buffers are laid out knot
     axis first in memory, as (B, N) and (B, N, R) views of (N, B) and
     (N, B, R) blocks: each step then reads and writes B contiguous values,
-    and the slopes come back as such a view.  Inputs of any layout are
-    accepted; x and y given the same way, as transposed views of knot-major
-    arrays, keep the differences knot-major too.  Every operation is
-    elementwise, so the slopes do not depend on the layout.
+    and the slopes come back as such a view.  Every operation is elementwise,
+    so the slopes do not depend on the layout of x or the curves.
 
-    Memory: the right-hand side b, which the sweep turns into the slopes in
-    place, is filled before the matrix, so the secant slopes (B, N - 1, R)
-    are released before the three (B, N) bands exist, and the knot spacings
-    once the bands are set; no (B, N, R) temporary is made.  The peak holds
-    the spacings, b and the bands.
+    Memory: besides the slopes, which the sweep computes in place from the
+    right-hand side, the solve makes two (B, N) arrays.  The knot spacings dx
+    are one; the off-diagonal bands are read as its rows, upper[i] = dx[i - 1]
+    and lower[i] = dx[i], with the two not-a-knot end entries kept aside.
+    The right-hand side is filled one curve at a time through one (B, N - 1)
+    secant buffer, released before the diagonal, the other, is made.
     """
     n = x.shape[1]
     if n < 4:
         raise ValueError(f"not-a-knot spline needs at least 4 knots, got {n}")
-    dx = np.diff(x, axis=1)
-    dxr = dx[..., None]
-    slope = np.diff(y, axis=1) / dxr
-
-    # tridiagonal rows: lower[i] * s[i - 1] + diag[i] * s[i] + upper[i] * s[i + 1] = b[i];
-    # b comes first, so the secant slopes are gone before the matrix exists
-    b = np.empty((n, y.shape[0], y.shape[2])).transpose(1, 0, 2)
+    rows = x.shape[0]
+    dx = np.subtract(x[:, 1:], x[:, :-1], out=np.empty((n - 1, rows)).T)
     # not-a-knot: the cubic coefficient is continuous at the second and last-but-one knot
-    head = (x[:, 2] - x[:, 0])[:, None]
-    b[:, 0] = ((dxr[:, 0] + 2 * head) * dxr[:, 1] * slope[:, 0] + dxr[:, 0] ** 2 * slope[:, 1]) / head
-    tail = (x[:, -1] - x[:, -3])[:, None]
-    b[:, -1] = (dxr[:, -1] ** 2 * slope[:, -2]
-                + (2 * tail + dxr[:, -1]) * dxr[:, -2] * slope[:, -1]) / tail
-    # b[i] = 3 (dx[i] slope[i - 1] + dx[i - 1] slope[i]) in place, without temporaries:
-    # products commute, so it rounds as the out-of-place expression
-    inner = b[:, 1:-1]
-    np.multiply(dxr[:, 1:], slope[:, :-1], out=inner)
-    slope[:, 1:] *= dxr[:, :-1]
-    inner += slope[:, 1:]
-    inner *= 3
-    del slope
-    diag, upper, lower = np.empty((3, n, x.shape[0])).transpose(0, 2, 1)
-    np.add(dx[:, :-1], dx[:, 1:], out=diag[:, 1:-1])
-    diag[:, 1:-1] *= 2
-    upper[:, 1:-1] = dx[:, :-1]
-    lower[:, 1:-1] = dx[:, 1:]
-    diag[:, 0], upper[:, 0] = dx[:, 1], head[:, 0]
-    diag[:, -1], lower[:, -1] = dx[:, -2], tail[:, 0]
-    del dx, dxr
-    # the sweep steps through the knot-major bases, one contiguous knot row at a
-    # time, into two reused buffers: the same products and differences as
+    head = x[:, 2] - x[:, 0]
+    tail = x[:, -1] - x[:, -3]
+
+    # tridiagonal rows: lower[i] * s[i - 1] + diag[i] * s[i] + upper[i] * s[i + 1] = b[i]
+    b = np.empty((n, rows, len(curves))).transpose(1, 0, 2)
+    secant = np.empty((n - 1, rows)).T
+    first = (dx[:, 0] + 2 * head) * dx[:, 1]
+    last = (2 * tail + dx[:, -1]) * dx[:, -2]
+    for r, y in enumerate(curves):
+        np.subtract(y[:, 1:], y[:, :-1], out=secant)
+        secant /= dx
+        b[:, 0, r] = (first * secant[:, 0] + dx[:, 0] ** 2 * secant[:, 1]) / head
+        b[:, -1, r] = (dx[:, -1] ** 2 * secant[:, -2] + last * secant[:, -1]) / tail
+        # b[i] = 3 (dx[i] secant[i - 1] + dx[i - 1] secant[i]) in place, without temporaries:
+        # products commute, so it rounds as the out-of-place expression
+        inner = b[:, 1:-1, r]
+        np.multiply(dx[:, 1:], secant[:, :-1], out=inner)
+        secant[:, 1:] *= dx[:, :-1]
+        inner += secant[:, 1:]
+        inner *= 3
+    del secant
+    diag = np.empty((n, rows))
+    np.add(dx.T[:-1], dx.T[1:], out=diag[1:-1])
+    diag[1:-1] *= 2
+    diag[0], diag[-1] = dx.T[1], dx.T[-2]
+    # the sweep steps through knot-major rows, one contiguous row per knot, into
+    # two reused buffers: the same products and differences as
     # b[:, i] -= fact[:, None] * b[:, i - 1] and diag[:, i] -= fact * upper[:, i - 1],
     # b first, since the diag product overwrites fact
-    diag_k, upper_k, lower_k, b_k = diag.T, upper.T, lower.T, b.transpose(1, 0, 2)
-    fact, prod = np.empty(x.shape[0]), np.empty(b_k.shape[1:])
+    # the off-diagonal bands as rows of dx: upper[0] = head and lower[n - 1] = tail
+    upper, lower = [head, *dx.T[:-1]], [*dx.T, tail]
+    b_k = b.transpose(1, 0, 2)
+    fact, prod = np.empty(rows), np.empty(b_k.shape[1:])
     for i in range(1, n):
-        np.divide(lower_k[i], diag_k[i - 1], out=fact)
+        np.divide(lower[i], diag[i - 1], out=fact)
         b_k[i] -= np.multiply(fact[:, None], b_k[i - 1], out=prod)
-        diag_k[i] -= np.multiply(fact, upper_k[i - 1], out=fact)
-    b_k[-1] /= diag_k[-1, :, None]
+        diag[i] -= np.multiply(fact, upper[i - 1], out=fact)
+    b_k[-1] /= diag[-1, :, None]
     for i in range(n - 2, -1, -1):
-        b_k[i] -= np.multiply(upper_k[i, :, None], b_k[i + 1], out=prod)
-        b_k[i] /= diag_k[i, :, None]
+        b_k[i] -= np.multiply(upper[i][:, None], b_k[i + 1], out=prod)
+        b_k[i] /= diag[i, :, None]
     return b
 
 
@@ -335,10 +336,11 @@ def _truncation(grid: DensityGrid, inside: np.ndarray, G: np.ndarray) -> dict:
     a warning note when that mass exceeds 1e-6, the fixed-point bound, for an
     operator's meta.  The share alone tells little: the quartic's probes span
     the auxiliary's tails, so 3% of its images leave the box with 2e-11 of the
-    mass."""
+    mass.  G is overwritten: its entries inside the box are zeroed in place."""
     frac_outside = 1.0 - float(np.count_nonzero(inside)) / inside.size
     f = grid.target_values
-    leaked = float((grid.weights * f) @ (G * ~inside).sum(axis=1)) / float(grid.weights @ f)
+    G *= ~inside
+    leaked = float((grid.weights * f) @ G.sum(axis=1)) / float(grid.weights @ f)
     notes = []
     if leaked > 1e-6:
         msg = (
@@ -377,6 +379,7 @@ def _multilinear(grid, model, spec, momentum_nodes, inverse):
     G = np.exp(np.log(rule.weights) + model.auxiliary.value(rule.nodes)
                - model.auxiliary.value(P).reshape(n, m))
     inside = grid.inside(Q)
+    g = G.reshape(-1) * inside
     meta = {**_truncation(grid, inside.reshape(n, m), G), "deposit": "multilinear"}
 
     idx, frac = [], []
@@ -385,7 +388,6 @@ def _multilinear(grid, model, spec, momentum_nodes, inverse):
         idx.append(pos)
         frac.append((Q[:, axis] - ax[pos]) / (ax[pos + 1] - ax[pos]))
     strides = [int(np.prod(grid.shape[a + 1:])) for a in range(d)]
-    g = G.reshape(-1) * inside
     rows = np.repeat(np.arange(n), m) * n
     out = np.zeros(n * n)
     for corner in range(2 ** d):
@@ -419,11 +421,14 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse):
     mass 1e-12 at s = 2, 5e-9 at 1, 1e-2 at 0.5 (n = 401).  Below one cell
     this raises ``ValueError`` before the spline is solved.
 
-    Memory: the flow's P is copied into the spline's curves (P, p) and
-    released before the solve.  The peak is inside the solve, which holds Q,
-    the curves (twice Q's size) and its own buffers; at large n the values at
-    the (row, node) pairs, a few arrays of one double per pair updated in
-    place, take over; K is scaled into T in place.
+    Memory: the spline reads P as a view of the flow's own output and p as a
+    broadcast of the probes, so no curve is copied.  The peak is inside the
+    solve, which holds Q, P, the knot spacings, the two-curve right-hand side
+    and the diagonal; g(P) is then filled into one (n, m) buffer in row
+    blocks, and the Hilbert-Schmidt and truncation products are formed in
+    place, the first in one more buffer, the second in g(P)'s.  At large n the
+    values at the (row, node) pairs, a few arrays of one double per pair
+    updated in place, take over; K is scaled into T in place.
     """
     if momentum_nodes < 4:
         raise ValueError(f"need at least 4 kernel momentum nodes, got {momentum_nodes}")
@@ -447,11 +452,10 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse):
     Q = Q[:m].T
     if not np.all(np.diff(Q, axis=1) > 0):
         raise ValueError("momentum-to-position map not strictly monotone on a probe")
-    # the curves (P, +-p) stacked knot-major, passed as a (row, knot, 2) view
-    p = np.broadcast_to((-probes if inverse else probes)[:, None], (m, n))
-    curves = np.stack([P[:m * n].reshape(m, n), p], axis=-1).transpose(1, 0, 2)
-    del P, p
-    slopes = spline_coefficients(Q, curves)
+    # the curves P and +-p over (row, knot), as views
+    P = P[:m * n].reshape(m, n).T
+    p = np.broadcast_to(-probes if inverse else probes, (n, m))
+    slopes = spline_coefficients(Q, (P, p))
     if not np.all(slopes[:, :, 1] > 0):
         raise ValueError("dp/dQ lost positivity along a probe; conjugate point reached")
 
@@ -465,26 +469,37 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse):
     # {(q, p): Q(q, p) inside the box}
     w = grid.weights
     f = grid.target_values
-    gP = gbar(curves[:, :, 0].reshape(-1)).reshape(n, -1)
+    # g(P) in row blocks, so gbar's temporaries stay block-sized
+    gP = np.empty((n, m))
+    step = max(1, BLOCK_POINTS // m)
+    for lo in range(0, n, step):
+        gP[lo:lo + step] = gbar(P[lo:lo + step]).reshape(-1, m)
     in_box = (Q >= x[0]) & (Q <= x[-1])
-    hs_mom = float(np.einsum("i,k,ik->", w, probe_weights, in_box * gP * slopes[:, :, 1]))
-    truncation = _truncation(grid, in_box, (probe_weights / gbar(probes)) * gP)
+    hs = np.multiply(in_box, gP)
+    hs *= slopes[:, :, 1]
+    hs_mom = float(np.einsum("i,k,ik->", w, probe_weights, hs))
+    del hs
+    # G = probe weight * g(P) / g(p) in place: products commute, so it rounds
+    # as the out-of-place product
+    gP *= probe_weights / gbar(probes)
+    truncation = _truncation(grid, in_box, gP)
     del gP, in_box
 
     # below[i, j] counts the images Q[i, k] <= x[j]: node j on row i's curve lies
     # in piece below - 1, the last piece closed on the right
-    below = np.cumsum(np.bincount((np.searchsorted(x, Q) + (n + 1) * np.arange(n)[:, None]).ravel(),
-                                  minlength=n * (n + 1)).reshape(n, n + 1)[:, :n], axis=1)
+    counts = np.bincount((np.searchsorted(x, Q) + (n + 1) * np.arange(n)[:, None]).ravel(),
+                         minlength=n * (n + 1)).reshape(n, n + 1)
+    below = np.cumsum(counts, axis=1, out=counts)[:, :n]
     rows, cols = np.nonzero((below > 0) & (x[None, :] <= Q[:, -1:]))
     piece = np.minimum(below[rows, cols] - 1, m - 2)
-    del below
+    del counts, below
     at, nxt = (rows, piece), (rows, piece + 1)
     h = Q[nxt] - Q[at]
     s = x[cols] - Q[at]
     del Q
-    P_at = _spline_piece(curves[:, :, 0], slopes[:, :, 0], at, nxt, h, s)
-    D_at = _spline_piece(curves[:, :, 1], slopes[:, :, 1], at, nxt, h, s, slope=True)
-    del curves, slopes, at, nxt, piece, h, s
+    P_at = _spline_piece(P, slopes[:, :, 0], at, nxt, h, s)
+    D_at = _spline_piece(p, slopes[:, :, 1], at, nxt, h, s, slope=True)
+    del P, p, slopes, at, nxt, piece, h, s
     if not np.all(D_at > 0):
         raise ValueError("dp/dQ lost positivity between probes; conjugate point reached")
     T = np.zeros((n, n))

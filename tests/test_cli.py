@@ -445,6 +445,11 @@ def test_write_csv_bytes_match_per_cell_format(tmp_path):
     rows = [",".join(header)] + [",".join(cli._fmt(col[i]) for col in columns) for i in range(12)]
     assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
     assert path.read_text().splitlines()[1] == "-3,-0.14285714285714285,true,1e-300,0"
+    # rows are written in blocks of 1024: a file across three blocks, shortest column last
+    long = [np.arange(2050), np.linspace(0.0, 1.0, 2050) ** 3, [float(v) for v in range(2049)]]
+    cli.write_csv(path, ["n", "x", "y"], long)
+    rows = [",".join(cli._fmt(col[i]) for col in long) for i in range(2049)]
+    assert path.read_bytes() == ("n,x,y\n" + "\n".join(rows) + "\n").encode()
 
 
 def test_threads_flag_accepted(tmp_path):

@@ -459,7 +459,7 @@ def test_iterate_norms_are_weighted_norms(gauss_T, gauss_grid):
 def test_spline_coefficients_match_scipy_on_identity(n):
     # cardinal splines: the spline of the identity on a uniform grid
     x = np.linspace(-3.5, 3.5, n)
-    slopes = spline_coefficients(x[None], np.eye(n)[None])[0]
+    slopes = spline_coefficients(x[None], np.eye(n)[None].transpose(2, 0, 1))[0]
     ref = CubicSpline(x, np.eye(n))(x, 1)
     assert np.max(np.abs(slopes - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -469,11 +469,11 @@ def test_spline_coefficients_match_scipy_on_batched_rows(knots):
     rng = np.random.default_rng(knots)
     x = np.cumsum(rng.uniform(0.05, 1.0, (6, knots)), axis=1) - 2.0
     y = rng.normal(size=(6, knots, 3))
-    slopes = spline_coefficients(x, y)
-    # the same curves as transposed views of knot-major arrays, as the kernel passes them
+    slopes = spline_coefficients(x, y.transpose(2, 0, 1))
+    # the same curves as transposed views of knot-major arrays
     x_view = np.ascontiguousarray(x.T).T
     y_view = np.ascontiguousarray(y.transpose(1, 0, 2)).transpose(1, 0, 2)
-    assert np.array_equal(spline_coefficients(x_view, y_view), slopes)
+    assert np.array_equal(spline_coefficients(x_view, y_view.transpose(2, 0, 1)), slopes)
     for b in range(6):
         spline = CubicSpline(x[b], y[b])
         # the left-knot slopes are scipy's linear coefficients, the last its end slope
@@ -481,25 +481,53 @@ def test_spline_coefficients_match_scipy_on_batched_rows(knots):
         assert np.all(np.abs(slopes[b, :-1] - spline.c[2]) <= 1e-14 * scale)
         assert np.all(np.abs(slopes[b, -1] - spline(x[b, -1], 1)) <= 1e-14 * scale)
     with pytest.raises(ValueError, match="4 knots"):
-        spline_coefficients(x[:, :3], y[:, :3])
+        spline_coefficients(x[:, :3], y[:, :3].transpose(2, 0, 1))
+
+
+def test_spline_coefficients_take_curves_of_any_layout():
+    # the kernel's curves: P a transposed view of the knot-major flow output, p one
+    # broadcast row of probes; the solve copies neither
+    rows, knots = 401, 1025
+    rng = np.random.default_rng(7)
+    x = np.ascontiguousarray(np.cumsum(rng.uniform(0.05, 1.0, (rows, knots)), axis=1).T).T
+    y = np.ascontiguousarray(rng.normal(size=(rows, knots)).T).T
+    p = np.broadcast_to(np.linspace(-4.0, 4.0, knots), (rows, knots))
+    tracemalloc.start()
+    try:
+        slopes = spline_coefficients(x, (y, p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(slopes, spline_coefficients(np.array(x), (np.array(y), np.array(p))))
+    for b in range(0, rows, 80):
+        for r, curve in enumerate((y, p)):
+            spline = CubicSpline(x[b], curve[b])
+            scale = np.max(np.abs(spline.c[2]))
+            assert np.all(np.abs(slopes[b, :-1, r] - spline.c[2]) <= 1e-14 * scale)
+            assert abs(slopes[b, -1, r] - spline(x[b, -1], 1)) <= 1e-14 * scale
+    # the slopes (two arrays of B * N doubles), the knot spacings and one more
+    # band: 4.08 arrays traced; a stacked right-hand side and three bands read 6.00
+    assert peak <= 4.5 * 8 * rows * knots
 
 
 def test_quartic_transfer_assembly_peak_memory(anh_grid, anh_model, anh_spec):
-    # the spline pieces are evaluated in place, and every array is released
-    # after its last use: 7.1 MiB traced at n = 401 / m = 257; the filtered
-    # cubic deposit this matrix replaced read 16.95 MiB
+    # the spline reads the flowed curves as views and every array is released
+    # after its last use: 5.18 MiB traced at n = 401 / m = 257; stacked curve
+    # copies and spline bands read 7.09, the filtered cubic deposit this matrix
+    # replaced 16.95
     tracemalloc.start()
     try:
         assemble_transfer(anh_grid, anh_model, anh_spec, 257)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 2**20
+    assert peak <= 7 * 2**20
 
 
 def test_gaussian_transfer_assembly_peak_memory(gauss_model, gauss_spec):
-    # n = 801 / m = 257: 35.5 MiB traced; the stacked spline coefficients took
-    # the peak to 74.2 MiB, evaluating the pieces out of place to 48.8 MiB
+    # n = 801 / m = 257: 33.9 MiB traced, set by the (row, node) pairs of the
+    # wide kernel; stacked curve copies read 35.5, the stacked spline
+    # coefficients 74.2, evaluating the pieces out of place 48.8
     grid = build_grid(gauss_model, 801)
     tracemalloc.start()
     try:
@@ -507,7 +535,22 @@ def test_gaussian_transfer_assembly_peak_memory(gauss_model, gauss_spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 55 * 2**20
+    assert peak <= 38 * 2**20
+
+
+@pytest.mark.parametrize("n, m", [(201, 1025), (401, 513)])
+def test_quartic_transfer_assembly_peak_scales_with_the_flow(anh_model, anh_spec, n, m):
+    # the flow output is n (m + 2) doubles per coordinate; Q, P, the knot
+    # spacings, the two-curve right-hand side and the diagonal set the peak at
+    # 6.2 such arrays at both sizes; stacked curve copies and three bands read 9.0
+    grid = build_grid(anh_model, n)
+    tracemalloc.start()
+    try:
+        assemble_transfer(grid, anh_model, anh_spec, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 8 * n * (m + 2)
 
 
 def test_quartic_nystrom_spectrum(anh_T, anh_report):
