@@ -18,13 +18,10 @@ from .distributions import (
 )
 from .dynamics import (
     FlowSpec,
-    PhaseState,
     default_flow_spec,
-    flow,
-    inverse_flow,
+    determinant_bounds,
     momentum_flip_conjugacy_residual,
     spd_sqrt,
-    total_energy,
 )
 from .kernel_spectral import (
     RateCertificate,
@@ -47,6 +44,5 @@ from .operator import (
     weighted_norm,
     weighted_symmetry_residual,
 )
-from .tangent import determinant_bounds
 
 __version__ = "0.1.0"

@@ -1,17 +1,36 @@
-"""Hamiltonian flow H_t : (q, p) -> (Q, P) and its inverse.
+"""Hamiltonian flow H_t : (q, p) -> (Q, P), its Jacobian, the HMC chain and
+the regime bounds on the flow time.
 
-Two backends: a closed-form map for Gaussian pairs (the linear Hamiltonian
-system solved exactly in cos/sinc form, the package's one exact-Gaussian
-propagator) and velocity-Verlet leapfrog for everything else.  Leapfrog is
-symplectic and time-reversible, so the invariance properties the operator
-theory needs hold exactly for the discrete map, not just approximately.  No
-Metropolis correction is applied anywhere; integration error is measured by
-the tests instead of hidden.
+One integrator, velocity-Verlet leapfrog (``_leapfrog``), has three callers:
+``flow_batch`` maps many phase points at once, ``tangent_batch`` carries the
+Jacobian through the same kicks and drifts, and ``hmc_chain`` runs a
+Metropolis-corrected 1-d chain on Python floats.  Leapfrog is symplectic and
+time-reversible, so the invariance properties the operator theory needs hold
+exactly for the discrete map, not just approximately.  Gaussian pairs also
+have a closed-form map, the linear Hamiltonian system solved exactly in
+cos/sinc form (``exact_gaussian_matrix``, the package's one exact-Gaussian
+propagator).  No Metropolis correction is applied to the flow itself;
+integration error is measured by the tests instead of hidden.
 
 ``flow_batch`` runs leapfrog over the points in cache-sized blocks, with
 in-place kicks and drifts on arrays it made itself: no input array and no
 array a gradient returns is ever written, and the result is bit-identical to
 one kick-drift-kick pass over all points with a new array per update.
+
+The Jacobian J = d(Q,P)/d(q,p): leapfrog is a partitioned Runge-Kutta method,
+so the derivative of its discrete map is leapfrog applied to the variational
+equation.  ``tangent_batch`` lifts each point to an array whose column 0 is
+the point and whose columns 1..2d are its derivatives along (q0, p0), and
+integrates it with gradients that carry the chain rule,
+z -> [grad U(z0), hess U(z0) z1..2d]: Q and P are ``flow_batch``'s, bit for
+bit.  For Gaussian pairs J is the exact-Gaussian propagator, the same matrix
+at every state.
+
+The regime bounds on t * lambda_max are stated here once each:
+``check_conjugate_bound`` refuses t * lambda_max >= pi, where conjugate points
+first appear for constant curvature, and ``determinant_bounds`` bounds
+D_q * D_p = 1/|det dQ/dp| * 1/|det dP/dq| for t * lambda_max < pi/2 and
+refuses outside that range.
 """
 
 from __future__ import annotations
@@ -24,42 +43,21 @@ import numpy as np
 from .distributions import ModelPair
 
 __all__ = [
-    "PhaseState",
     "FlowSpec",
     "default_flow_spec",
-    "total_energy",
-    "flow",
-    "inverse_flow",
     "flow_batch",
+    "sinc",
+    "tangent_batch",
+    "hmc_chain",
     "momentum_flip_conjugacy_residual",
+    "check_conjugate_bound",
+    "determinant_bounds",
 ]
 
 # points per leapfrog block: 256 KiB per (N, 1) array, so a block's half a
 # dozen live arrays (q, p, kick, gradient and product temporaries) fit a
 # 4 MiB per-core L2 cache
 BLOCK_POINTS = 32768
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """A point (q, p) in position-momentum space."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if q.shape != p.shape or q.ndim != 1:
-            raise ValueError(f"q and p must be 1-d arrays of equal length, got {q.shape}, {p.shape}")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise ValueError("phase-space coordinates must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def dim(self) -> int:
-        return self.q.shape[0]
 
 
 @dataclass(frozen=True)
@@ -92,11 +90,6 @@ def default_flow_spec(model: ModelPair, time: float, method: str | None = None) 
         return FlowSpec(time=time, steps=1, method=method)
     h_max = 0.01 * min(1.0, 1.0 / math.sqrt(model.lambda_max))
     return FlowSpec(time=time, steps=max(1, math.ceil(time / h_max)), method="leapfrog")
-
-
-def total_energy(state: PhaseState, model: ModelPair) -> float:
-    """Hamiltonian U(q) + V(p)."""
-    return float(model.target.value(state.q) + model.auxiliary.value(state.p))
 
 
 def spd_sqrt(mat) -> np.ndarray:
@@ -149,11 +142,11 @@ def exact_gaussian_matrix(model: ModelPair, time: float) -> np.ndarray:
 def _leapfrog(q, p, grad_u, grad_v, tau: float, steps: int):
     """Velocity-Verlet (kick-drift-kick): ``steps`` steps of size ``tau``.
 
-    Plain arithmetic on whatever q and p are, so three callers run the same
-    integrator: ``flow_batch`` on (N, d) blocks with the array gradients,
-    ``cli.hmc_chain`` on Python floats with the scalar gradients of a 1-d pair,
-    and ``tangent.tangent_batch`` on lifted (N, d, 1 + 2d) arrays whose
-    gradients also apply the chain rule to the derivative columns.
+    Plain arithmetic on whatever q and p are, so this module's three callers
+    run the same integrator: ``flow_batch`` on (N, d) blocks with the array
+    gradients, ``tangent_batch`` on lifted (N, d, 1 + 2d) arrays whose
+    gradients also apply the chain rule to the derivative columns, and
+    ``hmc_chain`` on Python floats with the scalar gradients of a 1-d pair.
 
     Each kick ``half * grad_u(q)`` is computed once and subtracted twice at a
     step boundary, the closing kick of one step and the opening kick of the
@@ -210,16 +203,86 @@ def flow_batch(qs, ps, model: ModelPair, spec: FlowSpec, inverse: bool = False):
     return Q.reshape(shape), P.reshape(shape)
 
 
-def flow(state: PhaseState, model: ModelPair, spec: FlowSpec) -> PhaseState:
-    """One application of the Hamiltonian map H_t."""
-    Q, P = flow_batch(state.q, state.p, model, spec)
-    return PhaseState(q=Q, p=P)
+def sinc(x):
+    """sin(x)/x with a 3-term series below |x| < 1e-4 to avoid cancellation."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-4
+    safe = np.where(small, 1.0, x)
+    out = np.where(small, 1.0 - x**2 / 6.0 + x**4 / 120.0, np.sin(safe) / safe)
+    return out if out.ndim else float(out)
 
 
-def inverse_flow(state: PhaseState, model: ModelPair, spec: FlowSpec) -> PhaseState:
-    """The inverse map H_t^{-1}, realized by time reversal of the same backend."""
-    Q, P = flow_batch(state.q, state.p, model, spec, inverse=True)
-    return PhaseState(q=Q, p=P)
+def _lifted(potential):
+    """z -> [grad(z0), hess(z0) z1..2d]: the gradient of ``potential`` on lifted arrays
+    z of shape (n, d, 1 + 2d), with its chain rule on the derivative columns."""
+    def grad(z):
+        x = z[..., 0]
+        return np.concatenate([potential.grad(x)[..., None], potential.hess(x) @ z[..., 1:]], -1)
+    return grad
+
+
+def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
+    """Flow a batch of states and differentiate the map.
+
+    Returns (Q, P, J), with Q and P of shape (n, d) and the Jacobian
+    J = d(Q,P)/d(q,p) of shape (n, 2d, 2d).  For leapfrog J is the exact
+    derivative of the discrete map that ``flow_batch`` applies.
+    """
+    q = np.atleast_2d(np.asarray(qs, dtype=float))
+    p = np.atleast_2d(np.asarray(ps, dtype=float))
+    n, d = q.shape
+    if spec.method == "exact_gaussian":
+        Q, P = flow_batch(q, p, model, spec)
+        return Q, P, np.tile(exact_gaussian_matrix(model, spec.time), (n, 1, 1))
+
+    def lift(x, k):  # x with d(x)/d(q0, p0) = [I, 0] (k = 0) or [0, I] (k = d)
+        return np.concatenate([x[..., None], np.tile(np.eye(d, 2 * d, k), (n, 1, 1))], -1)
+
+    Q, P = _leapfrog(lift(q, 0), lift(p, d), _lifted(model.target), _lifted(model.auxiliary),
+                     spec.time / spec.steps, spec.steps)
+    return Q[..., 0], P[..., 0], np.concatenate([Q[..., 1:], P[..., 1:]], axis=1)
+
+
+def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: np.random.Generator):
+    """Plain 1-d HMC chain: momentum refresh, flow, Metropolis correction.
+
+    Returns (positions of shape (draws, 1), acceptance_rate).  The exact
+    Gaussian flow conserves energy exactly, so every proposal is accepted and
+    the chain reduces to the linear recursion q <- a q + b p on Python floats.
+    Leapfrog draws run on Python floats through the potentials' scalar
+    evaluators and ``_leapfrog``, the integrator ``flow_batch`` uses, so each
+    draw is bit-identical to one ``flow_batch`` call on a (1,) array.
+    Raises ``ValueError`` for a model whose potentials have no scalar form
+    (d >= 2).
+    """
+    if model.target.scalar is None or model.auxiliary.scalar is None:
+        raise ValueError(f"hmc_chain: only 1-d models are supported, got dim {model.dim}")
+    if draws == 0:
+        return np.zeros((0, 1)), float("nan")
+    scale = float(np.linalg.cholesky(np.linalg.inv(model.auxiliary.params["precision"]))[0, 0])
+    if spec.method == "exact_gaussian":
+        a, b = exact_gaussian_matrix(model, spec.time)[0, :2].tolist()
+        mu = float(model.target.params["mean"][0])
+        q, centered = 0.0, np.empty(draws)
+        for i, p in enumerate((rng.standard_normal(draws) * scale).tolist()):
+            centered[i] = q = a * q + b * p
+        return (centered + mu)[:, None], 1.0
+    value_u, grad_u = model.target.scalar
+    value_v, grad_v = model.auxiliary.scalar
+    tau = spec.time / spec.steps
+    q = float(model.target.params["mean"][0]) if model.target.is_gaussian else 0.0
+    out = np.empty((draws, 1))
+    accepted = 0
+    for i in range(draws):
+        p = scale * rng.standard_normal()
+        e0 = value_u(q) + value_v(p)
+        Q, P = _leapfrog(q, p, grad_u, grad_v, tau, spec.steps)
+        e1 = value_u(Q) + value_v(P)
+        if math.log(rng.uniform()) < e0 - e1:
+            q = Q
+            accepted += 1
+        out[i] = q
+    return out, accepted / draws
 
 
 def momentum_flip_conjugacy_residual(model: ModelPair, spec: FlowSpec, q, p) -> float:
@@ -238,3 +301,31 @@ def momentum_flip_conjugacy_residual(model: ModelPair, spec: FlowSpec, q, p) -> 
     Q, P = flow_batch(q, p, model, spec)
     back_q, back_p = flow_batch(q, -p, model, spec, inverse=True)
     return float(max(np.max(np.abs(back_q - Q)), np.max(np.abs(back_p + P))))
+
+
+def check_conjugate_bound(model: ModelPair, spec: FlowSpec):
+    """Refuse t * lambda_max >= pi, where conjugate points first appear for
+    constant curvature; the operator itself stays well defined up to there."""
+    t_lam = spec.time * model.lambda_max
+    if t_lam >= math.pi:
+        raise ValueError(f"t * lambda_max = {t_lam:.6f} beyond the conjugate-point bound (< pi)")
+
+
+def determinant_bounds(model: ModelPair, time: float):
+    """Regime bounds (lower, upper) on the product D_q * D_p.
+
+    Valid for 0 < t * lambda_max < pi/2:
+    lower = (t lambda_max)^(-2d), upper = (t sinc(t lambda_min))^(-2d).
+    """
+    lam = model.lambda_min
+    big = model.lambda_max
+    if time <= 0:
+        raise ValueError("time must be positive")
+    if time * big >= math.pi / 2:
+        raise ValueError(
+            f"t * lambda_max = {time * big:.6f} outside the regime (need < pi/2 = {math.pi / 2:.6f})"
+        )
+    d = model.dim
+    lower = (time * big) ** (-2 * d)
+    upper = (time * float(sinc(time * lam))) ** (-2 * d)
+    return lower, upper

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import ModelPair, density_value
-from .dynamics import BLOCK_POINTS, FlowSpec, flow_batch
+from .dynamics import BLOCK_POINTS, FlowSpec, check_conjugate_bound, flow_batch
 
 __all__ = [
     "DensityGrid",
@@ -67,7 +67,6 @@ __all__ = [
     "weighted_norm",
     "build_momentum_rule",
     "spline_coefficients",
-    "check_conjugate_bound",
     "assemble_transfer",
     "assemble_adjoint",
     "weighted_symmetry_residual",
@@ -350,14 +349,6 @@ def _truncation(grid: DensityGrid, inside: np.ndarray, G: np.ndarray) -> dict:
         warnings.warn(msg)
         notes.append(msg)
     return {"frac_outside": frac_outside, "leaked_mass": leaked, "notes": tuple(notes)}
-
-
-def check_conjugate_bound(model: ModelPair, spec: FlowSpec):
-    """Refuse t * lambda_max >= pi, where conjugate points first appear for
-    constant curvature; the operator itself stays well defined up to there."""
-    t_lam = spec.time * model.lambda_max
-    if t_lam >= math.pi:
-        raise ValueError(f"t * lambda_max = {t_lam:.6f} beyond the conjugate-point bound (< pi)")
 
 
 def _assemble(grid, model, spec, momentum_nodes, inverse):

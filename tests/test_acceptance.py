@@ -12,14 +12,11 @@ import numpy as np
 import pytest
 
 from hmctransfer import (
-    PhaseState,
     anharmonic_pair,
     certify_rate,
     default_flow_spec,
     determinant_bounds,
-    flow,
     hs_norm,
-    inverse_flow,
     iterate,
     mass,
     momentum_flip_conjugacy_residual,
@@ -31,15 +28,14 @@ from hmctransfer import (
 )
 from hmctransfer.cli import main
 from hmctransfer.distributions import ModelPair, gaussian_potential
-from hmctransfer.dynamics import FlowSpec, flow_batch
-from hmctransfer.tangent import tangent_batch
+from hmctransfer.dynamics import FlowSpec, flow_batch, tangent_batch
 
 COS07 = np.cos(0.7)
 
 
-def blocks_at(state, model, spec):
-    """The flow Jacobian d(Q,P)/d(q,p) at one phase state."""
-    _, _, J = tangent_batch(state.q[None], state.p[None], model, spec)
+def blocks_at(q, p, model, spec):
+    """The flow Jacobian d(Q,P)/d(q,p) at one phase state (q, p), each of shape (d,)."""
+    _, _, J = tangent_batch(q[None], p[None], model, spec)
     return J[0]
 
 
@@ -142,12 +138,12 @@ def test_criterion_08_tangent_correctness(anh_model):
     eps = 1e-5
     worst = 0.0
     for _ in range(50):
-        state = PhaseState(q=rng.uniform(-1.5, 1.5, 1), p=rng.normal(size=1))
-        jac = blocks_at(state, anh_model, spec)
+        q, p = rng.uniform(-1.5, 1.5, 1), rng.normal(size=1)
+        jac = blocks_at(q, p, anh_model, spec)
         fd = np.zeros((2, 2))
         for col, (dq, dp) in enumerate([(eps, 0.0), (0.0, eps)]):
-            Qp, Pp = flow_batch(state.q + dq, state.p + dp, anh_model, spec)
-            Qm, Pm = flow_batch(state.q - dq, state.p - dp, anh_model, spec)
+            Qp, Pp = flow_batch(q + dq, p + dp, anh_model, spec)
+            Qm, Pm = flow_batch(q - dq, p - dp, anh_model, spec)
             fd[0, col] = (Qp - Qm)[0] / (2 * eps)
             fd[1, col] = (Pp - Pm)[0] / (2 * eps)
         worst = max(worst, np.max(np.abs(jac - fd)) / np.max(np.abs(jac)))
@@ -159,7 +155,7 @@ def test_criterion_09_closed_form_solution():
     model = ModelPair(gaussian_potential(0.0, 4.0), gaussian_potential(0.0, 1.0), 6.0)
     t = 0.4
     spec = FlowSpec(time=t, steps=1, method="exact_gaussian")
-    J = blocks_at(PhaseState(q=np.array([0.4]), p=np.array([1.1])), model, spec)
+    J = blocks_at(np.array([0.4]), np.array([1.1]), model, spec)
     closed = np.array([[np.cos(2 * t), np.sin(2 * t) / 2],
                        [-2 * np.sin(2 * t), np.cos(2 * t)]])
     gap = float(np.max(np.abs(J - closed)))
@@ -194,8 +190,8 @@ def test_criterion_11_volume_preservation(gauss_model, anh_model):
     gspec = FlowSpec(time=0.7, steps=1, method="exact_gaussian")
     aspec = default_flow_spec(anh_model, 0.3)
     for _ in range(50):
-        gb = blocks_at(PhaseState(q=rng.uniform(-3, 3, 1), p=rng.normal(size=1)), gauss_model, gspec)
-        ab = blocks_at(PhaseState(q=rng.uniform(-2, 2, 1), p=rng.normal(size=1)), anh_model, aspec)
+        gb = blocks_at(rng.uniform(-3, 3, 1), rng.normal(size=1), gauss_model, gspec)
+        ab = blocks_at(rng.uniform(-2, 2, 1), rng.normal(size=1), anh_model, aspec)
         worst = max(worst, abs(np.linalg.det(gb) - 1.0), abs(np.linalg.det(ab) - 1.0))
     report(11, "volume preservation", worst, 1e-10, worst < 1e-10)
 

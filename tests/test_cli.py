@@ -268,6 +268,27 @@ def test_sampler_zero_draws(tmp_path):
     assert report["draws"] == 0
 
 
+def test_sampler_check_refuses_before_the_chain(tmp_path, monkeypatch, capsys):
+    # the quartic at n = 401, t = 0.01 has a kernel narrower than a grid cell: the
+    # operator refuses it before the chain draws anything, with draws = 0 too
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return hmc_chain(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "hmc_chain", counting)
+    text = ANH_SMALL.replace("n_per_axis = 201", "n_per_axis = 401")
+    text = text.replace("time = 0.08", "time = 0.01").replace("kind = spectrum", "kind = sampler-check")
+    for draws in (100000, 0):
+        cfg = write(tmp_path, f"narrow-{draws}.ini", text + f"draws = {draws}\n")
+        out = tmp_path / f"out-{draws}"
+        assert main(["sampler-check", "--config", cfg, "--out", str(out)]) == 1
+        assert calls == []
+        assert "kernel_width_cells" in capsys.readouterr().err
+        assert not (out / "sampler_report.json").exists()
+
+
 def test_config_error_exit_codes(tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "missing.ini")]) == 1
     bad_family = write(tmp_path, "bad.ini", ANH_SMALL.replace("family = anharmonic", "family = cauchy"))
@@ -424,6 +445,20 @@ def test_benchmark_configs_resolve_to_the_quartic_leapfrog(tmp_path):
             cfg = write(tmp_path, f"{name}-{smoke}.ini", bench.config_text(workload, smoke))
             flow_spec = load_config(cfg).spec
             assert (flow_spec.method, flow_spec.steps, flow_spec.time) == ("leapfrog", 36, 0.08)
+
+
+def test_tracer_hooks_resolve():
+    # the tracer's hooks look names up where they are called; only the five that
+    # are already dead may fail, so a moved function keeps its name in cli
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # defines the hooks; install() would patch them
+    dead = {f"{module}.{attr}" for module, attr, *_ in tracer.HOOKS + tracer.POTENTIAL_FACTORIES
+            if tracer._resolve(module, attr) is None}
+    assert dead <= {"hmctransfer.cli.assemble_adjoint", "hmctransfer.cli.assemble_kernel",
+                    "hmctransfer.cli.flow_batch", "hmctransfer.kernel_spectral.matrix_asymmetry",
+                    "hmctransfer.kernel_spectral.tangent_batch"}
 
 
 def test_cli_overrides_are_validated(tmp_path, capsys):

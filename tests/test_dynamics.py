@@ -4,34 +4,35 @@ import pytest
 from hmctransfer import (
     FlowSpec,
     ModelPair,
-    PhaseState,
     anharmonic_pair,
     default_flow_spec,
-    flow,
     gaussian_potential,
-    inverse_flow,
     momentum_flip_conjugacy_residual,
     standard_gaussian_pair,
-    total_energy,
 )
 from hmctransfer.dynamics import BLOCK_POINTS, flow_batch
+
+
+def energy(q, p, model):
+    """Hamiltonian U(q) + V(p) of one state."""
+    return float(model.target.value(q) + model.auxiliary.value(p))
 
 
 def test_exact_flow_is_rotation():
     model = standard_gaussian_pair()
     spec = FlowSpec(time=np.pi / 2, steps=1, method="exact_gaussian")
-    out = flow(PhaseState(q=np.array([1.0]), p=np.array([0.0])), model, spec)
-    assert out.q[0] == pytest.approx(0.0, abs=1e-12)
-    assert out.p[0] == pytest.approx(-1.0, abs=1e-12)
+    Q, P = flow_batch(np.array([1.0]), np.array([0.0]), model, spec)
+    assert Q[0] == pytest.approx(0.0, abs=1e-12)
+    assert P[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("method", ["exact_gaussian", "leapfrog"])
 def test_vanishing_time_returns_state(method):
     model = standard_gaussian_pair()
     spec = FlowSpec(time=1e-12, steps=1, method=method)
-    state = PhaseState(q=np.array([1.3]), p=np.array([-0.4]))
-    out = flow(state, model, spec)
-    assert max(abs(out.q - state.q).max(), abs(out.p - state.p).max()) < 1e-10
+    q, p = np.array([1.3]), np.array([-0.4])
+    Q, P = flow_batch(q, p, model, spec)
+    assert max(abs(Q - q).max(), abs(P - p).max()) < 1e-10
 
 
 def test_zero_time_rejected():
@@ -52,25 +53,25 @@ def test_non_finite_time_rejected(time):
 
 def test_leapfrog_converges_to_exact_rotation():
     model = standard_gaussian_pair()
-    state = PhaseState(q=np.array([1.0]), p=np.array([0.0]))
-    lf = flow(state, model, FlowSpec(time=0.7, steps=1000, method="leapfrog"))
-    ex = flow(state, model, FlowSpec(time=0.7, steps=1, method="exact_gaussian"))
-    assert max(abs(lf.q - ex.q).max(), abs(lf.p - ex.p).max()) < 1e-6
+    q, p = np.array([1.0]), np.array([0.0])
+    lf_q, lf_p = flow_batch(q, p, model, FlowSpec(time=0.7, steps=1000, method="leapfrog"))
+    ex_q, ex_p = flow_batch(q, p, model, FlowSpec(time=0.7, steps=1, method="exact_gaussian"))
+    assert max(abs(lf_q - ex_q).max(), abs(lf_p - ex_p).max()) < 1e-6
 
 
 def test_exact_flow_requires_gaussian_model():
     model = anharmonic_pair(1.0, 0.5, 3.5)
     spec = FlowSpec(time=0.3, steps=1, method="exact_gaussian")
     with pytest.raises(ValueError, match="non-Gaussian"):
-        flow(PhaseState(q=np.array([1.0]), p=np.array([0.0])), model, spec)
+        flow_batch(np.array([1.0]), np.array([0.0]), model, spec)
 
 
 def test_inverse_exact_rotation():
     model = standard_gaussian_pair()
     spec = FlowSpec(time=np.pi / 2, steps=1, method="exact_gaussian")
-    out = inverse_flow(PhaseState(q=np.array([0.0]), p=np.array([-1.0])), model, spec)
-    assert out.q[0] == pytest.approx(1.0, abs=1e-12)
-    assert out.p[0] == pytest.approx(0.0, abs=1e-12)
+    Q, P = flow_batch(np.array([0.0]), np.array([-1.0]), model, spec, inverse=True)
+    assert Q[0] == pytest.approx(1.0, abs=1e-12)
+    assert P[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_leapfrog_roundtrip_is_exact():
@@ -127,11 +128,10 @@ def test_blocked_flow_batch_matches_plain_loop_bit_for_bit(model, spec, inverse)
 
 def test_total_energy_values():
     gauss = standard_gaussian_pair()
-    assert total_energy(PhaseState(q=np.zeros(1), p=np.zeros(1)), gauss) == 0.0
-    assert total_energy(PhaseState(q=np.ones(1), p=np.ones(1)), gauss) == pytest.approx(1.0)
+    assert energy(np.zeros(1), np.zeros(1), gauss) == 0.0
+    assert energy(np.ones(1), np.ones(1), gauss) == pytest.approx(1.0)
     quartic = anharmonic_pair(1.0, 1.0, 2.0)
-    state = PhaseState(q=np.array([1.0]), p=np.array([0.0]))
-    assert total_energy(state, quartic) == pytest.approx(0.75)
+    assert energy(np.array([1.0]), np.array([0.0]), quartic) == pytest.approx(0.75)
 
 
 def test_exact_flow_conserves_energy():
@@ -139,19 +139,19 @@ def test_exact_flow_conserves_energy():
     spec = FlowSpec(time=0.7, steps=1, method="exact_gaussian")
     rng = np.random.default_rng(1)
     for _ in range(50):
-        state = PhaseState(q=rng.uniform(-3, 3, 1), p=rng.normal(size=1))
-        out = flow(state, model, spec)
-        assert abs(total_energy(out, model) - total_energy(state, model)) < 1e-12
+        q, p = rng.uniform(-3, 3, 1), rng.normal(size=1)
+        Q, P = flow_batch(q, p, model, spec)
+        assert abs(energy(Q, P, model) - energy(q, p, model)) < 1e-12
 
 
 def test_leapfrog_energy_error_is_second_order():
     model = anharmonic_pair(1.0, 0.5, 3.5)
-    state = PhaseState(q=np.array([1.1]), p=np.array([0.6]))
-    e0 = total_energy(state, model)
+    q, p = np.array([1.1]), np.array([0.6])
+    e0 = energy(q, p, model)
 
     def energy_error(steps):
-        out = flow(state, model, FlowSpec(time=0.37, steps=steps, method="leapfrog"))
-        return abs(total_energy(out, model) - e0)
+        Q, P = flow_batch(q, p, model, FlowSpec(time=0.37, steps=steps, method="leapfrog"))
+        return abs(energy(Q, P, model) - e0)
 
     ratio = energy_error(100) / energy_error(200)
     assert 3.5 <= ratio <= 4.5
@@ -204,10 +204,3 @@ def test_default_flow_spec_substep_rule():
     assert spec.steps == 36
     gauss = default_flow_spec(standard_gaussian_pair(), 0.7)
     assert gauss.method == "exact_gaussian"
-
-
-def test_phase_state_validation():
-    with pytest.raises(ValueError):
-        PhaseState(q=np.array([1.0, 2.0]), p=np.array([1.0]))
-    with pytest.raises(ValueError):
-        PhaseState(q=np.array([np.inf]), p=np.array([0.0]))

@@ -21,10 +21,9 @@ from hmctransfer import (
     standard_gaussian_pair,
     weighted_norm,
 )
-from hmctransfer import operator, tangent
-from hmctransfer.dynamics import flow_batch
+from hmctransfer import dynamics, operator
+from hmctransfer.dynamics import flow_batch, tangent_batch
 from hmctransfer.operator import TransferMatrix, build_momentum_rule, weighted_symmetry_residual
-from hmctransfer.tangent import tangent_batch
 
 
 def kernel(T):
@@ -288,7 +287,7 @@ def test_kernel_tabulation_is_one_flow_sweep(monkeypatch):
         sweeps.append(len(args[0]))
         return flow_batch(*args, **kwargs)
 
-    monkeypatch.setattr(tangent, "tangent_batch", refuse)
+    monkeypatch.setattr(dynamics, "tangent_batch", refuse)
     monkeypatch.setattr(operator, "flow_batch", counting)
     model = anharmonic_pair(1.0, 0.5, 3.5)
     grid, spec = build_grid(model, 201), default_flow_spec(model, 0.08)

@@ -11,8 +11,7 @@ from hmctransfer import (
     standard_gaussian_pair,
 )
 from hmctransfer.distributions import ModelPair, gaussian_potential
-from hmctransfer.dynamics import exact_gaussian_matrix, flow_batch
-from hmctransfer.tangent import sinc, tangent_batch
+from hmctransfer.dynamics import exact_gaussian_matrix, flow_batch, sinc, tangent_batch
 
 
 def random_spd(rng, d):
