@@ -3,20 +3,23 @@
 Subcommands: flow, operator, spectrum, kernel-norm, convergence, sampler-check.
 ``SETTINGS`` is the one list of the numeric [grid] / [experiment] settings, with
 their defaults and bounds.
-Each run writes a manifest echoing the fully resolved configuration plus CSV
-and JSON-style result files with 17-significant-digit formatting, so repeated
-runs with the same config and seed are bit-identical.  Exit codes: 0 on pass,
-2 on certificate failure, 1 on configuration or runtime errors.
+Each runner writes its CSV and JSON result files and returns its exit code with
+its ``result.*`` keys; ``main`` then writes the manifest, which echoes the fully
+resolved configuration and those keys.  Every number is formatted to 17
+significant digits, so repeated runs with the same config and seed are
+bit-identical.  Exit codes: 0 on pass, 2 on certificate failure, 1 on
+configuration or runtime errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -279,8 +282,10 @@ def write_csv(path: Path, header: list, columns: list):
             out.write("".join(line % row for row in zip(*block)))
 
 
-def write_json(path: Path, payload: dict):
+def write_json(path: Path, payload: dict) -> dict:
+    """Write ``payload`` to ``path``; return it as the manifest's ``result.*`` keys."""
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_fmt) + "\n")
+    return {f"result.{k}": v for k, v in payload.items()}
 
 
 def _h0(config: ExperimentConfig, grid):
@@ -289,7 +294,7 @@ def _h0(config: ExperimentConfig, grid):
     return np.exp(-0.5 * sq / config.h0_sigma**2)
 
 
-def run_flow(config: ExperimentConfig, outdir: Path) -> int:
+def run_flow(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     model, spec = config.model, config.spec
     rng = np.random.default_rng(config.seed)
     d = model.dim
@@ -330,8 +335,9 @@ def run_flow(config: ExperimentConfig, outdir: Path) -> int:
     cols += [energies, dets]
     write_csv(outdir / "flow.csv", header, cols)
 
-    drift = max(energies) - min(energies)
-    det_dev = max(abs(v - 1.0) for v in dets)
+    # np.max, unlike Python's max, keeps a NaN of a diverged flow
+    drift = float(np.max(energies) - np.min(energies))
+    det_dev = float(np.max(np.abs(np.subtract(dets, 1.0))))
     write_json(outdir / "conservation.json", {
         "energy_drift": drift,
         "det_jacobian_max_deviation": det_dev,
@@ -339,31 +345,30 @@ def run_flow(config: ExperimentConfig, outdir: Path) -> int:
             max(np.max(np.abs(qs[-1] - qs[0])), np.max(np.abs(ps[-1] - ps[0])))
         ),
     })
-    write_manifest(outdir, config, {"result.energy_drift": drift, "result.det_dev": det_dev})
-    return 0
+    return 0, {"result.energy_drift": drift, "result.det_dev": det_dev}
 
 
-def _operator_stack(config: ExperimentConfig):
+def _operator_stack(config: ExperimentConfig, momentum_nodes: int):
     grid = build_grid(config.model, config.n_per_axis)
-    T = assemble_transfer(grid, config.model, config.spec, config.momentum_nodes)
+    T = assemble_transfer(grid, config.model, config.spec, momentum_nodes)
     return grid, T
 
 
-def run_operator(config: ExperimentConfig, outdir: Path) -> int:
-    grid, T = _operator_stack(config)
+def run_operator(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+    grid, T = _operator_stack(config, config.momentum_nodes)
     model = config.model
     f = grid.target_values
     rng = np.random.default_rng(config.seed)
 
     fp = weighted_norm(T.apply(f) - f, grid) / weighted_norm(f, grid)
-    worst_mass = 0.0
-    worst_contr = 0.0
+    # np.max, unlike Python's max, keeps a NaN among the values
+    mass_errors, contractions = [], []
     for _ in range(100):
         h = random_density(grid, rng)
         Th = T.apply(h)
         m0 = mass(h, grid)
-        worst_mass = max(worst_mass, abs(mass(Th, grid) - m0) / m0)
-        worst_contr = max(worst_contr, weighted_norm(Th, grid) / weighted_norm(h, grid))
+        mass_errors.append(abs(mass(Th, grid) - m0) / m0)
+        contractions.append(weighted_norm(Th, grid) / weighted_norm(h, grid))
     # T* = T: _build_model's auxiliary is a zero-mean Gaussian, so even, and the
     # momentum-flip conjugacy tau . H^-1 . tau = H then makes T self-adjoint;
     # the residual of that premise is recorded at every node, p = +-sigma
@@ -371,23 +376,23 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> int:
     sigma = np.full(model.dim, 1.0 / math.sqrt(model.auxiliary.lambda_lo))
     conjugacy = momentum_flip_conjugacy_residual(
         model, config.spec, np.repeat(grid.nodes, 2, axis=0), np.tile([sigma, -sigma], (grid.n, 1)))
-    worst_dual = 0.0
+    dualities = []
     for _ in range(20):
         h = random_density(grid, rng)
         k = random_density(grid, rng)
         lhs = weighted_inner(T.apply(h), k, grid)
         rhs = weighted_inner(h, T_adj.apply(k), grid)
-        worst_dual = max(worst_dual, abs(lhs - rhs) / (weighted_norm(h, grid) * weighted_norm(k, grid)))
+        dualities.append(abs(lhs - rhs) / (weighted_norm(h, grid) * weighted_norm(k, grid)))
 
     trace = iterate(T, _h0(config, grid), config.n_max, config.tol)
     write_csv(outdir / "trace.csv", ["n", "norm", "error"], [trace.steps, trace.norms, trace.errors])
     floor_at = int(np.argmin(trace.errors))
     report = {
         "fixed_point_residual": fp,
-        "mass_error_max": worst_mass,
-        "contraction_factor_max": worst_contr,
+        "mass_error_max": float(np.max(mass_errors)),
+        "contraction_factor_max": float(np.max(contractions)),
         "self_adjointness_residual": weighted_symmetry_residual(T),
-        "duality_residual_max": worst_dual,
+        "duality_residual_max": float(np.max(dualities)),
         "momentum_flip_conjugacy_residual": conjugacy,
         "leaked_mass": T.meta["leaked_mass"],
         "iteration_converged": trace.converged,
@@ -399,36 +404,25 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> int:
     }
     if "kernel_width_cells" in T.meta:  # the 1-d Nystrom matrix's resolution
         report["kernel_width_cells"] = T.meta["kernel_width_cells"]
-    write_json(outdir / "operator_report.json", report)
-    write_manifest(outdir, config, {f"result.{k}": v for k, v in report.items()})
-    return 0
+    return 0, write_json(outdir / "operator_report.json", report)
 
 
-def run_spectrum(config: ExperimentConfig, outdir: Path) -> int:
-    grid, T = _operator_stack(config)
+def run_spectrum(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+    grid, T = _operator_stack(config, config.momentum_nodes)
     report = eigen_spectrum(T, config.top_k)
     ks = np.arange(len(report.eigenvalues))
     write_csv(outdir / "spectrum.csv", ["k", "mu"], [ks, report.eigenvalues])
-    payload = {
-        "gap": report.gap,
-        "rate_bound": report.rate_bound,
-        "multiplicity_check": report.multiplicity_check,
-        "second_mass": report.second_mass,
-        "symmetry_residual": report.symmetry_residual,
-        "gap_caveat": report.gap_caveat,
-    }
-    write_json(outdir / "spectral_report.json", payload)
-    write_manifest(outdir, config, {f"result.{k}": v for k, v in payload.items()})
-    return 0
+    payload = {f.name: getattr(report, f.name) for f in fields(report)
+               if f.name not in ("eigenvalues", "leading_vector")}
+    return 0, write_json(outdir / "spectral_report.json", payload)
 
 
-def run_kernel_norm(config: ExperimentConfig, outdir: Path) -> int:
+def run_kernel_norm(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     # the momentum-space HS estimate needs the 1-d kernel; in d >= 2 the deposit would
     # also flow kernel_momentum_nodes^d probes from every node before hs_norm refused
     if config.model.dim != 1:
         raise ConfigError("kernel-norm: only 1-d models are supported")
-    grid = build_grid(config.model, config.n_per_axis)
-    T = assemble_transfer(grid, config.model, config.spec, config.kernel_momentum_nodes)
+    grid, T = _operator_stack(config, config.kernel_momentum_nodes)
     value = hs_norm(T)
     report = eigen_spectrum(T, min(grid.n - 1, 64))
     payload = {
@@ -440,40 +434,36 @@ def run_kernel_norm(config: ExperimentConfig, outdir: Path) -> int:
         payload["hs_bound_from_determinants"] = determinant_bounds(config.model, config.spec.time)[1]
     except ValueError:  # t * lambda_max outside the bounds' regime
         pass
-    write_json(outdir / "kernel_report.json", payload)
-    write_manifest(outdir, config, {f"result.{k}": v for k, v in payload.items()})
-    return 0
+    return 0, write_json(outdir / "kernel_report.json", payload)
 
 
-def run_convergence(config: ExperimentConfig, outdir: Path) -> int:
-    grid, T = _operator_stack(config)
+def run_convergence(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+    grid, T = _operator_stack(config, config.momentum_nodes)
     report = eigen_spectrum(T, config.top_k)
     trace = iterate(T, _h0(config, grid), config.n_max, config.tol)
     cert = certify_rate(report, trace)
     write_csv(outdir / "trace.csv", ["n", "norm", "error"], [trace.steps, trace.norms, trace.errors])
     ks = np.arange(len(report.eigenvalues))
     write_csv(outdir / "spectrum.csv", ["k", "mu"], [ks, report.eigenvalues])
-    write_json(outdir / "certificate.json", cert.to_dict())
-    write_manifest(outdir, config, {
+    write_json(outdir / "certificate.json", asdict(cert))
+    return 0 if cert.passed else 2, {
         "result.rho_emp": cert.rho_emp,
         "result.rho_spec": cert.rho_spec,
         "result.passed": cert.passed,
-    })
-    return 0 if cert.passed else 2
+    }
 
 
-def run_sampler_check(config: ExperimentConfig, outdir: Path) -> int:
+def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     model = config.model
     if model.dim != 1:
         raise ConfigError("sampler-check: only 1-d models are supported")
     # the reference operator is built and checked before the chain runs, so a
     # config its gates refuse draws nothing, with draws = 0 too
-    grid, T = _operator_stack(config)
+    grid, T = _operator_stack(config, config.momentum_nodes)
     report = eigen_spectrum(T, 2)
     if config.draws == 0:
         write_json(outdir / "sampler_report.json", {"draws": 0, "sup_distance": float("nan")})
-        write_manifest(outdir, config, {"result.draws": 0})
-        return 0
+        return 0, {"result.draws": 0}
     rng = np.random.default_rng(config.seed)
     samples, acceptance = hmc_chain(model, config.spec, config.draws, rng)
     fixed = report.leading_vector / mass(report.leading_vector, grid)
@@ -505,9 +495,7 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> int:
     payload = {"draws": config.draws, "acceptance_rate": acceptance, "sup_distance": sup}
     if acceptance < 0.5:
         payload["warning"] = "acceptance below 0.5, reduce the leapfrog substep"
-    write_json(outdir / "sampler_report.json", payload)
-    write_manifest(outdir, config, {f"result.{k}": v for k, v in payload.items()})
-    return 0
+    return 0, write_json(outdir / "sampler_report.json", payload)
 
 
 RUNNERS = {
@@ -548,16 +536,18 @@ def main(argv=None) -> int:
         outdir = Path(args.out or config.output or f"out-{config.kind}")
         outdir.mkdir(parents=True, exist_ok=True)
         config.resolved["experiment.threads"] = args.threads if args.threads else "default"
-        runner = RUNNERS[config.kind]
+        cap = contextlib.nullcontext()
         if args.threads:
             try:
                 from threadpoolctl import threadpool_limits
             except ImportError:
                 config.resolved["experiment.threads"] = "default (threadpoolctl unavailable)"
             else:
-                with threadpool_limits(limits=args.threads):
-                    return runner(config, outdir)
-        return runner(config, outdir)
+                cap = threadpool_limits(limits=args.threads)
+        with cap:
+            code, results = RUNNERS[config.kind](config, outdir)
+        write_manifest(outdir, config, results)
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -85,7 +85,6 @@ class DensityGrid:
     weights: np.ndarray
     target_values: np.ndarray
     floor: float
-    warnings: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -146,7 +145,6 @@ def build_grid(model: ModelPair, n_per_axis: int) -> DensityGrid:
     nodes, w = _tensor_grid(axes, [p[1] for p in pairs])
     f = density_value(model.target, nodes)
 
-    notes = []
     fine_pairs = [_trapezoid_axis(L, 2 * n_per_axis - 1) for _ in range(d)]
     fine_nodes, fine_w = _tensor_grid(
         tuple(p[0] for p in fine_pairs), [p[1] for p in fine_pairs]
@@ -154,19 +152,16 @@ def build_grid(model: ModelPair, n_per_axis: int) -> DensityGrid:
     ref = float(fine_w @ density_value(model.target, fine_nodes))
     got = float(w @ f)
     if abs(got - ref) > 1e-3 * abs(ref):
-        msg = (
+        warnings.warn(
             f"grid too coarse: integral of f deviates from refined reference by "
             f"{abs(got - ref) / abs(ref):.2e} relative"
         )
-        warnings.warn(msg)
-        notes.append(msg)
     return DensityGrid(
         axes=axes,
         nodes=nodes,
         weights=w,
         target_values=f,
         floor=1e-12 * float(np.max(f)),
-        warnings=tuple(notes),
     )
 
 
@@ -197,13 +192,13 @@ class MomentumRule:
     weights: np.ndarray
 
 
-def _auxiliary_halfwidth(model: ModelPair, tail: float = 1e-12) -> float:
-    """Half-width covering all but ``tail`` of the auxiliary mass (1-d)."""
+def _auxiliary_halfwidth(model: ModelPair) -> float:
+    """Half-width covering all but 1e-12 of the auxiliary mass (1-d)."""
     probe = np.linspace(0.0, 14.0 / math.sqrt(model.auxiliary.lambda_lo), 8193)
     g = np.exp(-model.auxiliary.value(probe[:, None]))
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(probe))])
     total = cum[-1]
-    idx = int(np.searchsorted(cum, (1.0 - 0.5 * tail) * total))
+    idx = int(np.searchsorted(cum, (1.0 - 0.5e-12) * total))
     return float(probe[min(idx + 1, len(probe) - 1)])
 
 
@@ -330,25 +325,22 @@ class TransferMatrix:
 
 
 def _truncation(grid: DensityGrid, inside: np.ndarray, G: np.ndarray) -> dict:
-    """Share of flow images outside the box, the relative mass they carry out
-    (image k of node i weighs G[i, k], its probe weight times g(P) / g(p)) and
-    a warning note when that mass exceeds 1e-6, the fixed-point bound, for an
-    operator's meta.  The share alone tells little: the quartic's probes span
-    the auxiliary's tails, so 3% of its images leave the box with 2e-11 of the
+    """Share of flow images outside the box and the relative mass they carry out
+    (image k of node i weighs G[i, k], its probe weight times g(P) / g(p)), for
+    an operator's meta; a mass above 1e-6, the fixed-point bound, is warned
+    about.  The share alone tells little: the quartic's probes span the
+    auxiliary's tails, so 3% of its images leave the box with 2e-11 of the
     mass.  G is overwritten: its entries inside the box are zeroed in place."""
     frac_outside = 1.0 - float(np.count_nonzero(inside)) / inside.size
     f = grid.target_values
     G *= ~inside
     leaked = float((grid.weights * f) @ G.sum(axis=1)) / float(grid.weights @ f)
-    notes = []
     if leaked > 1e-6:
-        msg = (
+        warnings.warn(
             f"domain truncation: {100 * frac_outside:.3f}% of flow images leave the box, "
             f"leaked relative mass {leaked:.3e}"
         )
-        warnings.warn(msg)
-        notes.append(msg)
-    return {"frac_outside": frac_outside, "leaked_mass": leaked, "notes": tuple(notes)}
+    return {"frac_outside": frac_outside, "leaked_mass": leaked}
 
 
 def _assemble(grid, model, spec, momentum_nodes, inverse):
@@ -564,10 +556,10 @@ def to_weighted_symmetric(T: TransferMatrix):
     return (scale[:, None] / scale[None, :]) * sub, m, scale
 
 
-def _probe_densities(grid: DensityGrid, count: int = 8):
-    """Fixed family of smooth unit-mass bumps spanning the resolved domain."""
+def _probe_densities(grid: DensityGrid):
+    """Fixed family of 8 smooth unit-mass bumps spanning the resolved domain."""
     L = grid.halfwidth
-    centers = np.linspace(-0.3 * L, 0.3 * L, count)
+    centers = np.linspace(-0.3 * L, 0.3 * L, 8)
     sigma = 0.1 * L
     probes = []
     for c in centers:
@@ -722,17 +714,17 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
     )
 
 
-def random_density(grid: DensityGrid, rng: np.random.Generator, components: int | None = None):
-    """Smooth random density: a small Gaussian mixture well inside the box.
+def random_density(grid: DensityGrid, rng: np.random.Generator):
+    """Smooth random density: a mixture of 3 to 6 Gaussians well inside the box.
 
-    Centers stay within a quarter of the half-width and widths are a few grid
-    cells wide, so tails vanish long before the domain boundary.  The density
-    is positive, so its image under the nonnegative Nystrom matrix is too.
+    The number of components is drawn from ``rng`` first.  Centers stay within
+    a quarter of the half-width and widths are a few grid cells wide, so tails
+    vanish long before the domain boundary.  The density is positive, so its
+    image under the nonnegative Nystrom matrix is too.
     """
     L = grid.halfwidth
     d = grid.dim
-    if components is None:
-        components = int(rng.integers(3, 7))
+    components = int(rng.integers(3, 7))
     centers = rng.uniform(-0.25 * L, 0.25 * L, size=(components, d))
     sigmas = rng.uniform(0.0625 * L, 0.1125 * L, size=components)
     weights = rng.uniform(0.2, 1.0, size=components)

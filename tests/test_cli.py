@@ -193,6 +193,43 @@ def test_operator_report(tmp_path):
     assert (out / "trace.csv").exists()
 
 
+def test_operator_maxima_keep_a_nan(tmp_path, monkeypatch):
+    # Python's max(0.0, nan) is 0.0: one NaN entry of T read as a zero error
+    assemble = cli.assemble_transfer
+
+    def poisoned(*args, **kwargs):
+        T = assemble(*args, **kwargs)
+        T.entries[T.grid.n // 2, T.grid.n // 2] = np.nan
+        return T
+
+    monkeypatch.setattr(cli, "assemble_transfer", poisoned)
+    cfg = write(tmp_path, "op.ini", ANH_SMALL.replace("kind = spectrum", "kind = operator")
+                + "n_max = 5\n")
+    out = tmp_path / "out"
+    assert main(["operator", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "operator_report.json").read_text())
+    manifest = (out / "manifest.txt").read_text()
+    for key in ("mass_error_max", "contraction_factor_max", "duality_residual_max"):
+        assert math.isnan(report[key]), key
+        assert f"result.{key} = nan" in manifest
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging flow overflows
+def test_flow_conservation_keeps_a_nan(tmp_path):
+    # the quartic's leapfrog at 5 time units a step runs off to inf and NaN
+    text = FLOW_LEAPFROG.replace("time = 0.7", "time = 50\nsteps = 10").replace(
+        "samples = 100", "samples = 10")
+    cfg = write(tmp_path, "diverge.ini", text)
+    out = tmp_path / "out"
+    assert main(["flow", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+    report = json.loads((out / "conservation.json").read_text())
+    assert math.isnan(report["det_jacobian_max_deviation"])
+    assert math.isnan(report["energy_drift"])
+    manifest = (out / "manifest.txt").read_text()
+    assert "result.det_dev = nan" in manifest
+    assert "result.energy_drift = nan" in manifest
+
+
 def test_operator_run_tabulates_the_kernel_once(tmp_path, monkeypatch):
     # the adjoint is T for the CLI's even auxiliary, so no second tabulation is made
     from hmctransfer import operator
@@ -510,6 +547,23 @@ def test_threads_cap_runs_the_experiment_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_threads_record_in_the_manifest(tmp_path, monkeypatch):
+    cfg = write(tmp_path, "spec.ini", ANH_SMALL)
+
+    def threads(name, *flags):
+        out = tmp_path / name
+        assert main(["spectrum", "--config", cfg, "--out", str(out), *flags]) == 0
+        return re.search(r"^experiment\.threads = (.*)$", (out / "manifest.txt").read_text(), re.M)[1]
+
+    assert threads("none") == "default"
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # the import fails
+    assert threads("missing", "--threads", "1") == "default (threadpoolctl unavailable)"
+    stub = types.ModuleType("threadpoolctl")
+    stub.threadpool_limits = lambda limits: contextlib.nullcontext()
+    monkeypatch.setitem(sys.modules, "threadpoolctl", stub)
+    assert threads("capped", "--threads", "1") == "1"
+
+
 def test_hmc_chain_generic_metropolis_path():
     model = standard_gaussian_pair(halfwidth=8.0)
     spec = FlowSpec(time=0.7, steps=70, method="leapfrog")
@@ -585,6 +639,50 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     codes, loaded = json.loads(run.stdout.strip().splitlines()[-1])
     assert codes == [0] * len(runs), run.stderr
     assert loaded == []
+
+
+def test_report_schemas_and_manifest_mirror(tmp_path, monkeypatch):
+    # the report keys follow the records' fields; four reports are mirrored into
+    # the manifest as result.* keys, and main writes the manifest once per run
+    write_manifest, writes = cli.write_manifest, []
+
+    def counting(*args, **kwargs):
+        writes.append(args)
+        return write_manifest(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_manifest", counting)
+    smoke = "samples = 10\ndraws = 2000\nn_max = 2000\ntol = 1e-6\nkernel_momentum_nodes = 257\n"
+    cfg = write(tmp_path, "quartic.ini", ANH_SMALL + smoke)
+    schemas = {
+        "flow": ("conservation.json",
+                 {"energy_drift", "det_jacobian_max_deviation", "closure_distance"}),
+        "operator": ("operator_report.json", {
+            "fixed_point_residual", "mass_error_max", "contraction_factor_max",
+            "self_adjointness_residual", "duality_residual_max",
+            "momentum_flip_conjugacy_residual", "leaked_mass", "iteration_converged",
+            "iteration_anomaly", "limit_mass_ratio", "iteration_error_floor",
+            "iteration_floor_step", "kernel_width_cells"}),
+        "spectrum": ("spectral_report.json", {"gap", "rate_bound", "multiplicity_check",
+                                              "second_mass", "symmetry_residual", "gap_caveat"}),
+        "kernel-norm": ("kernel_report.json", {"hs_norm_sq", "hs_norm_sq_momentum", "sum_mu_sq",
+                                               "hs_bound_from_determinants"}),
+        "convergence": ("certificate.json", {"rho_emp", "rho_spec", "mismatch", "r_squared",
+                                             "window", "n_points", "passed",
+                                             "trivially_converged"}),
+        "sampler-check": ("sampler_report.json", {"draws", "acceptance_rate", "sup_distance"}),
+    }
+    assert set(schemas) == set(cli.RUNNERS)
+    for kind, (name, keys) in schemas.items():
+        out = tmp_path / kind
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 0
+        assert len(writes) == 1
+        writes.clear()
+        report = json.loads((out / name).read_text())
+        assert set(report) == keys, kind
+        if kind in ("operator", "spectrum", "kernel-norm", "sampler-check"):
+            manifest = (out / "manifest.txt").read_text().splitlines()
+            for key, value in report.items():
+                assert f"result.{key} = {cli._fmt(value)}" in manifest, (kind, key)
 
 
 def test_operator_report_records_kernel_width(tmp_path, capsys):

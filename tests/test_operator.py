@@ -69,8 +69,7 @@ def test_grid_warns_when_too_coarse():
         domain_halfwidth=8.0,
     )
     with pytest.warns(UserWarning, match="coarse"):
-        grid = build_grid(model, 16)
-    assert grid.warnings
+        build_grid(model, 16)
 
 
 def test_weighted_inner_of_target_is_its_mass(gauss_grid):
