@@ -404,7 +404,14 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     }
     if "kernel_width_cells" in T.meta:  # the 1-d Nystrom matrix's resolution
         report["kernel_width_cells"] = T.meta["kernel_width_cells"]
-    return 0, write_json(outdir / "operator_report.json", report)
+    results = write_json(outdir / "operator_report.json", report)
+    # the report is written first, so a failed run stays diagnosable
+    bad = np.count_nonzero(~np.isfinite(T.entries))
+    if bad:
+        print(f"error: operator not finite: {bad} of {T.entries.size} entries of T are NaN "
+              f"or infinite", file=sys.stderr)
+        return 1, results
+    return 0, results
 
 
 def run_spectrum(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:

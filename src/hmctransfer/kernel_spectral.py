@@ -101,7 +101,10 @@ def eigen_spectrum(T: TransferMatrix, k: int) -> SpectralReport:
 
     grid = T.grid
     A, mask, scale = to_weighted_symmetric(T)
-    sym = 0.5 * (A + A.T)
+    # 0.5 (A + A^T) in one buffer, A dropped first: the same sum and product, so the same bits
+    sym = A + A.T
+    del A
+    sym *= 0.5
     vals, vecs = np.linalg.eigh(sym)
     order = np.argsort(-np.abs(vals))
     k = min(k, len(vals))

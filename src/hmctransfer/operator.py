@@ -14,7 +14,10 @@ arrival point, the auxiliary density at the conjugate momentum, and the
 Jacobian factor D_q = |dp/dQ| of the change of variables.  The kernel is
 tabulated from one flow of a dense momentum probe per node, splining (P, p)
 over Q along each monotone image curve: P is the spline's value and D_q the
-slope of p, one batched spline solve for all rows.  The matrix is the
+slope of p.  Each row's curve is independent of the others', so the rows
+are tabulated in blocks of about ``ROW_BLOCK_POINTS`` phase points, one flow
+and one batched spline solve per block, and the tabulation's memory scales
+with the block instead of with all n m probe points.  The matrix is the
 kernel's Nystrom discretization on the grid's trapezoid rule,
 T_ij = K(q_i, x_j) w_j / f_j (Atkinson, The Numerical Solution of Integral
 Equations of the Second Kind, 1997, ch. 4): nonnegative entries, and the
@@ -297,18 +300,22 @@ def spline_coefficients(x: np.ndarray, curves) -> np.ndarray:
     # two reused buffers: the same products and differences as
     # b[:, i] -= fact[:, None] * b[:, i - 1] and diag[:, i] -= fact * upper[:, i - 1],
     # b first, since the diag product overwrites fact
-    # the off-diagonal bands as rows of dx: upper[0] = head and lower[n - 1] = tail
-    upper, lower = [head, *dx.T[:-1]], [*dx.T, tail]
-    b_k = b.transpose(1, 0, 2)
-    fact, prod = np.empty(rows), np.empty(b_k.shape[1:])
+    # the off-diagonal bands as rows of dx: upper[0] = head and lower[n - 1] = tail.
+    # Bands, diag and b are lists of per-knot (B, 1) and (B, R) views, made once: a
+    # list index costs less than an array slice, and the knot loop runs once per
+    # row block of the kernel tabulation
+    upper = [head[:, None], *dx.T[:-1, :, None]]
+    lower = [*dx.T[:, :, None], tail[:, None]]
+    b_k, d_k = list(b.transpose(1, 0, 2)), list(diag[:, :, None])
+    fact, prod = np.empty((rows, 1)), np.empty(b_k[0].shape)
     for i in range(1, n):
-        np.divide(lower[i], diag[i - 1], out=fact)
-        b_k[i] -= np.multiply(fact[:, None], b_k[i - 1], out=prod)
-        diag[i] -= np.multiply(fact, upper[i - 1], out=fact)
-    b_k[-1] /= diag[-1, :, None]
+        np.divide(lower[i], d_k[i - 1], out=fact)
+        b_k[i] -= np.multiply(fact, b_k[i - 1], out=prod)
+        d_k[i] -= np.multiply(fact, upper[i - 1], out=fact)
+    b_k[-1] /= d_k[-1]
     for i in range(n - 2, -1, -1):
-        b_k[i] -= np.multiply(upper[i][:, None], b_k[i + 1], out=prod)
-        b_k[i] /= diag[i, :, None]
+        b_k[i] -= np.multiply(upper[i], b_k[i + 1], out=prod)
+        b_k[i] /= d_k[i]
     return b
 
 
@@ -324,17 +331,19 @@ class TransferMatrix:
         return self.entries @ np.asarray(h, dtype=float)
 
 
-def _truncation(grid: DensityGrid, inside: np.ndarray, G: np.ndarray) -> dict:
-    """Share of flow images outside the box and the relative mass they carry out
-    (image k of node i weighs G[i, k], its probe weight times g(P) / g(p)), for
-    an operator's meta; a mass above 1e-6, the fixed-point bound, is warned
-    about.  The share alone tells little: the quartic's probes span the
-    auxiliary's tails, so 3% of its images leave the box with 2e-11 of the
-    mass.  G is overwritten: its entries inside the box are zeroed in place."""
-    frac_outside = 1.0 - float(np.count_nonzero(inside)) / inside.size
+def _truncation(grid: DensityGrid, frac_outside: float, escaped: np.ndarray) -> dict:
+    """Domain truncation for an operator's meta: ``frac_outside``, the share of
+    flow images outside the box, and ``leaked_mass``, the f x g measure of
+    {q in the box, Q(q, p) outside it} relative to the box's f-mass,
+    sum_i w_i f_i escaped_i / sum_i w_i f_i, with escaped_i node i's probe
+    weights summed over its images outside the box.  The flow conserves
+    f(q) g(p), so this is the mass T loses from f, 1 - mass(T f) / mass(f), up
+    to the flow's energy error; a leak above 1e-6, the fixed-point bound, is
+    warned about.  The share alone tells little: the quartic's probes span the
+    auxiliary's tails, so 3% of its images leave the box with 4e-13 of the
+    mass."""
     f = grid.target_values
-    G *= ~inside
-    leaked = float((grid.weights * f) @ G.sum(axis=1)) / float(grid.weights @ f)
+    leaked = float((grid.weights * f) @ escaped) / float(grid.weights @ f)
     if leaked > 1e-6:
         warnings.warn(
             f"domain truncation: {100 * frac_outside:.3f}% of flow images leave the box, "
@@ -361,9 +370,10 @@ def _multilinear(grid, model, spec, momentum_nodes, inverse):
                       inverse=inverse)
     G = np.exp(np.log(rule.weights) + model.auxiliary.value(rule.nodes)
                - model.auxiliary.value(P).reshape(n, m))
-    inside = grid.inside(Q)
-    g = G.reshape(-1) * inside
-    meta = {**_truncation(grid, inside.reshape(n, m), G), "deposit": "multilinear"}
+    inside = grid.inside(Q).reshape(n, m)
+    g = (G * inside).reshape(-1)
+    meta = {**_truncation(grid, 1.0 - np.count_nonzero(inside) / inside.size,
+                          ~inside @ rule.weights), "deposit": "multilinear"}
 
     idx, frac = [], []
     for axis, ax in enumerate(grid.axes):
@@ -381,6 +391,11 @@ def _multilinear(grid, model, spec, momentum_nodes, inverse):
             col = col + (idx[axis] + bit) * strides[axis]
         out += np.bincount(col, weights=w, minlength=out.size)
     return out.reshape(n, n), meta
+
+
+# phase points per block of kernel rows: smaller blocks run the spline's knot
+# loop too often, larger ones set the tabulation's peak with their own arrays
+ROW_BLOCK_POINTS = 4 * BLOCK_POINTS
 
 
 def _nystrom(grid, model, spec, momentum_nodes, inverse):
@@ -402,16 +417,19 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse):
     auxiliary standard deviation and h the grid spacing.  The trapezoid error falls as
     exp(-2 pi^2 s^2) in the kernel width s in cells: in the Gaussian rate and
     mass 1e-12 at s = 2, 5e-9 at 1, 1e-2 at 0.5 (n = 401).  Below one cell
-    this raises ``ValueError`` before the spline is solved.
+    this raises ``ValueError`` before any spline is solved.
 
-    Memory: the spline reads P as a view of the flow's own output and p as a
-    broadcast of the probes, so no curve is copied.  The peak is inside the
-    solve, which holds Q, P, the knot spacings, the two-curve right-hand side
-    and the diagonal; g(P) is then filled into one (n, m) buffer in row
-    blocks, and the Hilbert-Schmidt and truncation products are formed in
-    place, the first in one more buffer, the second in g(P)'s.  At large n the
-    values at the (row, node) pairs, a few arrays of one double per pair
-    updated in place, take over; K is scaled into T in place.
+    Memory: each row's probe curve is flowed, splined, checked and evaluated
+    on its own, so the rows pass through the whole tabulation in blocks of
+    ``ROW_BLOCK_POINTS // m`` rows (at least one), and each block's arrays are
+    freed before the next: the peak scales with the block, not with n m, and
+    every entry of T keeps its bits.  Within a block the spline reads P as a
+    view of the flow's output and p as a broadcast of the probes, so no curve
+    is copied; the solve, then the (row, node) pairs, set the peak.  A block
+    leaves only its per-row Hilbert-Schmidt and escape sums and its values at
+    the pairs, scattered into T.  T is allocated after the first block's
+    arrays are freed, so a single block peaks as a one-pass tabulation does,
+    and K is scaled into T in place.
     """
     if momentum_nodes < 4:
         raise ValueError(f"need at least 4 kernel momentum nodes, got {momentum_nodes}")
@@ -422,74 +440,86 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse):
     probes, probe_weights = rule.nodes[order, 0], rule.weights[order]
     sigma = math.sqrt(float(rule.weights @ rule.nodes[:, 0] ** 2))
 
-    # one sweep: the probes momentum-major, so Q and P come out knot-major for
-    # the spline, then the +-sigma width probes
-    Q, P = flow_batch(np.tile(grid.nodes, (m + 2, 1)),
-                      np.repeat(np.append(probes, [sigma, -sigma]), n)[:, None], model, spec,
-                      inverse=inverse)
-    Q = Q.reshape(m + 2, n)
-    width = float(np.min(np.abs(Q[m] - Q[m + 1])) / (2 * (x[1] - x[0])))
-    if not width >= 1:
-        raise ValueError(f"kernel_width_cells = {width:.3g} < 1: the grid cannot resolve "
-                         f"the kernel; refine the grid or lengthen the flow")
-    Q = Q[:m].T
-    if not np.all(np.diff(Q, axis=1) > 0):
-        raise ValueError("momentum-to-position map not strictly monotone on a probe")
-    # the curves P and +-p over (row, knot), as views
-    P = P[:m * n].reshape(m, n).T
-    p = np.broadcast_to(-probes if inverse else probes, (n, m))
-    slopes = spline_coefficients(Q, (P, p))
-    if not np.all(slopes[:, :, 1] > 0):
-        raise ValueError("dp/dQ lost positivity along a probe; conjugate point reached")
-
     log_norm = model.auxiliary_log_mass()
 
     def gbar(p):
         return np.exp(-model.auxiliary.value(np.asarray(p).reshape(-1, 1)) - log_norm)
 
-    # restrict to image points inside the box: the change of variables maps
-    # the position-space double integral over box x box exactly onto
-    # {(q, p): Q(q, p) inside the box}
     w = grid.weights
     f = grid.target_values
-    # g(P) in row blocks, so gbar's temporaries stay block-sized
-    gP = np.empty((n, m))
-    step = max(1, BLOCK_POINTS // m)
+    hs_rows, escaped, inside = np.empty(n), np.empty(n), 0
+    step, sub = max(1, ROW_BLOCK_POINTS // m), max(1, BLOCK_POINTS // m)
     for lo in range(0, n, step):
-        gP[lo:lo + step] = gbar(P[lo:lo + step]).reshape(-1, m)
-    in_box = (Q >= x[0]) & (Q <= x[-1])
-    hs = np.multiply(in_box, gP)
-    hs *= slopes[:, :, 1]
-    hs_mom = float(np.einsum("i,k,ik->", w, probe_weights, hs))
-    del hs
-    # G = probe weight * g(P) / g(p) in place: products commute, so it rounds
-    # as the out-of-place product
-    gP *= probe_weights / gbar(probes)
-    truncation = _truncation(grid, in_box, gP)
-    del gP, in_box
+        r = min(step, n - lo)
+        block = slice(lo, lo + r)
+        # the block's probes momentum-major, so Q and P come out knot-major for the
+        # spline; the first block's sweep then flows the +-sigma width probes of all
+        # rows, so the width gate comes before any spline is solved and a single
+        # block is a single sweep
+        qs, ps = np.tile(grid.nodes[block], (m, 1)), np.repeat(probes, r)[:, None]
+        if lo == 0:
+            qs = np.concatenate([qs, np.tile(grid.nodes, (2, 1))])
+            ps = np.concatenate([ps, np.repeat([sigma, -sigma], n)[:, None]])
+        Q, P = flow_batch(qs, ps, model, spec, inverse=inverse)
+        del qs, ps
+        if lo == 0:
+            # no view of Q outlives this line: it would hold the whole flow output
+            spans = np.abs(np.subtract(*Q[m * r:, 0].reshape(2, n)))
+            width = float(np.min(spans) / (2 * (x[1] - x[0])))
+            if not width >= 1:
+                raise ValueError(f"kernel_width_cells = {width:.3g} < 1: the grid cannot "
+                                 f"resolve the kernel; refine the grid or lengthen the flow")
+        Q = Q[:m * r].reshape(m, r).T
+        if not np.all(np.diff(Q, axis=1) > 0):
+            raise ValueError("momentum-to-position map not strictly monotone on a probe")
+        # the curves P and +-p over (row, knot), as views
+        P = P[:m * r].reshape(m, r).T
+        p = np.broadcast_to(-probes if inverse else probes, (r, m))
+        slopes = spline_coefficients(Q, (P, p))
+        if not np.all(slopes[:, :, 1] > 0):
+            raise ValueError("dp/dQ lost positivity along a probe; conjugate point reached")
 
-    # below[i, j] counts the images Q[i, k] <= x[j]: node j on row i's curve lies
-    # in piece below - 1, the last piece closed on the right
-    counts = np.bincount((np.searchsorted(x, Q) + (n + 1) * np.arange(n)[:, None]).ravel(),
-                         minlength=n * (n + 1)).reshape(n, n + 1)
-    below = np.cumsum(counts, axis=1, out=counts)[:, :n]
-    rows, cols = np.nonzero((below > 0) & (x[None, :] <= Q[:, -1:]))
-    piece = np.minimum(below[rows, cols] - 1, m - 2)
-    del counts, below
-    at, nxt = (rows, piece), (rows, piece + 1)
-    h = Q[nxt] - Q[at]
-    s = x[cols] - Q[at]
-    del Q
-    P_at = _spline_piece(P, slopes[:, :, 0], at, nxt, h, s)
-    D_at = _spline_piece(p, slopes[:, :, 1], at, nxt, h, s, slope=True)
-    del P, p, slopes, at, nxt, piece, h, s
-    if not np.all(D_at > 0):
-        raise ValueError("dp/dQ lost positivity between probes; conjugate point reached")
-    T = np.zeros((n, n))
-    T[rows, cols] = f[cols] * gbar(P_at) * D_at
+        # restrict to image points inside the box: the change of variables maps
+        # the position-space double integral over box x box exactly onto
+        # {(q, p): Q(q, p) inside the box}
+        in_box = (Q >= x[0]) & (Q <= x[-1])
+        # g(P) in sub-blocks, so gbar's temporaries stay flow-block-sized
+        hs = np.empty((r, m))
+        for i in range(0, r, sub):
+            hs[i:i + sub] = gbar(P[i:i + sub]).reshape(-1, m)
+        hs *= in_box
+        hs *= slopes[:, :, 1]
+        hs_rows[block] = hs @ probe_weights
+        del hs
+        escaped[block] = ~in_box @ probe_weights
+        inside += np.count_nonzero(in_box)
+        del in_box
+
+        # below[i, j] counts the images Q[i, k] <= x[j]: node j on row i's curve lies
+        # in piece below - 1, the last piece closed on the right
+        counts = np.bincount((np.searchsorted(x, Q) + (n + 1) * np.arange(r)[:, None]).ravel(),
+                             minlength=r * (n + 1)).reshape(r, n + 1)
+        below = np.cumsum(counts, axis=1, out=counts)[:, :n]
+        rows, cols = np.nonzero((below > 0) & (x[None, :] <= Q[:, -1:]))
+        piece = np.minimum(below[rows, cols] - 1, m - 2)
+        del counts, below
+        at, nxt = (rows, piece), (rows, piece + 1)
+        h = Q[nxt] - Q[at]
+        s = x[cols] - Q[at]
+        del Q
+        P_at = _spline_piece(P, slopes[:, :, 0], at, nxt, h, s)
+        D_at = _spline_piece(p, slopes[:, :, 1], at, nxt, h, s, slope=True)
+        del P, p, slopes, at, nxt, piece, h, s
+        if not np.all(D_at > 0):
+            raise ValueError("dp/dQ lost positivity between probes; conjugate point reached")
+        if lo == 0:  # only now, so a single block does not hold T through its solve
+            T = np.zeros((n, n))
+        T[lo + rows, cols] = f[cols] * gbar(P_at) * D_at
+        del rows, cols, P_at, D_at
     T *= w / f
     return T, {"momentum_halfwidth": float(rule.nodes[-1, 0]), "kernel_width_cells": width,
-               "hs_norm_sq_momentum": hs_mom, **truncation}
+               "hs_norm_sq_momentum": float(w @ hs_rows),
+               **_truncation(grid, 1.0 - inside / (n * m), escaped)}
 
 
 def _spline_piece(y, slopes, at, nxt, h, s, slope=False):
@@ -552,8 +582,11 @@ def to_weighted_symmetric(T: TransferMatrix):
     grid = T.grid
     m = grid.retained
     scale = np.sqrt(grid.weights[m] / grid.target_values[m])
-    sub = T.entries[np.ix_(m, m)]
-    return (scale[:, None] / scale[None, :]) * sub, m, scale
+    # the submatrix multiplied into the ratio array: products commute, so it
+    # rounds as ratio * sub without a third array
+    A = scale[:, None] / scale[None, :]
+    A *= T.entries[np.ix_(m, m)]
+    return A, m, scale
 
 
 def _probe_densities(grid: DensityGrid):

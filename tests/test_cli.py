@@ -193,8 +193,9 @@ def test_operator_report(tmp_path):
     assert (out / "trace.csv").exists()
 
 
-def test_operator_maxima_keep_a_nan(tmp_path, monkeypatch):
-    # Python's max(0.0, nan) is 0.0: one NaN entry of T read as a zero error
+def test_operator_maxima_keep_a_nan(tmp_path, monkeypatch, capsys):
+    # Python's max(0.0, nan) is 0.0: one NaN entry of T read as a zero error.  The run
+    # fails, but its report and manifest are still written
     assemble = cli.assemble_transfer
 
     def poisoned(*args, **kwargs):
@@ -206,7 +207,9 @@ def test_operator_maxima_keep_a_nan(tmp_path, monkeypatch):
     cfg = write(tmp_path, "op.ini", ANH_SMALL.replace("kind = spectrum", "kind = operator")
                 + "n_max = 5\n")
     out = tmp_path / "out"
-    assert main(["operator", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["operator", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: operator not finite: 1 of {201 ** 2} entries of T are NaN or infinite"]
     report = json.loads((out / "operator_report.json").read_text())
     manifest = (out / "manifest.txt").read_text()
     for key in ("mass_error_max", "contraction_factor_max", "duality_residual_max"):

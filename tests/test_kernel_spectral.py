@@ -303,17 +303,17 @@ def test_kernel_needs_four_momentum_nodes(gauss_grid, gauss_model, gauss_spec):
 
 
 def test_quartic_kernel_tabulation_peak_memory(anh_grid, anh_model, anh_spec):
-    # the spline reads the flowed curves as views, its off-diagonal bands as
-    # rows of the knot spacings, and every array is released after its last
-    # use: 19.35 MiB traced at n = 401 / 1025; stacked curve copies and three
-    # bands read 28.25 MiB, holding every array to the return 70.85
+    # the rows are tabulated in four blocks of at most 127, each block's arrays
+    # released before the next: 7.76 MiB traced at n = 401 / 1025, T's 1.23
+    # included.  All rows in one pass read 19.35 MiB, stacked curve copies and
+    # three bands 28.25, holding every array to the return 70.85
     tracemalloc.start()
     try:
         assemble_transfer(anh_grid, anh_model, anh_spec, 1025)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 21 * 2**20
+    assert peak <= 10 * 2**20
 
 
 def test_hs_norm_refuses_non_finite_estimates(gauss_kernel, gauss_grid):

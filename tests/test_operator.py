@@ -22,6 +22,7 @@ from hmctransfer import (
     weighted_norm,
     weighted_symmetry_residual,
 )
+from hmctransfer import operator
 from hmctransfer.cli import main
 from hmctransfer.distributions import ModelPair
 from hmctransfer.dynamics import flow_batch
@@ -403,14 +404,25 @@ def test_domain_truncation_warning(anh_grid, anh_model, anh_spec):
     assert T.meta["frac_outside"] > 1e-3 and T.meta["leaked_mass"] < 1e-6
 
 
+def test_leaked_mass_is_the_mass_the_operator_loses(anh_T, anh_grid):
+    # the f x g measure of the images leaving the box is the mass T loses from f, up
+    # to the leapfrog's energy error: 4.07e-13 against 9.13e-13.  Weighting each
+    # image by its probe weight times g(P) / g(p) read 2.07e-11
+    f = anh_grid.target_values
+    loss = 1.0 - mass(anh_T.apply(f), anh_grid) / mass(f, anh_grid)
+    assert loss / 10 <= anh_T.meta["leaked_mass"] <= 10 * loss
+
+
 def test_two_dimensional_smoke():
     model = standard_gaussian_pair(dim=2, halfwidth=6.0)
     grid = build_grid(model, 24)
     spec = default_flow_spec(model, 0.5)
     # the outer Gauss-Hermite nodes (|p| = 6.36) carry 18% of the images out of the
-    # 6-sigma box: a true leak of 3.2e-6 relative mass
-    with pytest.warns(UserWarning, match="domain truncation"):
+    # 6-sigma box, but only 1.35e-9 of the f x g mass: no truncation warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
         T = assemble_transfer(grid, model, spec, 15)
+    assert T.meta["frac_outside"] > 0.1 and T.meta["leaked_mass"] < 1e-6
     assert T.meta["deposit"] == "multilinear"
     rng = np.random.default_rng(1)
     h = random_density(grid, rng)
@@ -524,9 +536,10 @@ def test_quartic_transfer_assembly_peak_memory(anh_grid, anh_model, anh_spec):
 
 
 def test_gaussian_transfer_assembly_peak_memory(gauss_model, gauss_spec):
-    # n = 801 / m = 257: 33.9 MiB traced, set by the (row, node) pairs of the
-    # wide kernel; stacked curve copies read 35.5, the stacked spline
-    # coefficients 74.2, evaluating the pieces out of place 48.8
+    # n = 801 / m = 257: 21.9 MiB traced in two row blocks, set by a block's
+    # (row, node) pairs of the wide kernel; all rows in one block read 33.9,
+    # stacked curve copies 35.5, the stacked spline coefficients 74.2,
+    # evaluating the pieces out of place 48.8
     grid = build_grid(gauss_model, 801)
     tracemalloc.start()
     try:
@@ -537,11 +550,35 @@ def test_gaussian_transfer_assembly_peak_memory(gauss_model, gauss_spec):
     assert peak <= 38 * 2**20
 
 
+@pytest.mark.parametrize("quartic", [True, False], ids=["quartic-401", "gaussian-201"])
+def test_row_blocks_keep_every_entry(monkeypatch, quartic, anh_model, anh_spec, gauss_model,
+                                     gauss_spec):
+    # m = 1025: the quartic at n = 401 takes blocks of 127 rows and a remainder of
+    # 20, the Gaussian's exact flow at n = 201 blocks of 127 and 74; every row is
+    # tabulated on its own, so one block of all rows gives the same bits
+    model, spec, n = (anh_model, anh_spec, 401) if quartic else (gauss_model, gauss_spec, 201)
+    grid = build_grid(model, n)
+    assert operator.ROW_BLOCK_POINTS // 1025 < n
+
+    def tabulate():
+        return [assemble(grid, model, spec, 1025) for assemble in (assemble_transfer,
+                                                                   assemble_adjoint)]
+
+    blocked = tabulate()
+    monkeypatch.setattr(operator, "ROW_BLOCK_POINTS", n * 1025)
+    for a, b in zip(blocked, tabulate()):
+        assert np.array_equal(a.entries, b.entries)
+        hs_a, hs_b = a.meta.pop("hs_norm_sq_momentum"), b.meta.pop("hs_norm_sq_momentum")
+        assert abs(hs_a - hs_b) <= 1e-13 * hs_b
+        assert a.meta == b.meta
+
+
 @pytest.mark.parametrize("n, m", [(201, 1025), (401, 513)])
 def test_quartic_transfer_assembly_peak_scales_with_the_flow(anh_model, anh_spec, n, m):
-    # the flow output is n (m + 2) doubles per coordinate; Q, P, the knot
-    # spacings, the two-curve right-hand side and the diagonal set the peak at
-    # 6.2 such arrays at both sizes; stacked curve copies and three bands read 9.0
+    # the flow output is n (m + 2) doubles per coordinate; both sizes take two row
+    # blocks, whose Q, P, knot spacings, two-curve right-hand side and diagonal set
+    # the peak at 4.1 and 4.0 such arrays.  All rows in one block read 6.2, stacked
+    # curve copies and three bands 9.0
     grid = build_grid(anh_model, n)
     tracemalloc.start()
     try:
