@@ -2,9 +2,8 @@
 
 Discretizes the density-evolution operator of HMC on truncated log-concave
 models, integrates the Hamiltonian and variational flows, assembles the
-operator from the explicit kernel (1-d) or a momentum deposit (d >= 2), and
-measures fixed points, spectra and geometric convergence rates against
-closed-form oracles.
+1-d operator from its explicit kernel, and measures fixed points, spectra and
+geometric convergence rates against closed-form oracles.
 """
 
 from .distributions import (

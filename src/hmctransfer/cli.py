@@ -50,7 +50,7 @@ class ConfigError(ValueError):
 # An int may equal its least value; a float must be finite and above it.
 SETTINGS = {
     "grid.n_per_axis": (int, 401, 16),
-    "grid.momentum_nodes": (int, 257, 2),  # at least 4 in 1-d, the kernel spline's knots
+    "grid.momentum_nodes": (int, 257, 4),  # the kernel spline's knots
     "experiment.seed": (int, 0, 0),
     "experiment.samples": (int, 100, 1),
     "experiment.draws": (int, 100000, 0),
@@ -191,21 +191,21 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
     if spec.method == "exact_gaussian" and not model.is_gaussian:
         raise ConfigError("flow.method: exact_gaussian requires a Gaussian model pair")
 
-    # every experiment but flow builds an operator, which must stay below the
-    # conjugate-point bound
+    # every experiment but flow builds an operator, which needs a 1-d model and
+    # must stay below the conjugate-point bound
     if kind != "flow":
+        if model.dim != 1:
+            raise ConfigError(f"{kind}: only 1-d models are supported")
         try:
             check_conjugate_bound(model, spec)
         except ValueError as exc:
             raise ConfigError(f"flow.time: {exc} for {kind} experiments") from exc
 
     if "grid" in parser and "momentum_rule" in parser["grid"]:
-        raise ConfigError("grid.momentum_rule: option removed; the rule follows from the "
-                          "dimension (trapezoid in 1-d, Gauss-Hermite in d >= 2)")
+        raise ConfigError("grid.momentum_rule: option removed; the momentum probes are "
+                          "always a trapezoid rule")
     settings = {}
     for name, (type_, default, least) in SETTINGS.items():
-        if name == "grid.momentum_nodes" and model.dim == 1:
-            least = 4
         section = name.split(".")[0]
         value = _number(parser[section] if section in parser else {}, name, type_, default)
         if not (value >= least if type_ is int else math.isfinite(value) and value > least):
@@ -401,9 +401,8 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
         # the smallest error reached, which the stop rule does not act on
         "iteration_error_floor": float(trace.errors[floor_at]),
         "iteration_floor_step": int(trace.steps[floor_at]),
+        "kernel_width_cells": T.meta["kernel_width_cells"],
     }
-    if "kernel_width_cells" in T.meta:  # the 1-d Nystrom matrix's resolution
-        report["kernel_width_cells"] = T.meta["kernel_width_cells"]
     results = write_json(outdir / "operator_report.json", report)
     # the report is written first, so a failed run stays diagnosable
     bad = np.count_nonzero(~np.isfinite(T.entries))
@@ -425,10 +424,6 @@ def run_spectrum(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
 
 
 def run_kernel_norm(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
-    # the momentum-space HS estimate needs the 1-d kernel; in d >= 2 the deposit would
-    # also flow kernel_momentum_nodes^d probes from every node before hs_norm refused
-    if config.model.dim != 1:
-        raise ConfigError("kernel-norm: only 1-d models are supported")
     grid, T = _operator_stack(config, config.kernel_momentum_nodes)
     value = hs_norm(T)
     report = eigen_spectrum(T, min(grid.n - 1, 64))
@@ -462,8 +457,6 @@ def run_convergence(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
 
 def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     model = config.model
-    if model.dim != 1:
-        raise ConfigError("sampler-check: only 1-d models are supported")
     # the reference operator is built and checked before the chain runs, so a
     # config its gates refuse draws nothing, with draws = 0 too
     grid, T = _operator_stack(config, config.momentum_nodes)

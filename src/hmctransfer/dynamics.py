@@ -52,6 +52,7 @@ __all__ = [
     "momentum_flip_conjugacy_residual",
     "check_conjugate_bound",
     "determinant_bounds",
+    "spd_sqrt",
 ]
 
 # points per leapfrog block: 256 KiB per (N, 1) array, so a block's half a

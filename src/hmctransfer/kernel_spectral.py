@@ -1,7 +1,7 @@
 """Hilbert-Schmidt norm, spectra and rate certificates of the transfer operator.
 
-In 1-d ``assemble_transfer`` returns the Nystrom matrix T_ij = K_ij w_j / f_j
-of the explicit kernel K(q, Q) = f(Q) g(P_q(Q)) |dp/dQ|, so (T h)(q) =
+``assemble_transfer`` returns the Nystrom matrix T_ij = K_ij w_j / f_j of
+the explicit kernel K(q, Q) = f(Q) g(P_q(Q)) |dp/dQ|, so (T h)(q) =
 <h, K(q, .)> in the f-weighted inner product.  A finite Hilbert-Schmidt norm
 makes the operator compact and certifies the spectral gap; ``hs_norm`` takes
 it as a position-space double quadrature of the matrix and checks it against
@@ -43,15 +43,11 @@ def hs_norm(T: TransferMatrix) -> float:
     over all nodes, the kernel's int int K^2 / (f f) of the Nystrom matrix;
     K / f stays bounded (it is g(P) D_q), so no density floor is needed.  It
     is returned after checking it against the momentum-space estimate
-    ``T.meta["hs_norm_sq_momentum"]``, which only the 1-d kernel tabulation
-    records; without it this raises ``ValueError``.  Disagreement beyond 1e-3
-    relative, or an estimate that is not finite, is reported as a consistency
-    failure.
+    ``T.meta["hs_norm_sq_momentum"]`` that the kernel tabulation records.
+    Disagreement beyond 1e-3 relative, or an estimate that is not finite, is
+    reported as a consistency failure.
     """
-    b = T.meta.get("hs_norm_sq_momentum")
-    if b is None:
-        raise ValueError("hs_norm needs hs_norm_sq_momentum, which only the 1-d kernel "
-                         f"tabulation records; this operator is {T.grid.dim}-d")
+    b = T.meta["hs_norm_sq_momentum"]
     r = T.grid.weights / T.grid.target_values
     a = float(np.einsum("i,j,ij,ij->", r, 1 / r, T.entries, T.entries))
     if not (math.isfinite(a) and math.isfinite(b)):

@@ -1,15 +1,15 @@
 """Discretized density space and the transfer operator.
 
-The position domain [-L, L]^d carries a trapezoid tensor grid; densities are
-vectors of node values and the Hilbert structure is the f-weighted inner
+The position domain [-L, L] of a 1-d model carries a trapezoid grid; densities
+are vectors of node values and the Hilbert structure is the f-weighted inner
 product sum w a b / f.  One operator application spreads a density over
 momenta with the auxiliary density, flows every phase point, and integrates
 the momenta back out:
 
     (T h)(q) = int h(Q(q, p)) g(P(q, p)) dp,   g normalized to unit mass.
 
-In 1-d, p -> Q changes this into (T h)(q) = int h(Q) K(q, Q) / f(Q) dQ with
-the explicit kernel K(q, Q) = f(Q) g(P_q(Q)) D_q(Q): the target at the
+Substituting Q for p turns this into (T h)(q) = int h(Q) K(q, Q) / f(Q) dQ
+with the explicit kernel K(q, Q) = f(Q) g(P_q(Q)) D_q(Q): the target at the
 arrival point, the auxiliary density at the conjugate momentum, and the
 Jacobian factor D_q = |dp/dQ| of the change of variables.  The kernel is
 tabulated from one flow of a dense momentum probe per node, splining (P, p)
@@ -34,10 +34,6 @@ forward one, so the adjoint is T itself, bit for bit: the CLI, whose
 auxiliary is always a zero-mean Gaussian, takes T* = T and records the
 conjugacy residual instead, and ``assemble_adjoint`` stays as the tests'
 reference for that identity.
-
-In d >= 2 the matrix is assembled by momentum quadrature per position node:
-the flow images' weights are scattered onto the corners of their grid cells
-with ``np.bincount``, a multilinear interpolation of h(Q).
 
 ``iterate`` runs the fixed-point iteration h -> T h.  A run that goes past n
 steps (n the grid size) with budget left to pay for forming T^B switches to
@@ -98,10 +94,6 @@ class DensityGrid:
         return self.nodes.shape[0]
 
     @property
-    def shape(self) -> tuple:
-        return tuple(len(ax) for ax in self.axes)
-
-    @property
     def halfwidth(self) -> float:
         """Largest |coordinate| of a retained node: the probe and random densities
         scale with the region the weighted norms see, not with the whole box."""
@@ -112,13 +104,6 @@ class DensityGrid:
         """Mask of nodes kept in weighted norms: target density above floor."""
         return self.target_values > self.floor
 
-    def inside(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of points lying in the closed box."""
-        ok = np.ones(points.shape[:-1], dtype=bool)
-        for axis, ax in enumerate(self.axes):
-            ok &= (points[..., axis] >= ax[0]) & (points[..., axis] <= ax[-1])
-        return ok
-
 
 def _trapezoid_axis(halfwidth: float, n: int):
     x = np.linspace(-halfwidth, halfwidth, n)
@@ -128,31 +113,19 @@ def _trapezoid_axis(halfwidth: float, n: int):
     return x, w
 
 
-def _tensor_grid(axes, axis_weights):
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    w = axis_weights[0]
-    for extra in axis_weights[1:]:
-        w = np.multiply.outer(w, extra)
-    return nodes, w.ravel()
-
-
 def build_grid(model: ModelPair, n_per_axis: int) -> DensityGrid:
-    """Trapezoid tensor grid over [-L, L]^d with the target tabulated on it."""
+    """Trapezoid grid over [-L, L] with the target tabulated on it; the model must be 1-d."""
+    if model.dim != 1:
+        raise ValueError(f"build_grid: only 1-d models are supported, got dim = {model.dim}")
     if n_per_axis < 16:
         raise ValueError(f"need at least 16 nodes per axis, got {n_per_axis}")
     L = model.domain_halfwidth
-    d = model.dim
-    pairs = [_trapezoid_axis(L, n_per_axis) for _ in range(d)]
-    axes = tuple(p[0] for p in pairs)
-    nodes, w = _tensor_grid(axes, [p[1] for p in pairs])
+    x, w = _trapezoid_axis(L, n_per_axis)
+    nodes = x[:, None]
     f = density_value(model.target, nodes)
 
-    fine_pairs = [_trapezoid_axis(L, 2 * n_per_axis - 1) for _ in range(d)]
-    fine_nodes, fine_w = _tensor_grid(
-        tuple(p[0] for p in fine_pairs), [p[1] for p in fine_pairs]
-    )
-    ref = float(fine_w @ density_value(model.target, fine_nodes))
+    fine_x, fine_w = _trapezoid_axis(L, 2 * n_per_axis - 1)
+    ref = float(fine_w @ density_value(model.target, fine_x[:, None]))
     got = float(w @ f)
     if abs(got - ref) > 1e-3 * abs(ref):
         warnings.warn(
@@ -160,7 +133,7 @@ def build_grid(model: ModelPair, n_per_axis: int) -> DensityGrid:
             f"{abs(got - ref) / abs(ref):.2e} relative"
         )
     return DensityGrid(
-        axes=axes,
+        axes=(x,),
         nodes=nodes,
         weights=w,
         target_values=f,
@@ -196,7 +169,7 @@ class MomentumRule:
 
 
 def _auxiliary_halfwidth(model: ModelPair) -> float:
-    """Half-width covering all but 1e-12 of the auxiliary mass (1-d)."""
+    """Half-width covering all but 1e-12 of the auxiliary mass."""
     probe = np.linspace(0.0, 14.0 / math.sqrt(model.auxiliary.lambda_lo), 8193)
     g = np.exp(-model.auxiliary.value(probe[:, None]))
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(probe))])
@@ -208,35 +181,16 @@ def _auxiliary_halfwidth(model: ModelPair) -> float:
 def build_momentum_rule(model: ModelPair, m: int) -> MomentumRule:
     """Momentum quadrature matched to the auxiliary density.
 
-    In 1-d a trapezoid rule on a box covering 1 - 1e-12 of the auxiliary
-    mass: the probes along which ``assemble_transfer`` flows each node to
-    tabulate the kernel, splining P and p over the image curve, so m counts
-    knots of that spline and the Nystrom matrix needs m >= 4.  In d >= 2 a
-    tensor Gauss-Hermite rule matched to the Gaussian auxiliary, whose few
-    nodes per axis keep the m^d images of the multilinear deposit affordable.
+    A trapezoid rule on a box covering 1 - 1e-12 of the auxiliary mass: the
+    probes along which ``assemble_transfer`` flows each node to tabulate the
+    kernel, splining P and p over the image curve, so m counts knots of that
+    spline and must be at least 4.
     """
-    if m < 2:
-        raise ValueError("need at least 2 momentum nodes")
-    d = model.dim
-    if d == 1:
-        pts, wt = _trapezoid_axis(_auxiliary_halfwidth(model), m)
-        pts = pts[:, None]
-        wt = wt * np.exp(-model.auxiliary.value(pts))
-    else:
-        if not model.auxiliary.is_gaussian:
-            raise ValueError("gauss_hermite rule requires a Gaussian auxiliary density")
-        x, w = np.polynomial.hermite.hermgauss(m)
-        z = math.sqrt(2.0) * x
-        w = w / math.sqrt(math.pi)
-        vals, vecs = np.linalg.eigh(model.auxiliary.params["precision"])
-        # map standard-normal nodes through the covariance square root
-        transform = (vecs / np.sqrt(vals)) @ vecs.T
-        mesh = np.meshgrid(*[z] * d, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1) @ transform.T
-        wt = w
-        for _ in range(d - 1):
-            wt = np.multiply.outer(wt, w)
-        wt = wt.ravel()
+    if m < 4:
+        raise ValueError(f"need at least 4 kernel momentum nodes, got {m}")
+    pts, wt = _trapezoid_axis(_auxiliary_halfwidth(model), m)
+    pts = pts[:, None]
+    wt = wt * np.exp(-model.auxiliary.value(pts))
     wt = wt / wt.sum()
     return MomentumRule(nodes=pts, weights=wt)
 
@@ -354,43 +308,10 @@ def _truncation(grid: DensityGrid, frac_outside: float, escaped: np.ndarray) -> 
 
 def _assemble(grid, model, spec, momentum_nodes, inverse):
     check_conjugate_bound(model, spec)
-    build = _nystrom if grid.dim == 1 else _multilinear
-    entries, meta = build(grid, model, spec, momentum_nodes, inverse)
+    entries, meta = _nystrom(grid, model, spec, momentum_nodes, inverse)
     meta = {"inverse": inverse, "gaussian_model": model.is_gaussian, "method": spec.method,
             "time": spec.time, "steps": spec.steps, "momentum_nodes": momentum_nodes, **meta}
     return TransferMatrix(entries=entries, grid=grid, meta=meta)
-
-
-def _multilinear(grid, model, spec, momentum_nodes, inverse):
-    """Deposit matrix of a ``momentum_nodes``-per-axis momentum quadrature (d >= 2) and its
-    meta: each image's weight is scattered onto the corners of its grid cell."""
-    rule = build_momentum_rule(model, momentum_nodes)
-    n, m, d = grid.n, len(rule.weights), grid.dim
-    Q, P = flow_batch(np.repeat(grid.nodes, m, axis=0), np.tile(rule.nodes, (n, 1)), model, spec,
-                      inverse=inverse)
-    G = np.exp(np.log(rule.weights) + model.auxiliary.value(rule.nodes)
-               - model.auxiliary.value(P).reshape(n, m))
-    inside = grid.inside(Q).reshape(n, m)
-    g = (G * inside).reshape(-1)
-    meta = {**_truncation(grid, 1.0 - np.count_nonzero(inside) / inside.size,
-                          ~inside @ rule.weights), "deposit": "multilinear"}
-
-    idx, frac = [], []
-    for axis, ax in enumerate(grid.axes):
-        pos = np.clip(np.searchsorted(ax, Q[:, axis]) - 1, 0, len(ax) - 2)
-        idx.append(pos)
-        frac.append((Q[:, axis] - ax[pos]) / (ax[pos + 1] - ax[pos]))
-    strides = [int(np.prod(grid.shape[a + 1:])) for a in range(d)]
-    rows = np.repeat(np.arange(n), m) * n
-    out = np.zeros(n * n)
-    for corner in range(2 ** d):
-        w, col = g, rows
-        for axis in range(d):
-            bit = (corner >> axis) & 1
-            w = w * (frac[axis] if bit else 1.0 - frac[axis])
-            col = col + (idx[axis] + bit) * strides[axis]
-        out += np.bincount(col, weights=w, minlength=out.size)
-    return out.reshape(n, n), meta
 
 
 # phase points per block of kernel rows: smaller blocks run the spline's knot
@@ -399,7 +320,7 @@ ROW_BLOCK_POINTS = 4 * BLOCK_POINTS
 
 
 def _nystrom(grid, model, spec, momentum_nodes, inverse):
-    """Nystrom matrix T_ij = K(q_i, x_j) w_j / f_j (1-d) from one flow of
+    """Nystrom matrix T_ij = K(q_i, x_j) w_j / f_j from one flow of
     ``momentum_nodes`` probes per node, and its meta.
 
     Valid in the invertibility regime, where p -> Q(q, p) is strictly
@@ -431,8 +352,6 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse):
     arrays are freed, so a single block peaks as a one-pass tabulation does,
     and K is scaled into T in place.
     """
-    if momentum_nodes < 4:
-        raise ValueError(f"need at least 4 kernel momentum nodes, got {momentum_nodes}")
     n, m = grid.n, momentum_nodes
     x = grid.axes[0]
     rule = build_momentum_rule(model, m)
@@ -556,9 +475,8 @@ def assemble_transfer(
     spec: FlowSpec,
     momentum_nodes: int,
 ) -> TransferMatrix:
-    """Assemble the transfer operator: in 1-d the Nystrom matrix of the
-    kernel tabulated on ``momentum_nodes`` probes, in d >= 2 the multilinear
-    deposit of a ``momentum_nodes``-per-axis momentum quadrature."""
+    """Assemble the transfer operator: the Nystrom matrix of the kernel
+    tabulated on ``momentum_nodes`` probes."""
     return _assemble(grid, model, spec, momentum_nodes, inverse=False)
 
 

@@ -116,6 +116,26 @@ draws = 200000
 bins = 100
 """
 
+GAUSS_2D = """
+[model]
+family = gaussian
+mean = 0.0, 0.0
+precision = 1.0, 1.0
+halfwidth = 6.0
+
+[flow]
+time = 0.7
+method = exact_gaussian
+
+[grid]
+n_per_axis = 32
+momentum_nodes = 8
+
+[experiment]
+kind = operator
+seed = 0
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -277,8 +297,7 @@ def test_kernel_norm_report(tmp_path):
 
 
 def test_kernel_norm_refuses_a_two_dimensional_model(tmp_path, capsys):
-    # the d >= 2 deposit records no momentum-space HS estimate, and it would flow
-    # kernel_momentum_nodes^2 probes from every node first
+    # the kernel is tabulated in 1-d only: the config is refused before any flow
     text = GAUSS_CONV.replace("mean = 0.0", "mean = 0.0, 0.0").replace(
         "precision = 1.0", "precision = 1.0, 1.0").replace("n_per_axis = 401", "n_per_axis = 24")
     cfg = write(tmp_path, "kern2d.ini", text + "kernel_momentum_nodes = 4\n")
@@ -286,6 +305,21 @@ def test_kernel_norm_refuses_a_two_dimensional_model(tmp_path, capsys):
     assert main(["kernel-norm", "--config", cfg, "--out", str(out)]) == 1
     assert "kernel-norm: only 1-d models are supported" in capsys.readouterr().err
     assert not (out / "kernel_report.json").exists()
+
+
+def test_only_flow_runs_a_two_dimensional_model(tmp_path, capsys):
+    # no gate accepts an operator in d >= 2, so every subcommand that builds one is
+    # refused at config time, before any assembly and before its output directory exists
+    cfg = write(tmp_path, "gauss2d.ini", GAUSS_2D)
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path / "flow")]) == 0
+    header = (tmp_path / "flow" / "flow.csv").read_text().splitlines()[0]
+    assert header == "s,q0,q1,p0,p1,energy,det_jacobian"
+    capsys.readouterr()
+    for command in ("operator", "spectrum", "convergence", "kernel-norm", "sampler-check"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert f"{command}: only 1-d models are supported" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sampler_check(tmp_path):

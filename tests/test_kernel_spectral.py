@@ -18,7 +18,6 @@ from hmctransfer import (
     iterate,
     mass,
     random_density,
-    standard_gaussian_pair,
     weighted_norm,
 )
 from hmctransfer import dynamics, operator
@@ -327,15 +326,6 @@ def test_hs_norm_refuses_non_finite_estimates(gauss_kernel, gauss_grid):
         meta = {**gauss_kernel.meta, "hs_norm_sq_momentum": b}
         with pytest.raises(ValueError, match="not finite"):
             hs_norm(TransferMatrix(entries=entries, grid=gauss_grid, meta=meta))
-
-
-def test_hs_norm_refuses_an_operator_without_the_momentum_estimate():
-    # the d >= 2 deposit records no momentum-space estimate to check against
-    model = standard_gaussian_pair(dim=2, halfwidth=6.0)
-    grid = build_grid(model, 24)
-    T = assemble_transfer(grid, model, default_flow_spec(model, 0.7), 4)
-    with pytest.raises(ValueError, match="hs_norm_sq_momentum.*1-d"):
-        hs_norm(T)
 
 
 def test_spectrum_refuses_a_nan_operator(gauss_T, gauss_grid):
