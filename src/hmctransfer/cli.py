@@ -290,8 +290,7 @@ def write_json(path: Path, payload: dict) -> dict:
 
 def _h0(config: ExperimentConfig, grid):
     """Shifted Gaussian bump used as the iteration's initial density."""
-    sq = np.sum((grid.nodes - config.h0_center) ** 2, axis=-1)
-    return np.exp(-0.5 * sq / config.h0_sigma**2)
+    return np.exp(-0.5 * (grid.x - config.h0_center) ** 2 / config.h0_sigma**2)
 
 
 def run_flow(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
@@ -373,9 +372,9 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     # momentum-flip conjugacy tau . H^-1 . tau = H then makes T self-adjoint;
     # the residual of that premise is recorded at every node, p = +-sigma
     T_adj = T
-    sigma = np.full(model.dim, 1.0 / math.sqrt(model.auxiliary.lambda_lo))
+    sigma = 1.0 / math.sqrt(model.auxiliary.lambda_lo)
     conjugacy = momentum_flip_conjugacy_residual(
-        model, config.spec, np.repeat(grid.nodes, 2, axis=0), np.tile([sigma, -sigma], (grid.n, 1)))
+        model, config.spec, np.repeat(grid.x, 2)[:, None], np.tile([sigma, -sigma], grid.n)[:, None])
     dualities = []
     for _ in range(20):
         h = random_density(grid, rng)
@@ -474,7 +473,7 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict
     width = edges[1] - edges[0]
     empirical = counts / (config.draws * width)
     # antiderivative of the interpolated fixed point at the bin edges
-    x = grid.axes[0]
+    x = grid.x
     slopes = spline_coefficients(x[None], [fixed[None]])[0, :, 0]
     h = np.diff(x)
     rise = np.diff(fixed) / h

@@ -77,32 +77,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Quadrature nodes, weights and target values on the truncated domain."""
+    """Trapezoid nodes ``x`` (n,) on [-L, L], their weights, the target density
+    at them, and the floor below which a node leaves the weighted norms."""
 
-    axes: tuple
-    nodes: np.ndarray
+    x: np.ndarray
     weights: np.ndarray
     target_values: np.ndarray
     floor: float
 
     @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    @property
     def n(self) -> int:
-        return self.nodes.shape[0]
+        return len(self.x)
 
     @property
     def halfwidth(self) -> float:
-        """Largest |coordinate| of a retained node: the probe and random densities
-        scale with the region the weighted norms see, not with the whole box."""
-        return float(np.max(np.abs(self.nodes[self.retained])))
+        """Largest |x| of a retained node: the probe and random densities scale
+        with the region the weighted norms see, not with the whole box."""
+        return float(np.max(np.abs(self.x[self.retained])))
 
     @property
     def retained(self) -> np.ndarray:
         """Mask of nodes kept in weighted norms: target density above floor."""
         return self.target_values > self.floor
+
+    @property
+    def scale(self) -> np.ndarray:
+        """sqrt(w / f) on the retained nodes: multiplying by it carries the
+        f-weighted inner product to the plain one of the symmetric frame."""
+        keep = self.retained
+        return np.sqrt(self.weights[keep] / self.target_values[keep])
 
 
 def _trapezoid_axis(halfwidth: float, n: int):
@@ -121,8 +124,7 @@ def build_grid(model: ModelPair, n_per_axis: int) -> DensityGrid:
         raise ValueError(f"need at least 16 nodes per axis, got {n_per_axis}")
     L = model.domain_halfwidth
     x, w = _trapezoid_axis(L, n_per_axis)
-    nodes = x[:, None]
-    f = density_value(model.target, nodes)
+    f = density_value(model.target, x[:, None])
 
     fine_x, fine_w = _trapezoid_axis(L, 2 * n_per_axis - 1)
     ref = float(fine_w @ density_value(model.target, fine_x[:, None]))
@@ -132,13 +134,7 @@ def build_grid(model: ModelPair, n_per_axis: int) -> DensityGrid:
             f"grid too coarse: integral of f deviates from refined reference by "
             f"{abs(got - ref) / abs(ref):.2e} relative"
         )
-    return DensityGrid(
-        axes=(x,),
-        nodes=nodes,
-        weights=w,
-        target_values=f,
-        floor=1e-12 * float(np.max(f)),
-    )
+    return DensityGrid(x=x, weights=w, target_values=f, floor=1e-12 * float(np.max(f)))
 
 
 def mass(h, grid: DensityGrid) -> float:
@@ -160,9 +156,9 @@ def weighted_norm(h, grid: DensityGrid) -> float:
 
 @dataclass(frozen=True)
 class MomentumRule:
-    """Quadrature nodes p_k and weights for integrals against the normalized
-    auxiliary density; weights sum to one, so a constant integrand is
-    integrated exactly."""
+    """Quadrature nodes p_k (m,) and weights for integrals against the
+    normalized auxiliary density; weights sum to one, so a constant integrand
+    is integrated exactly."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -189,8 +185,7 @@ def build_momentum_rule(model: ModelPair, m: int) -> MomentumRule:
     if m < 4:
         raise ValueError(f"need at least 4 kernel momentum nodes, got {m}")
     pts, wt = _trapezoid_axis(_auxiliary_halfwidth(model), m)
-    pts = pts[:, None]
-    wt = wt * np.exp(-model.auxiliary.value(pts))
+    wt = wt * np.exp(-model.auxiliary.value(pts[:, None]))
     wt = wt / wt.sum()
     return MomentumRule(nodes=pts, weights=wt)
 
@@ -306,36 +301,31 @@ def _truncation(grid: DensityGrid, frac_outside: float, escaped: np.ndarray) -> 
     return {"frac_outside": frac_outside, "leaked_mass": leaked}
 
 
-def _assemble(grid, model, spec, momentum_nodes, inverse):
-    check_conjugate_bound(model, spec)
-    entries, meta = _nystrom(grid, model, spec, momentum_nodes, inverse)
-    meta = {"inverse": inverse, "gaussian_model": model.is_gaussian, "method": spec.method,
-            "time": spec.time, "steps": spec.steps, "momentum_nodes": momentum_nodes, **meta}
-    return TransferMatrix(entries=entries, grid=grid, meta=meta)
-
-
 # phase points per block of kernel rows: smaller blocks run the spline's knot
 # loop too often, larger ones set the tabulation's peak with their own arrays
 ROW_BLOCK_POINTS = 4 * BLOCK_POINTS
 
 
-def _nystrom(grid, model, spec, momentum_nodes, inverse):
-    """Nystrom matrix T_ij = K(q_i, x_j) w_j / f_j from one flow of
-    ``momentum_nodes`` probes per node, and its meta.
+def _nystrom(grid, model, spec, momentum_nodes, inverse) -> TransferMatrix:
+    """The ``TransferMatrix`` of the Nystrom matrix T_ij = K(q_i, x_j) w_j / f_j,
+    from one flow of ``momentum_nodes`` probes per node.
 
-    Valid in the invertibility regime, where p -> Q(q, p) is strictly
-    monotone for every node: Q must rise strictly along every probe and dp/dQ
-    stay positive, else ``ValueError``.  Arrival points outside the probed
-    image curve carry kernel value zero (the auxiliary density is already
-    negligible there).  With ``inverse`` the probes flow through the inverse
-    map, along which Q falls with p: they are read in reverse order, so Q
-    rises, and -p is splined, so its slope is |dp/dQ|, giving the adjoint's
-    kernel.
+    Valid in the invertibility regime: past the conjugate-point bound, or
+    with a target that underflows at a node, so that w / f is not finite
+    there, it raises ``ValueError`` before any flow.  p -> Q(q, p) must be
+    strictly monotone for every node: Q must rise strictly along every probe
+    and dp/dQ stay positive, else ``ValueError``.  Arrival points outside the
+    probed image curve carry kernel value zero (the auxiliary density is
+    already negligible there).  With ``inverse`` the probes flow through the
+    inverse map, along which Q falls with p: they are read in reverse order,
+    so Q rises, and -p is splined, so its slope is |dp/dQ|, giving the
+    adjoint's kernel.
 
-    ``meta`` records the probe images' domain truncation, the momentum-space
-    Hilbert-Schmidt estimate ``hs_norm_sq_momentum`` and ``kernel_width_cells``,
-    the min over rows of |Q(q_i, sigma) - Q(q_i, -sigma)| / 2h, sigma the
-    auxiliary standard deviation and h the grid spacing.  The trapezoid error falls as
+    ``meta`` records the flow, the probe count, the probe images' domain
+    truncation, the momentum-space Hilbert-Schmidt estimate
+    ``hs_norm_sq_momentum`` and ``kernel_width_cells``, the min over rows of
+    |Q(q_i, sigma) - Q(q_i, -sigma)| / 2h, sigma the auxiliary standard
+    deviation and h the grid spacing.  The trapezoid error falls as
     exp(-2 pi^2 s^2) in the kernel width s in cells: in the Gaussian rate and
     mass 1e-12 at s = 2, 5e-9 at 1, 1e-2 at 0.5 (n = 401).  Below one cell
     this raises ``ValueError`` before any spline is solved.
@@ -352,20 +342,27 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse):
     arrays are freed, so a single block peaks as a one-pass tabulation does,
     and K is scaled into T in place.
     """
+    check_conjugate_bound(model, spec)
     n, m = grid.n, momentum_nodes
-    x = grid.axes[0]
+    x, w, f = grid.x, grid.weights, grid.target_values
+    # T's columns are scaled by w / f: an f of 0, or one so small that the ratio
+    # overflows, would make them 0 * inf = NaN
+    with np.errstate(divide="ignore", over="ignore"):
+        column_scale = w / f
+    lost = np.count_nonzero(~np.isfinite(column_scale))
+    if lost:
+        raise ValueError(f"the target density underflows at {lost} of {n} nodes, where w / f "
+                         f"is not finite: narrow the box")
     rule = build_momentum_rule(model, m)
     order = slice(None, None, -1 if inverse else 1)
-    probes, probe_weights = rule.nodes[order, 0], rule.weights[order]
-    sigma = math.sqrt(float(rule.weights @ rule.nodes[:, 0] ** 2))
+    probes, probe_weights = rule.nodes[order], rule.weights[order]
+    sigma = math.sqrt(float(rule.weights @ rule.nodes ** 2))
 
     log_norm = model.auxiliary_log_mass()
 
     def gbar(p):
         return np.exp(-model.auxiliary.value(np.asarray(p).reshape(-1, 1)) - log_norm)
 
-    w = grid.weights
-    f = grid.target_values
     hs_rows, escaped, inside = np.empty(n), np.empty(n), 0
     step, sub = max(1, ROW_BLOCK_POINTS // m), max(1, BLOCK_POINTS // m)
     for lo in range(0, n, step):
@@ -375,11 +372,11 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse):
         # spline; the first block's sweep then flows the +-sigma width probes of all
         # rows, so the width gate comes before any spline is solved and a single
         # block is a single sweep
-        qs, ps = np.tile(grid.nodes[block], (m, 1)), np.repeat(probes, r)[:, None]
+        qs, ps = np.tile(x[block], m), np.repeat(probes, r)
         if lo == 0:
-            qs = np.concatenate([qs, np.tile(grid.nodes, (2, 1))])
-            ps = np.concatenate([ps, np.repeat([sigma, -sigma], n)[:, None]])
-        Q, P = flow_batch(qs, ps, model, spec, inverse=inverse)
+            qs = np.concatenate([qs, np.tile(x, 2)])
+            ps = np.concatenate([ps, np.repeat([sigma, -sigma], n)])
+        Q, P = flow_batch(qs[:, None], ps[:, None], model, spec, inverse=inverse)
         del qs, ps
         if lo == 0:
             # no view of Q outlives this line: it would hold the whole flow output
@@ -435,10 +432,13 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse):
             T = np.zeros((n, n))
         T[lo + rows, cols] = f[cols] * gbar(P_at) * D_at
         del rows, cols, P_at, D_at
-    T *= w / f
-    return T, {"momentum_halfwidth": float(rule.nodes[-1, 0]), "kernel_width_cells": width,
-               "hs_norm_sq_momentum": float(w @ hs_rows),
-               **_truncation(grid, 1.0 - inside / (n * m), escaped)}
+    T *= column_scale
+    meta = {"inverse": inverse, "gaussian_model": model.is_gaussian, "method": spec.method,
+            "time": spec.time, "steps": spec.steps, "momentum_nodes": m,
+            "momentum_halfwidth": float(rule.nodes[-1]), "kernel_width_cells": width,
+            "hs_norm_sq_momentum": float(w @ hs_rows),
+            **_truncation(grid, 1.0 - inside / (n * m), escaped)}
+    return TransferMatrix(entries=T, grid=grid, meta=meta)
 
 
 def _spline_piece(y, slopes, at, nxt, h, s, slope=False):
@@ -477,7 +477,7 @@ def assemble_transfer(
 ) -> TransferMatrix:
     """Assemble the transfer operator: the Nystrom matrix of the kernel
     tabulated on ``momentum_nodes`` probes."""
-    return _assemble(grid, model, spec, momentum_nodes, inverse=False)
+    return _nystrom(grid, model, spec, momentum_nodes, inverse=False)
 
 
 def assemble_adjoint(
@@ -487,7 +487,7 @@ def assemble_adjoint(
     momentum_nodes: int,
 ) -> TransferMatrix:
     """Assemble the adjoint operator: same construction through the inverse flow."""
-    return _assemble(grid, model, spec, momentum_nodes, inverse=True)
+    return _nystrom(grid, model, spec, momentum_nodes, inverse=True)
 
 
 def to_weighted_symmetric(T: TransferMatrix):
@@ -495,11 +495,10 @@ def to_weighted_symmetric(T: TransferMatrix):
 
     Conjugation by diag(sqrt(w/f)) turns self-adjointness in the f-weighted
     inner product into matrix symmetry.  Nodes below the density floor are
-    dropped.  Returns (symmetric matrix, retained-node mask, scaling vector).
+    dropped.  Returns (symmetric matrix, ``grid.retained``, ``grid.scale``).
     """
     grid = T.grid
-    m = grid.retained
-    scale = np.sqrt(grid.weights[m] / grid.target_values[m])
+    m, scale = grid.retained, grid.scale
     # the submatrix multiplied into the ratio array: products commute, so it
     # rounds as ratio * sub without a third array
     A = scale[:, None] / scale[None, :]
@@ -514,8 +513,7 @@ def _probe_densities(grid: DensityGrid):
     sigma = 0.1 * L
     probes = []
     for c in centers:
-        sq = np.sum((grid.nodes - c) ** 2, axis=-1)
-        h = np.exp(-0.5 * sq / sigma**2)
+        h = np.exp(-0.5 * (grid.x - c) ** 2 / sigma**2)
         probes.append(h / mass(h, grid))
     return probes
 
@@ -593,8 +591,7 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
         raise ValueError(f"initial density must have finite nonzero mass, got {h_mass}")
     alpha = h_mass / mass(grid.target_values, grid)
     # weighted norms as plain 2-norms in the symmetric frame s = sqrt(w / f)
-    keep = grid.retained
-    scale = np.sqrt(grid.weights[keep] / grid.target_values[keep])
+    keep, scale = grid.retained, grid.scale
     limit = scale * (alpha * grid.target_values[keep])
 
     def norm(v):
@@ -668,19 +665,19 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
 def random_density(grid: DensityGrid, rng: np.random.Generator):
     """Smooth random density: a mixture of 3 to 6 Gaussians well inside the box.
 
-    The number of components is drawn from ``rng`` first.  Centers stay within
-    a quarter of the half-width and widths are a few grid cells wide, so tails
-    vanish long before the domain boundary.  The density is positive, so its
-    image under the nonnegative Nystrom matrix is too.
+    The number of components is drawn from ``rng`` first.  With L the
+    retained half-width ``grid.halfwidth``, centers are uniform in
+    [-L/4, L/4] and widths uniform in [L/16, 9L/80] (11.6 to 22.5 grid cells
+    at n = 401 on the Gaussian and quartic fixtures), so every center lies at
+    least 6.6 widths inside the retained region.  The density is positive, so
+    its image under the nonnegative Nystrom matrix is too.
     """
     L = grid.halfwidth
-    d = grid.dim
     components = int(rng.integers(3, 7))
-    centers = rng.uniform(-0.25 * L, 0.25 * L, size=(components, d))
+    centers = rng.uniform(-0.25 * L, 0.25 * L, size=components)
     sigmas = rng.uniform(0.0625 * L, 0.1125 * L, size=components)
     weights = rng.uniform(0.2, 1.0, size=components)
     vals = np.zeros(grid.n)
     for c, s, w in zip(centers, sigmas, weights):
-        sq = np.sum((grid.nodes - c) ** 2, axis=-1)
-        vals += w * np.exp(-0.5 * sq / s**2)
+        vals += w * np.exp(-0.5 * (grid.x - c) ** 2 / s**2)
     return vals

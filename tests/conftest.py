@@ -84,6 +84,6 @@ def anh_report(anh_T):
 
 @pytest.fixture(scope="session")
 def anh_trace(anh_T, anh_grid):
-    q = anh_grid.nodes[:, 0]
+    q = anh_grid.x
     bump = np.exp(-0.5 * (q - 0.8) ** 2 / 0.16)
     return iterate(anh_T, bump, n_max=12000, tol=1e-7)

@@ -9,7 +9,6 @@ well a = 1, b = 0.5 for the model without closed forms.
 import json
 
 import numpy as np
-import pytest
 
 from hmctransfer import (
     anharmonic_pair,
@@ -21,7 +20,6 @@ from hmctransfer import (
     mass,
     momentum_flip_conjugacy_residual,
     random_density,
-    standard_gaussian_pair,
     weighted_inner,
     weighted_norm,
     weighted_symmetry_residual,
@@ -122,7 +120,7 @@ def test_criterion_06_hilbert_schmidt_identity(gauss_kernel, gauss_report):
 
 
 def test_criterion_07_geometric_rate(gauss_report, gauss_T, gauss_grid, anh_report, anh_trace):
-    q = gauss_grid.nodes[:, 0]
+    q = gauss_grid.x
     bump = np.exp(-0.5 * (q - 1.3) ** 2 / 0.49)
     trace = iterate(gauss_T, bump, n_max=400, tol=1e-12)
     cert_g = certify_rate(gauss_report, trace)

@@ -322,6 +322,19 @@ def test_only_flow_runs_a_two_dimensional_model(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_underflowing_target_is_refused_by_every_operator_subcommand(tmp_path, capsys):
+    # the standard Gaussian underflows near the ends of [-40, 40], where T would be
+    # NaN: each subcommand that assembles it exits 1 naming the underflow
+    text = SAMPLER.replace("halfwidth = 8.0", "halfwidth = 40.0").replace(
+        "n_per_axis = 201", "n_per_axis = 801").replace("momentum_nodes = 129", "momentum_nodes = 257")
+    cfg = write(tmp_path, "wide.ini", text)
+    for command in ("operator", "spectrum", "convergence", "kernel-norm", "sampler-check"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: the target density underflows at \d+ of 801 nodes", err), err
+        assert not (tmp_path / command / "manifest.txt").exists()
+
+
 def test_sampler_check(tmp_path):
     cfg = write(tmp_path, "samp.ini", SAMPLER)
     out = tmp_path / "out"

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +25,30 @@ def test_package_exports_are_module_exports():
     public = {name for name, value in vars(hmctransfer).items()
               if not name.startswith("_") and value not in MODULES}
     assert public <= exported, sorted(public - exported)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports but never reads and does not list in ``__all__``."""
+    tree = ast.parse(path.read_text())
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_no_unused_imports():
+    # no linter runs on the tree, so an import left behind by a deletion is caught
+    # here; the package's __init__ is exempt, since its imports are the re-exports
+    root = Path(__file__).resolve().parent.parent
+    paths = [*(root / "src" / "hmctransfer").glob("*.py"), *(root / "tests").glob("*.py")]
+    unused = {f"{path.parent.name}/{path.name}": names for path in sorted(paths)
+              if path.name != "__init__.py" and (names := _unused_imports(path))}
+    assert not unused, unused

@@ -16,7 +16,6 @@ from hmctransfer import (
     eigen_spectrum,
     hs_norm,
     iterate,
-    mass,
     random_density,
     weighted_norm,
 )
@@ -34,7 +33,7 @@ def mehler_kernel(grid, t):
     """Hand-derived closed form for the standard Gaussian pair:
     K(q, Q) = f(q) N(q cos t, sin^2 t)(Q)."""
     c, s = np.cos(t), np.sin(t)
-    q = grid.nodes[:, 0]
+    q = grid.x
     f = grid.target_values
     return f[:, None] * np.exp(-0.5 * (q[None, :] - q[:, None] * c) ** 2 / s**2) / (
         np.sqrt(2 * np.pi) * s
@@ -53,7 +52,7 @@ def test_kernel_row_integrals_reproduce_target(gauss_kernel, gauss_grid):
     f = gauss_grid.target_values
     row = gauss_kernel.apply(f)
     assert weighted_norm(row - f, gauss_grid) < 1e-7 * weighted_norm(f, gauss_grid)
-    interior = np.abs(gauss_grid.nodes[:, 0]) <= 5.0
+    interior = np.abs(gauss_grid.x) <= 5.0
     assert np.max(np.abs(row[interior] - f[interior]) / f[interior]) < 1e-7
 
 
@@ -164,7 +163,7 @@ def test_spectrum_rejects_k_below_two(gauss_T):
 
 
 def test_certificate_gaussian_rate(gauss_report, gauss_T, gauss_grid):
-    q = gauss_grid.nodes[:, 0]
+    q = gauss_grid.x
     bump = np.exp(-0.5 * (q - 1.3) ** 2 / 0.49)
     trace = iterate(gauss_T, bump, n_max=400, tol=1e-12)
     cert = certify_rate(gauss_report, trace)
@@ -222,14 +221,14 @@ def _kernel_per_row_reference(grid, model, spec, m):
     """K(q_i, x_j) = f g(P) dp/dQ with one scipy CubicSpline of (P, p) over Q per row."""
     from scipy.interpolate import CubicSpline
 
-    n, x, f = grid.n, grid.axes[0], grid.target_values
+    n, x, f = grid.n, grid.x, grid.target_values
     rule = build_momentum_rule(model, m)
-    Q, P = flow_batch(np.repeat(grid.nodes, m, axis=0), np.tile(rule.nodes, (n, 1)), model, spec)
+    Q, P = flow_batch(np.repeat(x, m)[:, None], np.tile(rule.nodes, n)[:, None], model, spec)
     Q, P = Q.reshape(n, m), P.reshape(n, m)
     K = np.zeros((n, n))
     for i in range(n):
         on = (x >= Q[i, 0]) & (x <= Q[i, -1])
-        spline = CubicSpline(Q[i], np.column_stack([P[i], rule.nodes[:, 0]]))
+        spline = CubicSpline(Q[i], np.column_stack([P[i], rule.nodes]))
         g = np.exp(-model.auxiliary.value(spline(x[on])[:, :1]) - model.auxiliary_log_mass())
         K[i, on] = f[on] * g * spline(x[on], 1)[:, 1]
     return K
@@ -239,9 +238,9 @@ def _variational_kernel_reference(grid, model, spec, m):
     """K(q_i, x_j) = f g(P) / dQ/dp with dQ/dp from the tangent flow, splined per row."""
     from scipy.interpolate import CubicSpline
 
-    n, x, f = grid.n, grid.axes[0], grid.target_values
+    n, x, f = grid.n, grid.x, grid.target_values
     rule = build_momentum_rule(model, m)
-    Q, P, J = tangent_batch(np.repeat(grid.nodes, m, axis=0), np.tile(rule.nodes, (n, 1)),
+    Q, P, J = tangent_batch(np.repeat(x, m)[:, None], np.tile(rule.nodes, n)[:, None],
                             model, spec)
     Q, P, dQdp = Q.reshape(n, m), P.reshape(n, m), J[:, 0, 1].reshape(n, m)
     K = np.zeros((n, n))

@@ -8,7 +8,6 @@ from scipy.interpolate import CubicSpline
 
 from hmctransfer import (
     FlowSpec,
-    anharmonic_pair,
     assemble_adjoint,
     assemble_transfer,
     build_grid,
@@ -24,7 +23,6 @@ from hmctransfer import (
 from hmctransfer import operator
 from hmctransfer.cli import main
 from hmctransfer.distributions import ModelPair
-from hmctransfer.dynamics import flow_batch
 from hmctransfer.operator import (
     BLOCK_STEPS,
     IterationTrace,
@@ -53,6 +51,24 @@ def test_grid_minimum_size():
 def test_build_grid_refuses_a_two_dimensional_model():
     with pytest.raises(ValueError, match="build_grid: only 1-d models are supported"):
         build_grid(standard_gaussian_pair(dim=2, halfwidth=6.0), 64)
+
+
+@pytest.mark.parametrize("halfwidth", [40.0, 38.4])
+def test_underflowing_target_is_refused_before_any_flow(monkeypatch, halfwidth):
+    # the standard Gaussian on n = 801 nodes is 0 at the 28 outermost nodes of
+    # [-40, 40], and subnormal at the 14 outermost of [-38.4, 38.4], where w / f
+    # overflows: either way T's columns there would be 0 * inf = NaN
+    model = standard_gaussian_pair(halfwidth=halfwidth)
+    grid = build_grid(model, 801)
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("flowed before the underflow check")
+
+    monkeypatch.setattr(operator, "flow_batch", no_flow)
+    spec = FlowSpec(time=0.7, method="exact_gaussian")
+    for assemble in (assemble_transfer, assemble_adjoint):
+        with pytest.raises(ValueError, match=r"the target density underflows at \d+ of 801 nodes"):
+            assemble(grid, model, spec, 257)
 
 
 def test_grid_warns_when_too_coarse():
@@ -92,8 +108,8 @@ def test_cauchy_schwarz(gauss_grid):
 def test_momentum_rules(gauss_model):
     # a trapezoid rule: equally spaced probes, positive weights of unit sum
     rule = build_momentum_rule(gauss_model, 9)
-    assert rule.nodes.shape == (9, 1)
-    steps = np.diff(rule.nodes[:, 0])
+    assert rule.nodes.shape == (9,)
+    steps = np.diff(rule.nodes)
     assert np.allclose(steps, steps[0])
     assert rule.weights.sum() == pytest.approx(1.0)
     assert np.all(rule.weights > 0)
@@ -203,7 +219,7 @@ def test_iterate_fixed_point_terminates_immediately(gauss_T, gauss_grid):
 
 
 def test_iterate_error_ratio_approaches_second_eigenvalue(gauss_T, gauss_grid):
-    q = gauss_grid.nodes[:, 0]
+    q = gauss_grid.x
     bump = np.exp(-0.5 * (q - 1.3) ** 2 / 0.49)
     trace = iterate(gauss_T, bump, n_max=60, tol=1e-12)
     ratios = trace.errors[1:] / trace.errors[:-1]
@@ -214,7 +230,7 @@ def test_iterate_error_ratio_approaches_second_eigenvalue(gauss_T, gauss_grid):
 
 def test_iterate_flags_divergence(gauss_T, gauss_grid):
     bad = TransferMatrix(entries=1.5 * gauss_T.entries, grid=gauss_grid, meta=dict(gauss_T.meta))
-    q = gauss_grid.nodes[:, 0]
+    q = gauss_grid.x
     bump = np.exp(-0.5 * (q - 1.3) ** 2 / 0.49)
     trace = iterate(bad, bump, n_max=200, tol=1e-12)
     assert trace.anomaly
@@ -278,7 +294,7 @@ def _assert_same_run(trace, ref, slack=1.0):
 
 def test_iterate_block_mode_matches_matvec_loop_on_quartic(anh_T, anh_grid, anh_trace):
     # 12000 steps at n = 401: block mode from step 401 + BLOCK_STEPS on
-    bump = np.exp(-0.5 * (anh_grid.nodes[:, 0] - 0.8) ** 2 / 0.16)
+    bump = np.exp(-0.5 * (anh_grid.x - 0.8) ** 2 / 0.16)
     _assert_same_run(anh_trace, _reference_iterate(anh_T, bump, 12000, 1e-7))
 
 
@@ -287,7 +303,7 @@ def test_iterate_block_mode_matches_matvec_loop_on_quartic(anh_T, anh_grid, anh_
 ])
 def test_iterate_short_runs_are_the_matvec_loop(gauss_T, gauss_grid, h0, n_max, tol):
     # runs that stop before n steps never reach block mode: every field bitwise
-    q = gauss_grid.nodes[:, 0]
+    q = gauss_grid.x
     start = {"bump": np.exp(-0.5 * (q - 1.3) ** 2 / 0.49),
              "random": random_density(gauss_grid, np.random.default_rng(2)),
              "target": gauss_grid.target_values}[h0]
@@ -419,7 +435,7 @@ def test_transfer_records_and_gates_the_kernel_width(gauss_model, n, time):
     # 8.05, 16.1, 32.2, 1.25 and 0.875.  The Nystrom matrix is refused below one
     grid = build_grid(gauss_model, n)
     spec = FlowSpec(time=time, steps=1, method="exact_gaussian")
-    width = np.sin(time) / (grid.axes[0][1] - grid.axes[0][0])
+    width = np.sin(time) / (grid.x[1] - grid.x[0])
     if width < 1:
         with pytest.raises(ValueError, match=f"kernel_width_cells = {width:.3g} < 1"):
             assemble_transfer(grid, gauss_model, spec, 257)
