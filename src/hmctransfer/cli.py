@@ -413,7 +413,7 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
 
 
 def run_spectrum(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
-    grid, T = _operator_stack(config, config.momentum_nodes)
+    _, T = _operator_stack(config, config.momentum_nodes)
     report = eigen_spectrum(T, config.top_k)
     ks = np.arange(len(report.eigenvalues))
     write_csv(outdir / "spectrum.csv", ["k", "mu"], [ks, report.eigenvalues])

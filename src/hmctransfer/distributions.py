@@ -74,7 +74,10 @@ class ModelPair:
     """Target/auxiliary potential pair defining one Hamiltonian model.
 
     ``domain_halfwidth`` is the position-domain truncation: all grid
-    computations live on ``[-L, L]^d``.  ``auxiliary_even`` asserts the
+    computations live on ``[-L, L]^d``.  A target that declares its curvature
+    bound on a box (``params["halfwidth"]``) must cover the domain, else
+    ``lambda_max`` understates the curvature on the grid; a wider domain
+    raises ``ValueError``.  ``auxiliary_even`` asserts the
     momentum density is invariant under ``p -> -p``, the hypothesis behind
     self-adjointness of the transfer operator.
     """
@@ -93,6 +96,10 @@ class ModelPair:
             raise ValueError(
                 f"domain_halfwidth must be finite and positive, got {self.domain_halfwidth}"
             )
+        box = self.target.params.get("halfwidth")
+        if box is not None and self.domain_halfwidth > box:
+            raise ValueError(f"domain_halfwidth {self.domain_halfwidth} exceeds the halfwidth "
+                             f"{box} on which the target's curvature bound holds")
         if self.auxiliary_even:
             probe = np.linspace(0.3, 2.1, 4)[:, None] * np.ones(self.dim)
             asym = np.max(np.abs(self.auxiliary.value(probe) - self.auxiliary.value(-probe)))
@@ -266,7 +273,7 @@ def log_density_mass(pot: Potential) -> float:
     that box far below 1e-16 of the total.
     """
     if pot.is_gaussian:
-        sign, logdet = np.linalg.slogdet(pot.params["precision"])
+        _, logdet = np.linalg.slogdet(pot.params["precision"])
         return 0.5 * pot.dim * math.log(2.0 * math.pi) - 0.5 * logdet
     if pot.dim != 1:
         raise NotImplementedError("numeric mass only implemented for 1-d potentials")

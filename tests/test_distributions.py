@@ -190,6 +190,18 @@ def test_model_pair_rejects_a_bad_halfwidth(halfwidth):
         )
 
 
+def test_model_pair_refuses_a_domain_wider_than_the_curvature_box():
+    # a + 3 b x^2 reaches 38.5 on [-5, 5], but a quartic declared on [-3, 3]
+    # bounds it by 14.5, which would pass flow times the honest model refuses
+    with pytest.raises(ValueError, match="domain_halfwidth 5.0 exceeds the halfwidth 3.0 "
+                                         "on which the target's curvature bound holds"):
+        ModelPair(anharmonic_potential(1, 0.5, 3.0), gaussian_potential(0.0, 1.0), 5.0)
+    assert ModelPair(anharmonic_potential(1, 0.5, 5.0), gaussian_potential(0.0, 1.0),
+                     5.0).lambda_max == 38.5
+    # a domain inside the box keeps a valid, if loose, bound
+    ModelPair(anharmonic_potential(1, 0.5, 5.0), gaussian_potential(0.0, 1.0), 3.0)
+
+
 def test_model_pair_bounds_cover_both_potentials():
     model = anharmonic_pair(2.0, 0.5, 3.0)
     assert model.lambda_min == 1.0  # auxiliary standard normal

@@ -52,3 +52,44 @@ def test_no_unused_imports():
     unused = {f"{path.parent.name}/{path.name}": names for path in sorted(paths)
               if path.name != "__init__.py" and (names := _unused_imports(path))}
     assert not unused, unused
+
+
+def _unread_assignments(path: Path) -> list[str]:
+    """``function.name`` for each name a function in ``path`` assigns but never reads.
+
+    Reads inside nested functions and lambdas count, since a closure reads its
+    enclosing function's names; a name declared ``global`` or ``nonlocal`` is
+    read elsewhere, and a name starting with ``_`` is discarded on purpose.
+    """
+    unread = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read, shared = set(), set(), set()
+        todo = list(func.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                # a nested scope's own assignments are checked when the walk reaches it
+                read.update(name.id for name in ast.walk(node)
+                            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load))
+                continue
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.add(node.id)
+            todo.extend(ast.iter_child_nodes(node))
+        unread += [f"{func.name}.{name}" for name in sorted(stored - read - shared)
+                   if not name.startswith("_")]
+    return unread
+
+
+def test_no_unread_assignments():
+    # a name assigned and never read is dead code or a lost result; no linter
+    # runs on the tree, so the package's functions are scanned here
+    root = Path(__file__).resolve().parent.parent
+    unread = {path.name: names for path in sorted((root / "src" / "hmctransfer").glob("*.py"))
+              if (names := _unread_assignments(path))}
+    assert not unread, unread

@@ -275,7 +275,8 @@ def test_kernel_matches_variational_route(gauss_kernel, gauss_grid, gauss_model,
 
 
 def test_kernel_tabulation_is_one_flow_sweep(monkeypatch):
-    # probes and width probes flow together, and no tangent flow is run
+    # the 2n width probes flow first, then the n m probes once each in one row
+    # block, and no tangent flow is run
     def refuse(*args, **kwargs):
         raise AssertionError("the kernel ran the tangent flow")
 
@@ -292,7 +293,7 @@ def test_kernel_tabulation_is_one_flow_sweep(monkeypatch):
     for assemble in (assemble_transfer, assemble_adjoint):
         sweeps.clear()
         assemble(grid, model, spec, 65)
-        assert sweeps == [201 * (65 + 2)]
+        assert sweeps == [2 * 201, 201 * 65]
 
 
 def test_kernel_needs_four_momentum_nodes(gauss_grid, gauss_model, gauss_spec):

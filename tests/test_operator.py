@@ -71,6 +71,25 @@ def test_underflowing_target_is_refused_before_any_flow(monkeypatch, halfwidth):
             assemble(grid, model, spec, 257)
 
 
+def test_too_narrow_kernel_is_refused_after_the_width_sweep(monkeypatch, gauss_model, gauss_grid):
+    # at t = 1e-12 the kernel spans about 1e-10 cells: the 2n width probes are
+    # the only points flowed before the refusal, not a row block's n m
+    sweeps = []
+    flow_batch = operator.flow_batch
+
+    def counting(*args, **kwargs):
+        sweeps.append(len(args[0]))
+        return flow_batch(*args, **kwargs)
+
+    monkeypatch.setattr(operator, "flow_batch", counting)
+    spec = FlowSpec(time=1e-12, method="exact_gaussian")
+    for assemble in (assemble_transfer, assemble_adjoint):
+        sweeps.clear()
+        with pytest.raises(ValueError, match="kernel_width_cells = .* < 1"):
+            assemble(gauss_grid, gauss_model, spec, 257)
+        assert sweeps == [2 * 401]
+
+
 def test_grid_warns_when_too_coarse():
     # a sharp target needs more than 16 nodes on [-8, 8]
     model = ModelPair(
@@ -513,8 +532,9 @@ def test_spline_coefficients_take_curves_of_any_layout():
 
 def test_quartic_transfer_assembly_peak_memory(anh_grid, anh_model, anh_spec):
     # the spline reads the flowed curves as views and every array is released
-    # after its last use: 5.18 MiB traced at n = 401 / m = 257; stacked curve
-    # copies and spline bands read 7.09, the filtered cubic deposit this matrix
+    # after its last use: 6.41 MiB traced at n = 401 / m = 257, T's 1.23 held
+    # through the single block; T allocated after the block read 5.20, stacked
+    # curve copies and spline bands 7.09, the filtered cubic deposit this matrix
     # replaced 16.95
     tracemalloc.start()
     try:
@@ -526,10 +546,11 @@ def test_quartic_transfer_assembly_peak_memory(anh_grid, anh_model, anh_spec):
 
 
 def test_gaussian_transfer_assembly_peak_memory(gauss_model, gauss_spec):
-    # n = 801 / m = 257: 21.9 MiB traced in two row blocks, set by a block's
-    # (row, node) pairs of the wide kernel; all rows in one block read 33.9,
-    # stacked curve copies 35.5, the stacked spline coefficients 74.2,
-    # evaluating the pieces out of place 48.8
+    # n = 801 / m = 257: 30.2 MiB traced in two row blocks, set by a block's
+    # (row, node) pairs of the wide kernel, the spline pieces' temporaries and
+    # T's 4.9 allocated before them; the pieces evaluated in place read 26.8, and
+    # with T allocated after the first block too 21.9.  All rows in one block read
+    # 33.9, stacked curve copies 35.5, the stacked spline coefficients 74.2
     grid = build_grid(gauss_model, 801)
     tracemalloc.start()
     try:
@@ -565,10 +586,12 @@ def test_row_blocks_keep_every_entry(monkeypatch, quartic, anh_model, anh_spec, 
 
 @pytest.mark.parametrize("n, m", [(201, 1025), (401, 513)])
 def test_quartic_transfer_assembly_peak_scales_with_the_flow(anh_model, anh_spec, n, m):
-    # the flow output is n (m + 2) doubles per coordinate; both sizes take two row
-    # blocks, whose Q, P, knot spacings, two-curve right-hand side and diagonal set
-    # the peak at 4.1 and 4.0 such arrays.  All rows in one block read 6.2, stacked
-    # curve copies and three bands 9.0
+    # the unit is n (m + 2) doubles, the probe and width-probe points per
+    # coordinate.  Both sizes take two row blocks, whose Q, P, knot spacings,
+    # two-curve right-hand side and diagonal, with T allocated before them, set
+    # the peak at 4.3 and 4.8 such arrays (4.1 and 4.0 with T allocated after
+    # the first block).  All rows in one block read 6.2, stacked curve copies
+    # and three bands 9.0
     grid = build_grid(anh_model, n)
     tracemalloc.start()
     try:
