@@ -36,6 +36,7 @@ from .operator import (
     mass,
     random_density,
     spline_coefficients,
+    spline_pieces,
     weighted_inner,
     weighted_norm,
     weighted_symmetry_residual,
@@ -476,10 +477,8 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict
     x = grid.x
     slopes = spline_coefficients(x[None], [fixed[None]])[0, :, 0]
     h = np.diff(x)
-    rise = np.diff(fixed) / h
-    t = (slopes[:-1] + slopes[1:] - 2 * rise) / h
     # power-form coefficients of each piece, c[r] multiplying s^(3 - r)
-    c = np.stack((t / h, (rise - slopes[:-1]) / h - t, slopes[:-1], fixed[:-1]))
+    c = np.stack(spline_pieces(fixed, slopes, slice(None, -1), slice(1, None), h))
 
     def partial(piece, s):
         return s * (c[3, piece] + s * (c[2, piece] / 2 + s * (c[1, piece] / 3 + s * c[0, piece] / 4)))

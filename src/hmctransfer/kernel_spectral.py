@@ -41,8 +41,8 @@ def hs_norm(T: TransferMatrix) -> float:
 
     The position-space double quadrature sum (w_i / f_i) (f_j / w_j) T_ij^2
     over all nodes, the kernel's int int K^2 / (f f) of the Nystrom matrix;
-    K / f stays bounded (it is g(P) D_q), so no density floor is needed.  It
-    is returned after checking it against the momentum-space estimate
+    K / f stays bounded (it is g(P) D_q), so every node counts.  It is
+    returned after checking it against the momentum-space estimate
     ``T.meta["hs_norm_sq_momentum"]`` that the kernel tabulation records.
     Disagreement beyond 1e-3 relative, or an estimate that is not finite, is
     reported as a consistency failure.
@@ -96,7 +96,7 @@ def eigen_spectrum(T: TransferMatrix, k: int) -> SpectralReport:
         raise ValueError(f"operator not self-adjoint (residual {residual:.3e})")
 
     grid = T.grid
-    A, mask, scale = to_weighted_symmetric(T)
+    A = to_weighted_symmetric(T)
     # 0.5 (A + A^T) in one buffer, A dropped first: the same sum and product, so the same bits
     sym = A + A.T
     del A
@@ -106,14 +106,13 @@ def eigen_spectrum(T: TransferMatrix, k: int) -> SpectralReport:
     k = min(k, len(vals))
     eigenvalues = vals[order[:k]]
 
-    lead = np.zeros(grid.n)
-    lead[mask] = vecs[:, order[0]] / scale
+    scale = grid.scale
+    lead = vecs[:, order[0]] / scale
     if weighted_inner(lead, grid.target_values, grid) < 0:
         lead = -lead
     lead = lead / weighted_norm(lead, grid)
 
-    second = np.zeros(grid.n)
-    second[mask] = vecs[:, order[1]] / scale
+    second = vecs[:, order[1]] / scale
     second_mass = abs(weighted_inner(second, grid.target_values, grid)) / (
         weighted_norm(second, grid) * weighted_norm(grid.target_values, grid)
     )

@@ -486,8 +486,8 @@ def test_conjugate_point_refusal_follows_the_subcommand(tmp_path, capsys):
 
 @pytest.mark.parametrize("halfwidth", [12.0, 16.0])
 def test_wide_gaussian_box_passes_the_gates(tmp_path, halfwidth):
-    # the probe and random densities follow the retained nodes, not the box, so on a
-    # wide box they stay inside the region the weighted norms see
+    # the probe and random densities scale with the target's half-width (f above
+    # 1e-12 max f), not with the box, so on a wide box they stay where f has mass
     text = GAUSS_CONV.replace("halfwidth = 8.0", f"halfwidth = {halfwidth}")
     text = text.replace("n_max = 400", "n_max = 50")
     cfg = write(tmp_path, "wide.ini", text)

@@ -9,6 +9,12 @@ import hmctransfer
 
 MODULES = [importlib.import_module(f"hmctransfer.{info.name}")
            for info in pkgutil.iter_modules(hmctransfer.__path__)]
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _sources(*patterns: str) -> list[Path]:
+    """The repository's Python files matching the glob ``patterns``, sorted."""
+    return sorted(path for pattern in patterns for path in ROOT.glob(pattern))
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
@@ -47,9 +53,8 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     # no linter runs on the tree, so an import left behind by a deletion is caught
     # here; the package's __init__ is exempt, since its imports are the re-exports
-    root = Path(__file__).resolve().parent.parent
-    paths = [*(root / "src" / "hmctransfer").glob("*.py"), *(root / "tests").glob("*.py")]
-    unused = {f"{path.parent.name}/{path.name}": names for path in sorted(paths)
+    unused = {str(path.relative_to(ROOT)): names
+              for path in _sources("src/hmctransfer/*.py", "tests/*.py", "bench/**/*.py")
               if path.name != "__init__.py" and (names := _unused_imports(path))}
     assert not unused, unused
 
@@ -88,8 +93,9 @@ def _unread_assignments(path: Path) -> list[str]:
 
 def test_no_unread_assignments():
     # a name assigned and never read is dead code or a lost result; no linter
-    # runs on the tree, so the package's functions are scanned here
-    root = Path(__file__).resolve().parent.parent
-    unread = {path.name: names for path in sorted((root / "src" / "hmctransfer").glob("*.py"))
+    # runs on the tree, so the functions of the package, its tests and the
+    # benchmark are scanned here
+    unread = {str(path.relative_to(ROOT)): names
+              for path in _sources("src/hmctransfer/*.py", "tests/*.py", "bench/**/*.py")
               if (names := _unread_assignments(path))}
     assert not unread, unread

@@ -17,6 +17,7 @@ from hmctransfer import (
     hs_norm,
     iterate,
     random_density,
+    standard_gaussian_pair,
     weighted_norm,
 )
 from hmctransfer import dynamics, operator
@@ -102,10 +103,27 @@ def test_kernel_regime_validation(gauss_grid, gauss_model):
 
 
 def test_spectrum_matches_mehler_eigenvalues(gauss_report):
+    # 2.5e-9 on the top six and 4.5e-13 on the rate at this box, L = 8
     mehler = np.cos(0.7) ** np.arange(6)
-    assert np.max(np.abs(gauss_report.eigenvalues[:6] - mehler)) < 1e-3
-    assert gauss_report.rate_bound == pytest.approx(np.cos(0.7), abs=1e-3)
-    assert gauss_report.gap == pytest.approx(1 - np.cos(0.7), abs=1e-3)
+    assert np.max(np.abs(gauss_report.eigenvalues[:6] - mehler)) < 1e-8
+    assert gauss_report.rate_bound == pytest.approx(np.cos(0.7), abs=1e-10)
+    assert gauss_report.gap == pytest.approx(1 - np.cos(0.7), abs=1e-10)
+
+
+def test_mehler_and_hilbert_schmidt_oracles_on_a_wide_box():
+    # at L = 14 the box no longer limits the HS identity, and with every node in the
+    # symmetric frame the spectrum meets cos(t)^k to rounding: measured 4.9e-13 on the
+    # top six, 5.2e-11 on the top sixteen and 1.8e-12 relative on the HS norm
+    model = standard_gaussian_pair(halfwidth=14.0)
+    grid = build_grid(model, 401)
+    spec = default_flow_spec(model, 0.7)
+    assert spec.method == "exact_gaussian"
+    mu = eigen_spectrum(assemble_transfer(grid, model, spec, 257), k=16).eigenvalues
+    err = np.abs(mu - np.cos(0.7) ** np.arange(16))
+    assert err[:6].max() <= 1e-10
+    assert err.max() <= 1e-9
+    oracle = 1.0 / np.sin(0.7) ** 2
+    assert abs(hs_norm(assemble_transfer(grid, model, spec, 1025)) - oracle) <= 1e-9 * oracle
 
 
 def test_spectrum_invariants(gauss_report):

@@ -267,20 +267,19 @@ def test_iterate_does_not_flag_wobble_at_the_floor(anh_trace):
 def _reference_iterate(T, h0, n_max, tol):
     """One matvec h <- T.entries @ h per step, under iterate's stop rules."""
     grid = T.grid
-    keep = grid.retained
-    scale = np.sqrt(grid.weights[keep] / grid.target_values[keep])
+    scale = np.sqrt(grid.weights / grid.target_values)
     h = np.asarray(h0, dtype=float).copy()
     alpha = mass(h, grid) / mass(grid.target_values, grid)
-    limit = scale * (alpha * grid.target_values[keep])
+    limit = scale * (alpha * grid.target_values)
 
     def norm(v):
         return math.sqrt(v @ v)
 
-    norms, errors = [norm(scale * h[keep])], [norm(scale * h[keep] - limit)]
+    norms, errors = [norm(scale * h)], [norm(scale * h - limit)]
     rising, best, anomaly = 0, errors[0], False
     while errors[-1] >= tol and len(errors) - 1 < n_max:
         h = T.entries @ h
-        sh = scale * h[keep]
+        sh = scale * h
         norms.append(norm(sh))
         errors.append(norm(sh - limit))
         rising = rising + 1 if errors[-1] > errors[-2] else 0
@@ -341,7 +340,6 @@ def _synthetic_transfer(eigenvalues, coefficients):
     modes decay at |mu| <= 0.3 from coefficients <= 0.1.
     """
     grid = build_grid(standard_gaussian_pair(halfwidth=5.0), 20)
-    assert grid.retained.all()
     n = grid.n
     rng = np.random.default_rng(0)
     u0 = np.sqrt(grid.weights * grid.target_values)
@@ -606,5 +604,5 @@ def test_quartic_nystrom_spectrum(anh_T, anh_report):
     # the rate and a symmetric frame free of the filtered deposit's spurious
     # negative eigenvalue (-3.45e-3 at the box edge)
     assert abs(anh_report.rate_bound - 0.994608792) <= 1e-8
-    A, _, _ = to_weighted_symmetric(anh_T)
+    A = to_weighted_symmetric(anh_T)
     assert np.linalg.eigvalsh(0.5 * (A + A.T)).min() >= -1e-8
