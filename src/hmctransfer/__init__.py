@@ -20,7 +20,6 @@ from .dynamics import (
     default_flow_spec,
     determinant_bounds,
     momentum_flip_conjugacy_residual,
-    spd_sqrt,
 )
 from .kernel_spectral import (
     RateCertificate,
@@ -33,7 +32,6 @@ from .operator import (
     DensityGrid,
     IterationTrace,
     TransferMatrix,
-    assemble_adjoint,
     assemble_transfer,
     build_grid,
     iterate,

@@ -100,18 +100,6 @@ def _number(sec, name: str, kind, default):
                           f"got {sec[key]!r}") from exc
 
 
-def _parse_matrix(text: str, name: str) -> np.ndarray:
-    try:
-        rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
-    except ValueError as exc:
-        raise ConfigError(f"{name}: cannot parse matrix {text!r}") from exc
-    if len(rows) == 1 and len(rows[0]) == 1:
-        return np.array([[rows[0][0]]])
-    if len(rows) == 1:
-        return np.diag(rows[0])
-    return np.array(rows)
-
-
 def _potential(fields: dict, make, *args):
     """``make(*args)``, its ``ValueError`` turned into a ``ConfigError`` naming the config
     field that ``fields`` maps the faulty argument to (the message's first word)."""
@@ -128,26 +116,17 @@ def _build_model(cfg: configparser.ConfigParser) -> ModelPair:
     if not (math.isfinite(halfwidth) and halfwidth > 0):
         raise ConfigError(f"model.halfwidth: must be finite and positive, got {halfwidth}")
     if family == "gaussian":
-        try:
-            mean = np.array([float(v) for v in sec.get("mean", "0.0").split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"model.mean: cannot parse vector {sec['mean']!r}") from exc
-        precision = _parse_matrix(sec.get("precision", "1.0"), "model.precision")
-        if precision.shape[0] != mean.shape[0]:
-            raise ConfigError("model.precision: shape incompatible with model.mean")
         target = _potential({"mean": "model.mean", "precision": "model.precision"},
-                            gaussian_potential, mean, precision)
+                            gaussian_potential, _number(sec, "model.mean", float, 0.0),
+                            _number(sec, "model.precision", float, 1.0))
     elif family == "anharmonic":
         target = _potential({"a": "model.a", "b": "model.b", "halfwidth": "model.halfwidth"},
                             anharmonic_potential, _number(sec, "model.a", float, 1.0),
                             _number(sec, "model.b", float, 0.0), halfwidth)
     else:
         raise ConfigError(f"model.family: unknown family {family!r}")
-    aux_prec = _parse_matrix(sec.get("auxiliary_precision", "1.0"), "model.auxiliary_precision")
-    if aux_prec.shape == (1, 1) and target.dim > 1:
-        aux_prec = aux_prec[0, 0] * np.eye(target.dim)
-    auxiliary = _potential({"precision": "model.auxiliary_precision"},
-                           gaussian_potential, np.zeros(target.dim), aux_prec)
+    auxiliary = _potential({"precision": "model.auxiliary_precision"}, gaussian_potential, 0.0,
+                           _number(sec, "model.auxiliary_precision", float, 1.0))
     try:
         return ModelPair(
             target=target,
@@ -192,11 +171,9 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
     if spec.method == "exact_gaussian" and not model.is_gaussian:
         raise ConfigError("flow.method: exact_gaussian requires a Gaussian model pair")
 
-    # every experiment but flow builds an operator, which needs a 1-d model and
-    # must stay below the conjugate-point bound
+    # every experiment but flow builds an operator, which must stay below the
+    # conjugate-point bound
     if kind != "flow":
-        if model.dim != 1:
-            raise ConfigError(f"{kind}: only 1-d models are supported")
         try:
             check_conjugate_bound(model, spec)
         except ValueError as exc:
@@ -229,8 +206,7 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
             "model.halfwidth": model.domain_halfwidth,
             "model.lambda_min": model.lambda_min,
             "model.lambda_max": model.lambda_max,
-            "model.params": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                             for k, v in model.target.params.items()},
+            "model.params": model.target.params,
             "flow.time": spec.time,
             "flow.method": spec.method,
             "flow.steps": spec.steps,
@@ -297,25 +273,23 @@ def _h0(config: ExperimentConfig, grid):
 def run_flow(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     model, spec = config.model, config.spec
     rng = np.random.default_rng(config.seed)
-    d = model.dim
-    q = rng.uniform(-0.5, 0.5, size=d) + 1.0 if d == 1 else rng.normal(size=d)
-    p = np.zeros(d)
+    q, p = rng.uniform(-0.5, 0.5) + 1.0, 0.0
 
     def energy(q, p):
-        return float(model.target.value(q) + model.auxiliary.value(p))
+        return model.target.value(q) + model.auxiliary.value(p)
 
     times, qs, ps, energies, dets = [0.0], [q], [p], [energy(q, p)], [1.0]
     # leapfrog runs in pieces of whole steps, the exact map in `samples` equal
     # pieces; the Jacobian so far is the product of the pieces' Jacobians
     total = spec.steps if spec.method == "leapfrog" else config.samples
     per = max(1, total // config.samples)
-    jac = np.eye(2 * d)
+    jac = np.eye(2)
     done = 0
     while done < total:
         take = min(per, total - done)
         seg = FlowSpec(time=take * spec.time / total, steps=take, method=spec.method)
-        Q, P, J = tangent_batch(q[None], p[None], model, seg)
-        q, p, jac = Q[0], P[0], J[0] @ jac
+        Q, P, J = tangent_batch([q], [p], model, seg)
+        q, p, jac = float(Q[0]), float(P[0]), J[0] @ jac
         done += take
         times.append(done * spec.time / total)
         qs.append(q)
@@ -323,17 +297,8 @@ def run_flow(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
         energies.append(energy(q, p))
         dets.append(float(np.linalg.det(jac)))
 
-    cols = [times]
-    header = ["s"]
-    for axis in range(d):
-        header.append(f"q{axis}")
-        cols.append([v[axis] for v in qs])
-    for axis in range(d):
-        header.append(f"p{axis}")
-        cols.append([v[axis] for v in ps])
-    header += ["energy", "det_jacobian"]
-    cols += [energies, dets]
-    write_csv(outdir / "flow.csv", header, cols)
+    write_csv(outdir / "flow.csv", ["s", "q0", "p0", "energy", "det_jacobian"],
+              [times, qs, ps, energies, dets])
 
     # np.max, unlike Python's max, keeps a NaN of a diverged flow
     drift = float(np.max(energies) - np.min(energies))
@@ -341,9 +306,7 @@ def run_flow(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     write_json(outdir / "conservation.json", {
         "energy_drift": drift,
         "det_jacobian_max_deviation": det_dev,
-        "closure_distance": float(
-            max(np.max(np.abs(qs[-1] - qs[0])), np.max(np.abs(ps[-1] - ps[0])))
-        ),
+        "closure_distance": max(abs(qs[-1] - qs[0]), abs(ps[-1] - ps[0])),
     })
     return 0, {"result.energy_drift": drift, "result.det_dev": det_dev}
 
@@ -375,7 +338,7 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     T_adj = T
     sigma = 1.0 / math.sqrt(model.auxiliary.lambda_lo)
     conjugacy = momentum_flip_conjugacy_residual(
-        model, config.spec, np.repeat(grid.x, 2)[:, None], np.tile([sigma, -sigma], grid.n)[:, None])
+        model, config.spec, np.repeat(grid.x, 2), np.tile([sigma, -sigma], grid.n))
     dualities = []
     for _ in range(20):
         h = random_density(grid, rng)
@@ -470,7 +433,7 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict
 
     L = model.domain_halfwidth
     edges = np.linspace(-L, L, config.bins + 1)
-    counts, _ = np.histogram(samples[:, 0], bins=edges)
+    counts, _ = np.histogram(samples, bins=edges)
     width = edges[1] - edges[0]
     empirical = counts / (config.draws * width)
     # antiderivative of the interpolated fixed point at the bin edges

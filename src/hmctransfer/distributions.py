@@ -1,8 +1,8 @@
-"""Catalog of uniformly strongly log-concave densities.
+"""Catalog of uniformly strongly log-concave 1-d densities.
 
 A density is represented by its potential, the negative log-density up to an
-additive constant.  Every potential carries hand-coded gradient and Hessian
-evaluators together with spectral bounds ``lambda_lo <= spec(hess) <= lambda_hi``
+additive constant.  Every potential carries hand-coded gradient and curvature
+evaluators together with the bounds ``lambda_lo <= hess <= lambda_hi``
 valid on the declared domain.  Densities stay unnormalized throughout; the
 additive constant is fixed so the potential vanishes at its minimizer.
 """
@@ -31,20 +31,15 @@ ArrayLike = np.ndarray
 
 @dataclass(frozen=True)
 class Potential:
-    """Negative log-density with gradient, Hessian and concavity bounds.
+    """Negative log-density of a 1-d model with gradient, curvature and concavity bounds.
 
-    Evaluators accept points of shape ``(d,)`` or batches ``(N, d)``.
-    ``value`` returns a scalar or ``(N,)``, ``grad`` matches the input shape,
-    ``hess`` returns ``(d, d)`` or ``(N, d, d)``.
-
-    ``scalar`` is the pair ``(value, grad)`` on Python floats for a 1-d
-    potential, ``None`` otherwise.  The factories write each 1-d formula once,
-    as an expression valid for a float and an ndarray alike; ``value`` and
-    ``grad`` apply that same expression after reshaping their input, so both
-    forms agree bit for bit.
+    ``value``, ``grad`` and ``hess`` are each one elementwise expression: they
+    take a Python float or an ndarray of any shape and return the same kind of
+    object, a float or an array of that shape, so a float call gives the bits
+    of the matching entry of an array call.  ``hess`` returns the curvature
+    U''(x), which ``lambda_lo <= U'' <= lambda_hi`` bounds on the domain.
     """
 
-    dim: int
     value: Callable[[ArrayLike], ArrayLike]
     grad: Callable[[ArrayLike], ArrayLike]
     hess: Callable[[ArrayLike], ArrayLike]
@@ -52,17 +47,17 @@ class Potential:
     lambda_hi: float
     kind: str = "custom"
     params: dict = field(default_factory=dict)
-    scalar: tuple[Callable[[float], float], Callable[[float], float]] | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
-        if self.scalar is not None and self.dim != 1:
-            raise ValueError(f"scalar evaluators need a 1-d potential, got dim {self.dim}")
         if not (0.0 < self.lambda_lo <= self.lambda_hi):
             raise ValueError(
                 f"need 0 < lambda_lo <= lambda_hi, got ({self.lambda_lo}, {self.lambda_hi})"
             )
+
+    @property
+    def dim(self) -> int:
+        """The dimension, always 1 (``bench/tracer.py`` and the manifest read it)."""
+        return 1
 
     @property
     def is_gaussian(self) -> bool:
@@ -74,7 +69,7 @@ class ModelPair:
     """Target/auxiliary potential pair defining one Hamiltonian model.
 
     ``domain_halfwidth`` is the position-domain truncation: all grid
-    computations live on ``[-L, L]^d``.  A target that declares its curvature
+    computations live on ``[-L, L]``.  A target that declares its curvature
     bound on a box (``params["halfwidth"]``) must cover the domain, else
     ``lambda_max`` understates the curvature on the grid; a wider domain
     raises ``ValueError``.  ``auxiliary_even`` asserts the
@@ -88,10 +83,6 @@ class ModelPair:
     auxiliary_even: bool = True
 
     def __post_init__(self):
-        if self.target.dim != self.auxiliary.dim:
-            raise ValueError(
-                f"dimension mismatch: target {self.target.dim}, auxiliary {self.auxiliary.dim}"
-            )
         if not (math.isfinite(self.domain_halfwidth) and self.domain_halfwidth > 0):
             raise ValueError(
                 f"domain_halfwidth must be finite and positive, got {self.domain_halfwidth}"
@@ -101,14 +92,15 @@ class ModelPair:
             raise ValueError(f"domain_halfwidth {self.domain_halfwidth} exceeds the halfwidth "
                              f"{box} on which the target's curvature bound holds")
         if self.auxiliary_even:
-            probe = np.linspace(0.3, 2.1, 4)[:, None] * np.ones(self.dim)
+            probe = np.linspace(0.3, 2.1, 4)
             asym = np.max(np.abs(self.auxiliary.value(probe) - self.auxiliary.value(-probe)))
             if asym > 1e-12:
                 raise ValueError(f"auxiliary marked even but V(p)-V(-p) reaches {asym:.3e}")
 
     @property
     def dim(self) -> int:
-        return self.target.dim
+        """The dimension, always 1 (``bench/tracer.py`` and the manifest read it)."""
+        return 1
 
     @property
     def lambda_min(self) -> float:
@@ -129,85 +121,42 @@ class ModelPair:
         return log_density_mass(self.auxiliary)
 
 
-def _as_points(x, dim):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if x.shape[-1] != dim:
-        raise ValueError(f"expected points with last axis {dim}, got shape {x.shape}")
-    return x
+def gaussian_potential(mean: float, precision: float) -> Potential:
+    """Quadratic potential (x - m) P (x - m) / 2 of a 1-d Gaussian density.
 
-
-def _array_forms(value, grad):
-    """Array evaluators of a 1-d potential from its float/ndarray expressions."""
-    return (lambda x: value(_as_points(x, 1)[..., 0]), lambda x: grad(_as_points(x, 1)))
-
-
-def gaussian_potential(mean, precision) -> Potential:
-    """Quadratic potential (x-m)' P (x-m) / 2 of a Gaussian density.
-
-    ``mean`` must be finite and ``precision`` finite, symmetric and positive
-    definite; a scalar is accepted as the 1-d case.  A ``ValueError`` message
-    begins with the name of the argument at fault.  The concavity bounds are
-    the extreme eigenvalues of P.
+    ``mean`` must be a finite number and ``precision`` a finite positive one.
+    A ``ValueError`` message begins with the name of the argument at fault.
+    Both concavity bounds are P.
     """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    precision = np.atleast_2d(np.asarray(precision, dtype=float))
-    if not np.all(np.isfinite(mean)):
-        raise ValueError(f"mean must be finite, got {mean.tolist()}")
-    # checked before the symmetry test, where inf - inf would be NaN
-    if not np.all(np.isfinite(precision)):
-        raise ValueError(f"precision must be finite, got {precision.tolist()}")
-    d = mean.shape[0]
-    if precision.shape != (d, d):
-        raise ValueError(f"precision shape {precision.shape} incompatible with dim {d}")
-    asym = np.max(np.abs(precision - precision.T))
-    if asym > 1e-12 * max(1.0, np.max(np.abs(precision))):
-        raise ValueError(f"precision not symmetric, max asymmetry {asym:.3e}")
-    eigvals = np.linalg.eigvalsh(precision)
-    if eigvals[0] <= 0:
-        raise ValueError(f"precision not positive definite, smallest eigenvalue {eigvals[0]:.6e}")
+    for name, arg in (("mean", mean), ("precision", precision)):
+        if np.ndim(arg) != 0:
+            raise ValueError(f"{name} must be a number, got an array of shape {np.shape(arg)}")
+    m, prec = float(mean), float(precision)
+    if not math.isfinite(m):
+        raise ValueError(f"mean must be finite, got {m}")
+    if not math.isfinite(prec):
+        raise ValueError(f"precision must be finite, got {prec}")
+    if prec <= 0:
+        raise ValueError(f"precision must be positive, got {prec}")
 
-    if d == 1:
-        m, prec = float(mean[0]), float(precision[0, 0])
+    def value(x):
+        dx = x - m
+        return 0.5 * (dx * prec * dx)
 
-        def value_1d(x):
-            dx = x - m
-            return 0.5 * (dx * prec * dx)
-
-        def grad_1d(x):
-            return (x - m) * prec
-
-        scalar = (value_1d, grad_1d)
-        value, grad = _array_forms(value_1d, grad_1d)
-    else:
-        scalar = None
-
-        def value(x):
-            x = _as_points(x, d)
-            dx = x - mean
-            return 0.5 * np.einsum("...i,ij,...j->...", dx, precision, dx)
-
-        def grad(x):
-            x = _as_points(x, d)
-            return (x - mean) @ precision.T
+    def grad(x):
+        return (x - m) * prec
 
     def hess(x):
-        x = _as_points(x, d)
-        if x.ndim == 1:
-            return precision.copy()
-        return np.broadcast_to(precision, x.shape[:-1] + (d, d)).copy()
+        return prec * np.ones_like(x)
 
     return Potential(
-        dim=d,
         value=value,
         grad=grad,
         hess=hess,
-        lambda_lo=float(eigvals[0]),
-        lambda_hi=float(eigvals[-1]),
+        lambda_lo=prec,
+        lambda_hi=prec,
         kind="gaussian",
-        params={"mean": mean, "precision": precision},
-        scalar=scalar,
+        params={"mean": m, "precision": prec},
     )
 
 
@@ -226,21 +175,17 @@ def anharmonic_potential(a: float, b: float, halfwidth: float) -> Potential:
     if not (math.isfinite(halfwidth) and halfwidth > 0):
         raise ValueError(f"halfwidth must be finite and positive, got {halfwidth}")
 
-    def value_1d(x):
+    def value(x):
         x2 = x * x
         return x2 * (0.5 * a + 0.25 * b * x2)
 
-    def grad_1d(x):
+    def grad(x):
         return x * (a + b * (x * x))
 
-    value, grad = _array_forms(value_1d, grad_1d)
-
     def hess(x):
-        x = _as_points(x, 1)
-        return (a + 3.0 * b * (x * x)).reshape(x.shape[:-1] + (1, 1))
+        return a + 3.0 * b * (x * x)
 
     return Potential(
-        dim=1,
         value=value,
         grad=grad,
         hess=hess,
@@ -248,7 +193,6 @@ def anharmonic_potential(a: float, b: float, halfwidth: float) -> Potential:
         lambda_hi=float(a + 3.0 * b * halfwidth**2),
         kind="anharmonic",
         params={"a": float(a), "b": float(b), "halfwidth": float(halfwidth)},
-        scalar=(value_1d, grad_1d),
     )
 
 
@@ -267,27 +211,24 @@ def density_value(pot: Potential, x) -> ArrayLike:
 def log_density_mass(pot: Potential) -> float:
     """log integral of exp(-U).
 
-    Closed form for Gaussian potentials; otherwise (1-d only) a 4097-node
+    Closed form for Gaussian potentials; otherwise a 4097-node
     trapezoid rule over [-a, a] with lambda_lo a^2 / 2 = 45: the lower
     concavity bound exp(-U) <= exp(-lambda_lo x^2 / 2) puts the mass outside
     that box far below 1e-16 of the total.
     """
     if pot.is_gaussian:
-        _, logdet = np.linalg.slogdet(pot.params["precision"])
-        return 0.5 * pot.dim * math.log(2.0 * math.pi) - 0.5 * logdet
-    if pot.dim != 1:
-        raise NotImplementedError("numeric mass only implemented for 1-d potentials")
+        return 0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(pot.params["precision"])
     halfwidth = math.sqrt(2.0 * 45.0 / pot.lambda_lo)
-    x = np.linspace(-halfwidth, halfwidth, 4097)[:, None]
+    x = np.linspace(-halfwidth, halfwidth, 4097)
     vals = np.exp(-pot.value(x))
-    return math.log(np.sum((x[1, 0] - x[0, 0]) * (vals[1:] + vals[:-1]) / 2.0))
+    return math.log(np.sum((x[1] - x[0]) * (vals[1:] + vals[:-1]) / 2.0))
 
 
-def standard_gaussian_pair(dim: int = 1, halfwidth: float = 8.0) -> ModelPair:
-    """Standard Gaussian target and momentum distribution in ``dim`` dimensions."""
+def standard_gaussian_pair(halfwidth: float = 8.0) -> ModelPair:
+    """Standard Gaussian target and momentum distribution."""
     return ModelPair(
-        target=gaussian_potential(np.zeros(dim), np.eye(dim)),
-        auxiliary=gaussian_potential(np.zeros(dim), np.eye(dim)),
+        target=gaussian_potential(0.0, 1.0),
+        auxiliary=gaussian_potential(0.0, 1.0),
         domain_halfwidth=halfwidth,
         auxiliary_even=True,
     )
@@ -297,7 +238,7 @@ def anharmonic_pair(a: float, b: float, halfwidth: float) -> ModelPair:
     """Quartic-well target with a standard Gaussian momentum distribution."""
     return ModelPair(
         target=anharmonic_potential(a, b, halfwidth),
-        auxiliary=gaussian_potential(np.zeros(1), np.eye(1)),
+        auxiliary=gaussian_potential(0.0, 1.0),
         domain_halfwidth=halfwidth,
         auxiliary_even=True,
     )

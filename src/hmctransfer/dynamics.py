@@ -1,16 +1,18 @@
 """Hamiltonian flow H_t : (q, p) -> (Q, P), its Jacobian, the HMC chain and
 the regime bounds on the flow time.
 
-One integrator, velocity-Verlet leapfrog (``_leapfrog``), has three callers:
-``flow_batch`` maps many phase points at once, ``tangent_batch`` carries the
-Jacobian through the same kicks and drifts, and ``hmc_chain`` runs a
-Metropolis-corrected 1-d chain on Python floats.  Leapfrog is symplectic and
-time-reversible, so the invariance properties the operator theory needs hold
-exactly for the discrete map, not just approximately.  Gaussian pairs also
-have a closed-form map, the linear Hamiltonian system solved exactly in
-cos/sinc form (``exact_gaussian_matrix``, the package's one exact-Gaussian
-propagator).  No Metropolis correction is applied to the flow itself;
-integration error is measured by the tests instead of hidden.
+Phase space is (q, p) with q and p scalars, so a batch of phase points is a
+pair of arrays of one shape.  One integrator, velocity-Verlet leapfrog
+(``_leapfrog``), has three callers: ``flow_batch`` maps many phase points at
+once, ``tangent_batch`` carries the Jacobian through the same kicks and
+drifts, and ``hmc_chain`` runs a Metropolis-corrected chain on Python floats.
+Leapfrog is symplectic and time-reversible, so the invariance properties the
+operator theory needs hold exactly for the discrete map, not just
+approximately.  Gaussian pairs also have a closed-form map, the linear
+Hamiltonian system solved exactly in cos/sinc form (``exact_gaussian_matrix``,
+the package's one exact-Gaussian propagator).  No Metropolis correction is
+applied to the flow itself; integration error is measured by the tests
+instead of hidden.
 
 ``flow_batch`` runs leapfrog over the points in cache-sized blocks, with
 in-place kicks and drifts on arrays it made itself: no input array and no
@@ -19,17 +21,17 @@ one kick-drift-kick pass over all points with a new array per update.
 
 The Jacobian J = d(Q,P)/d(q,p): leapfrog is a partitioned Runge-Kutta method,
 so the derivative of its discrete map is leapfrog applied to the variational
-equation.  ``tangent_batch`` lifts each point to an array whose column 0 is
-the point and whose columns 1..2d are its derivatives along (q0, p0), and
-integrates it with gradients that carry the chain rule,
-z -> [grad U(z0), hess U(z0) z1..2d]: Q and P are ``flow_batch``'s, bit for
-bit.  For Gaussian pairs J is the exact-Gaussian propagator, the same matrix
-at every state.
+equation.  ``tangent_batch`` lifts each coordinate to an (N, 3) array whose
+column 0 is the point and whose columns 1 and 2 are its derivatives along
+(q0, p0), and integrates it with gradients that carry the chain rule,
+z -> [U'(z0), U''(z0) z1, U''(z0) z2]: Q and P are ``flow_batch``'s, bit for
+bit.  For Gaussian pairs J is the exact-Gaussian propagator, the same 2 x 2
+matrix at every state.
 
 The regime bounds on t * lambda_max are stated here once each:
 ``check_conjugate_bound`` refuses t * lambda_max >= pi, where conjugate points
 first appear for constant curvature, and ``determinant_bounds`` bounds
-D_q * D_p = 1/|det dQ/dp| * 1/|det dP/dq| for t * lambda_max < pi/2 and
+D_q * D_p = 1/|dQ/dp| * 1/|dP/dq| for t * lambda_max < pi/2 and
 refuses outside that range.
 """
 
@@ -52,10 +54,9 @@ __all__ = [
     "momentum_flip_conjugacy_residual",
     "check_conjugate_bound",
     "determinant_bounds",
-    "spd_sqrt",
 ]
 
-# points per leapfrog block: 256 KiB per (N, 1) array, so a block's half a
+# points per leapfrog block: 256 KiB per (N,) array, so a block's half a
 # dozen live arrays (q, p, kick, gradient and product temporaries) fit a
 # 4 MiB per-core L2 cache
 BLOCK_POINTS = 32768
@@ -93,61 +94,32 @@ def default_flow_spec(model: ModelPair, time: float, method: str | None = None) 
     return FlowSpec(time=time, steps=max(1, math.ceil(time / h_max)), method="leapfrog")
 
 
-def spd_sqrt(mat) -> np.ndarray:
-    """Symmetric positive definite square root via spectral decomposition."""
-    mat = np.asarray(mat, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.T)) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(mat)
-    if vals[0] <= 0:
-        raise ValueError(f"matrix not positive definite, offending eigenvalue {vals[0]:.6e}")
-    root = (vecs * np.sqrt(vals)) @ vecs.T
-    return 0.5 * (root + root.T)
-
-
-def _linear_propagator(u, v, time: float) -> np.ndarray:
-    """2d x 2d solution map of (Q, P)' = (V P, -U Q) for spd U, V, any sign of time.
-
-    With A = sqrt(VU), B = sqrt(UV): [[cos(tA), V sin(tB) B^-1], [-U sin(tA) A^-1,
-    cos(tB)]], all blocks from one eigendecomposition sqrt(U) V sqrt(U) = E diag(w^2) E^T.
-    """
-    v = np.asarray(v, dtype=float)
-    su = spd_sqrt(u)
-    su_inv = np.linalg.inv(su)
-    vals, vecs = np.linalg.eigh(su @ v @ su)
-    if vals[0] <= 0:
-        raise ValueError(f"V not positive definite through the transform: {vals[0]:.6e}")
-    w = np.sqrt(vals)
-    cos_w = (vecs * np.cos(time * w)) @ vecs.T
-    sin_w = (vecs * (np.sin(time * w) / w)) @ vecs.T
-    return np.block([[su_inv @ cos_w @ su, v @ su @ sin_w @ su_inv],
-                     [-su @ sin_w @ su, su @ cos_w @ su_inv]])
-
-
 def exact_gaussian_matrix(model: ModelPair, time: float) -> np.ndarray:
-    """2d x 2d propagator of the linear Hamiltonian system for Gaussian pairs.
+    """2 x 2 propagator of the linear Hamiltonian system for Gaussian pairs.
 
-    With target precision A and auxiliary precision B the system is
-    (Q-mu, P)' = [[0, B], [-A, 0]] (Q-mu, P).  Negative time gives the
-    inverse flow.
+    With target precision u and auxiliary precision v the system is
+    (Q - mu, P)' = [[0, v], [-u, 0]] (Q - mu, P), whose solution map is
+    [[c, v s], [-u s, c]] with omega = sqrt(u v), c = cos(omega t) and
+    s = sin(omega t) / omega.  Negative time gives the inverse flow.
     """
     if not model.is_gaussian:
         raise ValueError("exact flow requested for a non-Gaussian model")
-    if np.any(model.auxiliary.params["mean"] != 0.0):
+    if model.auxiliary.params["mean"] != 0.0:
         raise ValueError("exact flow assumes a centered auxiliary Gaussian")
-    precisions = model.target.params["precision"], model.auxiliary.params["precision"]
-    return _linear_propagator(*precisions, time)
+    u, v = model.target.params["precision"], model.auxiliary.params["precision"]
+    omega = math.sqrt(u * v)
+    c, s = np.cos(time * omega), np.sin(time * omega) / omega
+    return np.array([[c, v * s], [-u * s, c]])
 
 
 def _leapfrog(q, p, grad_u, grad_v, tau: float, steps: int):
     """Velocity-Verlet (kick-drift-kick): ``steps`` steps of size ``tau``.
 
     Plain arithmetic on whatever q and p are, so this module's three callers
-    run the same integrator: ``flow_batch`` on (N, d) blocks with the array
-    gradients, ``tangent_batch`` on lifted (N, d, 1 + 2d) arrays whose
-    gradients also apply the chain rule to the derivative columns, and
-    ``hmc_chain`` on Python floats with the scalar gradients of a 1-d pair.
+    run the same integrator: ``flow_batch`` on (N,) blocks, ``tangent_batch``
+    on lifted (N, 3) arrays whose gradients also apply the chain rule to the
+    derivative columns, and ``hmc_chain`` on Python floats, each with the
+    potentials' elementwise gradients.
 
     Each kick ``half * grad_u(q)`` is computed once and subtracted twice at a
     step boundary, the closing kick of one step and the opening kick of the
@@ -170,9 +142,10 @@ def _leapfrog(q, p, grad_u, grad_v, tau: float, steps: int):
 
 
 def flow_batch(qs, ps, model: ModelPair, spec: FlowSpec, inverse: bool = False):
-    """Map many phase points at once; shapes (..., d) -> (..., d).
+    """Map many phase points at once: q and p of any shapes that broadcast
+    together, to (Q, P) of the broadcast shape.
 
-    Leapfrog walks the points, flattened to (N, d), in blocks of
+    Leapfrog walks the points, flattened to (N,), in blocks of
     ``BLOCK_POINTS`` and integrates each block over all steps before the next
     one: a block's q, p, kick and gradient temporaries then stay in a core's
     L2 cache across the steps, where one pass over all points would stream
@@ -181,22 +154,19 @@ def flow_batch(qs, ps, model: ModelPair, spec: FlowSpec, inverse: bool = False):
     """
     qs = np.asarray(qs, dtype=float)
     ps = np.asarray(ps, dtype=float)
+    time = -spec.time if inverse else spec.time
     if spec.method == "exact_gaussian":
-        mat = exact_gaussian_matrix(model, -spec.time if inverse else spec.time)
-        d = model.dim
+        (a, b), (c, d) = exact_gaussian_matrix(model, time).tolist()
         mu = model.target.params["mean"]
         dq = qs - mu
-        Q = dq @ mat[:d, :d].T + ps @ mat[:d, d:].T + mu
-        P = dq @ mat[d:, :d].T + ps @ mat[d:, d:].T
-        return Q, P
+        return dq * a + ps * b + mu, dq * c + ps * d
     # reversing the time step inverts kick-drift-kick exactly, so
     # inverse(flow(s)) == s up to roundoff
-    time = -spec.time if inverse else spec.time
     tau = time / spec.steps
     shape = np.broadcast_shapes(qs.shape, ps.shape)
-    q = np.broadcast_to(qs, shape).reshape(-1, shape[-1])
-    p = np.broadcast_to(ps, shape).reshape(-1, shape[-1])
-    Q, P = np.empty(q.shape), np.empty(p.shape)
+    q = np.broadcast_to(qs, shape).reshape(-1)
+    p = np.broadcast_to(ps, shape).reshape(-1)
+    Q, P = np.empty(len(q)), np.empty(len(p))
     for lo in range(0, len(q), BLOCK_POINTS):
         block = slice(lo, lo + BLOCK_POINTS)
         Q[block], P[block] = _leapfrog(q[block], p[block], model.target.grad,
@@ -214,65 +184,61 @@ def sinc(x):
 
 
 def _lifted(potential):
-    """z -> [grad(z0), hess(z0) z1..2d]: the gradient of ``potential`` on lifted arrays
-    z of shape (n, d, 1 + 2d), with its chain rule on the derivative columns."""
+    """z -> [U'(z0), U''(z0) z1, U''(z0) z2]: the gradient of ``potential`` on lifted
+    (N, 3) arrays z, with its chain rule on the derivative columns."""
     def grad(z):
-        x = z[..., 0]
-        return np.concatenate([potential.grad(x)[..., None], potential.hess(x) @ z[..., 1:]], -1)
+        x = z[:, 0]
+        curvature = potential.hess(x)
+        return np.column_stack([potential.grad(x), curvature * z[:, 1], curvature * z[:, 2]])
     return grad
 
 
 def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     """Flow a batch of states and differentiate the map.
 
-    Returns (Q, P, J), with Q and P of shape (n, d) and the Jacobian
-    J = d(Q,P)/d(q,p) of shape (n, 2d, 2d).  For leapfrog J is the exact
-    derivative of the discrete map that ``flow_batch`` applies.
+    Takes q and p of shape (N,) and returns (Q, P, J), Q and P of shape (N,)
+    and the Jacobian J = d(Q,P)/d(q,p) of shape (N, 2, 2).  For leapfrog J is
+    the exact derivative of the discrete map that ``flow_batch`` applies.
     """
-    q = np.atleast_2d(np.asarray(qs, dtype=float))
-    p = np.atleast_2d(np.asarray(ps, dtype=float))
-    n, d = q.shape
+    q = np.asarray(qs, dtype=float)
+    p = np.asarray(ps, dtype=float)
     if spec.method == "exact_gaussian":
         Q, P = flow_batch(q, p, model, spec)
-        return Q, P, np.tile(exact_gaussian_matrix(model, spec.time), (n, 1, 1))
-
-    def lift(x, k):  # x with d(x)/d(q0, p0) = [I, 0] (k = 0) or [0, I] (k = d)
-        return np.concatenate([x[..., None], np.tile(np.eye(d, 2 * d, k), (n, 1, 1))], -1)
-
-    Q, P = _leapfrog(lift(q, 0), lift(p, d), _lifted(model.target), _lifted(model.auxiliary),
-                     spec.time / spec.steps, spec.steps)
-    return Q[..., 0], P[..., 0], np.concatenate([Q[..., 1:], P[..., 1:]], axis=1)
+        return Q, P, np.tile(exact_gaussian_matrix(model, spec.time), (len(q), 1, 1))
+    ones, zeros = np.ones(len(q)), np.zeros(len(q))
+    # each coordinate with its derivatives along (q0, p0): [1, 0] for q, [0, 1] for p
+    Q, P = _leapfrog(np.column_stack([q, ones, zeros]), np.column_stack([p, zeros, ones]),
+                     _lifted(model.target), _lifted(model.auxiliary), spec.time / spec.steps,
+                     spec.steps)
+    return Q[:, 0], P[:, 0], np.stack([Q[:, 1:], P[:, 1:]], axis=1)
 
 
 def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: np.random.Generator):
-    """Plain 1-d HMC chain: momentum refresh, flow, Metropolis correction.
+    """Plain HMC chain: momentum refresh, flow, Metropolis correction.
 
-    Returns (positions of shape (draws, 1), acceptance_rate).  The exact
+    Returns (positions of shape (draws,), acceptance_rate).  The exact
     Gaussian flow conserves energy exactly, so every proposal is accepted and
     the chain reduces to the linear recursion q <- a q + b p on Python floats.
-    Leapfrog draws run on Python floats through the potentials' scalar
+    Leapfrog draws run on Python floats through the potentials' elementwise
     evaluators and ``_leapfrog``, the integrator ``flow_batch`` uses, so each
     draw is bit-identical to one ``flow_batch`` call on a (1,) array.
-    Raises ``ValueError`` for a model whose potentials have no scalar form
-    (d >= 2).
     """
-    if model.target.scalar is None or model.auxiliary.scalar is None:
-        raise ValueError(f"hmc_chain: only 1-d models are supported, got dim {model.dim}")
     if draws == 0:
-        return np.zeros((0, 1)), float("nan")
-    scale = float(np.linalg.cholesky(np.linalg.inv(model.auxiliary.params["precision"]))[0, 0])
+        return np.zeros(0), float("nan")
+    # sqrt(1 / v), which is the Cholesky factor of the 1 x 1 inverse precision, to the bit
+    scale = math.sqrt(1.0 / model.auxiliary.params["precision"])
     if spec.method == "exact_gaussian":
-        a, b = exact_gaussian_matrix(model, spec.time)[0, :2].tolist()
-        mu = float(model.target.params["mean"][0])
+        a, b = exact_gaussian_matrix(model, spec.time)[0].tolist()
+        mu = model.target.params["mean"]
         q, centered = 0.0, np.empty(draws)
         for i, p in enumerate((rng.standard_normal(draws) * scale).tolist()):
             centered[i] = q = a * q + b * p
-        return (centered + mu)[:, None], 1.0
-    value_u, grad_u = model.target.scalar
-    value_v, grad_v = model.auxiliary.scalar
+        return centered + mu, 1.0
+    value_u, grad_u = model.target.value, model.target.grad
+    value_v, grad_v = model.auxiliary.value, model.auxiliary.grad
     tau = spec.time / spec.steps
-    q = float(model.target.params["mean"][0]) if model.target.is_gaussian else 0.0
-    out = np.empty((draws, 1))
+    q = model.target.params["mean"] if model.target.is_gaussian else 0.0
+    out = np.empty(draws)
     accepted = 0
     for i in range(draws):
         p = scale * rng.standard_normal()
@@ -287,7 +253,7 @@ def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: np.random.Gener
 
 
 def momentum_flip_conjugacy_residual(model: ModelPair, spec: FlowSpec, q, p) -> float:
-    """Max deviation of tau . H^{-1} . tau from H over the states (q, p), shape (N, d).
+    """Max deviation of tau . H^{-1} . tau from H over the states (q, p), arrays of one shape.
 
     tau flips the momentum sign.  A zero residual certifies the conjugacy that
     makes the transfer operator self-adjoint for even auxiliary densities.
@@ -316,7 +282,7 @@ def determinant_bounds(model: ModelPair, time: float):
     """Regime bounds (lower, upper) on the product D_q * D_p.
 
     Valid for 0 < t * lambda_max < pi/2:
-    lower = (t lambda_max)^(-2d), upper = (t sinc(t lambda_min))^(-2d).
+    lower = (t lambda_max)^-2, upper = (t sinc(t lambda_min))^-2.
     """
     lam = model.lambda_min
     big = model.lambda_max
@@ -326,7 +292,6 @@ def determinant_bounds(model: ModelPair, time: float):
         raise ValueError(
             f"t * lambda_max = {time * big:.6f} outside the regime (need < pi/2 = {math.pi / 2:.6f})"
         )
-    d = model.dim
-    lower = (time * big) ** (-2 * d)
-    upper = (time * float(sinc(time * lam))) ** (-2 * d)
+    lower = (time * big) ** -2
+    upper = (time * float(sinc(time * lam))) ** -2
     return lower, upper

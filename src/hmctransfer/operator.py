@@ -31,12 +31,12 @@ grid cell; a narrower one is refused.  The tabulation also records the
 momentum-space Hilbert-Schmidt estimate that ``kernel_spectral.hs_norm``
 checks.
 
-``assemble_adjoint`` tabulates the kernel along the inverse flow.  For an
+The adjoint's kernel is the same tabulation along the inverse flow.  For an
 even auxiliary density the momentum flip conjugates the inverse flow to the
-forward one, so the adjoint is T itself, bit for bit: the CLI, whose
-auxiliary is always a zero-mean Gaussian, takes T* = T and records the
-conjugacy residual instead, and ``assemble_adjoint`` stays as the tests'
-reference for that identity.
+forward one, and the momentum rule is symmetric, so the adjoint is T itself,
+bit for bit: the CLI, whose auxiliary is always a zero-mean Gaussian, takes
+T* = T and records the conjugacy residual
+(``dynamics.momentum_flip_conjugacy_residual``) instead.
 
 ``iterate`` runs the fixed-point iteration h -> T h.  A run that goes past n
 steps (n the grid size) with budget left to pay for forming T^B switches to
@@ -71,7 +71,6 @@ __all__ = [
     "spline_coefficients",
     "spline_pieces",
     "assemble_transfer",
-    "assemble_adjoint",
     "weighted_symmetry_residual",
     "to_weighted_symmetric",
     "iterate",
@@ -115,17 +114,26 @@ def _trapezoid_axis(halfwidth: float, n: int):
 
 
 def build_grid(model: ModelPair, n_per_axis: int) -> DensityGrid:
-    """Trapezoid grid over [-L, L] with the target tabulated on it; the model must be 1-d."""
-    if model.dim != 1:
-        raise ValueError(f"build_grid: only 1-d models are supported, got dim = {model.dim}")
+    """Trapezoid grid over [-L, L] with the target tabulated on it.
+
+    A target that underflows at a node, so that w / f is not finite there,
+    raises ``ValueError``: every weighted norm divides by f, and T's columns
+    are scaled by w / f.
+    """
     if n_per_axis < 16:
         raise ValueError(f"need at least 16 nodes per axis, got {n_per_axis}")
     L = model.domain_halfwidth
     x, w = _trapezoid_axis(L, n_per_axis)
-    f = density_value(model.target, x[:, None])
+    f = density_value(model.target, x)
+    # an f of 0, or one so small that w / f overflows
+    with np.errstate(divide="ignore", over="ignore"):
+        lost = np.count_nonzero(~np.isfinite(w / f))
+    if lost:
+        raise ValueError(f"the target density underflows at {lost} of {n_per_axis} nodes, "
+                         f"where w / f is not finite: narrow the box")
 
     fine_x, fine_w = _trapezoid_axis(L, 2 * n_per_axis - 1)
-    ref = float(fine_w @ density_value(model.target, fine_x[:, None]))
+    ref = float(fine_w @ density_value(model.target, fine_x))
     got = float(w @ f)
     if abs(got - ref) > 1e-3 * abs(ref):
         warnings.warn(
@@ -164,7 +172,7 @@ class MomentumRule:
 def _auxiliary_halfwidth(model: ModelPair) -> float:
     """Half-width covering all but 1e-12 of the auxiliary mass."""
     probe = np.linspace(0.0, 14.0 / math.sqrt(model.auxiliary.lambda_lo), 8193)
-    g = np.exp(-model.auxiliary.value(probe[:, None]))
+    g = np.exp(-model.auxiliary.value(probe))
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(probe))])
     total = cum[-1]
     idx = int(np.searchsorted(cum, (1.0 - 0.5e-12) * total))
@@ -182,7 +190,7 @@ def build_momentum_rule(model: ModelPair, m: int) -> MomentumRule:
     if m < 4:
         raise ValueError(f"need at least 4 kernel momentum nodes, got {m}")
     pts, wt = _trapezoid_axis(_auxiliary_halfwidth(model), m)
-    wt = wt * np.exp(-model.auxiliary.value(pts[:, None]))
+    wt = wt * np.exp(-model.auxiliary.value(pts))
     wt = wt / wt.sum()
     return MomentumRule(nodes=pts, weights=wt)
 
@@ -303,20 +311,22 @@ def _truncation(grid: DensityGrid, frac_outside: float, escaped: np.ndarray) -> 
 ROW_BLOCK_POINTS = 4 * BLOCK_POINTS
 
 
-def _nystrom(grid, model, spec, momentum_nodes, inverse) -> TransferMatrix:
-    """The ``TransferMatrix`` of the Nystrom matrix T_ij = K(q_i, x_j) w_j / f_j,
-    from one flow of ``momentum_nodes`` probes per node.
+def assemble_transfer(
+    grid: DensityGrid,
+    model: ModelPair,
+    spec: FlowSpec,
+    momentum_nodes: int,
+) -> TransferMatrix:
+    """Assemble the transfer operator: the ``TransferMatrix`` of the Nystrom
+    matrix T_ij = K(q_i, x_j) w_j / f_j, from one flow of ``momentum_nodes``
+    probes per node.
 
-    Valid in the invertibility regime: past the conjugate-point bound, or
-    with a target that underflows at a node, so that w / f is not finite
-    there, it raises ``ValueError`` before any flow.  p -> Q(q, p) must be
-    strictly monotone for every node: Q must rise strictly along every probe
-    and dp/dQ stay positive, else ``ValueError``.  Arrival points outside the
-    probed image curve carry kernel value zero (the auxiliary density is
-    already negligible there).  With ``inverse`` the probes flow through the
-    inverse map, along which Q falls with p: they are read in reverse order,
-    so Q rises, and -p is splined, so its slope is |dp/dQ|, giving the
-    adjoint's kernel.
+    Valid in the invertibility regime: past the conjugate-point bound it
+    raises ``ValueError`` before any flow.  p -> Q(q, p) must be strictly
+    monotone for every node: Q must rise strictly along every probe and dp/dQ
+    stay positive, else ``ValueError``.  Arrival points outside the probed
+    image curve carry kernel value zero (the auxiliary density is already
+    negligible there).
 
     ``meta`` records the flow, the probe count, the probe images' domain
     truncation, the momentum-space Hilbert-Schmidt estimate
@@ -350,28 +360,17 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse) -> TransferMatrix:
     check_conjugate_bound(model, spec)
     n, m = grid.n, momentum_nodes
     x, w, f = grid.x, grid.weights, grid.target_values
-    # T's columns are scaled by w / f: an f of 0, or one so small that the ratio
-    # overflows, would make them 0 * inf = NaN
-    with np.errstate(divide="ignore", over="ignore"):
-        column_scale = w / f
-    lost = np.count_nonzero(~np.isfinite(column_scale))
-    if lost:
-        raise ValueError(f"the target density underflows at {lost} of {n} nodes, where w / f "
-                         f"is not finite: narrow the box")
     rule = build_momentum_rule(model, m)
-    order = slice(None, None, -1 if inverse else 1)
-    probes, probe_weights = rule.nodes[order], rule.weights[order]
     sigma = math.sqrt(float(rule.weights @ rule.nodes ** 2))
 
     log_norm = model.auxiliary_log_mass()
 
     def gbar(p):
-        return np.exp(-model.auxiliary.value(np.asarray(p).reshape(-1, 1)) - log_norm)
+        return np.exp(-model.auxiliary.value(p) - log_norm)
 
     # the +-sigma width probes of every row, flowed and gated before any block, so
     # a kernel too narrow for the grid is refused before any spline is solved
-    ends = flow_batch(np.tile(x, 2)[:, None], np.repeat([sigma, -sigma], n)[:, None], model,
-                      spec, inverse=inverse)[0]
+    ends = flow_batch(np.tile(x, 2), np.repeat([sigma, -sigma], n), model, spec)[0]
     width = float(np.min(np.abs(np.subtract(*ends.reshape(2, n)))) / (2 * (x[1] - x[0])))
     if not width >= 1:
         raise ValueError(f"kernel_width_cells = {width:.3g} < 1: the grid cannot "
@@ -384,14 +383,13 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse) -> TransferMatrix:
         r = min(step, n - lo)
         block = slice(lo, lo + r)
         # the block's probes momentum-major, so Q and P come out knot-major for the spline
-        Q, P = flow_batch(np.tile(x[block], m)[:, None], np.repeat(probes, r)[:, None], model,
-                          spec, inverse=inverse)
+        Q, P = flow_batch(np.tile(x[block], m), np.repeat(rule.nodes, r), model, spec)
         Q = Q.reshape(m, r).T
         if not np.all(np.diff(Q, axis=1) > 0):
             raise ValueError("momentum-to-position map not strictly monotone on a probe")
-        # the curves P and +-p over (row, knot), as views
+        # the curves P and p over (row, knot), as views
         P = P.reshape(m, r).T
-        p = np.broadcast_to(-probes if inverse else probes, (r, m))
+        p = np.broadcast_to(rule.nodes, (r, m))
         slopes = spline_coefficients(Q, (P, p))
         if not np.all(slopes[:, :, 1] > 0):
             raise ValueError("dp/dQ lost positivity along a probe; conjugate point reached")
@@ -403,12 +401,12 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse) -> TransferMatrix:
         # g(P) in sub-blocks, so gbar's temporaries stay flow-block-sized
         hs = np.empty((r, m))
         for i in range(0, r, sub):
-            hs[i:i + sub] = gbar(P[i:i + sub]).reshape(-1, m)
+            hs[i:i + sub] = gbar(P[i:i + sub])
         hs *= in_box
         hs *= slopes[:, :, 1]
-        hs_rows[block] = hs @ probe_weights
+        hs_rows[block] = hs @ rule.weights
         del hs
-        escaped[block] = ~in_box @ probe_weights
+        escaped[block] = ~in_box @ rule.weights
         inside += np.count_nonzero(in_box)
         del in_box
 
@@ -431,8 +429,8 @@ def _nystrom(grid, model, spec, momentum_nodes, inverse) -> TransferMatrix:
             raise ValueError("dp/dQ lost positivity between probes; conjugate point reached")
         T[lo + rows, cols] = f[cols] * gbar(P_at) * D_at
         del rows, cols, P_at, D_at
-    T *= column_scale
-    meta = {"inverse": inverse, "gaussian_model": model.is_gaussian, "method": spec.method,
+    T *= w / f
+    meta = {"gaussian_model": model.is_gaussian, "method": spec.method,
             "time": spec.time, "steps": spec.steps, "momentum_nodes": m,
             "momentum_halfwidth": float(rule.nodes[-1]), "kernel_width_cells": width,
             "hs_norm_sq_momentum": float(w @ hs_rows),
@@ -459,27 +457,6 @@ def _spline_piece(y, slopes, at, nxt, h, s, slope=False):
     if slope:
         return (3 * c0 * s + 2 * c1) * s + s0
     return ((c0 * s + c1) * s + s0) * s + y0
-
-
-def assemble_transfer(
-    grid: DensityGrid,
-    model: ModelPair,
-    spec: FlowSpec,
-    momentum_nodes: int,
-) -> TransferMatrix:
-    """Assemble the transfer operator: the Nystrom matrix of the kernel
-    tabulated on ``momentum_nodes`` probes."""
-    return _nystrom(grid, model, spec, momentum_nodes, inverse=False)
-
-
-def assemble_adjoint(
-    grid: DensityGrid,
-    model: ModelPair,
-    spec: FlowSpec,
-    momentum_nodes: int,
-) -> TransferMatrix:
-    """Assemble the adjoint operator: same construction through the inverse flow."""
-    return _nystrom(grid, model, spec, momentum_nodes, inverse=True)
 
 
 def to_weighted_symmetric(T: TransferMatrix) -> np.ndarray:

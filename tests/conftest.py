@@ -11,7 +11,6 @@ import pytest
 
 from hmctransfer import (
     anharmonic_pair,
-    assemble_adjoint,
     assemble_transfer,
     build_grid,
     default_flow_spec,
@@ -23,7 +22,7 @@ from hmctransfer import (
 
 @pytest.fixture(scope="session")
 def gauss_model():
-    return standard_gaussian_pair(dim=1, halfwidth=8.0)
+    return standard_gaussian_pair(halfwidth=8.0)
 
 
 @pytest.fixture(scope="session")
@@ -39,11 +38,6 @@ def gauss_spec(gauss_model):
 @pytest.fixture(scope="session")
 def gauss_T(gauss_grid, gauss_model, gauss_spec):
     return assemble_transfer(gauss_grid, gauss_model, gauss_spec, 257)
-
-
-@pytest.fixture(scope="session")
-def gauss_Tadj(gauss_grid, gauss_model, gauss_spec):
-    return assemble_adjoint(gauss_grid, gauss_model, gauss_spec, 257)
 
 
 @pytest.fixture(scope="session")

@@ -116,25 +116,32 @@ draws = 200000
 bins = 100
 """
 
-GAUSS_2D = """
+# the benchmark's smoke-sized quartic sampler-check: 36 leapfrog steps per draw
+TRACED_SAMPLER = """
 [model]
-family = gaussian
-mean = 0.0, 0.0
-precision = 1.0, 1.0
-halfwidth = 6.0
+family = anharmonic
+a = 1.0
+b = 0.5
+halfwidth = 3.5
 
 [flow]
-time = 0.7
-method = exact_gaussian
+time = 0.08
+method = leapfrog
+steps = 36
 
 [grid]
-n_per_axis = 32
-momentum_nodes = 8
+n_per_axis = 121
+momentum_nodes = 129
 
 [experiment]
-kind = operator
-seed = 0
+kind = sampler-check
+draws = {draws}
 """
+
+# hooks of bench/tracer.py whose names no longer exist in the package
+TRACER_DEAD_HOOKS = {"hmctransfer.cli.assemble_adjoint", "hmctransfer.cli.assemble_kernel",
+                     "hmctransfer.cli.flow_batch", "hmctransfer.kernel_spectral.matrix_asymmetry",
+                     "hmctransfer.kernel_spectral.tangent_batch"}
 
 
 def write(tmp_path, name, text):
@@ -255,15 +262,13 @@ def test_flow_conservation_keeps_a_nan(tmp_path):
 
 def test_operator_run_tabulates_the_kernel_once(tmp_path, monkeypatch):
     # the adjoint is T for the CLI's even auxiliary, so no second tabulation is made
-    from hmctransfer import operator
-
-    nystrom, calls = operator._nystrom, []
+    assemble, calls = cli.assemble_transfer, []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return nystrom(*args, **kwargs)
+        return assemble(*args, **kwargs)
 
-    monkeypatch.setattr(operator, "_nystrom", counting)
+    monkeypatch.setattr(cli, "assemble_transfer", counting)
     cfg = write(tmp_path, "op.ini", ANH_SMALL.replace("kind = spectrum", "kind = operator")
                 + "n_max = 5\n")
     assert main(["operator", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -296,30 +301,20 @@ def test_kernel_norm_report(tmp_path):
     assert report["hs_norm_sq"] <= report["hs_bound_from_determinants"]
 
 
-def test_kernel_norm_refuses_a_two_dimensional_model(tmp_path, capsys):
-    # the kernel is tabulated in 1-d only: the config is refused before any flow
-    text = GAUSS_CONV.replace("mean = 0.0", "mean = 0.0, 0.0").replace(
-        "precision = 1.0", "precision = 1.0, 1.0").replace("n_per_axis = 401", "n_per_axis = 24")
-    cfg = write(tmp_path, "kern2d.ini", text + "kernel_momentum_nodes = 4\n")
-    out = tmp_path / "out"
-    assert main(["kernel-norm", "--config", cfg, "--out", str(out)]) == 1
-    assert "kernel-norm: only 1-d models are supported" in capsys.readouterr().err
-    assert not (out / "kernel_report.json").exists()
-
-
-def test_only_flow_runs_a_two_dimensional_model(tmp_path, capsys):
-    # no gate accepts an operator in d >= 2, so every subcommand that builds one is
-    # refused at config time, before any assembly and before its output directory exists
-    cfg = write(tmp_path, "gauss2d.ini", GAUSS_2D)
-    assert main(["flow", "--config", cfg, "--out", str(tmp_path / "flow")]) == 0
-    header = (tmp_path / "flow" / "flow.csv").read_text().splitlines()[0]
-    assert header == "s,q0,q1,p0,p1,energy,det_jacobian"
-    capsys.readouterr()
-    for command in ("operator", "spectrum", "convergence", "kernel-norm", "sampler-check"):
-        out = tmp_path / command
-        assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        assert f"{command}: only 1-d models are supported" in capsys.readouterr().err
-        assert not out.exists()
+def test_every_subcommand_refuses_a_two_dimensional_model(tmp_path, capsys):
+    # the model is 1-d by construction: a vector mean or precision is refused by
+    # name at config time, by every subcommand, before its output directory exists
+    for field, value in [("model.mean", "0.0, 0.0"), ("model.precision", "1.0, 1.0"),
+                         ("model.auxiliary_precision", "1.0, 1.0")]:
+        key = field.split(".")[1]
+        text = re.sub(rf"^{key} = .*\n", "", GAUSS_CONV, flags=re.M)  # the scalar value, if set
+        cfg = write(tmp_path, f"{key}2d.ini", text.replace("[model]\n", f"[model]\n{key} = {value}\n"))
+        for command in cli.RUNNERS:
+            out = tmp_path / key / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (f"configuration error: {field}: expected a number, "
+                                               f"got {value!r}\n")
+            assert not out.exists()
 
 
 def test_underflowing_target_is_refused_by_every_operator_subcommand(tmp_path, capsys):
@@ -543,9 +538,29 @@ def test_tracer_hooks_resolve():
     spec.loader.exec_module(tracer)  # defines the hooks; install() would patch them
     dead = {f"{module}.{attr}" for module, attr, *_ in tracer.HOOKS + tracer.POTENTIAL_FACTORIES
             if tracer._resolve(module, attr) is None}
-    assert dead <= {"hmctransfer.cli.assemble_adjoint", "hmctransfer.cli.assemble_kernel",
-                    "hmctransfer.cli.flow_batch", "hmctransfer.kernel_spectral.matrix_asymmetry",
-                    "hmctransfer.kernel_spectral.tangent_batch"}
+    assert dead <= TRACER_DEAD_HOOKS
+
+
+def test_traced_sampler_counts_the_chain_evaluations(tmp_path):
+    # bench/tracer.py wraps the potentials the CLI builds with point counters, and
+    # the chain calls them directly: a traced run exits 0 with only the dead hooks
+    # missing, and each draw adds its leapfrog's 2 steps + 1 gradient calls.  The
+    # benchmark's own smoke test passes even when every traced operation fails
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    points = {}
+    for draws in (40, 0):
+        cfg = write(tmp_path, f"traced-{draws}.ini", TRACED_SAMPLER.format(draws=draws))
+        spans = tmp_path / f"spans-{draws}.json"
+        run = subprocess.run([sys.executable, str(root / "bench" / "tracer.py"), str(spans), "t",
+                              "sampler-check", "--config", cfg, "--out", str(tmp_path / str(draws))],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        trace = json.loads(spans.read_text())
+        assert set(trace["missing"]) == TRACER_DEAD_HOOKS
+        points[draws] = trace["counts"]["distributions.grad.points"]
+    assert points[40] - points[0] == 40 * (2 * 36 + 1)
 
 
 def test_cli_overrides_are_validated(tmp_path, capsys):
@@ -619,27 +634,27 @@ def test_hmc_chain_generic_metropolis_path():
     spec = FlowSpec(time=0.7, steps=70, method="leapfrog")
     rng = np.random.default_rng(0)
     samples, acceptance = hmc_chain(model, spec, 2000, rng)
-    assert samples.shape == (2000, 1)
+    assert samples.shape == (2000,)
     assert acceptance > 0.95  # tiny substeps keep the energy error small
     assert abs(np.mean(samples)) < 0.2
 
 
 def _reference_chain(model, spec, draws, rng):
     """The leapfrog chain as one flow_batch call per draw on (1,) arrays,
-    with energies from the array evaluators."""
-    scale = np.linalg.cholesky(np.linalg.inv(model.auxiliary.params["precision"]))
+    with energies from (1,) evaluations and the momentum scale from a Cholesky factor."""
+    scale = np.linalg.cholesky(np.linalg.inv([[model.auxiliary.params["precision"]]]))
     q = np.zeros(1) + model.target.params["mean"] if model.target.is_gaussian else np.zeros(1)
-    out = np.empty((draws, 1))
+    out = np.empty(draws)
     accepted = 0
     for i in range(draws):
         p = scale @ rng.standard_normal(1)
-        e0 = float(model.target.value(q) + model.auxiliary.value(p))
+        e0 = (model.target.value(q) + model.auxiliary.value(p)).item()
         Q, P = flow_batch(q, p, model, spec)
-        e1 = float(model.target.value(Q) + model.auxiliary.value(P))
+        e1 = (model.target.value(Q) + model.auxiliary.value(P)).item()
         if math.log(rng.uniform()) < e0 - e1:
             q = Q
             accepted += 1
-        out[i] = q
+        out[i] = q[0]
     return out, accepted / draws
 
 
@@ -658,13 +673,6 @@ def test_hmc_chain_matches_flow_batch_reference(model, spec, accept_lo):
     assert accept_lo < acceptance <= 1.0
     if accept_lo < 0.99:
         assert acceptance < 1.0  # the rejection branch ran
-
-
-def test_hmc_chain_rejects_two_dimensional_models():
-    model = standard_gaussian_pair(dim=2, halfwidth=6.0)
-    spec = FlowSpec(time=0.5, steps=10, method="leapfrog")
-    with pytest.raises(ValueError, match="1-d"):
-        hmc_chain(model, spec, 10, np.random.default_rng(0))
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
@@ -780,11 +788,11 @@ def test_exact_gaussian_chain_matches_linear_filter():
     spec = FlowSpec(time=0.7, steps=1, method="exact_gaussian")
     samples, acceptance = hmc_chain(model, spec, 100000, np.random.default_rng(3))
     mat = exact_gaussian_matrix(model, spec.time)
-    scale = np.linalg.cholesky(np.linalg.inv(model.auxiliary.params["precision"]))[0, 0]
+    scale = np.linalg.cholesky(np.linalg.inv([[model.auxiliary.params["precision"]]]))[0, 0]
     p = np.random.default_rng(3).standard_normal(100000) * scale
     ref = lfilter([mat[0, 1]], [1.0, -mat[0, 0]], p) + 0.6
     assert acceptance == 1.0
-    assert np.array_equal(samples[:, 0], ref)
+    assert np.array_equal(samples, ref)
 
 
 def test_removed_and_invalid_grid_options_are_named(tmp_path):

@@ -8,12 +8,12 @@ from scipy.interpolate import CubicSpline
 
 from hmctransfer import (
     FlowSpec,
-    assemble_adjoint,
     assemble_transfer,
     build_grid,
     gaussian_potential,
     iterate,
     mass,
+    momentum_flip_conjugacy_residual,
     random_density,
     standard_gaussian_pair,
     weighted_inner,
@@ -48,27 +48,15 @@ def test_grid_minimum_size():
         build_grid(model, 15)
 
 
-def test_build_grid_refuses_a_two_dimensional_model():
-    with pytest.raises(ValueError, match="build_grid: only 1-d models are supported"):
-        build_grid(standard_gaussian_pair(dim=2, halfwidth=6.0), 64)
-
-
 @pytest.mark.parametrize("halfwidth", [40.0, 38.4])
-def test_underflowing_target_is_refused_before_any_flow(monkeypatch, halfwidth):
+def test_underflowing_target_is_refused_before_any_flow(halfwidth):
     # the standard Gaussian on n = 801 nodes is 0 at the 28 outermost nodes of
-    # [-40, 40], and subnormal at the 14 outermost of [-38.4, 38.4], where w / f
-    # overflows: either way T's columns there would be 0 * inf = NaN
-    model = standard_gaussian_pair(halfwidth=halfwidth)
-    grid = build_grid(model, 801)
-
-    def no_flow(*args, **kwargs):
-        raise AssertionError("flowed before the underflow check")
-
-    monkeypatch.setattr(operator, "flow_batch", no_flow)
-    spec = FlowSpec(time=0.7, method="exact_gaussian")
-    for assemble in (assemble_transfer, assemble_adjoint):
-        with pytest.raises(ValueError, match=r"the target density underflows at \d+ of 801 nodes"):
-            assemble(grid, model, spec, 257)
+    # [-40, 40], and so small at 18 more, and at the 14 outermost of [-38.4, 38.4],
+    # that w / f overflows: either way the weighted norms and T's columns there
+    # would be NaN, so the grid itself is refused
+    lost = {40.0: 46, 38.4: 14}[halfwidth]
+    with pytest.raises(ValueError, match=f"the target density underflows at {lost} of 801 nodes"):
+        build_grid(standard_gaussian_pair(halfwidth=halfwidth), 801)
 
 
 def test_too_narrow_kernel_is_refused_after_the_width_sweep(monkeypatch, gauss_model, gauss_grid):
@@ -83,19 +71,18 @@ def test_too_narrow_kernel_is_refused_after_the_width_sweep(monkeypatch, gauss_m
 
     monkeypatch.setattr(operator, "flow_batch", counting)
     spec = FlowSpec(time=1e-12, method="exact_gaussian")
-    for assemble in (assemble_transfer, assemble_adjoint):
-        sweeps.clear()
-        with pytest.raises(ValueError, match="kernel_width_cells = .* < 1"):
-            assemble(gauss_grid, gauss_model, spec, 257)
-        assert sweeps == [2 * 401]
+    with pytest.raises(ValueError, match="kernel_width_cells = .* < 1"):
+        assemble_transfer(gauss_grid, gauss_model, spec, 257)
+    assert sweeps == [2 * 401]
 
 
 def test_grid_warns_when_too_coarse():
-    # a sharp target needs more than 16 nodes on [-8, 8]
+    # a sharp target needs more than 16 nodes on [-3, 3]; on [-8, 8] it would
+    # underflow at the outer nodes, which build_grid refuses
     model = ModelPair(
         target=gaussian_potential(0.0, 100.0),
         auxiliary=gaussian_potential(0.0, 1.0),
-        domain_halfwidth=8.0,
+        domain_halfwidth=3.0,
     )
     with pytest.warns(UserWarning, match="coarse"):
         build_grid(model, 16)
@@ -182,23 +169,31 @@ def test_positivity(gauss_T, gauss_grid, anh_T):
         assert np.min(gauss_T.apply(h)) >= -1e-12 * np.max(np.abs(h))
 
 
-def test_adjoint_duality(gauss_T, gauss_Tadj, gauss_grid):
+def test_adjoint_duality(gauss_T, gauss_grid):
+    # the adjoint is T itself (test_adjoint_equals_transfer_for_even_auxiliary)
     rng = np.random.default_rng(126)
     for _ in range(20):
         h = random_density(gauss_grid, rng)
         k = random_density(gauss_grid, rng)
         lhs = weighted_inner(gauss_T.apply(h), k, gauss_grid)
-        rhs = weighted_inner(h, gauss_Tadj.apply(k), gauss_grid)
+        rhs = weighted_inner(h, gauss_T.apply(k), gauss_grid)
         assert abs(lhs - rhs) <= 1e-7 * weighted_norm(h, gauss_grid) * weighted_norm(k, gauss_grid)
 
 
-def test_adjoint_equals_transfer_for_even_auxiliary(gauss_T, gauss_Tadj, anh_grid, anh_model, anh_spec,
-                                                   anh_T):
-    # the inverse flow at -p is the forward flow at p with P negated, on both
-    # backends, and the rule is symmetric: the adjoint's kernel is T's, bit for bit
-    assert gauss_Tadj.meta["inverse"] and not gauss_T.meta["inverse"]
-    assert np.array_equal(gauss_T.entries, gauss_Tadj.entries)
-    assert np.array_equal(anh_T.entries, assemble_adjoint(anh_grid, anh_model, anh_spec, 257).entries)
+def test_adjoint_equals_transfer_for_even_auxiliary(gauss_grid, gauss_model, gauss_spec, anh_grid,
+                                                   anh_model, anh_spec):
+    # the adjoint's kernel is T's tabulated along the inverse flow.  Two exact facts
+    # make it T's own, bit for bit, on both backends: at every (node, probe) pair the
+    # inverse flow at -p is the forward flow at p with P negated, and the probes and
+    # their weights are symmetric about p = 0
+    for grid, model, spec in [(gauss_grid, gauss_model, gauss_spec),
+                              (anh_grid, anh_model, anh_spec)]:
+        for m in (257, 1025):
+            rule = build_momentum_rule(model, m)
+            assert np.array_equal(rule.nodes[::-1], -rule.nodes)
+            assert np.array_equal(rule.weights[::-1], rule.weights)
+            q, p = np.repeat(grid.x, m), np.tile(rule.nodes, grid.n)
+            assert momentum_flip_conjugacy_residual(model, spec, q, p) == 0.0
 
 
 def test_self_adjointness_residual(gauss_T):
@@ -208,9 +203,8 @@ def test_self_adjointness_residual(gauss_T):
 def test_short_time_operator_is_refused_by_kernel_width(gauss_grid, gauss_model):
     # at t = 1e-12 the kernel is a spike far narrower than a grid cell
     spec = FlowSpec(time=1e-12, steps=1, method="exact_gaussian")
-    for assemble in (assemble_transfer, assemble_adjoint):
-        with pytest.raises(ValueError, match="kernel_width_cells = 2.5e-11 < 1"):
-            assemble(gauss_grid, gauss_model, spec, 257)
+    with pytest.raises(ValueError, match="kernel_width_cells = 2.5e-11 < 1"):
+        assemble_transfer(gauss_grid, gauss_model, spec, 257)
 
 
 def test_non_monotone_momentum_map_is_refused(tmp_path, capsys):
@@ -219,9 +213,8 @@ def test_non_monotone_momentum_map_is_refused(tmp_path, capsys):
     model = standard_gaussian_pair()
     spec = FlowSpec(3.0, steps=2, method="leapfrog")
     grid = build_grid(model, 101)
-    for assemble in (assemble_transfer, assemble_adjoint):
-        with pytest.raises(ValueError, match="lost positivity|not strictly monotone"):
-            assemble(grid, model, spec, 65)
+    with pytest.raises(ValueError, match="lost positivity|not strictly monotone"):
+        assemble_transfer(grid, model, spec, 65)
     cfg = tmp_path / "decreasing.ini"
     cfg.write_text("[model]\nfamily = gaussian\n[flow]\ntime = 3.0\nmethod = leapfrog\nsteps = 2\n"
                    "[grid]\nn_per_axis = 101\nmomentum_nodes = 65\n[experiment]\nkind = operator\n")
@@ -569,17 +562,13 @@ def test_row_blocks_keep_every_entry(monkeypatch, quartic, anh_model, anh_spec, 
     grid = build_grid(model, n)
     assert operator.ROW_BLOCK_POINTS // 1025 < n
 
-    def tabulate():
-        return [assemble(grid, model, spec, 1025) for assemble in (assemble_transfer,
-                                                                   assemble_adjoint)]
-
-    blocked = tabulate()
+    a = assemble_transfer(grid, model, spec, 1025)
     monkeypatch.setattr(operator, "ROW_BLOCK_POINTS", n * 1025)
-    for a, b in zip(blocked, tabulate()):
-        assert np.array_equal(a.entries, b.entries)
-        hs_a, hs_b = a.meta.pop("hs_norm_sq_momentum"), b.meta.pop("hs_norm_sq_momentum")
-        assert abs(hs_a - hs_b) <= 1e-13 * hs_b
-        assert a.meta == b.meta
+    b = assemble_transfer(grid, model, spec, 1025)
+    assert np.array_equal(a.entries, b.entries)
+    hs_a, hs_b = a.meta.pop("hs_norm_sq_momentum"), b.meta.pop("hs_norm_sq_momentum")
+    assert abs(hs_a - hs_b) <= 1e-13 * hs_b
+    assert a.meta == b.meta
 
 
 @pytest.mark.parametrize("n, m", [(201, 1025), (401, 513)])
