@@ -19,7 +19,6 @@ from .dynamics import (
     FlowSpec,
     default_flow_spec,
     determinant_bounds,
-    momentum_flip_conjugacy_residual,
 )
 from .kernel_spectral import (
     RateCertificate,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import json
 import math
 import sys
@@ -27,7 +26,7 @@ import numpy as np
 from . import __version__
 from .distributions import ModelPair, gaussian_potential, anharmonic_potential
 from .dynamics import (FlowSpec, check_conjugate_bound, default_flow_spec, determinant_bounds,
-                       hmc_chain, momentum_flip_conjugacy_residual, tangent_batch)
+                       hmc_chain, tangent_batch)
 from .kernel_spectral import certify_rate, eigen_spectrum, hs_norm
 from .operator import (
     assemble_transfer,
@@ -132,7 +131,6 @@ def _build_model(cfg: configparser.ConfigParser) -> ModelPair:
             target=target,
             auxiliary=auxiliary,
             domain_halfwidth=halfwidth,
-            auxiliary_even=True,
         )
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
@@ -308,7 +306,14 @@ def run_flow(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
         "det_jacobian_max_deviation": det_dev,
         "closure_distance": max(abs(qs[-1] - qs[0]), abs(ps[-1] - ps[0])),
     })
-    return 0, {"result.energy_drift": drift, "result.det_dev": det_dev}
+    results = {"result.energy_drift": drift, "result.det_dev": det_dev}
+    # the files are written first, so a diverged run stays diagnosable
+    finite = np.isfinite(energies) & np.isfinite(dets)
+    if not finite.all():
+        print(f"error: flow diverged: energy or Jacobian determinant not finite at "
+              f"s = {_fmt(times[np.argmin(finite)])}", file=sys.stderr)
+        return 1, results
+    return 0, results
 
 
 def _operator_stack(config: ExperimentConfig, momentum_nodes: int):
@@ -319,7 +324,6 @@ def _operator_stack(config: ExperimentConfig, momentum_nodes: int):
 
 def run_operator(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     grid, T = _operator_stack(config, config.momentum_nodes)
-    model = config.model
     f = grid.target_values
     rng = np.random.default_rng(config.seed)
 
@@ -332,19 +336,14 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
         m0 = mass(h, grid)
         mass_errors.append(abs(mass(Th, grid) - m0) / m0)
         contractions.append(weighted_norm(Th, grid) / weighted_norm(h, grid))
-    # T* = T: _build_model's auxiliary is a zero-mean Gaussian, so even, and the
-    # momentum-flip conjugacy tau . H^-1 . tau = H then makes T self-adjoint;
-    # the residual of that premise is recorded at every node, p = +-sigma
-    T_adj = T
-    sigma = 1.0 / math.sqrt(model.auxiliary.lambda_lo)
-    conjugacy = momentum_flip_conjugacy_residual(
-        model, config.spec, np.repeat(grid.x, 2), np.tile([sigma, -sigma], grid.n))
+    # T* = T for the even auxiliary, so the duality <T h, k> = <h, T k> is the
+    # self-adjointness residual on random densities
     dualities = []
     for _ in range(20):
         h = random_density(grid, rng)
         k = random_density(grid, rng)
         lhs = weighted_inner(T.apply(h), k, grid)
-        rhs = weighted_inner(h, T_adj.apply(k), grid)
+        rhs = weighted_inner(h, T.apply(k), grid)
         dualities.append(abs(lhs - rhs) / (weighted_norm(h, grid) * weighted_norm(k, grid)))
 
     trace = iterate(T, _h0(config, grid), config.n_max, config.tol)
@@ -356,7 +355,6 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
         "contraction_factor_max": float(np.max(contractions)),
         "self_adjointness_residual": weighted_symmetry_residual(T),
         "duality_residual_max": float(np.max(dualities)),
-        "momentum_flip_conjugacy_residual": conjugacy,
         "leaked_mass": T.meta["leaked_mass"],
         "iteration_converged": trace.converged,
         "iteration_anomaly": trace.anomaly,
@@ -481,32 +479,19 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="INI experiment configuration")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="cap BLAS threads")
     args = parser.parse_args(argv)
 
     try:
-        # the overrides are checked as the config values they replace
+        # the override is checked as the config value it replaces
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"--threads: need at least 1, got {args.threads}")
         config = load_config(args.config, args.command)
         if args.seed is not None:
             config.seed = args.seed
             config.resolved["experiment.seed"] = args.seed
         outdir = Path(args.out or config.output or f"out-{config.kind}")
         outdir.mkdir(parents=True, exist_ok=True)
-        config.resolved["experiment.threads"] = args.threads if args.threads else "default"
-        cap = contextlib.nullcontext()
-        if args.threads:
-            try:
-                from threadpoolctl import threadpool_limits
-            except ImportError:
-                config.resolved["experiment.threads"] = "default (threadpoolctl unavailable)"
-            else:
-                cap = threadpool_limits(limits=args.threads)
-        with cap:
-            code, results = RUNNERS[config.kind](config, outdir)
+        code, results = RUNNERS[config.kind](config, outdir)
         write_manifest(outdir, config, results)
         return code
     except ConfigError as exc:

@@ -72,15 +72,15 @@ class ModelPair:
     computations live on ``[-L, L]``.  A target that declares its curvature
     bound on a box (``params["halfwidth"]``) must cover the domain, else
     ``lambda_max`` understates the curvature on the grid; a wider domain
-    raises ``ValueError``.  ``auxiliary_even`` asserts the
-    momentum density is invariant under ``p -> -p``, the hypothesis behind
-    self-adjointness of the transfer operator.
+    raises ``ValueError``.  The auxiliary must be even, invariant under
+    ``p -> -p``: that is the hypothesis behind self-adjointness of the
+    transfer operator, and an auxiliary that is not even raises
+    ``ValueError``.
     """
 
     target: Potential
     auxiliary: Potential
     domain_halfwidth: float
-    auxiliary_even: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.domain_halfwidth) and self.domain_halfwidth > 0):
@@ -91,11 +91,10 @@ class ModelPair:
         if box is not None and self.domain_halfwidth > box:
             raise ValueError(f"domain_halfwidth {self.domain_halfwidth} exceeds the halfwidth "
                              f"{box} on which the target's curvature bound holds")
-        if self.auxiliary_even:
-            probe = np.linspace(0.3, 2.1, 4)
-            asym = np.max(np.abs(self.auxiliary.value(probe) - self.auxiliary.value(-probe)))
-            if asym > 1e-12:
-                raise ValueError(f"auxiliary marked even but V(p)-V(-p) reaches {asym:.3e}")
+        probe = np.linspace(0.3, 2.1, 4)
+        asym = np.max(np.abs(self.auxiliary.value(probe) - self.auxiliary.value(-probe)))
+        if asym > 1e-12:
+            raise ValueError(f"auxiliary not even: V(p)-V(-p) reaches {asym:.3e}")
 
     @property
     def dim(self) -> int:
@@ -115,10 +114,6 @@ class ModelPair:
     @property
     def is_gaussian(self) -> bool:
         return self.target.is_gaussian and self.auxiliary.is_gaussian
-
-    def auxiliary_log_mass(self) -> float:
-        """log of the auxiliary density's total mass, used to normalize it."""
-        return log_density_mass(self.auxiliary)
 
 
 def gaussian_potential(mean: float, precision: float) -> Potential:
@@ -230,7 +225,6 @@ def standard_gaussian_pair(halfwidth: float = 8.0) -> ModelPair:
         target=gaussian_potential(0.0, 1.0),
         auxiliary=gaussian_potential(0.0, 1.0),
         domain_halfwidth=halfwidth,
-        auxiliary_even=True,
     )
 
 
@@ -240,5 +234,4 @@ def anharmonic_pair(a: float, b: float, halfwidth: float) -> ModelPair:
         target=anharmonic_potential(a, b, halfwidth),
         auxiliary=gaussian_potential(0.0, 1.0),
         domain_halfwidth=halfwidth,
-        auxiliary_even=True,
     )

@@ -51,7 +51,6 @@ __all__ = [
     "sinc",
     "tangent_batch",
     "hmc_chain",
-    "momentum_flip_conjugacy_residual",
     "check_conjugate_bound",
     "determinant_bounds",
 ]
@@ -100,7 +99,7 @@ def exact_gaussian_matrix(model: ModelPair, time: float) -> np.ndarray:
     With target precision u and auxiliary precision v the system is
     (Q - mu, P)' = [[0, v], [-u, 0]] (Q - mu, P), whose solution map is
     [[c, v s], [-u s, c]] with omega = sqrt(u v), c = cos(omega t) and
-    s = sin(omega t) / omega.  Negative time gives the inverse flow.
+    s = sin(omega t) / omega.
     """
     if not model.is_gaussian:
         raise ValueError("exact flow requested for a non-Gaussian model")
@@ -141,7 +140,7 @@ def _leapfrog(q, p, grad_u, grad_v, tau: float, steps: int):
     return q, p
 
 
-def flow_batch(qs, ps, model: ModelPair, spec: FlowSpec, inverse: bool = False):
+def flow_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     """Map many phase points at once: q and p of any shapes that broadcast
     together, to (Q, P) of the broadcast shape.
 
@@ -154,15 +153,12 @@ def flow_batch(qs, ps, model: ModelPair, spec: FlowSpec, inverse: bool = False):
     """
     qs = np.asarray(qs, dtype=float)
     ps = np.asarray(ps, dtype=float)
-    time = -spec.time if inverse else spec.time
     if spec.method == "exact_gaussian":
-        (a, b), (c, d) = exact_gaussian_matrix(model, time).tolist()
+        (a, b), (c, d) = exact_gaussian_matrix(model, spec.time).tolist()
         mu = model.target.params["mean"]
         dq = qs - mu
         return dq * a + ps * b + mu, dq * c + ps * d
-    # reversing the time step inverts kick-drift-kick exactly, so
-    # inverse(flow(s)) == s up to roundoff
-    tau = time / spec.steps
+    tau = spec.time / spec.steps
     shape = np.broadcast_shapes(qs.shape, ps.shape)
     q = np.broadcast_to(qs, shape).reshape(-1)
     p = np.broadcast_to(ps, shape).reshape(-1)
@@ -250,24 +246,6 @@ def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: np.random.Gener
             accepted += 1
         out[i] = q
     return out, accepted / draws
-
-
-def momentum_flip_conjugacy_residual(model: ModelPair, spec: FlowSpec, q, p) -> float:
-    """Max deviation of tau . H^{-1} . tau from H over the states (q, p), arrays of one shape.
-
-    tau flips the momentum sign.  A zero residual certifies the conjugacy that
-    makes the transfer operator self-adjoint for even auxiliary densities.
-    The states are flowed by one forward and one inverse sweep; an empty
-    batch gives 0.0.
-    """
-    if not model.auxiliary_even:
-        raise ValueError("momentum-flip conjugacy requires an even auxiliary density")
-    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-    if q.size == 0:
-        return 0.0
-    Q, P = flow_batch(q, p, model, spec)
-    back_q, back_p = flow_batch(q, -p, model, spec, inverse=True)
-    return float(max(np.max(np.abs(back_q - Q)), np.max(np.abs(back_p + P))))
 
 
 def check_conjugate_bound(model: ModelPair, spec: FlowSpec):

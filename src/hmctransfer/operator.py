@@ -31,12 +31,8 @@ grid cell; a narrower one is refused.  The tabulation also records the
 momentum-space Hilbert-Schmidt estimate that ``kernel_spectral.hs_norm``
 checks.
 
-The adjoint's kernel is the same tabulation along the inverse flow.  For an
-even auxiliary density the momentum flip conjugates the inverse flow to the
-forward one, and the momentum rule is symmetric, so the adjoint is T itself,
-bit for bit: the CLI, whose auxiliary is always a zero-mean Gaussian, takes
-T* = T and records the conjugacy residual
-(``dynamics.momentum_flip_conjugacy_residual``) instead.
+The auxiliary is even (``ModelPair`` refuses one that is not), so the
+momentum flip conjugates the flow to its inverse and makes T its own adjoint.
 
 ``iterate`` runs the fixed-point iteration h -> T h.  A run that goes past n
 steps (n the grid size) with budget left to pay for forming T^B switches to
@@ -55,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import ModelPair, density_value
+from .distributions import ModelPair, density_value, log_density_mass
 from .dynamics import BLOCK_POINTS, FlowSpec, check_conjugate_bound, flow_batch
 
 __all__ = [
@@ -363,7 +359,7 @@ def assemble_transfer(
     rule = build_momentum_rule(model, m)
     sigma = math.sqrt(float(rule.weights @ rule.nodes ** 2))
 
-    log_norm = model.auxiliary_log_mass()
+    log_norm = log_density_mass(model.auxiliary)
 
     def gbar(p):
         return np.exp(-model.auxiliary.value(p) - log_norm)

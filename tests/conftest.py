@@ -18,6 +18,7 @@ from hmctransfer import (
     iterate,
     standard_gaussian_pair,
 )
+from hmctransfer.dynamics import flow_batch
 
 
 @pytest.fixture(scope="session")
@@ -81,3 +82,15 @@ def anh_trace(anh_T, anh_grid):
     q = anh_grid.x
     bump = np.exp(-0.5 * (q - 0.8) ** 2 / 0.16)
     return iterate(anh_T, bump, n_max=12000, tol=1e-7)
+
+
+@pytest.fixture(scope="session")
+def flip_roundtrip():
+    """error(model, spec, q, p): the largest distance of H(tau H(q, p)) from tau (q, p),
+    tau the momentum flip, over the states (q, p).  A time-reversible flow with an even
+    auxiliary makes it zero up to roundoff, and that makes T its own adjoint."""
+    def error(model, spec, q, p):
+        Q, P = flow_batch(q, p, model, spec)
+        back_q, back_p = flow_batch(Q, -P, model, spec)
+        return float(max(np.max(np.abs(back_q - q)), np.max(np.abs(back_p + p))))
+    return error

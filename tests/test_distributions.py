@@ -153,12 +153,11 @@ def test_log_concavity_along_segments(name, pot, halfwidth):
 
 
 def test_model_pair_rejects_false_evenness_claim():
-    with pytest.raises(ValueError, match="even"):
+    with pytest.raises(ValueError, match=r"auxiliary not even: V\(p\)-V\(-p\) reaches"):
         ModelPair(
             target=gaussian_potential(0.0, 1.0),
             auxiliary=gaussian_potential(1.0, 1.0),
             domain_halfwidth=4.0,
-            auxiliary_even=True,
         )
 
 
@@ -195,7 +194,7 @@ def test_model_pair_bounds_cover_both_potentials():
 
 def test_auxiliary_mass_gaussian_closed_form():
     model = standard_gaussian_pair()
-    assert model.auxiliary_log_mass() == pytest.approx(0.5 * np.log(2 * np.pi))
+    assert log_density_mass(model.auxiliary) == pytest.approx(0.5 * np.log(2 * np.pi))
     scaled = gaussian_potential(0.0, 4.0)
     assert log_density_mass(scaled) == pytest.approx(0.5 * np.log(2 * np.pi / 4.0))
 

@@ -7,7 +7,6 @@ from hmctransfer import (
     anharmonic_pair,
     default_flow_spec,
     gaussian_potential,
-    momentum_flip_conjugacy_residual,
     standard_gaussian_pair,
 )
 from hmctransfer.dynamics import BLOCK_POINTS, flow_batch
@@ -66,28 +65,19 @@ def test_exact_flow_requires_gaussian_model():
         flow_batch(np.array([1.0]), np.array([0.0]), model, spec)
 
 
-def test_inverse_exact_rotation():
-    model = standard_gaussian_pair()
-    spec = FlowSpec(time=np.pi / 2, steps=1, method="exact_gaussian")
-    Q, P = flow_batch(np.array([0.0]), np.array([-1.0]), model, spec, inverse=True)
-    assert Q[0] == pytest.approx(1.0, abs=1e-12)
-    assert P[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_leapfrog_roundtrip_is_exact():
+def test_leapfrog_roundtrip_is_exact(flip_roundtrip):
+    # flowing back from the flipped image returns the flipped start
     model = anharmonic_pair(1.0, 0.5, 3.5)
     spec = default_flow_spec(model, 0.3)
     rng = np.random.default_rng(0)
     qs = rng.uniform(-2.0, 2.0, size=(100, 1))
     ps = rng.normal(size=(100, 1))
-    Q, P = flow_batch(qs, ps, model, spec)
-    qb, pb = flow_batch(Q, P, model, spec, inverse=True)
-    assert max(np.max(np.abs(qb - qs)), np.max(np.abs(pb - ps))) < 1e-10
+    assert flip_roundtrip(model, spec, qs, ps) < 1e-10
 
 
-def plain_leapfrog(qs, ps, model, spec, inverse):
+def plain_leapfrog(qs, ps, model, spec):
     """Kick-drift-kick over all points in one pass, a new array per update."""
-    tau = (-spec.time if inverse else spec.time) / spec.steps
+    tau = spec.time / spec.steps
     q, p = qs, ps
     gq = model.target.grad(q)
     for _ in range(spec.steps):
@@ -105,20 +95,19 @@ GAUSS_OFFSET = ModelPair(
 )
 
 
-@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
 @pytest.mark.parametrize("model, spec", [
     (anharmonic_pair(1.0, 0.5, 3.5), FlowSpec(time=0.08, steps=36, method="leapfrog")),
     (GAUSS_OFFSET, FlowSpec(time=0.9, steps=7, method="leapfrog")),
-], ids=["quartic", "gauss-leapfrog"])
-def test_blocked_flow_batch_matches_plain_loop_bit_for_bit(model, spec, inverse):
+], ids=["quartic-forward", "gauss-leapfrog-forward"])
+def test_blocked_flow_batch_matches_plain_loop_bit_for_bit(model, spec):
     # a single point, more than two blocks with a ragged tail and a stacked batch
     rng = np.random.default_rng(4)
     for shape in [(), (2 * BLOCK_POINTS + 7,), (5, 7)]:
         qs = rng.uniform(-2.0, 2.0, size=shape)
         ps = rng.normal(size=shape)
         q0, p0 = qs.copy(), ps.copy()
-        Q, P = flow_batch(qs, ps, model, spec, inverse=inverse)
-        ref_q, ref_p = plain_leapfrog(q0, p0, model, spec, inverse)
+        Q, P = flow_batch(qs, ps, model, spec)
+        ref_q, ref_p = plain_leapfrog(q0, p0, model, spec)
         assert Q.shape == P.shape == shape
         assert np.array_equal(Q, ref_q) and np.array_equal(P, ref_p)
         # the in-place updates never reach the caller's arrays
@@ -156,32 +145,19 @@ def test_leapfrog_energy_error_is_second_order():
     assert 3.5 <= ratio <= 4.5
 
 
-def test_momentum_flip_conjugacy():
+def test_momentum_flip_conjugacy(flip_roundtrip):
     rng = np.random.default_rng(2)
     gauss = standard_gaussian_pair()
     gspec = default_flow_spec(gauss, 0.7)
     q, p = rng.uniform(-2, 2, (50, 1)), rng.normal(size=(50, 1))
-    assert momentum_flip_conjugacy_residual(gauss, gspec, q, p) < 1e-12
+    assert flip_roundtrip(gauss, gspec, q, p) < 1e-12
 
     quartic = anharmonic_pair(1.0, 0.5, 3.5)
     qspec = default_flow_spec(quartic, 0.3)
     q, p = rng.uniform(-2, 2, (50, 1)), rng.normal(size=(50, 1))
-    assert momentum_flip_conjugacy_residual(quartic, qspec, q, p) < 1e-10
+    assert flip_roundtrip(quartic, qspec, q, p) < 1e-10
 
-    assert momentum_flip_conjugacy_residual(gauss, gspec, np.zeros((1, 1)), np.zeros((1, 1))) == 0.0
-    assert momentum_flip_conjugacy_residual(gauss, gspec, np.zeros((0, 1)), np.zeros((0, 1))) == 0.0
-
-
-def test_flip_conjugacy_requires_even_auxiliary():
-    model = ModelPair(
-        target=gaussian_potential(0.0, 1.0),
-        auxiliary=gaussian_potential(0.5, 1.0),
-        domain_halfwidth=6.0,
-        auxiliary_even=False,
-    )
-    spec = default_flow_spec(model, 0.3, method="leapfrog")
-    with pytest.raises(ValueError, match="even"):
-        momentum_flip_conjugacy_residual(model, spec, np.zeros((1, 1)), np.zeros((1, 1)))
+    assert flip_roundtrip(gauss, gspec, np.zeros((1, 1)), np.zeros((1, 1))) == 0.0
 
 
 @pytest.mark.parametrize("maker,time", [(standard_gaussian_pair, 0.7), (lambda: anharmonic_pair(1.0, 0.5, 3.5), 0.08)])

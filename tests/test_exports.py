@@ -99,3 +99,33 @@ def test_no_unread_assignments():
               for path in _sources("src/hmctransfer/*.py", "tests/*.py", "bench/**/*.py")
               if (names := _unread_assignments(path))}
     assert not unread, unread
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """``function.name`` for each parameter of a function in ``path`` that its body
+    never reads, ``self`` and names starting with ``_`` aside.
+
+    Reads inside nested functions and lambdas count, since a closure reads its
+    enclosing function's parameters.
+    """
+    unread = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if arg is not None]
+        read = {node.id for stmt in func.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{func.name}.{name}" for name in params
+                   if name not in read and name != "self" and not name.startswith("_")]
+    return unread
+
+
+def test_no_unread_parameters():
+    # a parameter left unread once its last caller stops passing it is dead API;
+    # only the package is scanned, since pytest fixtures and the tracer's probes
+    # take arguments they do not read on purpose
+    unread = {str(path.relative_to(ROOT)): names for path in _sources("src/hmctransfer/*.py")
+              if (names := _unread_parameters(path))}
+    assert not unread, unread

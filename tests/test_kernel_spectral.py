@@ -20,6 +20,7 @@ from hmctransfer import (
     weighted_norm,
 )
 from hmctransfer import dynamics, operator
+from hmctransfer.distributions import log_density_mass
 from hmctransfer.dynamics import flow_batch, tangent_batch
 from hmctransfer.operator import TransferMatrix, build_momentum_rule, weighted_symmetry_residual
 
@@ -246,7 +247,7 @@ def _kernel_per_row_reference(grid, model, spec, m):
     for i in range(n):
         on = (x >= Q[i, 0]) & (x <= Q[i, -1])
         spline = CubicSpline(Q[i], np.column_stack([P[i], rule.nodes]))
-        g = np.exp(-model.auxiliary.value(spline(x[on])[:, 0]) - model.auxiliary_log_mass())
+        g = np.exp(-model.auxiliary.value(spline(x[on])[:, 0]) - log_density_mass(model.auxiliary))
         K[i, on] = f[on] * g * spline(x[on], 1)[:, 1]
     return K
 
@@ -263,7 +264,7 @@ def _variational_kernel_reference(grid, model, spec, m):
     for i in range(n):
         on = (x >= Q[i, 0]) & (x <= Q[i, -1])
         vals = CubicSpline(Q[i], np.column_stack([P[i], dQdp[i]]))(x[on])
-        g = np.exp(-model.auxiliary.value(vals[:, 0]) - model.auxiliary_log_mass())
+        g = np.exp(-model.auxiliary.value(vals[:, 0]) - log_density_mass(model.auxiliary))
         K[i, on] = f[on] * g / vals[:, 1]
     return K
 
