@@ -21,7 +21,6 @@ __all__ = [
     "gaussian_potential",
     "anharmonic_potential",
     "density_value",
-    "log_density_mass",
     "standard_gaussian_pair",
     "anharmonic_pair",
 ]
@@ -72,9 +71,10 @@ class ModelPair:
     computations live on ``[-L, L]``.  A target that declares its curvature
     bound on a box (``params["halfwidth"]``) must cover the domain, else
     ``lambda_max`` understates the curvature on the grid; a wider domain
-    raises ``ValueError``.  The auxiliary must be even, invariant under
-    ``p -> -p``: that is the hypothesis behind self-adjointness of the
-    transfer operator, and an auxiliary that is not even raises
+    raises ``ValueError``.  The auxiliary is the HMC momentum law, a centred
+    Gaussian ``gaussian_potential(0.0, v)``: the chain refreshes momenta from
+    it, the exact flow reads its precision, and its evenness makes the
+    transfer operator self-adjoint.  Any other auxiliary raises
     ``ValueError``.
     """
 
@@ -91,10 +91,10 @@ class ModelPair:
         if box is not None and self.domain_halfwidth > box:
             raise ValueError(f"domain_halfwidth {self.domain_halfwidth} exceeds the halfwidth "
                              f"{box} on which the target's curvature bound holds")
-        probe = np.linspace(0.3, 2.1, 4)
-        asym = np.max(np.abs(self.auxiliary.value(probe) - self.auxiliary.value(-probe)))
-        if asym > 1e-12:
-            raise ValueError(f"auxiliary not even: V(p)-V(-p) reaches {asym:.3e}")
+        aux = self.auxiliary
+        if not (aux.is_gaussian and aux.params["mean"] == 0.0):
+            raise ValueError(f"auxiliary must be a centred Gaussian (gaussian_potential(0.0, v)), "
+                             f"got {aux.kind} {aux.params}")
 
     @property
     def dim(self) -> int:
@@ -113,7 +113,7 @@ class ModelPair:
 
     @property
     def is_gaussian(self) -> bool:
-        return self.target.is_gaussian and self.auxiliary.is_gaussian
+        return self.target.is_gaussian
 
 
 def gaussian_potential(mean: float, precision: float) -> Potential:
@@ -201,22 +201,6 @@ def density_value(pot: Potential, x) -> ArrayLike:
     if not np.all(np.isfinite(x)):
         raise ValueError("density_value requires finite input points")
     return np.exp(-pot.value(x))
-
-
-def log_density_mass(pot: Potential) -> float:
-    """log integral of exp(-U).
-
-    Closed form for Gaussian potentials; otherwise a 4097-node
-    trapezoid rule over [-a, a] with lambda_lo a^2 / 2 = 45: the lower
-    concavity bound exp(-U) <= exp(-lambda_lo x^2 / 2) puts the mass outside
-    that box far below 1e-16 of the total.
-    """
-    if pot.is_gaussian:
-        return 0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(pot.params["precision"])
-    halfwidth = math.sqrt(2.0 * 45.0 / pot.lambda_lo)
-    x = np.linspace(-halfwidth, halfwidth, 4097)
-    vals = np.exp(-pot.value(x))
-    return math.log(np.sum((x[1] - x[0]) * (vals[1:] + vals[:-1]) / 2.0))
 
 
 def standard_gaussian_pair(halfwidth: float = 8.0) -> ModelPair:

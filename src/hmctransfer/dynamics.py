@@ -48,7 +48,6 @@ __all__ = [
     "FlowSpec",
     "default_flow_spec",
     "flow_batch",
-    "sinc",
     "tangent_batch",
     "hmc_chain",
     "check_conjugate_bound",
@@ -103,8 +102,6 @@ def exact_gaussian_matrix(model: ModelPair, time: float) -> np.ndarray:
     """
     if not model.is_gaussian:
         raise ValueError("exact flow requested for a non-Gaussian model")
-    if model.auxiliary.params["mean"] != 0.0:
-        raise ValueError("exact flow assumes a centered auxiliary Gaussian")
     u, v = model.target.params["precision"], model.auxiliary.params["precision"]
     omega = math.sqrt(u * v)
     c, s = np.cos(time * omega), np.sin(time * omega) / omega
@@ -168,15 +165,6 @@ def flow_batch(qs, ps, model: ModelPair, spec: FlowSpec):
         Q[block], P[block] = _leapfrog(q[block], p[block], model.target.grad,
                                        model.auxiliary.grad, tau, spec.steps)
     return Q.reshape(shape), P.reshape(shape)
-
-
-def sinc(x):
-    """sin(x)/x with a 3-term series below |x| < 1e-4 to avoid cancellation."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x**2 / 6.0 + x**4 / 120.0, np.sin(safe) / safe)
-    return out if out.ndim else float(out)
 
 
 def _lifted(potential):
@@ -260,7 +248,7 @@ def determinant_bounds(model: ModelPair, time: float):
     """Regime bounds (lower, upper) on the product D_q * D_p.
 
     Valid for 0 < t * lambda_max < pi/2:
-    lower = (t lambda_max)^-2, upper = (t sinc(t lambda_min))^-2.
+    lower = (t lambda_max)^-2, upper = (sin(t lambda_min) / lambda_min)^-2.
     """
     lam = model.lambda_min
     big = model.lambda_max
@@ -271,5 +259,6 @@ def determinant_bounds(model: ModelPair, time: float):
             f"t * lambda_max = {time * big:.6f} outside the regime (need < pi/2 = {math.pi / 2:.6f})"
         )
     lower = (time * big) ** -2
-    upper = (time * float(sinc(time * lam))) ** -2
+    x = time * lam  # positive, since t > 0 and lambda_min > 0
+    upper = (time * (math.sin(x) / x)) ** -2
     return lower, upper

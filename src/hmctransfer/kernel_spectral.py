@@ -84,7 +84,7 @@ class SpectralReport:
 def eigen_spectrum(T: TransferMatrix, k: int) -> SpectralReport:
     """Top-k eigenvalues of T through the weighted-similarity symmetric form on ``T.grid``.
 
-    For an even auxiliary density the operator is self-adjoint in the
+    The centred-Gaussian momentum law makes the operator self-adjoint in the
     weighted inner product, so its spectrum is real and the second eigenvalue
     is the convergence rate.  That is a precondition here: a functional
     residual of 1e-6 or more, or NaN, raises instead of returning a spectrum.
@@ -165,8 +165,10 @@ def certify_rate(report: SpectralReport, trace) -> RateCertificate:
     stabilizes: with a small spectral gap the higher modes pollute far more
     than three steps, and the trim isolates the asymptotic rate.  The
     certificate passes when the fit has r^2 >= 0.99 and the fitted rate is
-    within 2 % of the second eigenvalue's modulus; with fewer than ten points
-    in the window it passes only if the iteration started converged.
+    within 2 % of the second eigenvalue's modulus.  An operator that mixes in
+    a few steps leaves fewer than three points above the floor; then no rate
+    is fitted, and the certificate passes, marked ``trivially_converged``, if
+    and only if the iteration converged.
     """
     errors = np.asarray(trace.errors, dtype=float)
     steps = np.asarray(trace.steps, dtype=float)
@@ -175,8 +177,8 @@ def certify_rate(report: SpectralReport, trace) -> RateCertificate:
     floor = max(1e-12, 10.0 * float(np.min(errors)))
     keep = (steps >= 3) & (errors > floor)
     rho_spec = report.rate_bound
-    if np.count_nonzero(keep) < 10:
-        trivially = bool(errors[0] < max(trace.tol, 1e-9))
+    if np.count_nonzero(keep) < 3:
+        trivially = bool(trace.converged)
         return RateCertificate(
             rho_emp=float("nan"),
             rho_spec=rho_spec,

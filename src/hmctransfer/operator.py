@@ -31,8 +31,9 @@ grid cell; a narrower one is refused.  The tabulation also records the
 momentum-space Hilbert-Schmidt estimate that ``kernel_spectral.hs_norm``
 checks.
 
-The auxiliary is even (``ModelPair`` refuses one that is not), so the
-momentum flip conjugates the flow to its inverse and makes T its own adjoint.
+The auxiliary is the centred-Gaussian momentum law (``ModelPair`` takes no
+other), so its density is even: the momentum flip conjugates the flow to its
+inverse and makes T its own adjoint.
 
 ``iterate`` runs the fixed-point iteration h -> T h.  A run that goes past n
 steps (n the grid size) with budget left to pay for forming T^B switches to
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import ModelPair, density_value, log_density_mass
+from .distributions import ModelPair, density_value
 from .dynamics import BLOCK_POINTS, FlowSpec, check_conjugate_bound, flow_batch
 
 __all__ = [
@@ -359,7 +360,7 @@ def assemble_transfer(
     rule = build_momentum_rule(model, m)
     sigma = math.sqrt(float(rule.weights @ rule.nodes ** 2))
 
-    log_norm = log_density_mass(model.auxiliary)
+    log_norm = 0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(model.auxiliary.params["precision"])
 
     def gbar(p):
         return np.exp(-model.auxiliary.value(p) - log_norm)
@@ -595,9 +596,7 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
         if blocked and n >= start:
             block[n - start] = h
     if blocked and running():
-        power = T.entries
-        for _ in range(squarings):
-            power = power @ power
+        power = np.linalg.matrix_power(T.entries, BLOCK_STEPS)
         # products alternate between two buffers; a fresh array per block
         # raised the CLI's peak RSS by ~0.7 MiB at n = 401
         spare = np.empty_like(block)

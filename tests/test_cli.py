@@ -181,6 +181,27 @@ def test_convergence_pipeline_passes(tmp_path):
     assert "experiment.seed = 0" in manifest
 
 
+@pytest.mark.parametrize("time", [1.5, math.pi / 2])
+def test_convergence_passes_when_the_operator_mixes_in_a_few_steps(tmp_path, time):
+    # mu_1 = cos(t): at t = 1.5 fewer than ten errors stay above the floor, and
+    # at t = pi/2 the run converges at step 1 with none left to fit
+    text = (GAUSS_CONV.replace("time = 0.7", f"time = {time!r}")
+            .replace("n_per_axis = 401", "n_per_axis = 201")
+            .replace("momentum_nodes = 257", "momentum_nodes = 129"))
+    cfg = write(tmp_path, "fast.ini", text)
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["passed"]
+    if time == 1.5:
+        assert not cert["trivially_converged"]
+        assert 3 <= cert["n_points"] < 10
+        assert abs(cert["rho_emp"] - np.cos(1.5)) < 0.02 * np.cos(1.5)
+    else:
+        assert cert["trivially_converged"]
+        assert cert["n_points"] < 3
+
+
 def test_convergence_failure_exit_code(tmp_path):
     cfg = write(tmp_path, "short.ini", GAUSS_CONV.replace("n_max = 400", "n_max = 5"))
     out = tmp_path / "out"

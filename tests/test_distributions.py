@@ -4,13 +4,13 @@ from scipy.stats import qmc
 
 from hmctransfer import (
     ModelPair,
+    Potential,
     anharmonic_pair,
     anharmonic_potential,
     density_value,
     gaussian_potential,
     standard_gaussian_pair,
 )
-from hmctransfer.distributions import log_density_mass
 
 
 def catalog():
@@ -152,11 +152,32 @@ def test_log_concavity_along_segments(name, pot, halfwidth):
         assert mid <= 0.5 * pot.value(x) + 0.5 * pot.value(y) + 1e-12
 
 
-def test_model_pair_rejects_false_evenness_claim():
-    with pytest.raises(ValueError, match=r"auxiliary not even: V\(p\)-V\(-p\) reaches"):
+def _wobbly_potential():
+    """V(p) = p^2/2 + 0.05 sin(10 pi p / 3): not even, yet V(p) = V(-p) at p = 0.3, 0.9,
+    1.5 and 2.1, where the sine vanishes."""
+    k = 10.0 * np.pi / 3.0
+    return Potential(
+        value=lambda p: 0.5 * p * p + 0.05 * np.sin(k * p),
+        grad=lambda p: p + 0.05 * k * np.cos(k * p),
+        hess=lambda p: 1.0 - 0.05 * k * k * np.sin(k * p),
+        lambda_lo=1.0,
+        lambda_hi=1.0,
+    )
+
+
+@pytest.mark.parametrize("auxiliary", [
+    gaussian_potential(1.0, 1.0),
+    anharmonic_potential(1.0, 0.2, 10.0),
+    _wobbly_potential(),
+], ids=["off-centre-gaussian", "quartic", "wobbly"])
+def test_model_pair_rejects_false_evenness_claim(auxiliary):
+    # the auxiliary is the HMC momentum law, so only a centred Gaussian is accepted
+    with pytest.raises(ValueError, match=r"auxiliary must be a centred Gaussian "
+                                         r"\(gaussian_potential\(0\.0, v\)\), got "
+                                         + auxiliary.kind):
         ModelPair(
             target=gaussian_potential(0.0, 1.0),
-            auxiliary=gaussian_potential(1.0, 1.0),
+            auxiliary=auxiliary,
             domain_halfwidth=4.0,
         )
 
@@ -190,19 +211,6 @@ def test_model_pair_bounds_cover_both_potentials():
     assert not model.is_gaussian
     assert standard_gaussian_pair().is_gaussian
     assert model.dim == model.target.dim == model.auxiliary.dim == 1
-
-
-def test_auxiliary_mass_gaussian_closed_form():
-    model = standard_gaussian_pair()
-    assert log_density_mass(model.auxiliary) == pytest.approx(0.5 * np.log(2 * np.pi))
-    scaled = gaussian_potential(0.0, 4.0)
-    assert log_density_mass(scaled) == pytest.approx(0.5 * np.log(2 * np.pi / 4.0))
-
-
-def test_numeric_mass_matches_closed_form():
-    # quartic with b = 0 integrates like the Gaussian it reduces to
-    pot = anharmonic_potential(1.0, 0.0, 6.0)
-    assert log_density_mass(pot) == pytest.approx(0.5 * np.log(2 * np.pi), abs=1e-10)
 
 
 @pytest.mark.parametrize("pot", [

@@ -20,7 +20,6 @@ from hmctransfer import (
     weighted_norm,
 )
 from hmctransfer import dynamics, operator
-from hmctransfer.distributions import log_density_mass
 from hmctransfer.dynamics import flow_batch, tangent_batch
 from hmctransfer.operator import TransferMatrix, build_momentum_rule, weighted_symmetry_residual
 
@@ -241,13 +240,14 @@ def _kernel_per_row_reference(grid, model, spec, m):
 
     n, x, f = grid.n, grid.x, grid.target_values
     rule = build_momentum_rule(model, m)
+    v = model.auxiliary.params["precision"]
     Q, P = flow_batch(np.repeat(x, m), np.tile(rule.nodes, n), model, spec)
     Q, P = Q.reshape(n, m), P.reshape(n, m)
     K = np.zeros((n, n))
     for i in range(n):
         on = (x >= Q[i, 0]) & (x <= Q[i, -1])
         spline = CubicSpline(Q[i], np.column_stack([P[i], rule.nodes]))
-        g = np.exp(-model.auxiliary.value(spline(x[on])[:, 0]) - log_density_mass(model.auxiliary))
+        g = np.exp(-model.auxiliary.value(spline(x[on])[:, 0]) - 0.5 * np.log(2 * np.pi / v))
         K[i, on] = f[on] * g * spline(x[on], 1)[:, 1]
     return K
 
@@ -258,13 +258,14 @@ def _variational_kernel_reference(grid, model, spec, m):
 
     n, x, f = grid.n, grid.x, grid.target_values
     rule = build_momentum_rule(model, m)
+    v = model.auxiliary.params["precision"]
     Q, P, J = tangent_batch(np.repeat(x, m), np.tile(rule.nodes, n), model, spec)
     Q, P, dQdp = Q.reshape(n, m), P.reshape(n, m), J[:, 0, 1].reshape(n, m)
     K = np.zeros((n, n))
     for i in range(n):
         on = (x >= Q[i, 0]) & (x <= Q[i, -1])
         vals = CubicSpline(Q[i], np.column_stack([P[i], dQdp[i]]))(x[on])
-        g = np.exp(-model.auxiliary.value(vals[:, 0]) - log_density_mass(model.auxiliary))
+        g = np.exp(-model.auxiliary.value(vals[:, 0]) - 0.5 * np.log(2 * np.pi / v))
         K[i, on] = f[on] * g / vals[:, 1]
     return K
 

@@ -10,7 +10,7 @@ from hmctransfer import (
     standard_gaussian_pair,
 )
 from hmctransfer.distributions import ModelPair, gaussian_potential
-from hmctransfer.dynamics import exact_gaussian_matrix, flow_batch, sinc, tangent_batch
+from hmctransfer.dynamics import exact_gaussian_matrix, flow_batch, tangent_batch
 
 
 def blocks_at(q, p, model, spec):
@@ -154,15 +154,6 @@ def test_full_jacobian_determinant_is_one():
     for _ in range(10):
         J = blocks_at(rng.normal(), rng.normal(), gauss, gspec)
         assert abs(np.linalg.det(J) - 1.0) < 1e-10
-
-
-def test_sinc_series_switchover():
-    xs = np.array([0.0, 1e-6, 1e-4, 0.5, np.pi])
-    vals = sinc(xs)
-    assert vals[0] == 1.0
-    assert vals[1] == pytest.approx(1.0 - 1e-12 / 6.0)
-    assert vals[3] == pytest.approx(np.sin(0.5) / 0.5)
-    assert abs(vals[4]) < 1e-15
 
 
 def chain_rule_leapfrog(qs, ps, model, spec):
