@@ -5,10 +5,10 @@ Subcommands: flow, operator, spectrum, kernel-norm, convergence, sampler-check.
 their defaults and bounds.
 Each runner writes its CSV and JSON result files and returns its exit code with
 its ``result.*`` keys; ``main`` then writes the manifest, which echoes the fully
-resolved configuration and those keys.  Every number is formatted to 17
-significant digits, so repeated runs with the same config and seed are
-bit-identical.  Exit codes: 0 on pass, 2 on certificate failure, 1 on
-configuration or runtime errors.
+resolved configuration and those keys.  CSV and the manifest give floats 17
+significant digits, JSON Python's shortest round-trip form; both read back
+bit-exact, so repeated runs with one config and seed are bit-identical.  Exit
+codes: 0 on pass, 2 on certificate failure, 1 on configuration or runtime errors.
 """
 
 from __future__ import annotations
@@ -139,7 +139,8 @@ def _build_model(cfg: configparser.ConfigParser) -> ModelPair:
 def load_config(path: str, command: str | None = None) -> ExperimentConfig:
     """The experiment of the INI file at ``path``.  ``command``, the subcommand run,
     overrides the file's ``experiment.kind``, the checks included."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header names section "": [DEFAULT]'s keys are refused, not copied into every section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
@@ -177,9 +178,13 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"flow.time: {exc} for {kind} experiments") from exc
 
-    if "grid" in parser and "momentum_rule" in parser["grid"]:
-        raise ConfigError("grid.momentum_rule: option removed; the momentum probes are "
-                          "always a trapezoid rule")
+    # a key the run does not read is refused; the target's params are its family's keys
+    known = {*SETTINGS, "experiment.kind", "experiment.output", "flow.time", "flow.method",
+             "flow.steps", "model.family", "model.halfwidth", "model.auxiliary_precision",
+             *(f"model.{key}" for key in model.target.params)}
+    for name in (f"{sec}.{key}" for sec in parser.sections() for key in parser[sec]):
+        if name not in known:
+            raise ConfigError(f"{name}: unknown key")
     settings = {}
     for name, (type_, default, least) in SETTINGS.items():
         section = name.split(".")[0]
@@ -233,33 +238,22 @@ def write_manifest(outdir: Path, config: ExperimentConfig, extra: dict | None = 
 
 
 def write_csv(path: Path, header: list, columns: list):
-    # one %-format per file: a column of floats or of ints (bool is not one)
-    # skips _fmt's type dispatch; an array's elements are judged by its dtype,
-    # since its tolist gives Python scalars
-    specs = []
-    for col in columns:
-        if isinstance(col, np.ndarray):
-            floats, ints = col.dtype.kind == "f", col.dtype.kind in "iu"
-        else:
-            floats = all(type(v) is float for v in col)
-            ints = not floats and all(type(v) is int for v in col)
-        specs.append("%.17g" if floats else "%d" if ints else "%s")
-    line = ",".join(specs) + "\n"
+    """Write numeric columns: an integer column as %d, any other as %.17g."""
+    columns = [np.asarray(col) for col in columns]
+    line = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns) + "\n"
     # rows go out in joined blocks, one write per block, and only a block's
     # scalars and text are held at a time; Python scalars format faster than
     # numpy ones, to the same text
     with path.open("w") as out:
         out.write(",".join(header) + "\n")
         for lo in range(0, min(map(len, columns), default=0), 1024):
-            block = [col[lo:lo + 1024] for col in columns]
-            block = [col.tolist() if isinstance(col, np.ndarray) else col for col in block]
-            block = [map(_fmt, col) if spec == "%s" else col for col, spec in zip(block, specs)]
+            block = [col[lo:lo + 1024].tolist() for col in columns]
             out.write("".join(line % row for row in zip(*block)))
 
 
 def write_json(path: Path, payload: dict) -> dict:
-    """Write ``payload`` to ``path``; return it as the manifest's ``result.*`` keys."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_fmt) + "\n")
+    """Write ``payload``, of Python scalars, to ``path``; return it as ``result.*`` keys."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return {f"result.{k}": v for k, v in payload.items()}
 
 

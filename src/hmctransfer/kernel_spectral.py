@@ -88,6 +88,7 @@ def eigen_spectrum(T: TransferMatrix, k: int) -> SpectralReport:
     weighted inner product, so its spectrum is real and the second eigenvalue
     is the convergence rate.  That is a precondition here: a functional
     residual of 1e-6 or more, or NaN, raises instead of returning a spectrum.
+    eigh's unit vectors u come back as u / s (s^2 = w / f) of unit weighted norm, sum u^2.
     """
     if k < 2:
         raise ValueError(f"top-k spectrum needs k >= 2 for the gap, got k = {k}")
@@ -110,12 +111,10 @@ def eigen_spectrum(T: TransferMatrix, k: int) -> SpectralReport:
     lead = vecs[:, order[0]] / scale
     if weighted_inner(lead, grid.target_values, grid) < 0:
         lead = -lead
-    lead = lead / weighted_norm(lead, grid)
 
     second = vecs[:, order[1]] / scale
-    second_mass = abs(weighted_inner(second, grid.target_values, grid)) / (
-        weighted_norm(second, grid) * weighted_norm(grid.target_values, grid)
-    )
+    second_mass = (abs(weighted_inner(second, grid.target_values, grid))
+                   / weighted_norm(grid.target_values, grid))
     simple = second_mass < 1e-6
     if not simple:
         warnings.warn(

@@ -166,27 +166,24 @@ class MomentumRule:
     weights: np.ndarray
 
 
-def _auxiliary_halfwidth(model: ModelPair) -> float:
-    """Half-width covering all but 1e-12 of the auxiliary mass."""
-    probe = np.linspace(0.0, 14.0 / math.sqrt(model.auxiliary.lambda_lo), 8193)
-    g = np.exp(-model.auxiliary.value(probe))
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(probe))])
-    total = cum[-1]
-    idx = int(np.searchsorted(cum, (1.0 - 0.5e-12) * total))
-    return float(probe[min(idx + 1, len(probe) - 1)])
+# Momentum probe box half-width in auxiliary standard deviations; its two tails
+# hold erfc(PROBE_SDS / sqrt(2)) = 4.9e-13 of the mass.  It is 4229 steps of
+# 14/8192: the box that a search of the cumulative trapezoid of exp(-V) on 8193
+# points returned wherever its arithmetic was exact, so no benchmark T moves.
+PROBE_SDS = 7.227294921875
 
 
 def build_momentum_rule(model: ModelPair, m: int) -> MomentumRule:
-    """Momentum quadrature matched to the auxiliary density.
+    """Momentum quadrature matched to the auxiliary density N(0, 1/v).
 
-    A trapezoid rule on a box covering 1 - 1e-12 of the auxiliary mass: the
-    probes along which ``assemble_transfer`` flows each node to tabulate the
-    kernel, splining P and p over the image curve, so m counts knots of that
-    spline and must be at least 4.
+    A trapezoid rule on [-b, b], b = ``PROBE_SDS`` standard deviations
+    1/sqrt(v): the probes along which ``assemble_transfer`` flows each node to
+    tabulate the kernel, splining P and p over the image curve, so m counts
+    knots of that spline and must be at least 4.
     """
     if m < 4:
         raise ValueError(f"need at least 4 kernel momentum nodes, got {m}")
-    pts, wt = _trapezoid_axis(_auxiliary_halfwidth(model), m)
+    pts, wt = _trapezoid_axis(PROBE_SDS / math.sqrt(model.auxiliary.params["precision"]), m)
     wt = wt * np.exp(-model.auxiliary.value(pts))
     wt = wt / wt.sum()
     return MomentumRule(nodes=pts, weights=wt)
@@ -358,9 +355,10 @@ def assemble_transfer(
     n, m = grid.n, momentum_nodes
     x, w, f = grid.x, grid.weights, grid.target_values
     rule = build_momentum_rule(model, m)
-    sigma = math.sqrt(float(rule.weights @ rule.nodes ** 2))
+    v = model.auxiliary.params["precision"]
+    sigma = 1.0 / math.sqrt(v)
 
-    log_norm = 0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(model.auxiliary.params["precision"])
+    log_norm = 0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(v)
 
     def gbar(p):
         return np.exp(-model.auxiliary.value(p) - log_norm)
@@ -471,15 +469,11 @@ def to_weighted_symmetric(T: TransferMatrix) -> np.ndarray:
 
 
 def _probe_densities(grid: DensityGrid):
-    """Fixed family of 8 smooth unit-mass bumps spanning the resolved domain."""
+    """8 smooth bumps of peak 1 spanning the resolved domain (the residual is scale-free)."""
     L = grid.halfwidth
     centers = np.linspace(-0.3 * L, 0.3 * L, 8)
     sigma = 0.1 * L
-    probes = []
-    for c in centers:
-        h = np.exp(-0.5 * (grid.x - c) ** 2 / sigma**2)
-        probes.append(h / mass(h, grid))
-    return probes
+    return [np.exp(-0.5 * (grid.x - c) ** 2 / sigma**2) for c in centers]
 
 
 def weighted_symmetry_residual(T: TransferMatrix) -> float:

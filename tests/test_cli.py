@@ -202,6 +202,24 @@ def test_convergence_passes_when_the_operator_mixes_in_a_few_steps(tmp_path, tim
         assert cert["n_points"] < 3
 
 
+@pytest.mark.parametrize("time", [2.0, 2.6])
+def test_convergence_passes_past_the_quarter_period(tmp_path, time):
+    # past t = pi/2, mu_1 = cos(t) < 0: the error still falls at the rate |cos t|
+    text = (GAUSS_CONV.replace("time = 0.7", f"time = {time!r}")
+            .replace("n_per_axis = 401", "n_per_axis = 201")
+            .replace("momentum_nodes = 257", "momentum_nodes = 129"))
+    cfg = write(tmp_path, "late.ini", text)
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["passed"]
+    assert not cert["trivially_converged"]
+    assert abs(cert["rho_emp"] - abs(np.cos(time))) < 0.02 * abs(np.cos(time))
+    rows = (out / "spectrum.csv").read_text().splitlines()
+    assert rows[2].startswith("1,")
+    assert float(rows[2].split(",")[1]) < 0
+
+
 def test_convergence_failure_exit_code(tmp_path):
     cfg = write(tmp_path, "short.ini", GAUSS_CONV.replace("n_max = 400", "n_max = 5"))
     out = tmp_path / "out"
@@ -595,19 +613,24 @@ def test_cli_overrides_are_validated(tmp_path, capsys):
 def test_write_csv_bytes_match_per_cell_format(tmp_path):
     # the reference formats every cell on its own, numpy scalars included
     floats = np.concatenate([np.linspace(-1.0, 2.0, 8) ** 3 / 7, [-0.0, np.nan, np.inf, 1e-300]])
-    columns = [np.arange(-3, 9), floats, np.arange(12) % 3 == 0, [np.float64(v) for v in floats[::-1]],
-               list(range(12))]
-    header = ["n", "x", "flag", "y", "k"]
+    columns = [np.arange(-3, 9), floats, [np.float64(v) for v in floats[::-1]], list(range(12))]
+    header = ["n", "x", "y", "k"]
     path = tmp_path / "t.csv"
     cli.write_csv(path, header, columns)
     rows = [",".join(header)] + [",".join(cli._fmt(col[i]) for col in columns) for i in range(12)]
     assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
-    assert path.read_text().splitlines()[1] == "-3,-0.14285714285714285,true,1e-300,0"
+    assert path.read_text().splitlines()[1] == "-3,-0.14285714285714285,1e-300,0"
     # rows are written in blocks of 1024: a file across three blocks, shortest column last
     long = [np.arange(2050), np.linspace(0.0, 1.0, 2050) ** 3, [float(v) for v in range(2049)]]
     cli.write_csv(path, ["n", "x", "y"], long)
     rows = [",".join(cli._fmt(col[i]) for col in long) for i in range(2049)]
     assert path.read_bytes() == ("n,x,y\n" + "\n".join(rows) + "\n").encode()
+
+
+def test_write_json_refuses_numpy_scalars(tmp_path):
+    # runners pass Python scalars; a NumPy one is an error, not a JSON string
+    with pytest.raises(TypeError):
+        cli.write_json(tmp_path / "r.json", {"n": np.int64(3)})
 
 
 def test_hmc_chain_generic_metropolis_path():
@@ -776,8 +799,26 @@ def test_exact_gaussian_chain_matches_linear_filter():
     assert np.array_equal(samples, ref)
 
 
+@pytest.mark.parametrize("field, base, old, new", [
+    ("grid.n_per_axs", ANH_SMALL, "n_per_axis = 201", "n_per_axs = 101"),
+    ("grdi.n_per_axis", ANH_SMALL, "[grid]", "[grdi]"),
+    ("model.a", GAUSS_CONV, "mean = 0.0", "mean = 0.0\na = 1.0"),
+    ("model.mean", ANH_SMALL, "a = 1.0", "a = 1.0\nmean = 0.0"),
+    ("DEFAULT.seed", ANH_SMALL, "[model]", "[DEFAULT]\nseed = 0\n\n[model]"),
+])
+def test_unknown_config_keys_are_refused_by_name(tmp_path, capsys, field, base, old, new):
+    # configparser keeps any key: one the run does not read would be ignored silently
+    cfg = write(tmp_path, "unknown.ini", base.replace(old, new))
+    with pytest.raises(cli.ConfigError, match=f"^{re.escape(field)}: unknown key$"):
+        load_config(cfg)
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {field}: unknown key\n"
+    assert not out.exists()
+
+
 def test_removed_and_invalid_grid_options_are_named(tmp_path):
-    # configparser ignores unknown keys, so the removed option must be refused by name
+    # the removed option is refused by name, as every key the run does not read is
     cfg = write(tmp_path, "rule.ini", ANH_SMALL.replace("[grid]", "[grid]\nmomentum_rule = gauss_hermite"))
     with pytest.raises(cli.ConfigError, match="grid.momentum_rule"):
         load_config(cfg)

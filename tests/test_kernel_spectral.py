@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -125,6 +126,43 @@ def test_mehler_and_hilbert_schmidt_oracles_on_a_wide_box():
     assert abs(hs_norm(assemble_transfer(grid, model, spec, 1025)) - oracle) <= 1e-9 * oracle
 
 
+@pytest.mark.parametrize("time, halfwidth, n", [(0.3, 30.0, 1601), (1.2, 14.0, 401),
+                                               (np.pi / 2, 14.0, 401), (2.0, 14.0, 401),
+                                               (2.6, 30.0, 1601)])
+def test_mehler_and_hilbert_schmidt_oracles_across_the_half_period(time, halfwidth, n):
+    # the oracles hold on both sides of t = pi/2, where cos(t) < 0 and the spectrum
+    # alternates in sign; a short flow needs the wider box and finer grid.  Measured
+    # 1.3e-12 on the top six and 1.6e-10 relative on the HS norm
+    model = standard_gaussian_pair(halfwidth=halfwidth)
+    grid = build_grid(model, n)
+    spec = default_flow_spec(model, time)
+    assert spec.method == "exact_gaussian"
+    mu = eigen_spectrum(assemble_transfer(grid, model, spec, 257), k=6).eigenvalues
+    assert np.max(np.abs(mu - np.cos(time) ** np.arange(6))) <= 1e-10
+    oracle = 1.0 / np.sin(time) ** 2
+    assert abs(hs_norm(assemble_transfer(grid, model, spec, 1025)) - oracle) <= 1e-9 * oracle
+
+
+def test_leapfrog_spectrum_matches_its_closed_form():
+    # leapfrog on the standard Gaussian is the linear map of the exact flow at the
+    # shadow frequency: N steps of tau take (1, 0) to Q = a = cos(N arccos(1 - tau^2 / 2)),
+    # and the operator's eigenvalues are a^k.  Measured 5.3e-13 on Q and 1.1e-12 on the
+    # top eight.  eigvals, not eigen_spectrum: the latter's 1e-6 self-adjointness gate
+    # refuses these operators
+    model = standard_gaussian_pair(halfwidth=12.0)
+    grid = build_grid(model, 401)
+    for steps in (35, 70, 140):
+        spec = FlowSpec(time=0.7, steps=steps, method="leapfrog")
+        tau = spec.time / steps
+        a = math.cos(steps * math.acos(1.0 - tau**2 / 2))
+        Q, _ = flow_batch(np.array([1.0]), np.array([0.0]), model, spec)
+        assert abs(Q[0] - a) <= 1e-11
+        mu = np.linalg.eigvals(assemble_transfer(grid, model, spec, 257).entries)
+        mu = mu[np.argsort(-np.abs(mu))][:8]
+        assert np.max(np.abs(mu.imag)) <= 1e-12
+        assert np.max(np.abs(mu.real - a ** np.arange(8))) <= 1e-10
+
+
 def test_spectrum_invariants(gauss_report):
     mu = gauss_report.eigenvalues
     assert abs(mu[0] - 1.0) < 1e-4
@@ -144,6 +182,12 @@ def test_spectrum_nonnegative_on_coarser_grid(gauss_model, gauss_spec):
     mu = eigen_spectrum(T, k=64).eigenvalues
     assert abs(mu[0] - 1.0) < 1e-4
     assert mu.min() >= -1e-6
+
+
+def test_leading_vector_has_unit_weighted_norm(gauss_report, gauss_grid, anh_report, anh_grid):
+    # eigh's unit vectors carried out of the symmetric frame need no re-normalising
+    for report, grid in [(gauss_report, gauss_grid), (anh_report, anh_grid)]:
+        assert abs(weighted_norm(report.leading_vector, grid) - 1.0) <= 1e-14
 
 
 def test_leading_vector_proportional_to_target(gauss_report, gauss_grid):

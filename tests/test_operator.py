@@ -122,12 +122,15 @@ def test_momentum_rules(gauss_model):
         build_momentum_rule(gauss_model, 1)
 
 
-def test_trapezoid_rule_covers_auxiliary_mass(gauss_model):
-    rule = build_momentum_rule(gauss_model, 257)
-    half = float(np.max(np.abs(rule.nodes)))
+@pytest.mark.parametrize("precision", [0.3, 1.0, 1.7, 4.0])
+def test_trapezoid_rule_covers_auxiliary_mass(precision):
+    # the box is PROBE_SDS standard deviations 1 / sqrt(v) at every precision v
     from scipy.stats import norm
 
-    assert 2.0 * norm.sf(half) < 1e-11
+    model = ModelPair(gaussian_potential(0.0, 1.0), gaussian_potential(0.0, precision), 8.0)
+    rule = build_momentum_rule(model, 257)
+    assert rule.nodes[-1] == operator.PROBE_SDS / math.sqrt(precision)
+    assert 2.0 * norm.sf(operator.PROBE_SDS) < 1e-12
 
 
 def test_fixed_point(gauss_T, gauss_grid):
