@@ -417,7 +417,8 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict
     grid, T = _operator_stack(config, config.momentum_nodes)
     report = eigen_spectrum(T, 2)
     if config.draws == 0:
-        write_json(outdir / "sampler_report.json", {"draws": 0, "sup_distance": float("nan")})
+        write_json(outdir / "sampler_report.json",
+                   {"draws": 0, "draws_outside_box": 0, "sup_distance": float("nan")})
         return 0, {"result.draws": 0}
     rng = np.random.default_rng(config.seed)
     samples, acceptance = hmc_chain(model, config.spec, config.draws, rng)
@@ -426,8 +427,14 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict
     L = model.domain_halfwidth
     edges = np.linspace(-L, L, config.bins + 1)
     counts, _ = np.histogram(samples, bins=edges)
+    # the histogram drops draws outside [-L, L], and the reference is normalised
+    # to the box's mass, so the empirical density is normalised over the draws inside
+    inside = int(counts.sum())
+    if inside == 0:
+        raise ValueError(f"draws_outside_box = {config.draws}: no draw landed in "
+                         f"[-{L}, {L}], so the histogram cannot be normalised over the box")
     width = edges[1] - edges[0]
-    empirical = counts / (config.draws * width)
+    empirical = counts / (inside * width)
     # antiderivative of the interpolated fixed point at the bin edges
     x = grid.x
     slopes = spline_coefficients(x[None], [fixed[None]])[0, :, 0]
@@ -445,7 +452,8 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict
     centers = 0.5 * (edges[:-1] + edges[1:])
     write_csv(outdir / "histogram.csv", ["center", "empirical", "reference"],
               [centers, empirical, reference])
-    payload = {"draws": config.draws, "acceptance_rate": acceptance, "sup_distance": sup}
+    payload = {"draws": config.draws, "draws_outside_box": config.draws - inside,
+               "acceptance_rate": acceptance, "sup_distance": sup}
     if acceptance < 0.5:
         payload["warning"] = "acceptance below 0.5, reduce the leapfrog substep"
     return 0, write_json(outdir / "sampler_report.json", payload)

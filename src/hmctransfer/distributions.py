@@ -62,6 +62,13 @@ class Potential:
     def is_gaussian(self) -> bool:
         return self.kind == "gaussian"
 
+    @property
+    def is_even(self) -> bool:
+        """U(-x) = U(x) and U'(-x) = -U'(x) bit for bit, IEEE negation being exact:
+        the quartic well, and the Gaussian of mean 0.0.  A ``custom`` potential is
+        never taken to be even, whatever its functions compute."""
+        return self.kind == "anharmonic" or (self.is_gaussian and self.params["mean"] == 0.0)
+
 
 @dataclass(frozen=True)
 class ModelPair:

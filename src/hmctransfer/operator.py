@@ -35,6 +35,16 @@ The auxiliary is the centred-Gaussian momentum law (``ModelPair`` takes no
 other), so its density is even: the momentum flip conjugates the flow to its
 inverse and makes T its own adjoint.
 
+An even target (``Potential.is_even``) gives a second identity.  Then the
+flow commutes with (q, p) -> (-q, -p), and leapfrog and the exact Gaussian
+map keep that symmetry bit for bit, IEEE negation being exact.  The grid
+nodes and the momentum probes are exactly antisymmetric, so row n - 1 - i's
+probe curve is row i's, negated and reversed, and K(-q, -Q) = K(q, Q) gives
+T[n - 1 - i, n - 1 - j] = T[i, j].  The tabulation then flows, splines and
+evaluates only rows 0 ... ceil(n / 2) - 1 and writes the other rows as their
+mirror images; for odd n the middle row is made palindromic.  Any other
+target has all n rows tabulated.
+
 ``iterate`` runs the fixed-point iteration h -> T h.  A run that goes past n
 steps (n the grid size) with budget left to pay for forming T^B switches to
 block mode, B = ``BLOCK_STEPS``: the B latest iterates advance together by
@@ -103,7 +113,12 @@ class DensityGrid:
 
 
 def _trapezoid_axis(halfwidth: float, n: int):
+    """Trapezoid nodes on [-L, L], exactly antisymmetric (x[n - 1 - i] = -x[i], the
+    middle node of odd n 0.0), and their weights.  ``linspace`` alone misses -x[i]
+    by up to a few ulps of L; 0.5 (x - x[::-1]) is antisymmetric by construction and
+    keeps both ends."""
     x = np.linspace(-halfwidth, halfwidth, n)
+    x = 0.5 * (x - x[::-1])
     w = np.full(n, x[1] - x[0])
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -113,9 +128,12 @@ def _trapezoid_axis(halfwidth: float, n: int):
 def build_grid(model: ModelPair, n_per_axis: int) -> DensityGrid:
     """Trapezoid grid over [-L, L] with the target tabulated on it.
 
-    A target that underflows at a node, so that w / f is not finite there,
-    raises ``ValueError``: every weighted norm divides by f, and T's columns
-    are scaled by w / f.
+    The nodes are exactly antisymmetric, x[n - 1 - i] = -x[i] bit for bit with
+    x[0] = -L and x[-1] = L, and the weights symmetric, so an even target's
+    values are symmetric too; ``assemble_transfer`` relies on it.  A target
+    that underflows at a node, so that w / f is not finite there, raises
+    ``ValueError``: every weighted norm divides by f, and T's columns are
+    scaled by w / f.
     """
     if n_per_axis < 16:
         raise ValueError(f"need at least 16 nodes per axis, got {n_per_axis}")
@@ -331,11 +349,26 @@ def assemble_transfer(
     mass 1e-12 at s = 2, 5e-9 at 1, 1e-2 at 0.5 (n = 401).  Below one cell
     this raises ``ValueError`` before any spline is solved.
 
+    Rows: for an even target (``model.target.is_even``) the flow commutes
+    with (q, p) -> (-q, -p) bit for bit, and the grid nodes and the probes
+    are exactly antisymmetric, so K(-q, -Q) = K(q, Q) gives
+    T[n - 1 - i, n - 1 - j] = T[i, j].  Only rows 0 ... ceil(n / 2) - 1 are
+    then flowed, splined and evaluated; row n - 1 - i is written as row i
+    reversed, and for odd n the middle row, its own mirror image, keeps its
+    left half and is made palindromic.  The per-row Hilbert-Schmidt and escape
+    sums and in-box counts are reflected the same way.  Any other target has
+    all n rows tabulated; ``meta["tabulated_rows"]`` records ceil(n / 2) or n.
+    Against a full tabulation of the same functions the entries agree to
+    rounding (quartic n = 401: 6.2e-16 of max |T|), and ``frac_outside`` and
+    ``kernel_width_cells`` are equal: the +-sigma width sweep still flows
+    every row.
+
     Memory: after the width sweep, each row's probe curve is flowed, splined,
-    checked and evaluated on its own, so the rows pass through the
-    tabulation in blocks of ``ROW_BLOCK_POINTS // m`` rows (at least one), and
-    each block's arrays are freed before the next: the working set scales
-    with the block, not with n m, and every entry of T keeps its bits.  Within
+    checked and evaluated on its own, so the tabulated rows pass through in
+    blocks of at most ``ROW_BLOCK_POINTS // m`` rows (at least one), of
+    balanced sizes, and each block's arrays are freed before the next: the
+    working set scales with the block, not with n m, and every entry of T
+    keeps its bits.  Within
     a block the spline reads P as a view of the flow's output and p as a
     broadcast of the probes, so no curve is copied; the solve, then the
     (row, node) pairs, set the peak.  A block leaves only its per-row
@@ -343,13 +376,15 @@ def assemble_transfer(
     into T, and K is scaled into T in place.  T is allocated, zeroed, before
     the first block.  ``tracemalloc`` counts it from that moment, so the
     traced peak is higher than with T allocated after the first block's
-    arrays are freed (quartic n = 401: 5.20 -> 6.41 MiB at m = 257; Gaussian
-    n = 801, m = 257: 21.9 -> 30.2 MiB).  The process's resident memory counts
-    T's pages only as the blocks write them, and there the late allocation
-    cost more: with T allocated first, the CLI's peak RSS on the quartic at
-    n = 401 fell from 41.45 to 41.18 MiB (kernel-norm), 43.05 to 42.66
-    (operator) and 45.23 to 44.54 (sampler-check), medians of 9 runs each on
-    a 2-core Linux machine with NumPy 2.4.6.
+    arrays are freed (quartic n = 401: 2.79 -> 4.02 MiB at m = 257; Gaussian
+    n = 801, m = 257: 19.7 -> 24.6 MiB).  The process's resident memory counts
+    T's pages only as the blocks write them, and there the two orders read
+    the same: the CLI's peak RSS on the quartic at n = 401, T allocated after
+    the first block -> before it, was 41.29 -> 41.32 MiB (kernel-norm),
+    41.95 -> 42.04 (operator) and 41.91 -> 41.89 (sampler-check), medians of
+    8 runs each on a 2-core Linux machine with NumPy 2.4.6.  Balanced blocks
+    matter there: kernel-norm's 201 tabulated rows at m = 1025 as blocks of
+    127 and 74 instead of 101 and 100 read 41.90 MiB.
     """
     check_conjugate_bound(model, spec)
     n, m = grid.n, momentum_nodes
@@ -372,10 +407,15 @@ def assemble_transfer(
                          f"resolve the kernel; refine the grid or lengthen the flow")
 
     T = np.zeros((n, n))
-    hs_rows, escaped, inside = np.empty(n), np.empty(n), 0
-    step, sub = max(1, ROW_BLOCK_POINTS // m), max(1, BLOCK_POINTS // m)
-    for lo in range(0, n, step):
-        r = min(step, n - lo)
+    # an even target's row n - 1 - i mirrors row i: only the first ceil(n / 2) are tabulated
+    even = model.target.is_even
+    tabulated = n - n // 2 if even else n
+    hs_rows, escaped, inside = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
+    # blocks of at most ROW_BLOCK_POINTS // m rows, of balanced sizes
+    blocks = -(-tabulated // max(1, ROW_BLOCK_POINTS // m))
+    step, sub = -(-tabulated // blocks), max(1, BLOCK_POINTS // m)
+    for lo in range(0, tabulated, step):
+        r = min(step, tabulated - lo)
         block = slice(lo, lo + r)
         # the block's probes momentum-major, so Q and P come out knot-major for the spline
         Q, P = flow_batch(np.tile(x[block], m), np.repeat(rule.nodes, r), model, spec)
@@ -402,7 +442,7 @@ def assemble_transfer(
         hs_rows[block] = hs @ rule.weights
         del hs
         escaped[block] = ~in_box @ rule.weights
-        inside += np.count_nonzero(in_box)
+        inside[block] = np.count_nonzero(in_box, axis=1)
         del in_box
 
         # below[i, j] counts the images Q[i, k] <= x[j]: node j on row i's curve lies
@@ -424,12 +464,20 @@ def assemble_transfer(
             raise ValueError("dp/dQ lost positivity between probes; conjugate point reached")
         T[lo + rows, cols] = f[cols] * gbar(P_at) * D_at
         del rows, cols, P_at, D_at
+    if even:
+        # the mirror images of the tabulated rows; the middle row of odd n is its own
+        half = n // 2
+        T[n - half:] = T[half - 1::-1, ::-1]
+        if n % 2:
+            T[half, half + 1:] = T[half, half - 1::-1]
+        for per_row in (hs_rows, escaped, inside):
+            per_row[n - half:] = per_row[half - 1::-1]
     T *= w / f
     meta = {"gaussian_model": model.is_gaussian, "method": spec.method,
             "time": spec.time, "steps": spec.steps, "momentum_nodes": m,
             "momentum_halfwidth": float(rule.nodes[-1]), "kernel_width_cells": width,
-            "hs_norm_sq_momentum": float(w @ hs_rows),
-            **_truncation(grid, 1.0 - inside / (n * m), escaped)}
+            "tabulated_rows": tabulated, "hs_norm_sq_momentum": float(w @ hs_rows),
+            **_truncation(grid, 1.0 - int(inside.sum()) / (n * m), escaped)}
     return TransferMatrix(entries=T, grid=grid, meta=meta)
 
 

@@ -384,6 +384,33 @@ def test_sampler_zero_draws(tmp_path):
     assert main(["sampler-check", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "sampler_report.json").read_text())
     assert report["draws"] == 0
+    assert report["draws_outside_box"] == 0
+
+
+def test_sampler_histogram_is_normalised_over_the_box(tmp_path):
+    # on [-2.5, 2.5] 232 of the 20000 draws (1.2%) fall outside the box, which
+    # np.histogram drops; dividing by all draws biased every bin by that share
+    text = SAMPLER.replace("halfwidth = 8.0", "halfwidth = 2.5").replace("200000", "20000")
+    cfg = write(tmp_path, "box.ini", text)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="domain truncation"):
+        assert main(["sampler-check", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+    report = json.loads((out / "sampler_report.json").read_text())
+    config = load_config(cfg)
+    samples, _ = hmc_chain(config.model, config.spec, 20000, np.random.default_rng(1))
+    assert report["draws_outside_box"] == np.count_nonzero(np.abs(samples) > 2.5) == 232
+    table = np.loadtxt(out / "histogram.csv", delimiter=",", skiprows=1)
+    width = table[1, 0] - table[0, 0]
+    assert abs(table[:, 1].sum() * width - 1.0) <= 1e-12
+
+
+def test_sampler_check_refuses_a_chain_outside_the_box(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "hmc_chain", lambda model, spec, draws, rng: (np.full(draws, 9.0), 1.0))
+    cfg = write(tmp_path, "far.ini", SAMPLER.replace("200000", "50"))
+    out = tmp_path / "out"
+    assert main(["sampler-check", "--config", cfg, "--out", str(out)]) == 1
+    assert "draws_outside_box = 50" in capsys.readouterr().err
+    assert not (out / "sampler_report.json").exists()
 
 
 def test_sampler_check_refuses_before_the_chain(tmp_path, monkeypatch, capsys):
@@ -703,6 +730,27 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     assert loaded == []
 
 
+def test_spectral_runners_leave_numpy_random_unloaded(tmp_path):
+    # kernel-norm, spectrum and convergence draw nothing, so in a fresh process they
+    # never import numpy.random, which costs about 13 ms and 6 MiB of resident memory
+    cfg = write(tmp_path, "quartic.ini", ANH_SMALL + "n_max = 2000\ntol = 1e-6\n"
+                "kernel_momentum_nodes = 257\n")
+    runs = [[kind, "--config", cfg, "--out", str(tmp_path / kind)]
+            for kind in ("kernel-norm", "spectrum", "convergence")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import json, sys; from hmctransfer.cli import main; "
+        "codes = [main(args) for args in json.loads(sys.argv[1])]; "
+        "print(json.dumps([codes, 'numpy.random' in sys.modules]))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-W", "ignore", "-c", code, json.dumps(runs)], env=env,
+                         capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(run.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0, 0], run.stderr
+    assert not loaded
+
+
 def test_report_schemas_and_manifest_mirror(tmp_path, monkeypatch):
     # the report keys follow the records' fields; four reports are mirrored into
     # the manifest as result.* keys, and main writes the manifest once per run
@@ -731,7 +779,8 @@ def test_report_schemas_and_manifest_mirror(tmp_path, monkeypatch):
         "convergence": ("certificate.json", {"rho_emp", "rho_spec", "mismatch", "r_squared",
                                              "window", "n_points", "passed",
                                              "trivially_converged"}),
-        "sampler-check": ("sampler_report.json", {"draws", "acceptance_rate", "sup_distance"}),
+        "sampler-check": ("sampler_report.json", {"draws", "draws_outside_box", "acceptance_rate",
+                                                  "sup_distance"}),
     }
     assert set(schemas) == set(cli.RUNNERS)
     for kind, (name, keys) in schemas.items():

@@ -113,6 +113,18 @@ def test_density_value_rejects_nonfinite():
 
 
 @pytest.mark.parametrize("name,pot,halfwidth", catalog())
+def test_even_potentials_are_even_bit_for_bit(name, pot, halfwidth):
+    # the parity the kernel tabulation uses: U even and U' odd to the bit
+    assert pot.is_even == (name != "gauss_offset")
+    x = np.random.default_rng(4).uniform(-halfwidth, halfwidth, 1000)
+    if pot.is_even:
+        assert np.array_equal(pot.value(-x), pot.value(x))
+        assert np.array_equal(pot.grad(-x), -pot.grad(x))
+    custom = Potential(pot.value, pot.grad, pot.hess, pot.lambda_lo, pot.lambda_hi)
+    assert not custom.is_even
+
+
+@pytest.mark.parametrize("name,pot,halfwidth", catalog())
 def test_hessian_spectrum_within_declared_bounds(name, pot, halfwidth):
     pts = qmc.Halton(d=1, seed=7).random(1000)[:, 0] * 2 * halfwidth - halfwidth
     curvature = pot.hess(pts)

@@ -14,6 +14,7 @@ from hmctransfer import (
     default_flow_spec,
     determinant_bounds,
     eigen_spectrum,
+    gaussian_potential,
     hs_norm,
     iterate,
     random_density,
@@ -21,6 +22,7 @@ from hmctransfer import (
     weighted_norm,
 )
 from hmctransfer import dynamics, operator
+from hmctransfer.distributions import ModelPair
 from hmctransfer.dynamics import flow_batch, tangent_batch
 from hmctransfer.operator import TransferMatrix, build_momentum_rule, weighted_symmetry_residual
 
@@ -337,8 +339,10 @@ def test_kernel_matches_variational_route(gauss_kernel, gauss_grid, gauss_model,
 
 
 def test_kernel_tabulation_is_one_flow_sweep(monkeypatch):
-    # the 2n width probes flow first, then the n m probes once each in one row
-    # block, and no tangent flow is run
+    # the 2n width probes flow first, then the probes of the tabulated rows once
+    # each in one row block, and no tangent flow is run.  The even quartic's rows
+    # n - 1 - i mirror rows i, so 101 of its 201 rows are flowed; the Gaussian of
+    # mean 0.6 is not even, and all its rows are
     def refuse(*args, **kwargs):
         raise AssertionError("the kernel ran the tangent flow")
 
@@ -350,10 +354,14 @@ def test_kernel_tabulation_is_one_flow_sweep(monkeypatch):
 
     monkeypatch.setattr(dynamics, "tangent_batch", refuse)
     monkeypatch.setattr(operator, "flow_batch", counting)
-    model = anharmonic_pair(1.0, 0.5, 3.5)
-    grid, spec = build_grid(model, 201), default_flow_spec(model, 0.08)
-    assemble_transfer(grid, model, spec, 65)
-    assert sweeps == [2 * 201, 201 * 65]
+    quartic = anharmonic_pair(1.0, 0.5, 3.5)
+    offset = ModelPair(gaussian_potential(0.6, 2.5), gaussian_potential(0.0, 1.7), 6.0)
+    for model, spec, rows in [(quartic, default_flow_spec(quartic, 0.08), 101),
+                              (offset, default_flow_spec(offset, 0.6), 201)]:
+        sweeps.clear()
+        T = assemble_transfer(build_grid(model, 201), model, spec, 65)
+        assert sweeps == [2 * 201, rows * 65]
+        assert T.meta["tabulated_rows"] == rows
 
 
 def test_kernel_needs_four_momentum_nodes(gauss_grid, gauss_model, gauss_spec):
@@ -362,10 +370,10 @@ def test_kernel_needs_four_momentum_nodes(gauss_grid, gauss_model, gauss_spec):
 
 
 def test_quartic_kernel_tabulation_peak_memory(anh_grid, anh_model, anh_spec):
-    # the rows are tabulated in four blocks of at most 127, each block's arrays
-    # released before the next: 7.76 MiB traced at n = 401 / 1025, T's 1.23
-    # included.  All rows in one pass read 19.35 MiB, stacked curve copies and
-    # three bands 28.25, holding every array to the return 70.85
+    # the even quartic's 201 tabulated rows pass in two blocks of 101 and 100,
+    # each block's arrays released before the next: 6.54 MiB traced at
+    # n = 401 / 1025, T's 1.23 included.  The 201 rows in one pass read 11.24
+    # MiB, and all 401 rows tabulated in blocks of 127, 127, 127 and 20 7.76
     tracemalloc.start()
     try:
         assemble_transfer(anh_grid, anh_model, anh_spec, 1025)

@@ -21,7 +21,7 @@ from hmctransfer import (
 )
 from hmctransfer import operator
 from hmctransfer.cli import main
-from hmctransfer.distributions import ModelPair
+from hmctransfer.distributions import ModelPair, Potential
 from hmctransfer.operator import (
     BLOCK_STEPS,
     IterationTrace,
@@ -73,6 +73,20 @@ def test_too_narrow_kernel_is_refused_after_the_width_sweep(monkeypatch, gauss_m
     with pytest.raises(ValueError, match="kernel_width_cells = .* < 1"):
         assemble_transfer(gauss_grid, gauss_model, spec, 257)
     assert sweeps == [2 * 401]
+
+
+@pytest.mark.parametrize("n", [16, 20, 64, 121, 401, 1601])
+def test_grid_nodes_are_exactly_antisymmetric(n):
+    # linspace alone misses -x[i] by 4.4e-16 to 7.1e-15 on 28 of these 30 boxes
+    for L in (3.0, 3.5, 8.0, 14.0, 30.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the coarse grids
+            grid = build_grid(standard_gaussian_pair(halfwidth=L), n)
+        x = grid.x
+        assert np.array_equal(x, -x[::-1])
+        assert x[0] == -L and x[-1] == L
+        assert np.array_equal(grid.weights, grid.weights[::-1])
+        assert np.array_equal(grid.target_values, grid.target_values[::-1])
 
 
 def test_grid_warns_when_too_coarse():
@@ -196,6 +210,35 @@ def test_adjoint_equals_transfer_for_even_auxiliary(gauss_grid, gauss_model, gau
             assert np.array_equal(rule.weights[::-1], rule.weights)
             q, p = np.repeat(grid.x, m), np.tile(rule.nodes, grid.n)
             assert flip_roundtrip(model, spec, q, p) <= 1e-13
+
+
+def test_even_target_transfer_is_mirror_symmetric(anh_T, anh_grid, anh_model, anh_spec, gauss_T,
+                                                  gauss_kernel, gauss_model, gauss_spec):
+    # T[n - 1 - i, n - 1 - j] = T[i, j] bitwise, the middle row of odd n a palindrome
+    even_n = build_grid(gauss_model, 400)
+    for T in (anh_T, assemble_transfer(anh_grid, anh_model, anh_spec, 1025), gauss_T,
+              gauss_kernel, assemble_transfer(even_n, gauss_model, gauss_spec, 257)):
+        n = T.grid.n
+        assert T.meta["tabulated_rows"] == n - n // 2
+        assert np.array_equal(T.entries[::-1, ::-1], T.entries)
+
+
+@pytest.mark.parametrize("m", [257, 1025])
+def test_half_tabulation_matches_the_full_one(anh_grid, anh_model, anh_spec, m):
+    # the quartic's functions and bounds under kind "custom", which is never taken to be even
+    half = assemble_transfer(anh_grid, anh_model, anh_spec, m)
+    pot = anh_model.target
+    custom = Potential(pot.value, pot.grad, pot.hess, pot.lambda_lo, pot.lambda_hi,
+                       params=dict(pot.params))
+    model = ModelPair(custom, anh_model.auxiliary, anh_model.domain_halfwidth)
+    assert not model.target.is_even
+    full = assemble_transfer(anh_grid, model, anh_spec, m)
+    assert (half.meta["tabulated_rows"], full.meta["tabulated_rows"]) == (201, 401)
+    assert np.max(np.abs(half.entries - full.entries)) <= 1e-14 * np.max(np.abs(full.entries))
+    for key in ("frac_outside", "kernel_width_cells"):
+        assert half.meta[key] == full.meta[key], key
+    for key in ("hs_norm_sq_momentum", "leaked_mass"):
+        assert half.meta[key] == pytest.approx(full.meta[key], rel=1e-13), key
 
 
 def test_self_adjointness_residual(gauss_T):
@@ -525,10 +568,9 @@ def test_spline_coefficients_take_curves_of_any_layout():
 
 def test_quartic_transfer_assembly_peak_memory(anh_grid, anh_model, anh_spec):
     # the spline reads the flowed curves as views and every array is released
-    # after its last use: 6.41 MiB traced at n = 401 / m = 257, T's 1.23 held
-    # through the single block; T allocated after the block read 5.20, stacked
-    # curve copies and spline bands 7.09, the filtered cubic deposit this matrix
-    # replaced 16.95
+    # after its last use: 4.02 MiB traced at n = 401 / m = 257, the 201
+    # tabulated rows of the even quartic in one block with T's 1.23 held through
+    # it; T allocated after the block read 2.79, all 401 rows tabulated 6.41
     tracemalloc.start()
     try:
         assemble_transfer(anh_grid, anh_model, anh_spec, 257)
@@ -539,11 +581,11 @@ def test_quartic_transfer_assembly_peak_memory(anh_grid, anh_model, anh_spec):
 
 
 def test_gaussian_transfer_assembly_peak_memory(gauss_model, gauss_spec):
-    # n = 801 / m = 257: 30.2 MiB traced in two row blocks, set by a block's
-    # (row, node) pairs of the wide kernel, the spline pieces' temporaries and
-    # T's 4.9 allocated before them; the pieces evaluated in place read 26.8, and
-    # with T allocated after the first block too 21.9.  All rows in one block read
-    # 33.9, stacked curve copies 35.5, the stacked spline coefficients 74.2
+    # n = 801 / m = 257: 24.6 MiB traced, the centred Gaussian's 401 tabulated
+    # rows in one block, set by its (row, node) pairs of the wide kernel, the
+    # spline pieces' temporaries and T's 4.9 allocated before them.  T allocated
+    # after the block read 19.7, the rows in two blocks of 201 and 200 15.3, and
+    # all 801 rows tabulated, in blocks of 510 and 291, 30.2
     grid = build_grid(gauss_model, 801)
     tracemalloc.start()
     try:
@@ -555,16 +597,21 @@ def test_gaussian_transfer_assembly_peak_memory(gauss_model, gauss_spec):
 
 
 @pytest.mark.parametrize("quartic", [True, False], ids=["quartic-401", "gaussian-201"])
-def test_row_blocks_keep_every_entry(monkeypatch, quartic, anh_model, anh_spec, gauss_model,
-                                     gauss_spec):
-    # m = 1025: the quartic at n = 401 takes blocks of 127 rows and a remainder of
-    # 20, the Gaussian's exact flow at n = 201 blocks of 127 and 74; every row is
-    # tabulated on its own, so one block of all rows gives the same bits
-    model, spec, n = (anh_model, anh_spec, 401) if quartic else (gauss_model, gauss_spec, 201)
+def test_row_blocks_keep_every_entry(monkeypatch, quartic, anh_model, anh_spec):
+    # m = 1025, at most 127 rows a block, in blocks of balanced sizes: the even
+    # quartic at n = 401 tabulates its 201 rows in blocks of 101 and 100, and the
+    # exact flow of the Gaussian of mean 0.6, not even, all 201 of its rows in
+    # blocks of 101 and 100.  Every row is tabulated on its own, so one block of
+    # all rows gives the same bits
+    if quartic:
+        model, spec, n = anh_model, anh_spec, 401
+    else:
+        model = ModelPair(gaussian_potential(0.6, 2.5), gaussian_potential(0.0, 1.7), 6.0)
+        spec, n = FlowSpec(time=0.6, method="exact_gaussian"), 201
     grid = build_grid(model, n)
-    assert operator.ROW_BLOCK_POINTS // 1025 < n
 
     a = assemble_transfer(grid, model, spec, 1025)
+    assert operator.ROW_BLOCK_POINTS // 1025 < a.meta["tabulated_rows"] == 201
     monkeypatch.setattr(operator, "ROW_BLOCK_POINTS", n * 1025)
     b = assemble_transfer(grid, model, spec, 1025)
     assert np.array_equal(a.entries, b.entries)
@@ -576,11 +623,11 @@ def test_row_blocks_keep_every_entry(monkeypatch, quartic, anh_model, anh_spec, 
 @pytest.mark.parametrize("n, m", [(201, 1025), (401, 513)])
 def test_quartic_transfer_assembly_peak_scales_with_the_flow(anh_model, anh_spec, n, m):
     # the unit is n (m + 2) doubles, the probe and width-probe points per
-    # coordinate.  Both sizes take two row blocks, whose Q, P, knot spacings,
-    # two-curve right-hand side and diagonal, with T allocated before them, set
-    # the peak at 4.3 and 4.8 such arrays (4.1 and 4.0 with T allocated after
-    # the first block).  All rows in one block read 6.2, stacked curve copies
-    # and three bands 9.0
+    # coordinate.  The even quartic's ceil(n / 2) tabulated rows take one block
+    # at both sizes, whose Q, P, knot spacings, two-curve right-hand side and
+    # diagonal, with T allocated before them, set the peak at 3.6 and 4.0 such
+    # arrays (3.4 and 3.2 with T allocated after the block).  All n rows
+    # tabulated, in two blocks, read 4.3 and 4.8
     grid = build_grid(anh_model, n)
     tracemalloc.start()
     try:
