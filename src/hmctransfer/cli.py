@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distributions import ModelPair, gaussian_potential, anharmonic_potential
+from .distributions import ModelPair, gaussian_potential, anharmonic_potential, kinetic_energy
 from .dynamics import (FlowSpec, check_conjugate_bound, default_flow_spec, determinant_bounds,
                        hmc_chain, tangent_batch)
 from .kernel_spectral import certify_rate, eigen_spectrum, hs_norm
@@ -124,14 +124,8 @@ def _build_model(cfg: configparser.ConfigParser) -> ModelPair:
                             _number(sec, "model.b", float, 0.0), halfwidth)
     else:
         raise ConfigError(f"model.family: unknown family {family!r}")
-    auxiliary = _potential({"precision": "model.auxiliary_precision"}, gaussian_potential, 0.0,
-                           _number(sec, "model.auxiliary_precision", float, 1.0))
     try:
-        return ModelPair(
-            target=target,
-            auxiliary=auxiliary,
-            domain_halfwidth=halfwidth,
-        )
+        return ModelPair(target=target, domain_halfwidth=halfwidth)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -180,7 +174,7 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
 
     # a key the run does not read is refused; the target's params are its family's keys
     known = {*SETTINGS, "experiment.kind", "experiment.output", "flow.time", "flow.method",
-             "flow.steps", "model.family", "model.halfwidth", "model.auxiliary_precision",
+             "flow.steps", "model.family", "model.halfwidth",
              *(f"model.{key}" for key in model.target.params)}
     for name in (f"{sec}.{key}" for sec in parser.sections() for key in parser[sec]):
         if name not in known:
@@ -268,7 +262,7 @@ def run_flow(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     q, p = rng.uniform(-0.5, 0.5) + 1.0, 0.0
 
     def energy(q, p):
-        return model.target.value(q) + model.auxiliary.value(p)
+        return model.target.value(q) + kinetic_energy(p)
 
     times, qs, ps, energies, dets = [0.0], [q], [p], [energy(q, p)], [1.0]
     # leapfrog runs in pieces of whole steps, the exact map in `samples` equal
@@ -330,7 +324,7 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
         m0 = mass(h, grid)
         mass_errors.append(abs(mass(Th, grid) - m0) / m0)
         contractions.append(weighted_norm(Th, grid) / weighted_norm(h, grid))
-    # T* = T for the even auxiliary, so the duality <T h, k> = <h, T k> is the
+    # T* = T for the even momentum law, so the duality <T h, k> = <h, T k> is the
     # self-adjointness residual on random densities
     dualities = []
     for _ in range(20):

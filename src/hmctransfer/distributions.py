@@ -21,6 +21,7 @@ __all__ = [
     "gaussian_potential",
     "anharmonic_potential",
     "density_value",
+    "kinetic_energy",
     "standard_gaussian_pair",
     "anharmonic_pair",
 ]
@@ -72,21 +73,22 @@ class Potential:
 
 @dataclass(frozen=True)
 class ModelPair:
-    """Target/auxiliary potential pair defining one Hamiltonian model.
+    """Target potential and position domain of one Hamiltonian model.
+
+    The Hamiltonian is H(q, p) = U(q) + ``kinetic_energy(p)``: the momentum
+    law is N(0, 1), the law the chain refreshes momenta from.  Its evenness
+    makes the transfer operator self-adjoint.  A momentum law N(0, 1/v) only
+    sets the unit of time, T(v, t) = T(1, sqrt(v) t): to model precision v,
+    run this pair at flow time sqrt(v) t.
 
     ``domain_halfwidth`` is the position-domain truncation: all grid
     computations live on ``[-L, L]``.  A target that declares its curvature
     bound on a box (``params["halfwidth"]``) must cover the domain, else
     ``lambda_max`` understates the curvature on the grid; a wider domain
-    raises ``ValueError``.  The auxiliary is the HMC momentum law, a centred
-    Gaussian ``gaussian_potential(0.0, v)``: the chain refreshes momenta from
-    it, the exact flow reads its precision, and its evenness makes the
-    transfer operator self-adjoint.  Any other auxiliary raises
-    ``ValueError``.
+    raises ``ValueError``.
     """
 
     target: Potential
-    auxiliary: Potential
     domain_halfwidth: float
 
     def __post_init__(self):
@@ -98,10 +100,6 @@ class ModelPair:
         if box is not None and self.domain_halfwidth > box:
             raise ValueError(f"domain_halfwidth {self.domain_halfwidth} exceeds the halfwidth "
                              f"{box} on which the target's curvature bound holds")
-        aux = self.auxiliary
-        if not (aux.is_gaussian and aux.params["mean"] == 0.0):
-            raise ValueError(f"auxiliary must be a centred Gaussian (gaussian_potential(0.0, v)), "
-                             f"got {aux.kind} {aux.params}")
 
     @property
     def dim(self) -> int:
@@ -110,17 +108,23 @@ class ModelPair:
 
     @property
     def lambda_min(self) -> float:
-        """Smallest concavity bound over both potentials."""
-        return min(self.target.lambda_lo, self.auxiliary.lambda_lo)
+        """Smallest curvature bound of H's Hessian diag(U'', 1)."""
+        return min(self.target.lambda_lo, 1.0)
 
     @property
     def lambda_max(self) -> float:
-        """Largest concavity bound over both potentials."""
-        return max(self.target.lambda_hi, self.auxiliary.lambda_hi)
+        """Largest curvature bound of H's Hessian diag(U'', 1)."""
+        return max(self.target.lambda_hi, 1.0)
 
     @property
     def is_gaussian(self) -> bool:
         return self.target.is_gaussian
+
+
+def kinetic_energy(p):
+    """The momentum potential p^2 / 2 of the N(0, 1) momentum law, elementwise on a
+    float or an array: bit for bit ``gaussian_potential(0.0, 1.0).value(p)``."""
+    return 0.5 * (p * p)
 
 
 def gaussian_potential(mean: float, precision: float) -> Potential:
@@ -211,18 +215,10 @@ def density_value(pot: Potential, x) -> ArrayLike:
 
 
 def standard_gaussian_pair(halfwidth: float = 8.0) -> ModelPair:
-    """Standard Gaussian target and momentum distribution."""
-    return ModelPair(
-        target=gaussian_potential(0.0, 1.0),
-        auxiliary=gaussian_potential(0.0, 1.0),
-        domain_halfwidth=halfwidth,
-    )
+    """Standard Gaussian target."""
+    return ModelPair(target=gaussian_potential(0.0, 1.0), domain_halfwidth=halfwidth)
 
 
 def anharmonic_pair(a: float, b: float, halfwidth: float) -> ModelPair:
-    """Quartic-well target with a standard Gaussian momentum distribution."""
-    return ModelPair(
-        target=anharmonic_potential(a, b, halfwidth),
-        auxiliary=gaussian_potential(0.0, 1.0),
-        domain_halfwidth=halfwidth,
-    )
+    """Quartic-well target."""
+    return ModelPair(target=anharmonic_potential(a, b, halfwidth), domain_halfwidth=halfwidth)

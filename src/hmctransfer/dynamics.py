@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ModelPair
+from .distributions import ModelPair, kinetic_energy
 
 __all__ = [
     "FlowSpec",
@@ -95,27 +95,28 @@ def default_flow_spec(model: ModelPair, time: float, method: str | None = None) 
 def exact_gaussian_matrix(model: ModelPair, time: float) -> np.ndarray:
     """2 x 2 propagator of the linear Hamiltonian system for Gaussian pairs.
 
-    With target precision u and auxiliary precision v the system is
-    (Q - mu, P)' = [[0, v], [-u, 0]] (Q - mu, P), whose solution map is
-    [[c, v s], [-u s, c]] with omega = sqrt(u v), c = cos(omega t) and
+    With target precision u and unit momentum precision the system is
+    (Q - mu, P)' = [[0, 1], [-u, 0]] (Q - mu, P), whose solution map is
+    [[c, s], [-u s, c]] with omega = sqrt(u), c = cos(omega t) and
     s = sin(omega t) / omega.
     """
     if not model.is_gaussian:
         raise ValueError("exact flow requested for a non-Gaussian model")
-    u, v = model.target.params["precision"], model.auxiliary.params["precision"]
-    omega = math.sqrt(u * v)
+    u = model.target.params["precision"]
+    omega = math.sqrt(u)
     c, s = np.cos(time * omega), np.sin(time * omega) / omega
-    return np.array([[c, v * s], [-u * s, c]])
+    return np.array([[c, s], [-u * s, c]])
 
 
-def _leapfrog(q, p, grad_u, grad_v, tau: float, steps: int):
+def _leapfrog(q, p, grad_u, tau: float, steps: int):
     """Velocity-Verlet (kick-drift-kick): ``steps`` steps of size ``tau``.
 
     Plain arithmetic on whatever q and p are, so this module's three callers
     run the same integrator: ``flow_batch`` on (N,) blocks, ``tangent_batch``
     on lifted (N, 3) arrays whose gradients also apply the chain rule to the
     derivative columns, and ``hmc_chain`` on Python floats, each with the
-    potentials' elementwise gradients.
+    target's elementwise gradient.  The momentum law is N(0, 1), so a drift
+    moves q by tau p, on the derivative columns too.
 
     Each kick ``half * grad_u(q)`` is computed once and subtracted twice at a
     step boundary, the closing kick of one step and the opening kick of the
@@ -127,12 +128,12 @@ def _leapfrog(q, p, grad_u, grad_v, tau: float, steps: int):
     half = 0.5 * tau
     kick = half * grad_u(q)
     p = p - kick
-    q = q + tau * grad_v(p)
+    q = q + tau * p
     for _ in range(1, steps):
         kick = half * grad_u(q)
         p -= kick
         p -= kick
-        q += tau * grad_v(p)
+        q += tau * p
     p -= half * grad_u(q)
     return q, p
 
@@ -162,8 +163,7 @@ def flow_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     Q, P = np.empty(len(q)), np.empty(len(p))
     for lo in range(0, len(q), BLOCK_POINTS):
         block = slice(lo, lo + BLOCK_POINTS)
-        Q[block], P[block] = _leapfrog(q[block], p[block], model.target.grad,
-                                       model.auxiliary.grad, tau, spec.steps)
+        Q[block], P[block] = _leapfrog(q[block], p[block], model.target.grad, tau, spec.steps)
     return Q.reshape(shape), P.reshape(shape)
 
 
@@ -192,8 +192,7 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     ones, zeros = np.ones(len(q)), np.zeros(len(q))
     # each coordinate with its derivatives along (q0, p0): [1, 0] for q, [0, 1] for p
     Q, P = _leapfrog(np.column_stack([q, ones, zeros]), np.column_stack([p, zeros, ones]),
-                     _lifted(model.target), _lifted(model.auxiliary), spec.time / spec.steps,
-                     spec.steps)
+                     _lifted(model.target), spec.time / spec.steps, spec.steps)
     return Q[:, 0], P[:, 0], np.stack([Q[:, 1:], P[:, 1:]], axis=1)
 
 
@@ -203,32 +202,30 @@ def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: np.random.Gener
     Returns (positions of shape (draws,), acceptance_rate).  The exact
     Gaussian flow conserves energy exactly, so every proposal is accepted and
     the chain reduces to the linear recursion q <- a q + b p on Python floats.
-    Leapfrog draws run on Python floats through the potentials' elementwise
-    evaluators and ``_leapfrog``, the integrator ``flow_batch`` uses, so each
-    draw is bit-identical to one ``flow_batch`` call on a (1,) array.
+    Momenta are drawn from N(0, 1).  Leapfrog draws run on Python floats
+    through the target's elementwise evaluators, ``kinetic_energy`` and
+    ``_leapfrog``, the integrator ``flow_batch`` uses, so each draw is
+    bit-identical to one ``flow_batch`` call on a (1,) array.
     """
     if draws == 0:
         return np.zeros(0), float("nan")
-    # sqrt(1 / v), which is the Cholesky factor of the 1 x 1 inverse precision, to the bit
-    scale = math.sqrt(1.0 / model.auxiliary.params["precision"])
     if spec.method == "exact_gaussian":
         a, b = exact_gaussian_matrix(model, spec.time)[0].tolist()
         mu = model.target.params["mean"]
         q, centered = 0.0, np.empty(draws)
-        for i, p in enumerate((rng.standard_normal(draws) * scale).tolist()):
+        for i, p in enumerate(rng.standard_normal(draws).tolist()):
             centered[i] = q = a * q + b * p
         return centered + mu, 1.0
     value_u, grad_u = model.target.value, model.target.grad
-    value_v, grad_v = model.auxiliary.value, model.auxiliary.grad
     tau = spec.time / spec.steps
     q = model.target.params["mean"] if model.target.is_gaussian else 0.0
     out = np.empty(draws)
     accepted = 0
     for i in range(draws):
-        p = scale * rng.standard_normal()
-        e0 = value_u(q) + value_v(p)
-        Q, P = _leapfrog(q, p, grad_u, grad_v, tau, spec.steps)
-        e1 = value_u(Q) + value_v(P)
+        p = rng.standard_normal()
+        e0 = value_u(q) + kinetic_energy(p)
+        Q, P = _leapfrog(q, p, grad_u, tau, spec.steps)
+        e1 = value_u(Q) + kinetic_energy(P)
         if math.log(rng.uniform()) < e0 - e1:
             q = Q
             accepted += 1

@@ -3,18 +3,18 @@
 The position domain [-L, L] of a 1-d model carries a trapezoid grid; densities
 are vectors of node values and the Hilbert structure is the f-weighted inner
 product sum w a b / f.  One operator application spreads a density over
-momenta with the auxiliary density, flows every phase point, and integrates
+momenta with the momentum density g, flows every phase point, and integrates
 the momenta back out:
 
-    (T h)(q) = int h(Q(q, p)) g(P(q, p)) dp,   g normalized to unit mass.
+    (T h)(q) = int h(Q(q, p)) g(P(q, p)) dp,   g the N(0, 1) density.
 
 Substituting Q for p turns this into (T h)(q) = int h(Q) K(q, Q) / f(Q) dQ
 with the explicit kernel K(q, Q) = f(Q) g(P_q(Q)) D_q(Q): the target at the
-arrival point, the auxiliary density at the conjugate momentum, and the
+arrival point, the momentum density at the conjugate momentum, and the
 Jacobian factor D_q = |dp/dQ| of the change of variables.  The kernel is
 tabulated from one flow of a dense momentum probe per node, splining (P, p)
 over Q along each monotone image curve: P is the spline's value and D_q the
-slope of p.  The +-sigma width probes of all rows are flowed first, in a
+slope of p.  The +-1 width probes of all rows are flowed first, in a
 sweep of their own, and a kernel narrower than a grid cell is refused before
 any curve is splined.  Each row's curve is independent of the others', so the
 rows are then tabulated in blocks of about ``ROW_BLOCK_POINTS`` phase points,
@@ -31,9 +31,8 @@ grid cell; a narrower one is refused.  The tabulation also records the
 momentum-space Hilbert-Schmidt estimate that ``kernel_spectral.hs_norm``
 checks.
 
-The auxiliary is the centred-Gaussian momentum law (``ModelPair`` takes no
-other), so its density is even: the momentum flip conjugates the flow to its
-inverse and makes T its own adjoint.
+The momentum law is N(0, 1) (``ModelPair``), so its density is even: the
+momentum flip conjugates the flow to its inverse and makes T its own adjoint.
 
 An even target (``Potential.is_even``) gives a second identity.  Then the
 flow commutes with (q, p) -> (-q, -p), and leapfrog and the exact Gaussian
@@ -62,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import ModelPair, density_value
+from .distributions import ModelPair, density_value, kinetic_energy
 from .dynamics import BLOCK_POINTS, FlowSpec, check_conjugate_bound, flow_batch
 
 __all__ = [
@@ -177,32 +176,33 @@ def weighted_norm(h, grid: DensityGrid) -> float:
 @dataclass(frozen=True)
 class MomentumRule:
     """Quadrature nodes p_k (m,) and weights for integrals against the
-    normalized auxiliary density; weights sum to one, so a constant integrand
-    is integrated exactly."""
+    N(0, 1) momentum density; weights sum to one, so a constant integrand is
+    integrated exactly."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
 
-# Momentum probe box half-width in auxiliary standard deviations; its two tails
-# hold erfc(PROBE_SDS / sqrt(2)) = 4.9e-13 of the mass.  It is 4229 steps of
-# 14/8192: the box that a search of the cumulative trapezoid of exp(-V) on 8193
-# points returned wherever its arithmetic was exact, so no benchmark T moves.
+# Momentum probe box half-width, in standard deviations of the N(0, 1) momentum
+# law; its two tails hold erfc(PROBE_SDS / sqrt(2)) = 4.9e-13 of the mass.  It is
+# 4229 steps of 14/8192: the box that a search of the cumulative trapezoid of
+# exp(-p^2 / 2) on 8193 points returned wherever its arithmetic was exact, so no
+# benchmark T moves.
 PROBE_SDS = 7.227294921875
 
 
-def build_momentum_rule(model: ModelPair, m: int) -> MomentumRule:
-    """Momentum quadrature matched to the auxiliary density N(0, 1/v).
+def build_momentum_rule(m: int) -> MomentumRule:
+    """Momentum quadrature matched to the N(0, 1) momentum density.
 
-    A trapezoid rule on [-b, b], b = ``PROBE_SDS`` standard deviations
-    1/sqrt(v): the probes along which ``assemble_transfer`` flows each node to
-    tabulate the kernel, splining P and p over the image curve, so m counts
-    knots of that spline and must be at least 4.
+    A trapezoid rule on [-``PROBE_SDS``, ``PROBE_SDS``], weighted by
+    exp(-``kinetic_energy``): the probes along which ``assemble_transfer``
+    flows each node to tabulate the kernel, splining P and p over the image
+    curve, so m counts knots of that spline and must be at least 4.
     """
     if m < 4:
         raise ValueError(f"need at least 4 kernel momentum nodes, got {m}")
-    pts, wt = _trapezoid_axis(PROBE_SDS / math.sqrt(model.auxiliary.params["precision"]), m)
-    wt = wt * np.exp(-model.auxiliary.value(pts))
+    pts, wt = _trapezoid_axis(PROBE_SDS, m)
+    wt = wt * np.exp(-kinetic_energy(pts))
     wt = wt / wt.sum()
     return MomentumRule(nodes=pts, weights=wt)
 
@@ -306,7 +306,7 @@ def _truncation(grid: DensityGrid, frac_outside: float, escaped: np.ndarray) -> 
     f(q) g(p), so this is the mass T loses from f, 1 - mass(T f) / mass(f), up
     to the flow's energy error; a leak above 1e-6, the fixed-point bound, is
     warned about.  The share alone tells little: the quartic's probes span the
-    auxiliary's tails, so 3% of its images leave the box with 4e-13 of the
+    momentum law's tails, so 3% of its images leave the box with 4e-13 of the
     mass."""
     f = grid.target_values
     leaked = float((grid.weights * f) @ escaped) / float(grid.weights @ f)
@@ -337,17 +337,17 @@ def assemble_transfer(
     raises ``ValueError`` before any flow.  p -> Q(q, p) must be strictly
     monotone for every node: Q must rise strictly along every probe and dp/dQ
     stay positive, else ``ValueError``.  Arrival points outside the probed
-    image curve carry kernel value zero (the auxiliary density is already
+    image curve carry kernel value zero (the momentum density is already
     negligible there).
 
     ``meta`` records the flow, the probe count, the probe images' domain
     truncation, the momentum-space Hilbert-Schmidt estimate
     ``hs_norm_sq_momentum`` and ``kernel_width_cells``, the min over rows of
-    |Q(q_i, sigma) - Q(q_i, -sigma)| / 2h, sigma the auxiliary standard
-    deviation and h the grid spacing.  The trapezoid error falls as
-    exp(-2 pi^2 s^2) in the kernel width s in cells: in the Gaussian rate and
-    mass 1e-12 at s = 2, 5e-9 at 1, 1e-2 at 0.5 (n = 401).  Below one cell
-    this raises ``ValueError`` before any spline is solved.
+    |Q(q_i, 1) - Q(q_i, -1)| / 2h, the probes at one standard deviation of
+    the N(0, 1) momentum law, and h the grid spacing.  The trapezoid error
+    falls as exp(-2 pi^2 s^2) in the kernel width s in cells: in the Gaussian
+    rate and mass 1e-12 at s = 2, 5e-9 at 1, 1e-2 at 0.5 (n = 401).  Below one
+    cell this raises ``ValueError`` before any spline is solved.
 
     Rows: for an even target (``model.target.is_even``) the flow commutes
     with (q, p) -> (-q, -p) bit for bit, and the grid nodes and the probes
@@ -360,7 +360,7 @@ def assemble_transfer(
     all n rows tabulated; ``meta["tabulated_rows"]`` records ceil(n / 2) or n.
     Against a full tabulation of the same functions the entries agree to
     rounding (quartic n = 401: 6.2e-16 of max |T|), and ``frac_outside`` and
-    ``kernel_width_cells`` are equal: the +-sigma width sweep still flows
+    ``kernel_width_cells`` are equal: the +-1 width sweep still flows
     every row.
 
     Memory: after the width sweep, each row's probe curve is flowed, splined,
@@ -389,18 +389,16 @@ def assemble_transfer(
     check_conjugate_bound(model, spec)
     n, m = grid.n, momentum_nodes
     x, w, f = grid.x, grid.weights, grid.target_values
-    rule = build_momentum_rule(model, m)
-    v = model.auxiliary.params["precision"]
-    sigma = 1.0 / math.sqrt(v)
-
-    log_norm = 0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(v)
+    rule = build_momentum_rule(m)
+    log_norm = 0.5 * math.log(2.0 * math.pi)
 
     def gbar(p):
-        return np.exp(-model.auxiliary.value(p) - log_norm)
+        return np.exp(-kinetic_energy(p) - log_norm)
 
-    # the +-sigma width probes of every row, flowed and gated before any block, so
-    # a kernel too narrow for the grid is refused before any spline is solved
-    ends = flow_batch(np.tile(x, 2), np.repeat([sigma, -sigma], n), model, spec)[0]
+    # the +-1 width probes of every row, one standard deviation, flowed and gated
+    # before any block, so a kernel too narrow for the grid is refused before any
+    # spline is solved
+    ends = flow_batch(np.tile(x, 2), np.repeat([1.0, -1.0], n), model, spec)[0]
     width = float(np.min(np.abs(np.subtract(*ends.reshape(2, n)))) / (2 * (x[1] - x[0])))
     if not width >= 1:
         raise ValueError(f"kernel_width_cells = {width:.3g} < 1: the grid cannot "

@@ -87,8 +87,8 @@ def anh_trace(anh_T, anh_grid):
 @pytest.fixture(scope="session")
 def flip_roundtrip():
     """error(model, spec, q, p): the largest distance of H(tau H(q, p)) from tau (q, p),
-    tau the momentum flip, over the states (q, p).  A time-reversible flow with an even
-    auxiliary makes it zero up to roundoff, and that makes T its own adjoint."""
+    tau the momentum flip, over the states (q, p).  A time-reversible flow with the even
+    N(0, 1) momentum law makes it zero up to roundoff, and that makes T its own adjoint."""
     def error(model, spec, q, p):
         Q, P = flow_batch(q, p, model, spec)
         back_q, back_p = flow_batch(Q, -P, model, spec)

@@ -81,7 +81,7 @@ def test_criterion_03_norm_contraction(gauss_T, gauss_grid):
 
 
 def test_criterion_04_self_adjointness(gauss_T, gauss_grid):
-    # the adjoint is T itself for the even auxiliary (the flip-conjugacy tests),
+    # the adjoint is T itself for the even momentum law (the flip-conjugacy tests),
     # so duality <T h, k> = <h, T k> is self-adjointness on random densities
     sym = weighted_symmetry_residual(gauss_T)
     rng = np.random.default_rng(2026)
@@ -150,8 +150,8 @@ def test_criterion_08_tangent_correctness(anh_model):
 
 
 def test_criterion_09_closed_form_solution():
-    # target precision 4, auxiliary precision 1: the blocks turn at omega = 2
-    model = ModelPair(gaussian_potential(0.0, 4.0), gaussian_potential(0.0, 1.0), 6.0)
+    # target precision 4, momentum precision 1: the blocks turn at omega = 2
+    model = ModelPair(gaussian_potential(0.0, 4.0), 6.0)
     t = 0.4
     spec = FlowSpec(time=t, steps=1, method="exact_gaussian")
     J = blocks_at(np.array([0.4]), np.array([1.1]), model, spec)

@@ -17,6 +17,7 @@ from hmctransfer.distributions import (
     ModelPair,
     anharmonic_pair,
     gaussian_potential,
+    kinetic_energy,
     standard_gaussian_pair,
 )
 
@@ -297,7 +298,7 @@ def test_flow_conservation_keeps_a_nan(tmp_path, capsys):
 
 
 def test_operator_run_tabulates_the_kernel_once(tmp_path, monkeypatch):
-    # the adjoint is T for the CLI's even auxiliary, so no second tabulation is made
+    # the adjoint is T for the even momentum law, so no second tabulation is made
     assemble, calls = cli.assemble_transfer, []
 
     def counting(*args, **kwargs):
@@ -340,8 +341,7 @@ def test_kernel_norm_report(tmp_path):
 def test_every_subcommand_refuses_a_two_dimensional_model(tmp_path, capsys):
     # the model is 1-d by construction: a vector mean or precision is refused by
     # name at config time, by every subcommand, before its output directory exists
-    for field, value in [("model.mean", "0.0, 0.0"), ("model.precision", "1.0, 1.0"),
-                         ("model.auxiliary_precision", "1.0, 1.0")]:
+    for field, value in [("model.mean", "0.0, 0.0"), ("model.precision", "1.0, 1.0")]:
         key = field.split(".")[1]
         text = re.sub(rf"^{key} = .*\n", "", GAUSS_CONV, flags=re.M)  # the scalar value, if set
         cfg = write(tmp_path, f"{key}2d.ini", text.replace("[model]\n", f"[model]\n{key} = {value}\n"))
@@ -514,13 +514,11 @@ def test_config_validation_messages(tmp_path):
                   ("model.b", ANH_SMALL, "b = 0.5", f"b = {value}")]
     for value in ("nan", "inf"):
         cases += [("model.mean", GAUSS_CONV, "mean = 0.0", f"mean = {value}"),
-                  ("model.precision", GAUSS_CONV, "precision = 1.0", f"precision = {value}"),
-                  ("model.auxiliary_precision", GAUSS_CONV, "halfwidth = 8.0",
-                   f"halfwidth = 8.0\nauxiliary_precision = {value}")]
+                  ("model.precision", GAUSS_CONV, "precision = 1.0", f"precision = {value}")]
     for field, base, line, replacement in cases:
         key = field.split(".")[1]
         cfg = write(tmp_path, f"{key}.ini", base.replace(line, replacement))
-        with pytest.raises(cli.ConfigError, match=f"^{field}: {key.split('_')[-1]} must be finite"):
+        with pytest.raises(cli.ConfigError, match=f"^{field}: {key} must be finite"):
             load_config(cfg)
         assert main(["flow", "--config", cfg, "--out", str(tmp_path / "o9")]) == 1
 
@@ -607,7 +605,8 @@ def test_tracer_hooks_resolve():
 def test_traced_sampler_counts_the_chain_evaluations(tmp_path):
     # bench/tracer.py wraps the potentials the CLI builds with point counters, and
     # the chain calls them directly: a traced run exits 0 with only the dead hooks
-    # missing, and each draw adds its leapfrog's 2 steps + 1 gradient calls.  The
+    # missing, and each draw adds its leapfrog's steps + 1 target gradient calls; the
+    # momentum gradient is p itself, and no potential counts it.  The
     # benchmark's own smoke test passes even when every traced operation fails
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -623,7 +622,7 @@ def test_traced_sampler_counts_the_chain_evaluations(tmp_path):
         trace = json.loads(spans.read_text())
         assert set(trace["missing"]) == TRACER_DEAD_HOOKS
         points[draws] = trace["counts"]["distributions.grad.points"]
-    assert points[40] - points[0] == 40 * (2 * 36 + 1)
+    assert points[40] - points[0] == 40 * (36 + 1)
 
 
 def test_cli_overrides_are_validated(tmp_path, capsys):
@@ -671,17 +670,16 @@ def test_hmc_chain_generic_metropolis_path():
 
 
 def _reference_chain(model, spec, draws, rng):
-    """The leapfrog chain as one flow_batch call per draw on (1,) arrays,
-    with energies from (1,) evaluations and the momentum scale from a Cholesky factor."""
-    scale = np.linalg.cholesky(np.linalg.inv([[model.auxiliary.params["precision"]]]))
+    """The leapfrog chain as one flow_batch call per draw on (1,) arrays, with
+    N(0, 1) momenta and energies from (1,) evaluations."""
     q = np.zeros(1) + model.target.params["mean"] if model.target.is_gaussian else np.zeros(1)
     out = np.empty(draws)
     accepted = 0
     for i in range(draws):
-        p = scale @ rng.standard_normal(1)
-        e0 = (model.target.value(q) + model.auxiliary.value(p)).item()
+        p = rng.standard_normal(1)
+        e0 = (model.target.value(q) + kinetic_energy(p)).item()
         Q, P = flow_batch(q, p, model, spec)
-        e1 = (model.target.value(Q) + model.auxiliary.value(P)).item()
+        e1 = (model.target.value(Q) + kinetic_energy(P)).item()
         if math.log(rng.uniform()) < e0 - e1:
             q = Q
             accepted += 1
@@ -692,9 +690,10 @@ def _reference_chain(model, spec, draws, rng):
 @pytest.mark.parametrize("model, spec, accept_lo", [
     # the benchmark's quartic well: leapfrog of 36 steps, every draw accepted
     (anharmonic_pair(1.0, 0.5, 3.5), FlowSpec(time=0.08, steps=36, method="leapfrog"), 0.99),
-    # coarse steps on an off-center, non-unit Gaussian pair, so draws get rejected
-    (ModelPair(gaussian_potential(0.6, 2.5), gaussian_potential(0.0, 1.7), 6.0),
-     FlowSpec(time=1.6, steps=2, method="leapfrog"), 0.5),
+    # coarse steps on an off-center, non-unit Gaussian, so draws get rejected; momentum
+    # precision 1.7 at t = 1.6 is the unit law at t = sqrt(1.7) 1.6
+    (ModelPair(gaussian_potential(0.6, 2.5), 6.0),
+     FlowSpec(time=math.sqrt(1.7) * 1.6, steps=2, method="leapfrog"), 0.5),
 ], ids=["quartic", "gauss-leapfrog"])
 def test_hmc_chain_matches_flow_batch_reference(model, spec, accept_lo):
     samples, acceptance = hmc_chain(model, spec, 400, np.random.default_rng(11))
@@ -837,12 +836,12 @@ def test_exact_gaussian_chain_matches_linear_filter():
     # scipy.signal.lfilter solves; the float loop gives the same bits
     from scipy.signal import lfilter
 
-    model = ModelPair(gaussian_potential(0.6, 2.5), gaussian_potential(0.0, 1.7), 6.0)
-    spec = FlowSpec(time=0.7, steps=1, method="exact_gaussian")
+    # momentum precision 1.7 at t = 0.7 is the unit law at t = sqrt(1.7) 0.7
+    model = ModelPair(gaussian_potential(0.6, 2.5), 6.0)
+    spec = FlowSpec(time=np.sqrt(1.7) * 0.7, steps=1, method="exact_gaussian")
     samples, acceptance = hmc_chain(model, spec, 100000, np.random.default_rng(3))
     mat = exact_gaussian_matrix(model, spec.time)
-    scale = np.linalg.cholesky(np.linalg.inv([[model.auxiliary.params["precision"]]]))[0, 0]
-    p = np.random.default_rng(3).standard_normal(100000) * scale
+    p = np.random.default_rng(3).standard_normal(100000)
     ref = lfilter([mat[0, 1]], [1.0, -mat[0, 0]], p) + 0.6
     assert acceptance == 1.0
     assert np.array_equal(samples, ref)
@@ -854,6 +853,9 @@ def test_exact_gaussian_chain_matches_linear_filter():
     ("model.a", GAUSS_CONV, "mean = 0.0", "mean = 0.0\na = 1.0"),
     ("model.mean", ANH_SMALL, "a = 1.0", "a = 1.0\nmean = 0.0"),
     ("DEFAULT.seed", ANH_SMALL, "[model]", "[DEFAULT]\nseed = 0\n\n[model]"),
+    # the momentum law is N(0, 1): its precision is no longer a key
+    ("model.auxiliary_precision", GAUSS_CONV, "mean = 0.0",
+     "mean = 0.0\nauxiliary_precision = 1.0"),
 ])
 def test_unknown_config_keys_are_refused_by_name(tmp_path, capsys, field, base, old, new):
     # configparser keeps any key: one the run does not read would be ignored silently

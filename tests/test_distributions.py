@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -11,6 +13,7 @@ from hmctransfer import (
     gaussian_potential,
     standard_gaussian_pair,
 )
+from hmctransfer.distributions import kinetic_energy
 
 
 def catalog():
@@ -164,44 +167,10 @@ def test_log_concavity_along_segments(name, pot, halfwidth):
         assert mid <= 0.5 * pot.value(x) + 0.5 * pot.value(y) + 1e-12
 
 
-def _wobbly_potential():
-    """V(p) = p^2/2 + 0.05 sin(10 pi p / 3): not even, yet V(p) = V(-p) at p = 0.3, 0.9,
-    1.5 and 2.1, where the sine vanishes."""
-    k = 10.0 * np.pi / 3.0
-    return Potential(
-        value=lambda p: 0.5 * p * p + 0.05 * np.sin(k * p),
-        grad=lambda p: p + 0.05 * k * np.cos(k * p),
-        hess=lambda p: 1.0 - 0.05 * k * k * np.sin(k * p),
-        lambda_lo=1.0,
-        lambda_hi=1.0,
-    )
-
-
-@pytest.mark.parametrize("auxiliary", [
-    gaussian_potential(1.0, 1.0),
-    anharmonic_potential(1.0, 0.2, 10.0),
-    _wobbly_potential(),
-], ids=["off-centre-gaussian", "quartic", "wobbly"])
-def test_model_pair_rejects_false_evenness_claim(auxiliary):
-    # the auxiliary is the HMC momentum law, so only a centred Gaussian is accepted
-    with pytest.raises(ValueError, match=r"auxiliary must be a centred Gaussian "
-                                         r"\(gaussian_potential\(0\.0, v\)\), got "
-                                         + auxiliary.kind):
-        ModelPair(
-            target=gaussian_potential(0.0, 1.0),
-            auxiliary=auxiliary,
-            domain_halfwidth=4.0,
-        )
-
-
 @pytest.mark.parametrize("halfwidth", [np.nan, np.inf, 0.0, -1.0])
 def test_model_pair_rejects_a_bad_halfwidth(halfwidth):
     with pytest.raises(ValueError, match="domain_halfwidth must be finite and positive"):
-        ModelPair(
-            target=gaussian_potential(0.0, 1.0),
-            auxiliary=gaussian_potential(0.0, 1.0),
-            domain_halfwidth=halfwidth,
-        )
+        ModelPair(target=gaussian_potential(0.0, 1.0), domain_halfwidth=halfwidth)
 
 
 def test_model_pair_refuses_a_domain_wider_than_the_curvature_box():
@@ -209,20 +178,35 @@ def test_model_pair_refuses_a_domain_wider_than_the_curvature_box():
     # bounds it by 14.5, which would pass flow times the honest model refuses
     with pytest.raises(ValueError, match="domain_halfwidth 5.0 exceeds the halfwidth 3.0 "
                                          "on which the target's curvature bound holds"):
-        ModelPair(anharmonic_potential(1, 0.5, 3.0), gaussian_potential(0.0, 1.0), 5.0)
-    assert ModelPair(anharmonic_potential(1, 0.5, 5.0), gaussian_potential(0.0, 1.0),
-                     5.0).lambda_max == 38.5
+        ModelPair(anharmonic_potential(1, 0.5, 3.0), 5.0)
+    assert ModelPair(anharmonic_potential(1, 0.5, 5.0), 5.0).lambda_max == 38.5
     # a domain inside the box keeps a valid, if loose, bound
-    ModelPair(anharmonic_potential(1, 0.5, 5.0), gaussian_potential(0.0, 1.0), 3.0)
+    ModelPair(anharmonic_potential(1, 0.5, 5.0), 3.0)
 
 
 def test_model_pair_bounds_cover_both_potentials():
-    model = anharmonic_pair(2.0, 0.5, 3.0)
-    assert model.lambda_min == 1.0  # auxiliary standard normal
-    assert model.lambda_max == pytest.approx(2.0 + 1.5 * 9.0)
+    # the curvature bounds of H's Hessian diag(U'', 1), the 1 of the N(0, 1) momentum law
+    for model, bounds in [(ModelPair(gaussian_potential(0.0, 0.25), 8.0), (0.25, 1.0)),
+                          (ModelPair(gaussian_potential(0.0, 1.0), 8.0), (1.0, 1.0)),
+                          (ModelPair(gaussian_potential(0.0, 4.0), 8.0), (1.0, 4.0)),
+                          (anharmonic_pair(2.0, 0.5, 3.0), (1.0, 15.5))]:
+        assert (model.lambda_min, model.lambda_max) == bounds
+        assert model.dim == model.target.dim == 1
     assert not model.is_gaussian
     assert standard_gaussian_pair().is_gaussian
-    assert model.dim == model.target.dim == model.auxiliary.dim == 1
+
+
+def test_kinetic_energy_is_the_standard_gaussian_potential_bit_for_bit():
+    # the momentum potential the flow, the chain and the kernel share is the
+    # N(0, 1) potential, signed zeros and underflow included
+    standard = gaussian_potential(0.0, 1.0).value
+    ps = np.array([0.0, -0.0, 1e-300, -1e-300, 0.7, -0.7, 1e3, -1e3])
+    assert np.array_equal(kinetic_energy(ps), standard(ps))
+    assert np.array_equal(np.signbit(kinetic_energy(ps)), np.signbit(standard(ps)))
+    for p in ps.tolist():
+        energy, expected = kinetic_energy(p), standard(p)
+        assert isinstance(energy, float)
+        assert energy == expected and math.copysign(1.0, energy) == math.copysign(1.0, expected)
 
 
 @pytest.mark.parametrize("pot", [

@@ -22,7 +22,7 @@ from hmctransfer import (
     weighted_norm,
 )
 from hmctransfer import dynamics, operator
-from hmctransfer.distributions import ModelPair
+from hmctransfer.distributions import ModelPair, kinetic_energy
 from hmctransfer.dynamics import flow_batch, tangent_batch
 from hmctransfer.operator import TransferMatrix, build_momentum_rule, weighted_symmetry_residual
 
@@ -285,15 +285,14 @@ def _kernel_per_row_reference(grid, model, spec, m):
     from scipy.interpolate import CubicSpline
 
     n, x, f = grid.n, grid.x, grid.target_values
-    rule = build_momentum_rule(model, m)
-    v = model.auxiliary.params["precision"]
+    rule = build_momentum_rule(m)
     Q, P = flow_batch(np.repeat(x, m), np.tile(rule.nodes, n), model, spec)
     Q, P = Q.reshape(n, m), P.reshape(n, m)
     K = np.zeros((n, n))
     for i in range(n):
         on = (x >= Q[i, 0]) & (x <= Q[i, -1])
         spline = CubicSpline(Q[i], np.column_stack([P[i], rule.nodes]))
-        g = np.exp(-model.auxiliary.value(spline(x[on])[:, 0]) - 0.5 * np.log(2 * np.pi / v))
+        g = np.exp(-kinetic_energy(spline(x[on])[:, 0]) - 0.5 * np.log(2 * np.pi))
         K[i, on] = f[on] * g * spline(x[on], 1)[:, 1]
     return K
 
@@ -303,15 +302,14 @@ def _variational_kernel_reference(grid, model, spec, m):
     from scipy.interpolate import CubicSpline
 
     n, x, f = grid.n, grid.x, grid.target_values
-    rule = build_momentum_rule(model, m)
-    v = model.auxiliary.params["precision"]
+    rule = build_momentum_rule(m)
     Q, P, J = tangent_batch(np.repeat(x, m), np.tile(rule.nodes, n), model, spec)
     Q, P, dQdp = Q.reshape(n, m), P.reshape(n, m), J[:, 0, 1].reshape(n, m)
     K = np.zeros((n, n))
     for i in range(n):
         on = (x >= Q[i, 0]) & (x <= Q[i, -1])
         vals = CubicSpline(Q[i], np.column_stack([P[i], dQdp[i]]))(x[on])
-        g = np.exp(-model.auxiliary.value(vals[:, 0]) - 0.5 * np.log(2 * np.pi / v))
+        g = np.exp(-kinetic_energy(vals[:, 0]) - 0.5 * np.log(2 * np.pi))
         K[i, on] = f[on] * g / vals[:, 1]
     return K
 
@@ -355,9 +353,10 @@ def test_kernel_tabulation_is_one_flow_sweep(monkeypatch):
     monkeypatch.setattr(dynamics, "tangent_batch", refuse)
     monkeypatch.setattr(operator, "flow_batch", counting)
     quartic = anharmonic_pair(1.0, 0.5, 3.5)
-    offset = ModelPair(gaussian_potential(0.6, 2.5), gaussian_potential(0.0, 1.7), 6.0)
+    offset = ModelPair(gaussian_potential(0.6, 2.5), 6.0)
+    # momentum precision 1.7 at t = 0.6 is the unit law at t = sqrt(1.7) 0.6
     for model, spec, rows in [(quartic, default_flow_spec(quartic, 0.08), 101),
-                              (offset, default_flow_spec(offset, 0.6), 201)]:
+                              (offset, default_flow_spec(offset, np.sqrt(1.7) * 0.6), 201)]:
         sweeps.clear()
         T = assemble_transfer(build_grid(model, 201), model, spec, 65)
         assert sweeps == [2 * 201, rows * 65]

@@ -92,11 +92,7 @@ def test_grid_nodes_are_exactly_antisymmetric(n):
 def test_grid_warns_when_too_coarse():
     # a sharp target needs more than 16 nodes on [-3, 3]; on [-8, 8] it would
     # underflow at the outer nodes, which build_grid refuses
-    model = ModelPair(
-        target=gaussian_potential(0.0, 100.0),
-        auxiliary=gaussian_potential(0.0, 1.0),
-        domain_halfwidth=3.0,
-    )
+    model = ModelPair(target=gaussian_potential(0.0, 100.0), domain_halfwidth=3.0)
     with pytest.warns(UserWarning, match="coarse"):
         build_grid(model, 16)
 
@@ -124,26 +120,27 @@ def test_cauchy_schwarz(gauss_grid):
         assert lhs <= rhs * (1 + 1e-12)
 
 
-def test_momentum_rules(gauss_model):
+def test_momentum_rules():
     # a trapezoid rule: equally spaced probes, positive weights of unit sum
-    rule = build_momentum_rule(gauss_model, 9)
+    rule = build_momentum_rule(9)
     assert rule.nodes.shape == (9,)
     steps = np.diff(rule.nodes)
     assert np.allclose(steps, steps[0])
     assert rule.weights.sum() == pytest.approx(1.0)
     assert np.all(rule.weights > 0)
     with pytest.raises(ValueError):
-        build_momentum_rule(gauss_model, 1)
+        build_momentum_rule(1)
 
 
-@pytest.mark.parametrize("precision", [0.3, 1.0, 1.7, 4.0])
-def test_trapezoid_rule_covers_auxiliary_mass(precision):
-    # the box is PROBE_SDS standard deviations 1 / sqrt(v) at every precision v
+def test_trapezoid_rule_covers_momentum_mass():
+    # the box is PROBE_SDS standard deviations of the N(0, 1) momentum law, symmetric
+    # about p = 0 bit for bit, and its tails hold less than 1e-12 of the mass
     from scipy.stats import norm
 
-    model = ModelPair(gaussian_potential(0.0, 1.0), gaussian_potential(0.0, precision), 8.0)
-    rule = build_momentum_rule(model, 257)
-    assert rule.nodes[-1] == operator.PROBE_SDS / math.sqrt(precision)
+    rule = build_momentum_rule(257)
+    assert rule.nodes[-1] == operator.PROBE_SDS
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
     assert 2.0 * norm.sf(operator.PROBE_SDS) < 1e-12
 
 
@@ -205,7 +202,7 @@ def test_adjoint_equals_transfer_for_even_auxiliary(gauss_grid, gauss_model, gau
     for grid, model, spec in [(gauss_grid, gauss_model, gauss_spec),
                               (anh_grid, anh_model, anh_spec)]:
         for m in (257, 1025):
-            rule = build_momentum_rule(model, m)
+            rule = build_momentum_rule(m)
             assert np.array_equal(rule.nodes[::-1], -rule.nodes)
             assert np.array_equal(rule.weights[::-1], rule.weights)
             q, p = np.repeat(grid.x, m), np.tile(rule.nodes, grid.n)
@@ -230,7 +227,7 @@ def test_half_tabulation_matches_the_full_one(anh_grid, anh_model, anh_spec, m):
     pot = anh_model.target
     custom = Potential(pot.value, pot.grad, pot.hess, pot.lambda_lo, pot.lambda_hi,
                        params=dict(pot.params))
-    model = ModelPair(custom, anh_model.auxiliary, anh_model.domain_halfwidth)
+    model = ModelPair(custom, anh_model.domain_halfwidth)
     assert not model.target.is_even
     full = assemble_transfer(anh_grid, model, anh_spec, m)
     assert (half.meta["tabulated_rows"], full.meta["tabulated_rows"]) == (201, 401)
@@ -459,7 +456,7 @@ def test_domain_truncation_warning(anh_grid, anh_model, anh_spec):
     with pytest.warns(UserWarning, match="truncation"):
         T = assemble_transfer(grid, model, spec, 65)
     assert T.meta["leaked_mass"] > 1e-4
-    # the quartic's probes reach into the auxiliary's tails: a few percent of
+    # the quartic's probes reach into the momentum law's tails: a few percent of
     # their images leave the box, carrying no mass that matters, and no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)
@@ -606,8 +603,9 @@ def test_row_blocks_keep_every_entry(monkeypatch, quartic, anh_model, anh_spec):
     if quartic:
         model, spec, n = anh_model, anh_spec, 401
     else:
-        model = ModelPair(gaussian_potential(0.6, 2.5), gaussian_potential(0.0, 1.7), 6.0)
-        spec, n = FlowSpec(time=0.6, method="exact_gaussian"), 201
+        # momentum precision 1.7 at t = 0.6 is the unit law at t = sqrt(1.7) 0.6
+        model = ModelPair(gaussian_potential(0.6, 2.5), 6.0)
+        spec, n = FlowSpec(time=np.sqrt(1.7) * 0.6, method="exact_gaussian"), 201
     grid = build_grid(model, n)
 
     a = assemble_transfer(grid, model, spec, 1025)

@@ -61,12 +61,13 @@ def test_tangent_blocks_match_finite_differences():
 
 @pytest.mark.parametrize("t", [0.7, -0.7, np.pi / 2, 1.6])
 def test_exact_gaussian_matrix_matches_matrix_exponential(t):
-    # negative time is the inverse flow
-    for model in (standard_gaussian_pair(),
-                  ModelPair(gaussian_potential(0.6, 2.5), gaussian_potential(0.0, 1.7), 6.0)):
-        u, v = model.target.params["precision"], model.auxiliary.params["precision"]
-        ref = expm(t * np.array([[0.0, v], [-u, 0.0]]))
-        mat = exact_gaussian_matrix(model, t)
+    # negative time is the inverse flow; the offset Gaussian runs at sqrt(1.7) t,
+    # the flow of momentum precision 1.7 at time t
+    for model, time in ((standard_gaussian_pair(), t),
+                        (ModelPair(gaussian_potential(0.6, 2.5), 6.0), np.sqrt(1.7) * t)):
+        u = model.target.params["precision"]
+        ref = expm(time * np.array([[0.0, 1.0], [-u, 0.0]]))
+        mat = exact_gaussian_matrix(model, time)
         assert np.max(np.abs(mat - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.linalg.det(mat) == pytest.approx(1.0, abs=1e-10)
 
@@ -80,9 +81,9 @@ def test_jacobian_determinants_rotation():
 
 
 def test_jacobian_determinants_scalar_closed_form():
-    # target precision 4, auxiliary precision 1: omega = 2
+    # target precision 4, momentum precision 1: omega = 2
     t = 0.4
-    model = ModelPair(gaussian_potential(0.0, 4.0), gaussian_potential(0.0, 1.0), 6.0)
+    model = ModelPair(gaussian_potential(0.0, 4.0), 6.0)
     spec = FlowSpec(time=t, steps=1, method="exact_gaussian")
     dq, dp = jacobian_factors(blocks_at(0.3, -0.5, model, spec))
     assert dq == pytest.approx(2.0 / np.sin(2 * t))
@@ -149,8 +150,8 @@ def test_full_jacobian_determinant_is_one():
     for _ in range(20):
         J = blocks_at(rng.uniform(-2, 2, 1), rng.normal(size=1), quartic, qspec)
         assert abs(np.linalg.det(J) - 1.0) < 1e-12
-    gauss = ModelPair(gaussian_potential(0.6, 2.5), gaussian_potential(0.0, 1.7), 6.0)
-    gspec = FlowSpec(time=0.6, steps=1, method="exact_gaussian")
+    gauss = ModelPair(gaussian_potential(0.6, 2.5), 6.0)
+    gspec = FlowSpec(time=np.sqrt(1.7) * 0.6, steps=1, method="exact_gaussian")
     for _ in range(10):
         J = blocks_at(rng.normal(), rng.normal(), gauss, gspec)
         assert abs(np.linalg.det(J) - 1.0) < 1e-10
@@ -168,19 +169,18 @@ def chain_rule_leapfrog(qs, ps, model, spec):
     for _ in range(spec.steps):
         p = p - half * model.target.grad(q)
         dp = dp - half * (model.target.hess(q)[:, None] * dq)
-        hp = model.auxiliary.hess(p)
-        q = q + tau * model.auxiliary.grad(p)
-        dq = dq + tau * (hp[:, None] * dp)
+        q = q + tau * p
+        dq = dq + tau * dp
         p = p - half * model.target.grad(q)
         dp = dp - half * (model.target.hess(q)[:, None] * dq)
     return q, p, np.stack([dq, dp], axis=1)
 
 
 def leapfrog_pairs():
-    gauss = ModelPair(gaussian_potential(0.6, 2.5), gaussian_potential(0.0, 1.7), 6.0)
+    gauss = ModelPair(gaussian_potential(0.6, 2.5), 6.0)
     return [
         (anharmonic_pair(1.0, 0.5, 3.5), FlowSpec(time=0.08, steps=36, method="leapfrog")),
-        (gauss, FlowSpec(time=0.5, steps=7, method="leapfrog")),
+        (gauss, FlowSpec(time=np.sqrt(1.7) * 0.5, steps=7, method="leapfrog")),
     ]
 
 
