@@ -132,9 +132,12 @@ def test_momentum_rules():
         build_momentum_rule(1)
 
 
-def test_trapezoid_rule_covers_momentum_mass():
+@pytest.mark.parametrize("precision", [0.3, 1.0, 1.7, 4.0])
+def test_trapezoid_rule_covers_auxiliary_mass(precision):
     # the box is PROBE_SDS standard deviations of the N(0, 1) momentum law, symmetric
-    # about p = 0 bit for bit, and its tails hold less than 1e-12 of the mass
+    # about p = 0 bit for bit, and its tails hold less than 1e-12 of the mass; read
+    # in p = z / sqrt(v), the same rule covers the N(0, 1 / v) law of a momentum
+    # precision v, whose flow is the unit law's at time sqrt(v) t
     from scipy.stats import norm
 
     rule = build_momentum_rule(257)
@@ -142,6 +145,10 @@ def test_trapezoid_rule_covers_momentum_mass():
     assert np.array_equal(rule.nodes, -rule.nodes[::-1])
     assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
     assert 2.0 * norm.sf(operator.PROBE_SDS) < 1e-12
+    p = rule.nodes / math.sqrt(precision)
+    assert p[-1] == pytest.approx(operator.PROBE_SDS / math.sqrt(precision), rel=1e-15)
+    assert 2.0 * norm.sf(p[-1], scale=1.0 / math.sqrt(precision)) < 1e-12
+    assert np.dot(rule.weights, p * p) == pytest.approx(1.0 / precision, rel=1e-10)
 
 
 def test_fixed_point(gauss_T, gauss_grid):
