@@ -9,8 +9,9 @@ drifts, and ``hmc_chain`` runs a Metropolis-corrected chain on Python floats.
 Leapfrog is symplectic and time-reversible, so the invariance properties the
 operator theory needs hold exactly for the discrete map, not just
 approximately.  Gaussian pairs also have a closed-form map, the linear
-Hamiltonian system solved exactly in cos/sinc form (``exact_gaussian_matrix``,
-the package's one exact-Gaussian propagator).  No Metropolis correction is
+Hamiltonian system solved exactly as the rotation [[c, s], [-u s, c]] with
+c = cos(omega t) and s = sin(omega t) / omega (``exact_gaussian_matrix``, the
+package's one exact-Gaussian propagator).  No Metropolis correction is
 applied to the flow itself; integration error is measured by the tests
 instead of hidden.
 

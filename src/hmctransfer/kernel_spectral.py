@@ -7,7 +7,8 @@ makes the operator compact and certifies the spectral gap; ``hs_norm`` takes
 it as a position-space double quadrature of the matrix and checks it against
 the momentum-space formula int g(p) g(P) D_q dq dp that the tabulation
 records.  ``eigen_spectrum`` diagonalizes the operator in its weighted
-symmetric frame, and ``certify_rate`` fits the iteration's geometric rate
+symmetric frame, block by block on its even and odd halves when the target
+is even, and ``certify_rate`` fits the iteration's geometric rate
 against the second eigenvalue.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .operator import (
     TransferMatrix,
-    to_weighted_symmetric,
+    parity_blocks,
     weighted_inner,
     weighted_norm,
     weighted_symmetry_residual,
@@ -88,7 +89,19 @@ def eigen_spectrum(T: TransferMatrix, k: int) -> SpectralReport:
     weighted inner product, so its spectrum is real and the second eigenvalue
     is the convergence rate.  That is a precondition here: a functional
     residual of 1e-6 or more, or NaN, raises instead of returning a spectrum.
-    eigh's unit vectors u come back as u / s (s^2 = w / f) of unit weighted norm, sum u^2.
+
+    The symmetric form is diagonalized on the ``parity_blocks`` of T: for an
+    even target, whose T is its own mirror image, ``eigh`` runs on the even
+    and the odd block, each of half the size, and their eigenvalues are
+    merged by |mu|; any other T is one block.  On the quartic at n = 401 the
+    leading eigenvalue 1 is even and mu_1 = 0.99460879 odd.  The merged top
+    64 agree with ``eigvalsh`` of the whole symmetric form within 2.4e-15 on
+    the quartic and 1.2e-15 on the centred Gaussian at n = 401 and 400.  The
+    leading and second eigenvectors are rebuilt on the whole grid from their
+    block, and eigh's unit vectors u come back as u / s (s^2 = w / f) of unit
+    weighted norm, sum u^2.  ``second_mass`` is measured on the rebuilt
+    second vector: for an even target it is odd, and its mass is rounding
+    (7.7e-17 on the quartic), unless the top eigenvalue is not simple.
     """
     if k < 2:
         raise ValueError(f"top-k spectrum needs k >= 2 for the gap, got k = {k}")
@@ -97,22 +110,33 @@ def eigen_spectrum(T: TransferMatrix, k: int) -> SpectralReport:
         raise ValueError(f"operator not self-adjoint (residual {residual:.3e})")
 
     grid = T.grid
-    A = to_weighted_symmetric(T)
-    # 0.5 (A + A^T) in one buffer, A dropped first: the same sum and product, so the same bits
-    sym = A + A.T
-    del A
-    sym *= 0.5
-    vals, vecs = np.linalg.eigh(sym)
-    order = np.argsort(-np.abs(vals))
+    frame = parity_blocks(T)
+    vals, vecs = [], []
+    for block in frame.blocks:
+        block_vals, block_vecs = np.linalg.eigh(0.5 * (block + block.T))
+        vals.append(block_vals)
+        vecs.append(block_vecs)
+    starts = np.cumsum([0] + [len(v) for v in vals])
+    vals = np.concatenate(vals)
+    order = np.argsort(-np.abs(vals), kind="stable")
     k = min(k, len(vals))
     eigenvalues = vals[order[:k]]
-
     scale = grid.scale
-    lead = vecs[:, order[0]] / scale
+
+    def vector(i):
+        """Eigenvector i of the merged list, rebuilt on the whole grid as u / s."""
+        parts = [np.zeros(len(v)) for v in vecs]
+        b = int(np.searchsorted(starts, i, side="right")) - 1
+        parts[b] = vecs[b][:, i - starts[b]]
+        return frame.join(parts) / scale
+
+    lead = vector(order[0])
     if weighted_inner(lead, grid.target_values, grid) < 0:
         lead = -lead
 
-    second = vecs[:, order[1]] / scale
+    # measured, not taken as 0 from the parity of the vector: for an even target
+    # the second eigenvector is odd, and its mass is then rounding
+    second = vector(order[1])
     second_mass = (abs(weighted_inner(second, grid.target_values, grid))
                    / weighted_norm(grid.target_values, grid))
     simple = second_mass < 1e-6

@@ -45,12 +45,17 @@ mirror images; for odd n the middle row is made palindromic.  Any other
 target has all n rows tabulated.
 
 ``iterate`` runs the fixed-point iteration h -> T h.  A run that goes past n
-steps (n the grid size) with budget left to pay for forming T^B switches to
-block mode, B = ``BLOCK_STEPS``: the B latest iterates advance together by
-one product with T^B, which reads the matrix once per B steps instead of once
-per step.  The stop rules are replayed per step, so a blocked run ends at the
-step the one-matvec loop ends at, with norms and errors equal to that loop's
-up to rounding.
+steps (n the grid size) with budget left to pay for forming powers of T
+switches to block mode, B = ``BLOCK_STEPS``: the B latest iterates advance
+together by one product with the B-th power, which reads the matrix once per
+B steps instead of once per step.  Block mode runs in the weighted symmetric
+frame, on the ``parity_blocks`` of T: for an even target T commutes with the
+reflection of the grid, so the frame splits into an even and an odd block of
+half the size each, and a product with both costs half of one with T.  The
+stop rules are replayed per step, so a blocked run ends at the step the
+one-matvec loop ends at, with norms and errors equal to that loop's up to
+rounding.  ``kernel_spectral.eigen_spectrum`` diagonalizes the same two
+blocks.
 """
 
 from __future__ import annotations
@@ -79,6 +84,8 @@ __all__ = [
     "assemble_transfer",
     "weighted_symmetry_residual",
     "to_weighted_symmetric",
+    "ParityBlocks",
+    "parity_blocks",
     "iterate",
     "random_density",
 ]
@@ -507,11 +514,83 @@ def to_weighted_symmetric(T: TransferMatrix) -> np.ndarray:
     inner product into matrix symmetry.  Returns the conjugated matrix.
     """
     scale = T.grid.scale
-    # T multiplied into the ratio array: products commute, so it rounds as
-    # ratio * T without a third array
-    A = scale[:, None] / scale[None, :]
-    A *= T.entries
-    return A
+    return (scale[:, None] / scale[None, :]) * T.entries
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+@dataclass(frozen=True)
+class ParityBlocks:
+    """The weighted symmetric frame A = S T S^-1, S = diag(sqrt(w / f)), of a
+    transfer matrix as diagonal blocks, and the change to their coordinates.
+
+    A T that equals its mirror image, T[n - 1 - i, n - 1 - j] = T[i, j], on a
+    grid with sqrt(w / f) symmetric gives an A that commutes with the
+    reflection J, so A is block diagonal in the orthonormal basis of the even
+    vectors (e_i + e_{n-1-i}) / sqrt 2, i < n // 2, and for odd n e_mid, and
+    the odd vectors (e_i - e_{n-1-i}) / sqrt 2 (Fassler and Stiefel, Group
+    Theoretical Methods and Their Applications, 1992).  ``blocks`` is
+    then (E, O), of sizes ceil(n / 2) and n // 2: E[i, j] = A[i, j] +
+    A[i, n - 1 - j] with the middle row and column of odd n divided by
+    sqrt 2, and O[i, j] = A[i, j] - A[i, n - 1 - j].  Any other T is the one
+    block A, and ``split`` and ``join`` pass vectors through.
+    """
+
+    blocks: tuple
+
+    def split(self, v) -> list:
+        """The coordinates of symmetric-frame vectors v (..., n), one array
+        (..., size) per block."""
+        if len(self.blocks) == 1:
+            return [v]
+        half = len(self.blocks[1])
+        head, tail = v[..., :half], v[..., :-half - 1:-1]
+        even = np.empty(v.shape[:-1] + (len(self.blocks[0]),))
+        even[..., :half] = (head + tail) * _SQRT_HALF
+        even[..., half:] = v[..., half:-half]
+        return [even, (head - tail) * _SQRT_HALF]
+
+    def join(self, parts) -> np.ndarray:
+        """The symmetric-frame vectors (..., n) of the coordinates ``parts``."""
+        if len(self.blocks) == 1:
+            return parts[0]
+        even, odd = parts
+        half = odd.shape[-1]
+        v = np.empty(odd.shape[:-1] + (even.shape[-1] + half,))
+        v[..., :half] = (even[..., :half] + odd) * _SQRT_HALF
+        v[..., :-half - 1:-1] = (even[..., :half] - odd) * _SQRT_HALF
+        v[..., half:-half] = even[..., half:]
+        return v
+
+
+def parity_blocks(T: TransferMatrix) -> ParityBlocks:
+    """T's weighted symmetric frame as ``ParityBlocks``: two blocks when
+    ``T.entries`` equals ``T.entries[::-1, ::-1]`` bit for bit and
+    ``T.grid.scale`` is symmetric, as for an even target on its antisymmetric
+    grid, else one.
+
+    The two blocks are read from the first ceil(n / 2) rows of T, since the
+    symmetric scale gives A[i, j] + A[i, n - 1 - j] = (T[i, j] + T[i, n - 1 - j])
+    s_i / s_j; A itself is never formed.  Each block is a quarter of A, so a
+    product with both costs half of one with A, and a factorization a quarter.
+    """
+    entries, scale = T.entries, T.grid.scale
+    if not (np.array_equal(entries, entries[::-1, ::-1]) and np.array_equal(scale, scale[::-1])):
+        return ParityBlocks((to_weighted_symmetric(T),))
+    half = len(scale) // 2
+    size = len(scale) - half
+    mirror = entries[:size, ::-1]  # mirror[i, j] = T[i, n - 1 - j]
+    even = entries[:size, :size] + mirror[:, :size]
+    odd = entries[:half, :half] - mirror[:half, :half]
+    # the middle row and column of odd n: e_mid against the pairs, counted twice above
+    even[half:] *= _SQRT_HALF
+    even[:, half:] *= _SQRT_HALF
+    # s_i / s_j times each block as plain expressions: scaled in place instead,
+    # the sampler-check CLI's peak RSS on the quartic read 41.4 MiB, not 40.3
+    # (medians of 12 runs each, 2-core Linux machine)
+    return ParityBlocks(tuple((scale[:len(b), None] / scale[None, :len(b)]) * b
+                              for b in (even, odd)))
 
 
 def _probe_densities(grid: DensityGrid):
@@ -543,9 +622,11 @@ def weighted_symmetry_residual(T: TransferMatrix) -> float:
     return float(np.max(gaps))
 
 
-# Steps per block-mode product X <- T^B X.  A power of two: T^B takes
-# log2(B) squarings.
-BLOCK_STEPS = 32
+# Steps per block-mode product X <- A^B X.  A power of two: A^B takes
+# log2(B) squarings.  With the two parity blocks, the 12000-step quartic
+# iterate at n = 401 took 66, 58 and 51 ms at B = 32, 64 and 128 (medians of 6
+# fresh processes, 2-core Linux machine, NumPy 2.4.6 on OpenBLAS 0.3.31).
+BLOCK_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -576,17 +657,22 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
 
     Each step is one matvec until the run has taken n steps, n the grid size.
     If it has not stopped by then and the budget left, n_max - n, is at least
-    log2(B) n steps, whose matvecs cost as many flops as the log2(B) squarings
-    that form T^B (B = ``BLOCK_STEPS``), the run switches to block mode after
-    B - 1 more matvecs: the B latest iterates X = [h_k, ..., h_{k+B-1}]
-    advance together as X <- T^B X, one product that reads the matrix once
-    for B steps.  The norms and errors of a block are computed at once, and
+    log2(B) n steps, whose matvecs with T cost as many flops as log2(B)
+    squarings of T (B = ``BLOCK_STEPS``; the blocks' squarings cost less), the
+    run switches to block mode in the weighted symmetric frame y = sqrt(w / f) h, on the ``parity_blocks`` of T:
+    two blocks of half the size when T is its own mirror image (an even
+    target), else one.  The B latest iterates X = [y_k, ..., y_{k+B-1}], in
+    the blocks' coordinates, advance together as X <- A^B X block by block,
+    one product that reads each block once for B steps; the first X is y_n
+    and the B - 1 matvecs with the blocks after it.  Norms and errors are
+    plain 2-norms summed over the blocks, computed for a whole X at once, and
     the stop rules are then replayed step by step, so the trace ends at the
-    step the one-matvec loop ends at.  Up to step n + B - 1 the trace is
-    bitwise that loop's; after it, T^B X rounds differently from B matvecs,
-    and norms and errors agree with the loop's to rounding (about 1e-13
-    relative over 12000 steps at n = 401).  ``final`` is the iterate at the
-    last step, an array of its own.
+    step the one-matvec loop ends at.  Up to step n the trace is bitwise that
+    loop's; after it, the blocks round differently from T's matvecs, and
+    norms and errors agree with the loop's to rounding (quartic at n = 401,
+    12000 steps: norms within 9.6e-15 relative, errors within 2.8e-16 of
+    norms[0], ``final`` within 1.1e-14 of its largest entry).  ``final`` is
+    the iterate at the last step, an array of its own.
     """
     grid = T.grid
     h = np.asarray(h0, dtype=float).copy()
@@ -624,34 +710,47 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
     start = grid.n
     squarings = BLOCK_STEPS.bit_length() - 1
     blocked = n_max - start >= squarings * start
-    if blocked:
-        block = np.empty((BLOCK_STEPS, grid.n))
-    warm = start + BLOCK_STEPS - 1 if blocked else n_max
     n = 0
-    while running() and n < warm:
+    while running() and n < (start if blocked else n_max):
         h = T.entries @ h
         n += 1
         sh = scale * h
         record(norm(sh), norm(sh - limit))
-        if blocked and n >= start:
-            block[n - start] = h
     if blocked and running():
-        power = np.linalg.matrix_power(T.entries, BLOCK_STEPS)
-        # products alternate between two buffers; a fresh array per block
-        # raised the CLI's peak RSS by ~0.7 MiB at n = 401
-        spare = np.empty_like(block)
-        while running():
-            np.matmul(block, power.T, out=spare)
-            block, spare = spare, block
-            s = block * scale
-            d = s - limit
-            block_norms = np.sqrt(np.einsum("ij,ij->i", s, s)).tolist()
-            block_errors = np.sqrt(np.einsum("ij,ij->i", d, d)).tolist()
-            for j in range(BLOCK_STEPS):
-                record(block_norms[j], block_errors[j])
+        frame = parity_blocks(T)
+        targets = frame.split(limit)
+        # X = [y_k, ..., y_{k+B-1}] in the blocks' coordinates, one (B, size) array
+        # per block; the first holds y_n and the B - 1 matvecs after it
+        X = [np.empty((BLOCK_STEPS, len(part))) for part in targets]
+        for x, part in zip(X, frame.split(sh)):
+            x[0] = part
+        for j in range(1, BLOCK_STEPS):
+            for x, block in zip(X, frame.blocks):
+                np.matmul(block, x[j - 1], out=x[j])
+
+        def replay(first: int) -> int:
+            """Record rows first ... B - 1 of X until the run stops; the last row recorded."""
+            sq = sum(np.einsum("ij,ij->i", x, x) for x in X)
+            dev = sum(np.einsum("ij,ij->i", d, d) for d in (x - t for x, t in zip(X, targets)))
+            for j, (norm_j, error_j) in enumerate(zip(np.sqrt(sq).tolist()[first:],
+                                                     np.sqrt(dev).tolist()[first:]), first):
+                record(norm_j, error_j)
                 if not running():
-                    break
-        h = block[j].copy()
+                    return j
+            return BLOCK_STEPS - 1
+
+        last = replay(1)
+        if running():
+            powers = [np.linalg.matrix_power(block, BLOCK_STEPS) for block in frame.blocks]
+            # products alternate between two buffers; a fresh array per block
+            # raised the CLI's peak RSS by ~0.7 MiB at n = 401
+            spare = [np.empty_like(x) for x in X]
+            while running():
+                for x, y, power in zip(X, spare, powers):
+                    np.matmul(x, power.T, out=y)
+                X, spare = spare, X
+                last = replay(0)
+        h = frame.join([x[last] for x in X]) / scale
     return IterationTrace(
         steps=np.arange(len(errors)),
         norms=np.array(norms),

@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 
 from hmctransfer import (
+    FlowSpec,
     anharmonic_pair,
     assemble_transfer,
     build_grid,
     default_flow_spec,
     eigen_spectrum,
+    gaussian_potential,
     iterate,
     standard_gaussian_pair,
 )
+from hmctransfer.distributions import ModelPair
 from hmctransfer.dynamics import flow_batch
 
 
@@ -50,6 +53,21 @@ def gauss_kernel(gauss_grid, gauss_model, gauss_spec):
 @pytest.fixture(scope="session")
 def gauss_report(gauss_T):
     return eigen_spectrum(gauss_T, k=64)
+
+
+@pytest.fixture(scope="session")
+def gauss_T_400(gauss_model, gauss_spec):
+    # the centred Gaussian on an even number of nodes, so no middle node
+    return assemble_transfer(build_grid(gauss_model, 400), gauss_model, gauss_spec, 257)
+
+
+@pytest.fixture(scope="session")
+def offset_T():
+    # the Gaussian of mean 0.6, not even, so T is not its own mirror image;
+    # momentum precision 1.7 at t = 0.6 is the unit law at t = sqrt(1.7) 0.6
+    model = ModelPair(gaussian_potential(0.6, 2.5), 6.0)
+    spec = FlowSpec(time=np.sqrt(1.7) * 0.6, method="exact_gaussian")
+    return assemble_transfer(build_grid(model, 201), model, spec, 257)
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,12 @@ from hmctransfer import (
 from hmctransfer import dynamics, operator
 from hmctransfer.distributions import ModelPair, kinetic_energy
 from hmctransfer.dynamics import flow_batch, tangent_batch
-from hmctransfer.operator import TransferMatrix, build_momentum_rule, weighted_symmetry_residual
+from hmctransfer.operator import (
+    TransferMatrix,
+    build_momentum_rule,
+    to_weighted_symmetric,
+    weighted_symmetry_residual,
+)
 
 
 def kernel(T):
@@ -184,6 +189,17 @@ def test_spectrum_nonnegative_on_coarser_grid(gauss_model, gauss_spec):
     mu = eigen_spectrum(T, k=64).eigenvalues
     assert abs(mu[0] - 1.0) < 1e-4
     assert mu.min() >= -1e-6
+
+
+@pytest.mark.parametrize("name", ["anh_T", "gauss_T", "gauss_T_400", "offset_T"])
+def test_spectrum_matches_the_full_symmetric_frame(request, name):
+    # the parity blocks of an even target's T, merged by |mu|, against eigvalsh of
+    # the whole symmetric frame; the mean-0.6 Gaussian runs as one block
+    T = request.getfixturevalue(name)
+    A = to_weighted_symmetric(T)
+    ref = np.linalg.eigvalsh(0.5 * (A + A.T))
+    ref = ref[np.argsort(-np.abs(ref))][:64]
+    assert np.max(np.abs(eigen_spectrum(T, 64).eigenvalues - ref)) <= 1e-13
 
 
 def test_leading_vector_has_unit_weighted_norm(gauss_report, gauss_grid, anh_report, anh_grid):

@@ -10,6 +10,7 @@ from hmctransfer import (
     FlowSpec,
     assemble_transfer,
     build_grid,
+    eigen_spectrum,
     gaussian_potential,
     iterate,
     mass,
@@ -374,28 +375,51 @@ def test_iterate_short_runs_are_the_matvec_loop(gauss_T, gauss_grid, h0, n_max, 
         assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
 
 
-def _synthetic_transfer(eigenvalues, coefficients):
+def _synthetic_transfer(eigenvalues, coefficients, mirror=False):
     """T = S^-1 A S on a 20-node grid, A symmetric with eigenvalue 1 on sqrt(w f).
 
     S = diag(sqrt(w / f)) maps to the symmetric frame, so T f = f and T keeps
     mass; the listed eigenvalues get the listed coefficients in h0, the other
-    modes decay at |mu| <= 0.3 from coefficients <= 0.1.
+    modes decay at |mu| <= 0.3 from coefficients <= 0.1.  With ``mirror`` the
+    eigenvectors after sqrt(w f) are alternately odd and even, the first
+    listed one odd, and A is averaged with its mirror image, so T equals
+    T[::-1, ::-1] bit for bit: the two-block path of ``iterate``.
     """
     grid = build_grid(standard_gaussian_pair(halfwidth=5.0), 20)
     n = grid.n
     rng = np.random.default_rng(0)
     u0 = np.sqrt(grid.weights * grid.target_values)
-    U, _ = np.linalg.qr(np.column_stack([u0, rng.normal(size=(n, n - 1))]))
+    R = rng.normal(size=(n, n - 1))
+    if mirror:
+        R = 0.5 * (R + np.where(np.arange(n - 1) % 2, 1.0, -1.0) * R[::-1])
+    U, _ = np.linalg.qr(np.column_stack([u0, R]))
     rest = n - 1 - len(eigenvalues)
     mu = np.concatenate([[1.0], eigenvalues, 0.3 * rng.uniform(-1, 1, rest)])
     c = np.concatenate([[1.0], coefficients, 0.1 * rng.uniform(-1, 1, rest)])
     s = np.sqrt(grid.weights / grid.target_values)
     A = (U * mu) @ U.T
+    if mirror:
+        A = 0.5 * (A + A[::-1, ::-1])
     return TransferMatrix(entries=A * s[None, :] / s[:, None], grid=grid), (U @ c) / s
 
 
+def _blocked_iterate(monkeypatch, T, h0, n_max, tol):
+    """``iterate``, and the number of parity blocks its block mode ran on."""
+    frames, parity_blocks = [], operator.parity_blocks
+
+    def record(T):
+        frames.append(parity_blocks(T))
+        return frames[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operator, "parity_blocks", record)
+        trace = iterate(T, h0, n_max, tol)
+    assert len(frames) == 1, "block mode not reached"
+    return trace, len(frames[0].blocks)
+
+
 def _assert_stops_inside_a_block(trace, ref, n, slack=1.0):
-    # block mode reached, and the stop falls strictly inside a block
+    # the stop falls strictly inside a block after the first
     _assert_same_run(trace, ref, slack)
     stop = int(trace.steps[-1])
     assert stop > n + BLOCK_STEPS
@@ -403,39 +427,107 @@ def _assert_stops_inside_a_block(trace, ref, n, slack=1.0):
     assert trace.final.base is None
 
 
-def test_iterate_block_mode_stops_at_tol_inside_a_block():
-    T, h0 = _synthetic_transfer([0.9], [1.0])
-    n = T.grid.n
-    errors = _reference_iterate(T, h0, 400, 0.0).errors
-    k = n + 2 * BLOCK_STEPS - 13
-    tol = math.sqrt(errors[k - 1] * errors[k])  # crossed between steps k - 1 and k
-    trace = iterate(T, h0, 400, tol)
-    ref = _reference_iterate(T, h0, 400, tol)
-    assert ref.steps[-1] == k and ref.converged
-    _assert_stops_inside_a_block(trace, ref, n)
+def test_iterate_block_mode_stops_at_tol_inside_a_block(monkeypatch):
+    for mirror in (False, True):
+        T, h0 = _synthetic_transfer([0.9], [1.0], mirror)
+        n = T.grid.n
+        errors = _reference_iterate(T, h0, 400, 0.0).errors
+        k = n + 2 * BLOCK_STEPS - 13
+        tol = math.sqrt(errors[k - 1] * errors[k])  # crossed between steps k - 1 and k
+        trace, blocks = _blocked_iterate(monkeypatch, T, h0, 400, tol)
+        ref = _reference_iterate(T, h0, 400, tol)
+        assert ref.steps[-1] == k and ref.converged
+        assert blocks == 1 + mirror
+        _assert_stops_inside_a_block(trace, ref, n)
 
 
-def test_iterate_block_mode_stops_at_an_anomaly_inside_a_block():
-    # a mode growing at 1.1 from 1e-8 overtakes the one decaying at 0.95 near
-    # step 120 and trips the anomaly rule at step 141.  Seeded far above
+def test_iterate_block_mode_stops_at_the_edges_of_the_first_blocks():
+    # the first block is y_n and the B - 1 matvecs with the parity blocks after
+    # it, the second the first product with their B-th powers: stops at the
+    # first and last rows of each end the run where the matvec loop ends it
+    for mirror in (False, True):
+        T, h0 = _synthetic_transfer([0.9], [1.0], mirror)
+        n = T.grid.n
+        errors = _reference_iterate(T, h0, 400, 0.0).errors
+        for k in (n + 1, n + BLOCK_STEPS - 1, n + BLOCK_STEPS, n + BLOCK_STEPS + 1):
+            tol = math.sqrt(errors[k - 1] * errors[k])
+            trace, ref = iterate(T, h0, 400, tol), _reference_iterate(T, h0, 400, tol)
+            assert ref.steps[-1] == k
+            _assert_same_run(trace, ref)
+
+
+def test_iterate_block_mode_stops_at_an_anomaly_inside_a_block(monkeypatch):
+    # a mode growing at 1.05 from 1e-11 overtakes the one decaying at 0.9 near
+    # step 165 and trips the anomaly rule at step 194.  Seeded far above
     # rounding, so both loops trip at the same step; seeded at 0 it grows from
     # rounding alone, which the two loops do differently.  The growth also
-    # amplifies their rounding differences, to 1.3e-12 of norms[0] in the errors.
-    T, h0 = _synthetic_transfer([0.95, 1.1], [1.0, 1e-8])
-    trace = iterate(T, h0, 1000, 1e-300)
-    ref = _reference_iterate(T, h0, 1000, 1e-300)
-    assert ref.anomaly and ref.steps[-1] == 141
-    _assert_stops_inside_a_block(trace, ref, T.grid.n, slack=1e3)
+    # amplifies their rounding differences, to 5.2e-13 of norms[0] in the errors.
+    for mirror in (False, True):
+        T, h0 = _synthetic_transfer([0.9, 1.05], [1.0, 1e-11], mirror)
+        trace, blocks = _blocked_iterate(monkeypatch, T, h0, 1000, 1e-300)
+        ref = _reference_iterate(T, h0, 1000, 1e-300)
+        assert ref.anomaly and ref.steps[-1] == 194
+        assert blocks == 1 + mirror
+        _assert_stops_inside_a_block(trace, ref, T.grid.n, slack=1e3)
 
 
-def test_iterate_block_mode_stops_at_n_max_inside_a_block():
-    T, h0 = _synthetic_transfer([0.9], [1.0])
-    n_max = 150
-    assert n_max % BLOCK_STEPS
-    trace = iterate(T, h0, n_max, 1e-300)
-    ref = _reference_iterate(T, h0, n_max, 1e-300)
-    assert ref.steps[-1] == n_max and not ref.converged and not ref.anomaly
-    _assert_stops_inside_a_block(trace, ref, T.grid.n)
+def test_iterate_block_mode_stops_at_n_max_inside_a_block(monkeypatch):
+    for mirror in (False, True):
+        T, h0 = _synthetic_transfer([0.9], [1.0], mirror)
+        n_max = 200
+        assert n_max % BLOCK_STEPS
+        trace, blocks = _blocked_iterate(monkeypatch, T, h0, n_max, 1e-300)
+        ref = _reference_iterate(T, h0, n_max, 1e-300)
+        assert ref.steps[-1] == n_max and not ref.converged and not ref.anomaly
+        assert blocks == 1 + mirror
+        _assert_stops_inside_a_block(trace, ref, T.grid.n)
+
+
+@pytest.mark.parametrize("name", ["anh_T", "gauss_T", "gauss_T_400"])
+def test_parity_blocks_act_as_the_symmetric_frame(request, name):
+    # an even target's T is its own mirror image: two blocks of sizes
+    # ceil(n / 2) and n // 2 whose action, in and out of their coordinates, is A's
+    T = request.getfixturevalue(name)
+    n = T.grid.n
+    frame = operator.parity_blocks(T)
+    assert [len(block) for block in frame.blocks] == [n - n // 2, n // 2]
+    V = np.random.default_rng(3).normal(size=(6, n))
+    for v in (V, V[0]):
+        assert np.max(np.abs(frame.join(frame.split(v)) - v)) <= 1e-15 * np.max(np.abs(v))
+    AV = frame.join([part @ block.T for part, block in zip(frame.split(V), frame.blocks)])
+    ref = V @ to_weighted_symmetric(T).T
+    assert np.all(np.linalg.norm(AV - ref, axis=1) <= 1e-14 * np.linalg.norm(ref, axis=1))
+
+
+def test_parity_blocks_take_one_block_unless_t_is_its_mirror(offset_T, anh_T, anh_grid):
+    # the Gaussian of mean 0.6, a synthetic T, and the quartic's T on a grid whose
+    # sqrt(w / f) is not symmetric: each is the one block A, and split and join
+    # pass vectors through
+    tilted = operator.DensityGrid(x=anh_grid.x, weights=anh_grid.weights,
+                                  target_values=anh_grid.target_values * (1 + 1e-3 * anh_grid.x))
+    for T in (offset_T, _synthetic_transfer([0.9], [1.0])[0],
+              TransferMatrix(entries=anh_T.entries, grid=tilted)):
+        frame = operator.parity_blocks(T)
+        assert len(frame.blocks) == 1
+        assert np.array_equal(frame.blocks[0], to_weighted_symmetric(T))
+        v = np.ones(T.grid.n)
+        assert frame.split(v)[0] is v and frame.join([v]) is v
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["one-block", "two-block"])
+def test_second_mass_is_measured_on_both_paths(mirror):
+    # the second listed eigenvalue, 1.0, has an even eigenvector, so the top
+    # eigenvalue is double on the even side; the second eigenvector eigh returns
+    # then carries mass, which only a measured second_mass reports
+    T, _ = _synthetic_transfer([0.5, 1.0], [0.0, 0.0], mirror)
+    assert len(operator.parity_blocks(T).blocks) == 1 + mirror
+    with pytest.warns(UserWarning, match="may not be simple"):
+        report = eigen_spectrum(T, 4)
+    assert not report.multiplicity_check and report.second_mass > 1e-3
+    # a simple top eigenvalue: the odd 0.9 mode second, its mass rounding
+    report = eigen_spectrum(_synthetic_transfer([0.9], [1.0], mirror)[0], 4)
+    assert report.multiplicity_check and report.second_mass < 1e-14
+    assert abs(report.eigenvalues[1] - 0.9) <= 1e-14
 
 
 def test_random_density_positive_and_reproducible(gauss_grid):
