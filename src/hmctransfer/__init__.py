@@ -35,7 +35,6 @@ from .operator import (
     build_grid,
     iterate,
     mass,
-    random_density,
     weighted_inner,
     weighted_norm,
     weighted_symmetry_residual,

@@ -39,6 +39,7 @@ refuses outside that range.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,16 +198,19 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     return Q[:, 0], P[:, 0], np.stack([Q[:, 1:], P[:, 1:]], axis=1)
 
 
-def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: np.random.Generator):
+def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: random.Random):
     """Plain HMC chain: momentum refresh, flow, Metropolis correction.
 
-    Returns (positions of shape (draws,), acceptance_rate).  The exact
-    Gaussian flow conserves energy exactly, so every proposal is accepted and
-    the chain reduces to the linear recursion q <- a q + b p on Python floats.
-    Momenta are drawn from N(0, 1).  Leapfrog draws run on Python floats
-    through the target's elementwise evaluators, ``kinetic_energy`` and
-    ``_leapfrog``, the integrator ``flow_batch`` uses, so each draw is
-    bit-identical to one ``flow_batch`` call on a (1,) array.
+    Returns (positions of shape (draws,), acceptance_rate).  ``rng`` is the
+    standard library's ``random.Random``: each draw takes its N(0, 1) momentum
+    from ``rng.gauss(0.0, 1.0)`` and, on the Metropolis path, its uniform from
+    1 - ``rng.random()``, which lies in (0, 1], so its log is finite.  The
+    exact Gaussian flow conserves energy exactly, so every proposal is
+    accepted and the chain reduces to the linear recursion q <- a q + b p on
+    Python floats.  Leapfrog draws run on Python floats through the target's
+    elementwise evaluators, ``kinetic_energy`` and ``_leapfrog``, the
+    integrator ``flow_batch`` uses, so each draw is bit-identical to one
+    ``flow_batch`` call on a (1,) array.
     """
     if draws == 0:
         return np.zeros(0), float("nan")
@@ -214,8 +218,8 @@ def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: np.random.Gener
         a, b = exact_gaussian_matrix(model, spec.time)[0].tolist()
         mu = model.target.params["mean"]
         q, centered = 0.0, np.empty(draws)
-        for i, p in enumerate(rng.standard_normal(draws).tolist()):
-            centered[i] = q = a * q + b * p
+        for i in range(draws):
+            centered[i] = q = a * q + b * rng.gauss(0.0, 1.0)
         return centered + mu, 1.0
     value_u, grad_u = model.target.value, model.target.grad
     tau = spec.time / spec.steps
@@ -223,11 +227,11 @@ def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: np.random.Gener
     out = np.empty(draws)
     accepted = 0
     for i in range(draws):
-        p = rng.standard_normal()
+        p = rng.gauss(0.0, 1.0)
         e0 = value_u(q) + kinetic_energy(p)
         Q, P = _leapfrog(q, p, grad_u, tau, spec.steps)
         e1 = value_u(Q) + kinetic_energy(P)
-        if math.log(rng.uniform()) < e0 - e1:
+        if math.log(1.0 - rng.random()) < e0 - e1:
             q = Q
             accepted += 1
         out[i] = q

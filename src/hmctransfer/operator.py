@@ -82,12 +82,12 @@ __all__ = [
     "spline_coefficients",
     "spline_pieces",
     "assemble_transfer",
+    "probe_densities",
     "weighted_symmetry_residual",
     "to_weighted_symmetric",
     "ParityBlocks",
     "parity_blocks",
     "iterate",
-    "random_density",
 ]
 
 
@@ -106,8 +106,8 @@ class DensityGrid:
 
     @property
     def halfwidth(self) -> float:
-        """Largest |x| where f > 1e-12 max f: the probe and random densities
-        scale with the region that holds the target, not with the whole box."""
+        """Largest |x| where f > 1e-12 max f: ``probe_densities`` scale with
+        the region that holds the target, not with the whole box."""
         f = self.target_values
         return float(np.max(np.abs(self.x[f > 1e-12 * float(np.max(f))])))
 
@@ -593,33 +593,37 @@ def parity_blocks(T: TransferMatrix) -> ParityBlocks:
                               for b in (even, odd)))
 
 
-def _probe_densities(grid: DensityGrid):
-    """8 smooth bumps of peak 1 spanning the resolved domain (the residual is scale-free)."""
+def probe_densities(grid: DensityGrid) -> np.ndarray:
+    """The (24, n) test densities of every functional check of T: Gaussian bumps
+    of peak 1 at the 8 centres linspace(-0.3 L, 0.3 L, 8), each at the widths
+    L / 16, L / 10 and 9 L / 80, L = ``grid.halfwidth`` (11.6 to 22.5 grid
+    cells at n = 401 on the Gaussian and quartic fixtures).  The centres cover
+    [-L / 4, L / 4] and the widths [L / 16, 9 L / 80], the range of the smooth
+    random mixtures the tests draw; every check is scale-free, so the peak
+    height does not matter."""
     L = grid.halfwidth
     centers = np.linspace(-0.3 * L, 0.3 * L, 8)
-    sigma = 0.1 * L
-    return [np.exp(-0.5 * (grid.x - c) ** 2 / sigma**2) for c in centers]
+    sigmas = np.array([0.0625, 0.1, 0.1125]) * L
+    return np.exp(-0.5 * (grid.x - np.repeat(centers, 3)[:, None]) ** 2
+                  / np.tile(sigmas, 8)[:, None] ** 2)
 
 
 def weighted_symmetry_residual(T: TransferMatrix) -> float:
     """Self-adjointness residual of the operator in the weighted inner product.
 
-    Measured functionally, max over smooth probe pairs of
+    Measured functionally on the ``probe_densities`` P, max over pairs of
     |<T a, b> - <a, T b>| / (||a|| ||b||), the deviation the Hilbert-space
-    argument actually uses.  NaN when any pair's deviation is NaN.
+    argument actually uses: one product TP = P T^t and one weighted Gram
+    matrix G = TP diag(w / f) P^t give every pair at once as |G - G^t|.
+    NaN when any pair's deviation is NaN.
     """
     grid = T.grid
-    probes = _probe_densities(grid)
-    norms = [weighted_norm(p, grid) for p in probes]
-    images = [T.apply(p) for p in probes]
-    gaps = []
-    for i in range(len(probes)):
-        for j in range(i + 1, len(probes)):
-            lhs = weighted_inner(images[i], probes[j], grid)
-            rhs = weighted_inner(probes[i], images[j], grid)
-            gaps.append(abs(lhs - rhs) / (norms[i] * norms[j]))
+    probes = probe_densities(grid)
+    weighted = probes * (grid.weights / grid.target_values)
+    gram = (probes @ T.entries.T) @ weighted.T
+    norms = np.sqrt(np.einsum("ij,ij->i", probes, weighted))
     # np.max, unlike max, does not skip a NaN
-    return float(np.max(gaps))
+    return float(np.max(np.abs(gram - gram.T) / np.outer(norms, norms)))
 
 
 # Steps per block-mode product X <- A^B X.  A power of two: A^B takes
@@ -761,24 +765,3 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
         anomaly=anomaly,
         final=h,
     )
-
-
-def random_density(grid: DensityGrid, rng: np.random.Generator):
-    """Smooth random density: a mixture of 3 to 6 Gaussians well inside the box.
-
-    The number of components is drawn from ``rng`` first.  With L the
-    target's half-width ``grid.halfwidth``, centers are uniform in
-    [-L/4, L/4] and widths uniform in [L/16, 9L/80] (11.6 to 22.5 grid cells
-    at n = 401 on the Gaussian and quartic fixtures), so every center lies at
-    least 6.6 widths inside [-L, L].  The density is positive, so
-    its image under the nonnegative Nystrom matrix is too.
-    """
-    L = grid.halfwidth
-    components = int(rng.integers(3, 7))
-    centers = rng.uniform(-0.25 * L, 0.25 * L, size=components)
-    sigmas = rng.uniform(0.0625 * L, 0.1125 * L, size=components)
-    weights = rng.uniform(0.2, 1.0, size=components)
-    vals = np.zeros(grid.n)
-    for c, s, w in zip(centers, sigmas, weights):
-        vals += w * np.exp(-0.5 * (grid.x - c) ** 2 / s**2)
-    return vals

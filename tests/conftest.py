@@ -3,13 +3,15 @@
 The Gaussian pair at t = 0.7 on [-8, 8] with n = 401 nodes and m = 257
 momentum nodes is the closed-form oracle configuration; the quartic well
 (a = 1, b = 0.5) on [-3.5, 3.5] at t = 0.08 keeps t * lambda_max inside the
-invertibility regime with negligible domain truncation.
+invertibility regime with negligible domain truncation.  ``random_density``
+draws the smooth random densities that the tests feed the operator.
 """
 
 import numpy as np
 import pytest
 
 from hmctransfer import (
+    DensityGrid,
     FlowSpec,
     anharmonic_pair,
     assemble_transfer,
@@ -112,3 +114,24 @@ def flip_roundtrip():
         back_q, back_p = flow_batch(Q, -P, model, spec)
         return float(max(np.max(np.abs(back_q - q)), np.max(np.abs(back_p + p))))
     return error
+
+
+def random_density(grid: DensityGrid, rng: np.random.Generator):
+    """Smooth random density: a mixture of 3 to 6 Gaussians well inside the box.
+
+    The number of components is drawn from ``rng`` first.  With L the
+    target's half-width ``grid.halfwidth``, centers are uniform in
+    [-L/4, L/4] and widths uniform in [L/16, 9L/80] (11.6 to 22.5 grid cells
+    at n = 401 on the Gaussian and quartic fixtures), so every center lies at
+    least 6.6 widths inside [-L, L].  The density is positive, so
+    its image under the nonnegative Nystrom matrix is too.
+    """
+    L = grid.halfwidth
+    components = int(rng.integers(3, 7))
+    centers = rng.uniform(-0.25 * L, 0.25 * L, size=components)
+    sigmas = rng.uniform(0.0625 * L, 0.1125 * L, size=components)
+    weights = rng.uniform(0.2, 1.0, size=components)
+    vals = np.zeros(grid.n)
+    for c, s, w in zip(centers, sigmas, weights):
+        vals += w * np.exp(-0.5 * (grid.x - c) ** 2 / s**2)
+    return vals

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 
+from conftest import random_density
 from hmctransfer import (
     anharmonic_pair,
     certify_rate,
@@ -18,7 +19,6 @@ from hmctransfer import (
     hs_norm,
     iterate,
     mass,
-    random_density,
     weighted_inner,
     weighted_norm,
     weighted_symmetry_residual,

@@ -129,3 +129,34 @@ def test_no_unread_parameters():
     unread = {str(path.relative_to(ROOT)): names for path in _sources("src/hmctransfer/*.py")
               if (names := _unread_parameters(path))}
     assert not unread, unread
+
+
+def _numpy_random_reads(path: Path) -> list[int]:
+    """Line numbers at which ``path`` imports ``numpy.random`` or reads it as an
+    attribute of a name bound to ``numpy``."""
+    tree = ast.parse(path.read_text())
+    aliases = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "numpy"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("numpy.random") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module.startswith("numpy.random") or (
+                module == "numpy" and any(alias.name == "random" for alias in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name) and node.value.id in aliases)
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_package_never_reads_numpy_random():
+    # importing numpy.random costs every process about 8 ms and 5 MiB; the chain and
+    # the flow draw from the standard library's random.Random, and the operator checks
+    # run on a deterministic probe family
+    reads = {str(path.relative_to(ROOT)): lines for path in _sources("src/**/*.py")
+             if (lines := _numpy_random_reads(path))}
+    assert not reads, reads

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import random_density
 from hmctransfer import (
     FlowSpec,
     IterationTrace,
@@ -17,7 +18,6 @@ from hmctransfer import (
     gaussian_potential,
     hs_norm,
     iterate,
-    random_density,
     standard_gaussian_pair,
     weighted_norm,
 )

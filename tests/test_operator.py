@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from conftest import random_density
 from hmctransfer import (
     FlowSpec,
     assemble_transfer,
@@ -14,7 +15,6 @@ from hmctransfer import (
     gaussian_potential,
     iterate,
     mass,
-    random_density,
     standard_gaussian_pair,
     weighted_inner,
     weighted_norm,
@@ -28,6 +28,7 @@ from hmctransfer.operator import (
     IterationTrace,
     TransferMatrix,
     build_momentum_rule,
+    probe_densities,
     spline_coefficients,
     to_weighted_symmetric,
 )
@@ -248,6 +249,50 @@ def test_half_tabulation_matches_the_full_one(anh_grid, anh_model, anh_spec, m):
 
 def test_self_adjointness_residual(gauss_T):
     assert weighted_symmetry_residual(gauss_T) < 1e-7
+
+
+def test_probe_family_holds_the_eight_residual_bumps(anh_grid):
+    # the family keeps the eight width-L/10 bumps the residual used alone, bit for
+    # bit, so its gate can only get stricter; each centre also gets L/16 and 9L/80
+    probes = probe_densities(anh_grid)
+    L = anh_grid.halfwidth
+    assert probes.shape == (24, anh_grid.n)
+    for c, row in zip(np.linspace(-0.3 * L, 0.3 * L, 8), probes[1::3]):
+        assert np.array_equal(row, np.exp(-0.5 * (anh_grid.x - c) ** 2 / (0.1 * L) ** 2))
+    peaks = anh_grid.x[np.argmax(probes, axis=1)]
+    assert np.max(np.abs(peaks)) <= 0.3 * L + anh_grid.x[1] - anh_grid.x[0]
+
+
+def _duality_gap(T, h, k):
+    """|<T h, k> - <h, T k>| / (||h|| ||k||) in the weighted inner product."""
+    grid = T.grid
+    gap = weighted_inner(T.apply(h), k, grid) - weighted_inner(h, T.apply(k), grid)
+    return abs(gap) / (weighted_norm(h, grid) * weighted_norm(k, grid))
+
+
+def test_symmetry_residual_is_the_pairwise_maximum(anh_T, anh_grid):
+    # the one Gram matrix gives the maximum of the pairwise duality gaps, each a
+    # difference of two normalised inner products of at most 1 summed over n nodes
+    probes = probe_densities(anh_grid)
+    gaps = [_duality_gap(anh_T, a, b) for i, a in enumerate(probes) for b in probes[i + 1:]]
+    assert abs(weighted_symmetry_residual(anh_T) - max(gaps)) <= anh_grid.n * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", ["gauss", "anh"])
+def test_probe_family_bounds_random_densities(request, name):
+    # the deterministic family finds at least the largest mass error and
+    # self-adjointness residual that 100 and 20 pairs of random densities find
+    grid, T = (request.getfixturevalue(f"{name}_{part}") for part in ("grid", "T"))
+
+    def mass_error(h):
+        return abs(mass(T.apply(h), grid) - mass(h, grid)) / mass(h, grid)
+
+    rng = np.random.default_rng(0)
+    random_mass = max(mass_error(random_density(grid, rng)) for _ in range(100))
+    random_duality = max(_duality_gap(T, random_density(grid, rng), random_density(grid, rng))
+                         for _ in range(20))
+    assert max(mass_error(h) for h in probe_densities(grid)) >= random_mass
+    assert weighted_symmetry_residual(T) >= random_duality
 
 
 def test_short_time_operator_is_refused_by_kernel_width(gauss_grid, gauss_model):
