@@ -6,10 +6,11 @@ the explicit kernel K(q, Q) = f(Q) g(P_q(Q)) |dp/dQ|, so (T h)(q) =
 makes the operator compact and certifies the spectral gap; ``hs_norm`` takes
 it as a position-space double quadrature of the matrix and checks it against
 the momentum-space formula int g(p) g(P) D_q dq dp that the tabulation
-records.  ``eigen_spectrum`` diagonalizes the operator in its weighted
+records.  ``eigen_spectrum`` takes the eigenvalues of the operator's weighted
 symmetric frame, block by block on its even and odd halves when the target
-is even, and ``certify_rate`` fits the iteration's geometric rate
-against the second eigenvalue.
+is even, and only the two eigenvectors it reports, the leading and the
+second, by inverse iteration on their block; ``certify_rate`` fits the
+iteration's geometric rate against the second eigenvalue.
 """
 
 from __future__ import annotations
@@ -90,18 +91,36 @@ def eigen_spectrum(T: TransferMatrix, k: int) -> SpectralReport:
     is the convergence rate.  That is a precondition here: a functional
     residual of 1e-6 or more, or NaN, raises instead of returning a spectrum.
 
-    The symmetric form is diagonalized on the ``parity_blocks`` of T: for an
-    even target, whose T is its own mirror image, ``eigh`` runs on the even
-    and the odd block, each of half the size, and their eigenvalues are
-    merged by |mu|; any other T is one block.  On the quartic at n = 401 the
-    leading eigenvalue 1 is even and mu_1 = 0.99460879 odd.  The merged top
-    64 agree with ``eigvalsh`` of the whole symmetric form within 2.4e-15 on
-    the quartic and 1.2e-15 on the centred Gaussian at n = 401 and 400.  The
-    leading and second eigenvectors are rebuilt on the whole grid from their
-    block, and eigh's unit vectors u come back as u / s (s^2 = w / f) of unit
-    weighted norm, sum u^2.  ``second_mass`` is measured on the rebuilt
-    second vector: for an even target it is odd, and its mass is rounding
-    (7.7e-17 on the quartic), unless the top eigenvalue is not simple.
+    The eigenvalues are taken on the ``parity_blocks`` of T: for an even
+    target, whose T is its own mirror image, ``eigvalsh`` runs on the even and
+    the odd block, each of half the size, and their eigenvalues are merged by
+    |mu|; any other T is one block.  On the quartic at n = 401 the leading
+    eigenvalue 1 is even and mu_1 = 0.99460879 odd.  The merged top 64 agree
+    with ``eigvalsh`` of the whole symmetric form within 2.4e-15 on the
+    quartic and 1.2e-15 on the centred Gaussian at n = 401 and 400.
+
+    No eigenvector matrix is formed.  The leading and the second vector come
+    from shifted inverse iteration on the block S_b that owns their
+    eigenvalue mu: two solves of (S_b - sigma I) u' = u, sigma = mu +
+    1e-12 max(1, |mu|), from u a vector of ones, normalized after each.  The
+    start is not f's direction, so a double top eigenvalue still shows (see
+    below).  When the second vector lies on the leading one's block, each of
+    its solves is orthogonalized against the leading one, so a shared
+    eigenvalue gives two orthogonal vectors of its eigenspace.  The unit
+    block coordinates u are rebuilt on the whole grid as u / s (s^2 = w / f),
+    of unit weighted norm, sum u^2.  Against ``eigh`` of the whole symmetric
+    form both vectors agree within 2.3e-14 of their largest entry on the
+    quartic and 2.9e-15 on the Gaussians at n = 400 and 401 and the
+    mean-0.6 Gaussian.  On blocks of 201, 401 and 801 (2-core Linux machine,
+    NumPy 2.4.6 on OpenBLAS 0.3.31) ``eigh`` took 3.8, 15.7 and 77.6 ms,
+    ``eigvalsh`` 1.5, 7.5 and 36.7 ms and one solve 0.5, 2.5 and 15.4 ms,
+    and ``eigen_spectrum(T, 2)`` on the quartic at n = 401 fell from 11.7-13.1
+    to 10.3-10.6 ms (medians of 21 calls, three alternated runs).  The blocks
+    are this call's own arrays: they are symmetrized and shifted in place.
+
+    ``second_mass`` is measured on the rebuilt second vector: for an even
+    target it is odd, and its mass is rounding (7.7e-17 on the quartic),
+    unless the top eigenvalue is not simple.
     """
     if k < 2:
         raise ValueError(f"top-k spectrum needs k >= 2 for the gap, got k = {k}")
@@ -111,32 +130,49 @@ def eigen_spectrum(T: TransferMatrix, k: int) -> SpectralReport:
 
     grid = T.grid
     frame = parity_blocks(T)
-    vals, vecs = [], []
-    for block in frame.blocks:
-        block_vals, block_vecs = np.linalg.eigh(0.5 * (block + block.T))
-        vals.append(block_vals)
-        vecs.append(block_vecs)
+    # symmetrized in place: numpy buffers the overlap with the transpose
+    blocks = frame.blocks
+    for S in blocks:
+        S += S.T
+        S *= 0.5
+    diagonals = [S.diagonal().copy() for S in blocks]
+    vals = [np.linalg.eigvalsh(S) for S in blocks]
     starts = np.cumsum([0] + [len(v) for v in vals])
     vals = np.concatenate(vals)
     order = np.argsort(-np.abs(vals), kind="stable")
     k = min(k, len(vals))
     eigenvalues = vals[order[:k]]
-    scale = grid.scale
 
-    def vector(i):
-        """Eigenvector i of the merged list, rebuilt on the whole grid as u / s."""
-        parts = [np.zeros(len(v)) for v in vecs]
+    def vector(i, deflate=None):
+        """Eigenvector i of the merged list as (b, u): its block and unit
+        coordinates there, from two solves (S_b - sigma I) u' = u, sigma just off
+        mu_i, from u all ones; each solve is orthogonalized against the unit
+        coordinates of ``deflate`` = (b, v) when they lie on the same block."""
         b = int(np.searchsorted(starts, i, side="right")) - 1
-        parts[b] = vecs[b][:, i - starts[b]]
-        return frame.join(parts) / scale
+        mu, S = vals[i], blocks[b]
+        S.flat[::len(S) + 1] = diagonals[b] - (mu + 1e-12 * max(1.0, abs(mu)))
+        u = np.ones(len(S))
+        for _ in range(2):
+            u = np.linalg.solve(S, u)
+            if deflate is not None and deflate[0] == b:
+                u -= (deflate[1] @ u) * deflate[1]
+            u /= np.linalg.norm(u)
+        return b, u
 
-    lead = vector(order[0])
+    def whole(b, u):
+        """The coordinates u on block b as a vector on the whole grid, u / s."""
+        parts = [np.zeros(len(S)) for S in blocks]
+        parts[b] = u
+        return frame.join(parts) / grid.scale
+
+    first = vector(order[0])
+    lead = whole(*first)
     if weighted_inner(lead, grid.target_values, grid) < 0:
         lead = -lead
 
     # measured, not taken as 0 from the parity of the vector: for an even target
     # the second eigenvector is odd, and its mass is then rounding
-    second = vector(order[1])
+    second = whole(*vector(order[1], deflate=first))
     second_mass = (abs(weighted_inner(second, grid.target_values, grid))
                    / weighted_norm(grid.target_values, grid))
     simple = second_mass < 1e-6

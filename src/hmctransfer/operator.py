@@ -14,13 +14,14 @@ arrival point, the momentum density at the conjugate momentum, and the
 Jacobian factor D_q = |dp/dQ| of the change of variables.  The kernel is
 tabulated from one flow of a dense momentum probe per node, splining (P, p)
 over Q along each monotone image curve: P is the spline's value and D_q the
-slope of p.  The +-1 width probes of all rows are flowed first, in a
-sweep of their own, and a kernel narrower than a grid cell is refused before
-any curve is splined.  Each row's curve is independent of the others', so the
-rows are then tabulated in blocks of about ``ROW_BLOCK_POINTS`` phase points,
-one flow and one batched spline solve per block, into a T allocated before
-the first; the tabulation's working memory scales with the block instead of
-with all n m probe points.  The matrix is the
+slope of p.  The +-1 width probes and the two end probes of all rows are
+flowed first, in a sweep of their own, and a kernel narrower than a grid cell
+is refused before any curve is splined.  Each row's curve is independent of
+the others', so the rows are then tabulated in blocks of at most
+``ROW_BLOCK_POINTS`` phase points and as many (row, node) pairs, one flow and
+one batched spline solve per block, into a T allocated before the first; the
+tabulation's working memory scales with the block instead of with all n m
+probe points.  The matrix is the
 kernel's Nystrom discretization on the grid's trapezoid rule,
 T_ij = K(q_i, x_j) w_j / f_j (Atkinson, The Numerical Solution of Integral
 Equations of the Second Kind, 1997, ch. 4): nonnegative entries, and the
@@ -372,21 +373,28 @@ def assemble_transfer(
 
     Memory: after the width sweep, each row's probe curve is flowed, splined,
     checked and evaluated on its own, so the tabulated rows pass through in
-    blocks of at most ``ROW_BLOCK_POINTS // m`` rows (at least one), of
-    balanced sizes, and each block's arrays are freed before the next: the
-    working set scales with the block, not with n m, and every entry of T
-    keeps its bits.  Within
-    a block the spline reads P as a view of the flow's output and p as a
-    broadcast of the probes, so no curve is copied; the solve, then the
+    blocks of at most ``ROW_BLOCK_POINTS // max(m, span)`` rows (at least
+    one), of balanced sizes, and each block's arrays are freed before the
+    next: the working set scales with the block, not with n m, and every entry
+    of T keeps its bits.  The span is the most nodes any row's curve covers,
+    counted between the images of the end probes +-``PROBE_SDS``, which the
+    width sweep flows too, so a block holds at most ``ROW_BLOCK_POINTS`` probe
+    points and as many (row, node) pairs.  The quartic's kernel spans at most
+    67 nodes at n = 401, fewer than its probes, and its blocks are those of
+    the probe bound alone; the centred Gaussian's at n = 801, t = 0.7 spans
+    466, and its 401 tabulated rows at m = 257 pass in two blocks of 201 and
+    200 instead of one, 24.6 -> 15.4 MiB traced, T unchanged bit for bit.
+    Within a block the spline reads P as a view of the flow's output and p as
+    a broadcast of the probes, so no curve is copied; the solve, then the
     (row, node) pairs, set the peak.  A block leaves only its per-row
     Hilbert-Schmidt and escape sums and its values at the pairs, scattered
     into T, and K is scaled into T in place.  T is allocated, zeroed, before
     the first block.  ``tracemalloc`` counts it from that moment, so the
     traced peak is higher than with T allocated after the first block's
     arrays are freed (quartic n = 401: 2.79 -> 4.02 MiB at m = 257; Gaussian
-    n = 801, m = 257: 19.7 -> 24.6 MiB).  The process's resident memory counts
-    T's pages only as the blocks write them, and there the two orders read
-    the same: the CLI's peak RSS on the quartic at n = 401, T allocated after
+    n = 801, m = 257 in one block: 19.7 -> 24.6 MiB).  The process's resident
+    memory counts T's pages only as the blocks write them, and there the two
+    orders read the same: the CLI's peak RSS on the quartic at n = 401, T allocated after
     the first block -> before it, was 41.29 -> 41.32 MiB (kernel-norm),
     41.95 -> 42.04 (operator) and 41.91 -> 41.89 (sampler-check), medians of
     8 runs each on a 2-core Linux machine with NumPy 2.4.6.  Balanced blocks
@@ -404,20 +412,24 @@ def assemble_transfer(
 
     # the +-1 width probes of every row, one standard deviation, flowed and gated
     # before any block, so a kernel too narrow for the grid is refused before any
-    # spline is solved
-    ends = flow_batch(np.tile(x, 2), np.repeat([1.0, -1.0], n), model, spec)[0]
-    width = float(np.min(np.abs(np.subtract(*ends.reshape(2, n)))) / (2 * (x[1] - x[0])))
+    # spline is solved; with them the end probes, whose images bound each row's
+    # span of nodes
+    ends = flow_batch(np.tile(x, 4), np.repeat([1.0, -1.0, *rule.nodes[[-1, 0]]], n),
+                      model, spec)[0].reshape(4, n)
+    width = float(np.min(np.abs(ends[0] - ends[1])) / (2 * (x[1] - x[0])))
     if not width >= 1:
         raise ValueError(f"kernel_width_cells = {width:.3g} < 1: the grid cannot "
                          f"resolve the kernel; refine the grid or lengthen the flow")
+    span = int(np.max(np.searchsorted(x, ends[2], "right") - np.searchsorted(x, ends[3])))
 
     T = np.zeros((n, n))
     # an even target's row n - 1 - i mirrors row i: only the first ceil(n / 2) are tabulated
     even = model.target.is_even
     tabulated = n - n // 2 if even else n
     hs_rows, escaped, inside = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
-    # blocks of at most ROW_BLOCK_POINTS // m rows, of balanced sizes
-    blocks = -(-tabulated // max(1, ROW_BLOCK_POINTS // m))
+    # blocks of balanced sizes, each of at most ROW_BLOCK_POINTS probe points and
+    # as many (row, node) pairs
+    blocks = -(-tabulated // max(1, ROW_BLOCK_POINTS // max(m, span)))
     step, sub = -(-tabulated // blocks), max(1, BLOCK_POINTS // m)
     for lo in range(0, tabulated, step):
         r = min(step, tabulated - lo)

@@ -4,7 +4,8 @@ The Gaussian pair at t = 0.7 on [-8, 8] with n = 401 nodes and m = 257
 momentum nodes is the closed-form oracle configuration; the quartic well
 (a = 1, b = 0.5) on [-3.5, 3.5] at t = 0.08 keeps t * lambda_max inside the
 invertibility regime with negligible domain truncation.  ``random_density``
-draws the smooth random densities that the tests feed the operator.
+draws the smooth random densities that the tests feed the operator, and
+``spectrum_vectors`` reads the two vectors ``eigen_spectrum`` computes.
 """
 
 import numpy as np
@@ -22,8 +23,10 @@ from hmctransfer import (
     iterate,
     standard_gaussian_pair,
 )
+from hmctransfer import kernel_spectral
 from hmctransfer.distributions import ModelPair
 from hmctransfer.dynamics import flow_batch
+from hmctransfer.operator import weighted_inner
 
 
 @pytest.fixture(scope="session")
@@ -114,6 +117,27 @@ def flip_roundtrip():
         back_q, back_p = flow_batch(Q, -P, model, spec)
         return float(max(np.max(np.abs(back_q - q)), np.max(np.abs(back_p + p))))
     return error
+
+
+@pytest.fixture
+def spectrum_vectors(monkeypatch):
+    """run(T, k) -> (report, lead, second): ``eigen_spectrum(T, k)`` with its
+    leading and second vectors on the whole grid, the second read as it is
+    weighed against f for ``second_mass``."""
+    seen = []
+
+    def spy(a, b, grid):
+        seen.append(a)
+        return weighted_inner(a, b, grid)
+
+    monkeypatch.setattr(kernel_spectral, "weighted_inner", spy)
+
+    def run(T, k):
+        seen.clear()
+        report = eigen_spectrum(T, k)
+        assert len(seen) == 2
+        return report, report.leading_vector, seen[1]
+    return run
 
 
 def random_density(grid: DensityGrid, rng: np.random.Generator):

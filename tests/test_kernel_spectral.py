@@ -202,8 +202,30 @@ def test_spectrum_matches_the_full_symmetric_frame(request, name):
     assert np.max(np.abs(eigen_spectrum(T, 64).eigenvalues - ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("name", ["anh_T", "gauss_T", "gauss_T_400", "offset_T"])
+def test_spectrum_vectors_match_the_full_symmetric_frame(monkeypatch, request, spectrum_vectors,
+                                                         name):
+    # the leading and second vectors by inverse iteration on their block, against
+    # eigh of the whole symmetric frame; eigen_spectrum itself never calls eigh,
+    # on the two blocks of an even target or on the one of the mean-0.6 Gaussian
+    T = request.getfixturevalue(name)
+    A = to_weighted_symmetric(T)
+    vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
+    refs = (vecs[:, np.argsort(-np.abs(vals), kind="stable")[:2]] / T.grid.scale[:, None]).T
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen_spectrum called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert len(operator.parity_blocks(T).blocks) == (1 if name == "offset_T" else 2)
+    _, lead, second = spectrum_vectors(T, 64)
+    for v, ref in zip((lead, second), refs):
+        ref = ref * np.sign(ref @ v)
+        assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_leading_vector_has_unit_weighted_norm(gauss_report, gauss_grid, anh_report, anh_grid):
-    # eigh's unit vectors carried out of the symmetric frame need no re-normalising
+    # unit block vectors carried out of the symmetric frame need no re-normalising
     for report, grid in [(gauss_report, gauss_grid), (anh_report, anh_grid)]:
         assert abs(weighted_norm(report.leading_vector, grid) - 1.0) <= 1e-14
 
@@ -353,10 +375,12 @@ def test_kernel_matches_variational_route(gauss_kernel, gauss_grid, gauss_model,
 
 
 def test_kernel_tabulation_is_one_flow_sweep(monkeypatch):
-    # the 2n width probes flow first, then the probes of the tabulated rows once
-    # each in one row block, and no tangent flow is run.  The even quartic's rows
-    # n - 1 - i mirror rows i, so 101 of its 201 rows are flowed; the Gaussian of
-    # mean 0.6 is not even, and all its rows are
+    # the 4n width and end probes flow first, then the probes of the tabulated
+    # rows once each in one row block, and no tangent flow is run.  The even
+    # quartic's rows n - 1 - i mirror rows i, so 101 of its 201 rows are flowed;
+    # the Gaussian of mean 0.6 is not even, and all its rows are.  The centred
+    # Gaussian at n = 801 spans up to 466 nodes a row, more than its 257 probes,
+    # so its 401 rows take two blocks of at most 131072 // 466 = 281 rows
     def refuse(*args, **kwargs):
         raise AssertionError("the kernel ran the tangent flow")
 
@@ -375,8 +399,12 @@ def test_kernel_tabulation_is_one_flow_sweep(monkeypatch):
                               (offset, default_flow_spec(offset, np.sqrt(1.7) * 0.6), 201)]:
         sweeps.clear()
         T = assemble_transfer(build_grid(model, 201), model, spec, 65)
-        assert sweeps == [2 * 201, rows * 65]
+        assert sweeps == [4 * 201, rows * 65]
         assert T.meta["tabulated_rows"] == rows
+    centred = standard_gaussian_pair(halfwidth=8.0)
+    sweeps.clear()
+    assemble_transfer(build_grid(centred, 801), centred, default_flow_spec(centred, 0.7), 257)
+    assert sweeps == [4 * 801, 201 * 257, 200 * 257]
 
 
 def test_kernel_needs_four_momentum_nodes(gauss_grid, gauss_model, gauss_spec):

@@ -61,8 +61,8 @@ def test_underflowing_target_is_refused_before_any_flow(halfwidth):
 
 
 def test_too_narrow_kernel_is_refused_after_the_width_sweep(monkeypatch, gauss_model, gauss_grid):
-    # at t = 1e-12 the kernel spans about 1e-10 cells: the 2n width probes are
-    # the only points flowed before the refusal, not a row block's n m
+    # at t = 1e-12 the kernel spans about 1e-10 cells: the 4n width and end
+    # probes are the only points flowed before the refusal, not a row block's n m
     sweeps = []
     flow_batch = operator.flow_batch
 
@@ -74,7 +74,7 @@ def test_too_narrow_kernel_is_refused_after_the_width_sweep(monkeypatch, gauss_m
     spec = FlowSpec(time=1e-12, method="exact_gaussian")
     with pytest.raises(ValueError, match="kernel_width_cells = .* < 1"):
         assemble_transfer(gauss_grid, gauss_model, spec, 257)
-    assert sweeps == [2 * 401]
+    assert sweeps == [4 * 401]
 
 
 @pytest.mark.parametrize("n", [16, 20, 64, 121, 401, 1601])
@@ -560,15 +560,18 @@ def test_parity_blocks_take_one_block_unless_t_is_its_mirror(offset_T, anh_T, an
 
 
 @pytest.mark.parametrize("mirror", [False, True], ids=["one-block", "two-block"])
-def test_second_mass_is_measured_on_both_paths(mirror):
+def test_second_mass_is_measured_on_both_paths(mirror, spectrum_vectors):
     # the second listed eigenvalue, 1.0, has an even eigenvector, so the top
-    # eigenvalue is double on the even side; the second eigenvector eigh returns
-    # then carries mass, which only a measured second_mass reports
+    # eigenvalue is double on the even side.  The leading and second vectors
+    # then share a block and an eigenvalue, and inverse iteration from a vector
+    # of ones, not from f, lands both in that eigenspace; the second, deflated
+    # against the leading one, carries mass, which only a measured second_mass reports
     T, _ = _synthetic_transfer([0.5, 1.0], [0.0, 0.0], mirror)
     assert len(operator.parity_blocks(T).blocks) == 1 + mirror
     with pytest.warns(UserWarning, match="may not be simple"):
-        report = eigen_spectrum(T, 4)
+        report, lead, second = spectrum_vectors(T, 4)
     assert not report.multiplicity_check and report.second_mass > 1e-3
+    assert abs(operator.weighted_inner(lead, second, T.grid)) <= 1e-12
     # a simple top eigenvalue: the odd 0.9 mode second, its mass rounding
     report = eigen_spectrum(_synthetic_transfer([0.9], [1.0], mirror)[0], 4)
     assert report.multiplicity_check and report.second_mass < 1e-14
@@ -722,11 +725,11 @@ def test_quartic_transfer_assembly_peak_memory(anh_grid, anh_model, anh_spec):
 
 
 def test_gaussian_transfer_assembly_peak_memory(gauss_model, gauss_spec):
-    # n = 801 / m = 257: 24.6 MiB traced, the centred Gaussian's 401 tabulated
-    # rows in one block, set by its (row, node) pairs of the wide kernel, the
-    # spline pieces' temporaries and T's 4.9 allocated before them.  T allocated
-    # after the block read 19.7, the rows in two blocks of 201 and 200 15.3, and
-    # all 801 rows tabulated, in blocks of 510 and 291, 30.2
+    # n = 801 / m = 257: the wide kernel spans up to 466 nodes a row, so its
+    # (row, node) pairs, not its 257 probes, bound the blocks, and the centred
+    # Gaussian's 401 tabulated rows pass in two blocks of 201 and 200: 15.4 MiB
+    # traced, T's 4.9 included.  Blocks bounded by their probes alone took the
+    # 401 rows in one, 24.6 MiB, set by the pairs and the spline pieces' temporaries
     grid = build_grid(gauss_model, 801)
     tracemalloc.start()
     try:
@@ -734,7 +737,7 @@ def test_gaussian_transfer_assembly_peak_memory(gauss_model, gauss_spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 38 * 2**20
+    assert peak <= 16 * 2**20
 
 
 @pytest.mark.parametrize("quartic", [True, False], ids=["quartic-401", "gaussian-201"])
