@@ -199,7 +199,6 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
             **settings,
             "experiment.kind": kind,
             "model.family": model.target.kind,
-            "model.dim": model.dim,
             "model.halfwidth": model.domain_halfwidth,
             "model.lambda_min": model.lambda_min,
             "model.lambda_max": model.lambda_max,
@@ -403,10 +402,11 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict
     # config its gates refuse draws nothing, with draws = 0 too
     grid, T = _operator_stack(config, config.momentum_nodes)
     report = eigen_spectrum(T, 2)
+    # every exit writes the same report keys, NaN where nothing was measured
+    nan = float("nan")
     if config.draws == 0:
-        write_json(outdir / "sampler_report.json",
-                   {"draws": 0, "draws_outside_box": 0, "sup_distance": float("nan")})
-        return 0, {"result.draws": 0}
+        return 0, write_json(outdir / "sampler_report.json", {
+            "draws": 0, "draws_outside_box": 0, "acceptance_rate": nan, "sup_distance": nan})
     samples, acceptance = hmc_chain(model, config.spec, config.draws, random.Random(config.seed))
     fixed = report.leading_vector / mass(report.leading_vector, grid)
 
@@ -416,9 +416,14 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict
     # the histogram drops draws outside [-L, L], and the reference is normalised
     # to the box's mass, so the empirical density is normalised over the draws inside
     inside = int(counts.sum())
+    payload = {"draws": config.draws, "draws_outside_box": config.draws - inside,
+               "acceptance_rate": acceptance, "sup_distance": nan}
+    if acceptance < 0.5:
+        payload["warning"] = "acceptance below 0.5, reduce the leapfrog substep"
     if inside == 0:
-        raise ValueError(f"draws_outside_box = {config.draws}: no draw landed in "
-                         f"[-{L}, {L}], so the histogram cannot be normalised over the box")
+        print(f"error: draws_outside_box = {config.draws}: no draw landed in [-{L}, {L}], "
+              f"so the histogram cannot be normalised over the box", file=sys.stderr)
+        return 1, write_json(outdir / "sampler_report.json", payload)
     width = edges[1] - edges[0]
     empirical = counts / (inside * width)
     # antiderivative of the interpolated fixed point at the bin edges
@@ -438,10 +443,7 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict
     centers = 0.5 * (edges[:-1] + edges[1:])
     write_csv(outdir / "histogram.csv", ["center", "empirical", "reference"],
               [centers, empirical, reference])
-    payload = {"draws": config.draws, "draws_outside_box": config.draws - inside,
-               "acceptance_rate": acceptance, "sup_distance": sup}
-    if acceptance < 0.5:
-        payload["warning"] = "acceptance below 0.5, reduce the leapfrog substep"
+    payload["sup_distance"] = sup
     return 0, write_json(outdir / "sampler_report.json", payload)
 
 

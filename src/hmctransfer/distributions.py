@@ -56,7 +56,7 @@ class Potential:
 
     @property
     def dim(self) -> int:
-        """The dimension, always 1 (``bench/tracer.py`` and the manifest read it)."""
+        """The dimension, always 1 (``bench/tracer.py`` reads it)."""
         return 1
 
     @property
@@ -103,7 +103,7 @@ class ModelPair:
 
     @property
     def dim(self) -> int:
-        """The dimension, always 1 (``bench/tracer.py`` and the manifest read it)."""
+        """The dimension, always 1 (``bench/tracer.py`` reads it)."""
         return 1
 
     @property

@@ -45,18 +45,16 @@ evaluates only rows 0 ... ceil(n / 2) - 1 and writes the other rows as their
 mirror images; for odd n the middle row is made palindromic.  Any other
 target has all n rows tabulated.
 
-``iterate`` runs the fixed-point iteration h -> T h.  A run that goes past n
-steps (n the grid size) with budget left to pay for forming powers of T
-switches to block mode, B = ``BLOCK_STEPS``: the B latest iterates advance
-together by one product with the B-th power, which reads the matrix once per
-B steps instead of once per step.  Block mode runs in the weighted symmetric
+``iterate`` runs the fixed-point iteration h -> T h in the weighted symmetric
 frame, on the ``parity_blocks`` of T: for an even target T commutes with the
 reflection of the grid, so the frame splits into an even and an odd block of
 half the size each, and a product with both costs half of one with T.  The
-stop rules are replayed per step, so a blocked run ends at the step the
-one-matvec loop ends at, with norms and errors equal to that loop's up to
-rounding.  ``kernel_spectral.eigen_spectrum`` diagonalizes the same two
-blocks.
+iterates advance in chunks of B = ``BLOCK_STEPS``; once the budget left pays
+for forming the blocks' B-th powers, each chunk is one product with them,
+which reads each block once per B steps instead of once per step.  The stop
+rules are replayed per step, so a run ends at the step the one-matvec loop
+with T ends at, with norms and errors equal to that loop's up to rounding.
+``kernel_spectral.eigen_spectrum`` diagonalizes the same two blocks.
 """
 
 from __future__ import annotations
@@ -638,10 +636,12 @@ def weighted_symmetry_residual(T: TransferMatrix) -> float:
     return float(np.max(np.abs(gram - gram.T) / np.outer(norms, norms)))
 
 
-# Steps per block-mode product X <- A^B X.  A power of two: A^B takes
-# log2(B) squarings.  With the two parity blocks, the 12000-step quartic
-# iterate at n = 401 took 66, 58 and 51 ms at B = 32, 64 and 128 (medians of 6
-# fresh processes, 2-core Linux machine, NumPy 2.4.6 on OpenBLAS 0.3.31).
+# Steps per chunk of ``iterate``, and per product X <- A^B X once the powers
+# are formed.  A power of two: A^B takes log2(B) squarings.  On the two parity
+# blocks, the 12000-step quartic iterate at n = 401 took 59.5, 54.1 and 47.7 ms
+# at B = 64, 128 and 256 (medians of 10 fresh processes each, alternated,
+# 2-core Linux machine, NumPy 2.4.6 on OpenBLAS 0.3.31).  256 doubles the two
+# chunk buffers, and the operator CLI's peak RSS read 35.9 -> 37.3 MiB.
 BLOCK_STEPS = 128
 
 
@@ -671,109 +671,99 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
     undefined, and a zero h0 would read as converged at step 0.  A signed h0
     of negative mass is accepted; its limit alpha f is well defined.
 
-    Each step is one matvec until the run has taken n steps, n the grid size.
-    If it has not stopped by then and the budget left, n_max - n, is at least
-    log2(B) n steps, whose matvecs with T cost as many flops as log2(B)
-    squarings of T (B = ``BLOCK_STEPS``; the blocks' squarings cost less), the
-    run switches to block mode in the weighted symmetric frame y = sqrt(w / f) h, on the ``parity_blocks`` of T:
-    two blocks of half the size when T is its own mirror image (an even
-    target), else one.  The B latest iterates X = [y_k, ..., y_{k+B-1}], in
-    the blocks' coordinates, advance together as X <- A^B X block by block,
-    one product that reads each block once for B steps; the first X is y_n
-    and the B - 1 matvecs with the blocks after it.  Norms and errors are
-    plain 2-norms summed over the blocks, computed for a whole X at once, and
-    the stop rules are then replayed step by step, so the trace ends at the
-    step the one-matvec loop ends at.  Up to step n the trace is bitwise that
-    loop's; after it, the blocks round differently from T's matvecs, and
-    norms and errors agree with the loop's to rounding (quartic at n = 401,
-    12000 steps: norms within 9.6e-15 relative, errors within 2.8e-16 of
-    norms[0], ``final`` within 1.1e-14 of its largest entry).  ``final`` is
-    the iterate at the last step, an array of its own.
+    The run steps in the weighted symmetric frame y = sqrt(w / f) h, on the
+    ``parity_blocks`` of T: two blocks of half the size when T is its own
+    mirror image (an even target), else one.  It advances in chunks of B =
+    ``BLOCK_STEPS`` iterates X = [y_k, ..., y_{k+B-1}], held in the blocks'
+    coordinates.  The first chunk is y_0 and the B - 1 matvecs with the
+    blocks after it.  Each later chunk is B more matvecs, unless the steps
+    left after the first chunk are at least log2(B) times the largest
+    block's size, so that their matvecs cost as many flops as the log2(B)
+    squarings that form A^B: then the powers are formed once, and each later
+    chunk is one product X <- A^B X per block, which reads each block once
+    for B steps.
+    Norms and errors are plain 2-norms summed over the blocks, computed for a
+    whole chunk at once, and the stop rules are then replayed step by step,
+    so the trace ends at the step the one-matvec loop with T ends at.  The
+    blocks round differently from T's matvecs, and norms and errors agree
+    with that loop's to rounding (quartic at n = 401, 12000 steps: norms
+    within 8.7e-15 relative, errors within 3.5e-16 of norms[0], ``final``
+    within 4.8e-15 of its largest entry).  ``final`` is the iterate at the
+    last step, an array of its own.
     """
     grid = T.grid
-    h = np.asarray(h0, dtype=float).copy()
-    h_mass = mass(h, grid)
+    h0 = np.asarray(h0, dtype=float)
+    h_mass = mass(h0, grid)
     if not (math.isfinite(h_mass) and h_mass != 0):
         raise ValueError(f"initial density must have finite nonzero mass, got {h_mass}")
     alpha = h_mass / mass(grid.target_values, grid)
     # weighted norms as plain 2-norms in the symmetric frame s = sqrt(w / f)
     scale = grid.scale
-    limit = scale * (alpha * grid.target_values)
-
-    def norm(v):
-        return math.sqrt(v @ v)
-
-    sh = scale * h
-    norms = [norm(sh)]
-    errors = [norm(sh - limit)]
-    anomaly = False
-    rising = 0
-    best = errors[0]
+    frame = parity_blocks(T)
+    targets = frame.split(scale * (alpha * grid.target_values))
+    # X = [y_k, ..., y_{k+B-1}] in the blocks' coordinates, one (B, size) array per block
+    X = [np.empty((BLOCK_STEPS, len(part))) for part in targets]
+    for x, part in zip(X, frame.split(scale * h0)):
+        x[0] = part
+    # the norms and errors of each chunk as far as the run recorded it, kept as
+    # arrays: a list of one Python float per step held 24000 of them in the
+    # 12000-step quartic run, and the operator CLI's peak RSS read 0.45 MiB more
+    norms, errors = [], []
+    anomaly, rising, best, error, recorded = False, 0, math.inf, math.inf, 0
 
     def running() -> bool:
-        return not anomaly and errors[-1] >= tol and len(errors) <= n_max
+        return not anomaly and error >= tol and recorded <= n_max
 
-    def record(norm_n: float, error_n: float):
-        nonlocal anomaly, rising, best
-        norms.append(norm_n)
-        errors.append(error_n)
-        rising = rising + 1 if error_n > errors[-2] else 0
-        best = min(best, error_n)
-        # wobble at the discretization floor is expected; sustained growth
-        # well above the best error seen means a broken discretization
-        anomaly = rising >= 10 and error_n > 3.0 * best
-
-    start = grid.n
-    squarings = BLOCK_STEPS.bit_length() - 1
-    blocked = n_max - start >= squarings * start
-    n = 0
-    while running() and n < (start if blocked else n_max):
-        h = T.entries @ h
-        n += 1
-        sh = scale * h
-        record(norm(sh), norm(sh - limit))
-    if blocked and running():
-        frame = parity_blocks(T)
-        targets = frame.split(limit)
-        # X = [y_k, ..., y_{k+B-1}] in the blocks' coordinates, one (B, size) array
-        # per block; the first holds y_n and the B - 1 matvecs after it
-        X = [np.empty((BLOCK_STEPS, len(part))) for part in targets]
-        for x, part in zip(X, frame.split(sh)):
-            x[0] = part
-        for j in range(1, BLOCK_STEPS):
-            for x, block in zip(X, frame.blocks):
+    def matvecs(first: int):
+        """Rows first ... B - 1 of X, each one matvec after the row before it;
+        row 0 follows the last row, the previous chunk's."""
+        for x, block in zip(X, frame.blocks):
+            for j in range(first, BLOCK_STEPS):
                 np.matmul(block, x[j - 1], out=x[j])
 
-        def replay(first: int) -> int:
-            """Record rows first ... B - 1 of X until the run stops; the last row recorded."""
-            sq = sum(np.einsum("ij,ij->i", x, x) for x in X)
-            dev = sum(np.einsum("ij,ij->i", d, d) for d in (x - t for x, t in zip(X, targets)))
-            for j, (norm_j, error_j) in enumerate(zip(np.sqrt(sq).tolist()[first:],
-                                                     np.sqrt(dev).tolist()[first:]), first):
-                record(norm_j, error_j)
-                if not running():
-                    return j
-            return BLOCK_STEPS - 1
+    def replay() -> int:
+        """Record the rows of X until the run stops; the last row recorded."""
+        nonlocal anomaly, rising, best, error, recorded
+        row_norms = np.sqrt(sum(np.einsum("ij,ij->i", x, x) for x in X))
+        row_errors = np.sqrt(sum(np.einsum("ij,ij->i", d, d)
+                                 for d in (x - t for x, t in zip(X, targets))))
+        for j, error_j in enumerate(row_errors.tolist()):
+            rising = rising + 1 if error_j > error else 0
+            error, recorded = error_j, recorded + 1
+            best = min(best, error)
+            # wobble at the discretization floor is expected; sustained growth
+            # well above the best error seen means a broken discretization
+            anomaly = rising >= 10 and error > 3.0 * best
+            if not running():
+                break
+        norms.append(row_norms[:j + 1])
+        errors.append(row_errors[:j + 1])
+        return j
 
-        last = replay(1)
-        if running():
-            powers = [np.linalg.matrix_power(block, BLOCK_STEPS) for block in frame.blocks]
-            # products alternate between two buffers; a fresh array per block
-            # raised the CLI's peak RSS by ~0.7 MiB at n = 401
-            spare = [np.empty_like(x) for x in X]
-            while running():
-                for x, y, power in zip(X, spare, powers):
-                    np.matmul(x, power.T, out=y)
-                X, spare = spare, X
-                last = replay(0)
-        h = frame.join([x[last] for x in X]) / scale
+    matvecs(1)
+    last = replay()
+    squarings = BLOCK_STEPS.bit_length() - 1
+    powers = None
+    if running() and n_max - last >= squarings * max(len(block) for block in frame.blocks):
+        powers = [np.linalg.matrix_power(block, BLOCK_STEPS) for block in frame.blocks]
+        # products alternate between two buffers; a fresh array per block
+        # raised the CLI's peak RSS by ~0.7 MiB at n = 401
+        spare = [np.empty_like(x) for x in X]
+    while running():
+        if powers is None:
+            matvecs(0)
+        else:
+            for x, y, power in zip(X, spare, powers):
+                np.matmul(x, power.T, out=y)
+            X, spare = spare, X
+        last = replay()
     return IterationTrace(
-        steps=np.arange(len(errors)),
-        norms=np.array(norms),
-        errors=np.array(errors),
+        steps=np.arange(recorded),
+        norms=np.concatenate(norms),
+        errors=np.concatenate(errors),
         alpha=alpha,
         tol=tol,
-        converged=bool(errors[-1] < tol),
+        converged=bool(error < tol),
         anomaly=anomaly,
-        final=h,
+        final=frame.join([x[last] for x in X]) / scale,
     )

@@ -397,6 +397,8 @@ def test_sampler_zero_draws(tmp_path):
     report = json.loads((out / "sampler_report.json").read_text())
     assert report["draws"] == 0
     assert report["draws_outside_box"] == 0
+    # the keys of every other exit, NaN where nothing was measured
+    assert math.isnan(report["acceptance_rate"]) and math.isnan(report["sup_distance"])
 
 
 def test_sampler_histogram_is_normalised_over_the_box(tmp_path):
@@ -422,7 +424,12 @@ def test_sampler_check_refuses_a_chain_outside_the_box(tmp_path, monkeypatch, ca
     out = tmp_path / "out"
     assert main(["sampler-check", "--config", cfg, "--out", str(out)]) == 1
     assert "draws_outside_box = 50" in capsys.readouterr().err
-    assert not (out / "sampler_report.json").exists()
+    # the report and the manifest are still written, with no distance and no histogram
+    report = json.loads((out / "sampler_report.json").read_text())
+    assert (report["draws"], report["draws_outside_box"], report["acceptance_rate"]) == (50, 50, 1.0)
+    assert math.isnan(report["sup_distance"])
+    assert "result.sup_distance = nan" in (out / "manifest.txt").read_text()
+    assert not (out / "histogram.csv").exists()
 
 
 def test_sampler_check_refuses_before_the_chain(tmp_path, monkeypatch, capsys):

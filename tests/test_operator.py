@@ -341,6 +341,8 @@ def test_iterate_flags_divergence(gauss_T, gauss_grid):
     bump = np.exp(-0.5 * (q - 1.3) ** 2 / 0.49)
     trace = iterate(bad, bump, n_max=200, tol=1e-12)
     assert trace.anomaly
+    # the error rises from step 0: the rule counts ten rises after it, as the matvec loop does
+    _assert_same_run(trace, _reference_iterate(bad, bump, 200, 1e-12))
 
 
 def test_iterate_does_not_flag_wobble_at_the_floor(anh_trace):
@@ -381,43 +383,63 @@ def _reference_iterate(T, h0, n_max, tol):
 
 
 def _assert_same_run(trace, ref, slack=1.0):
-    """Same stop, bitwise before block mode, rounding-level agreement after it.
+    """Same stop, and rounding-level agreement with the matvec loop at every step.
 
     ``slack`` widens the error and ``final`` bounds for operators that
     amplify rounding.
     """
-    n = trace.final.size
     assert trace.steps[-1] == ref.steps[-1]
     assert np.array_equal(trace.steps, ref.steps)
     assert (trace.converged, trace.anomaly, trace.alpha) == (ref.converged, ref.anomaly, ref.alpha)
-    assert np.array_equal(trace.norms[:n + 1], ref.norms[:n + 1])
-    assert np.array_equal(trace.errors[:n + 1], ref.errors[:n + 1])
     assert np.all(np.abs(trace.norms - ref.norms) <= 1e-12 * ref.norms)
     assert np.all(np.abs(trace.errors - ref.errors) <= slack * 1e-14 * ref.norms[0])
     assert np.max(np.abs(trace.final - ref.final)) <= slack * 1e-12 * np.max(np.abs(ref.final))
     assert trace.final.flags.owndata
 
 
+def _counted_iterate(monkeypatch, T, h0, n_max, tol):
+    """``iterate``, the number of parity blocks it ran on, and the number of
+    powers it formed; it must take the blocks of T once."""
+    frames, powers = [], []
+    parity_blocks, matrix_power = operator.parity_blocks, np.linalg.matrix_power
+
+    def record(T):
+        frames.append(parity_blocks(T))
+        return frames[-1]
+
+    def count(a, k):
+        powers.append(k)
+        return matrix_power(a, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operator, "parity_blocks", record)
+        patch.setattr(np.linalg, "matrix_power", count)
+        trace = iterate(T, h0, n_max, tol)
+    assert len(frames) == 1
+    assert set(powers) <= {BLOCK_STEPS}
+    return trace, len(frames[0].blocks), len(powers)
+
+
 def test_iterate_block_mode_matches_matvec_loop_on_quartic(anh_T, anh_grid, anh_trace):
-    # 12000 steps at n = 401: block mode from step 401 + BLOCK_STEPS on
+    # 12000 steps at n = 401: the products with the blocks' powers from step BLOCK_STEPS on
     bump = np.exp(-0.5 * (anh_grid.x - 0.8) ** 2 / 0.16)
     _assert_same_run(anh_trace, _reference_iterate(anh_T, bump, 12000, 1e-7))
 
 
 @pytest.mark.parametrize("h0, n_max, tol", [
     ("bump", 12000, 1e-7), ("bump", 60, 1e-12), ("random", 25, 1e-14), ("target", 50, 1e-6),
+    ("bump", 0, 1e-12),
 ])
-def test_iterate_short_runs_are_the_matvec_loop(gauss_T, gauss_grid, h0, n_max, tol):
-    # runs that stop before n steps never reach block mode: every field bitwise
+def test_iterate_short_runs_are_the_matvec_loop(monkeypatch, gauss_T, gauss_grid, h0, n_max, tol):
+    # runs that stop inside the first chunk take the blocks once and form no
+    # power; the target converges at step 0, and n_max = 0 stops there
     q = gauss_grid.x
     start = {"bump": np.exp(-0.5 * (q - 1.3) ** 2 / 0.49),
              "random": random_density(gauss_grid, np.random.default_rng(2)),
              "target": gauss_grid.target_values}[h0]
-    trace = iterate(gauss_T, start, n_max, tol)
-    ref = _reference_iterate(gauss_T, start, n_max, tol)
-    assert trace.steps[-1] < gauss_grid.n
-    for name in IterationTrace.__dataclass_fields__:
-        assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+    trace, blocks, powers = _counted_iterate(monkeypatch, gauss_T, start, n_max, tol)
+    assert trace.steps[-1] < BLOCK_STEPS and (blocks, powers) == (2, 0)
+    _assert_same_run(trace, _reference_iterate(gauss_T, start, n_max, tol))
 
 
 def _synthetic_transfer(eigenvalues, coefficients, mirror=False):
@@ -448,53 +470,37 @@ def _synthetic_transfer(eigenvalues, coefficients, mirror=False):
     return TransferMatrix(entries=A * s[None, :] / s[:, None], grid=grid), (U @ c) / s
 
 
-def _blocked_iterate(monkeypatch, T, h0, n_max, tol):
-    """``iterate``, and the number of parity blocks its block mode ran on."""
-    frames, parity_blocks = [], operator.parity_blocks
-
-    def record(T):
-        frames.append(parity_blocks(T))
-        return frames[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(operator, "parity_blocks", record)
-        trace = iterate(T, h0, n_max, tol)
-    assert len(frames) == 1, "block mode not reached"
-    return trace, len(frames[0].blocks)
-
-
-def _assert_stops_inside_a_block(trace, ref, n, slack=1.0):
-    # the stop falls strictly inside a block after the first
+def _assert_stops_inside_a_chunk(trace, ref, slack=1.0):
+    # the stop falls strictly inside a chunk after the first
     _assert_same_run(trace, ref, slack)
     stop = int(trace.steps[-1])
-    assert stop > n + BLOCK_STEPS
-    assert 0 < (stop - n) % BLOCK_STEPS < BLOCK_STEPS - 1
+    assert stop > BLOCK_STEPS
+    assert 0 < stop % BLOCK_STEPS < BLOCK_STEPS - 1
     assert trace.final.base is None
 
 
 def test_iterate_block_mode_stops_at_tol_inside_a_block(monkeypatch):
     for mirror in (False, True):
         T, h0 = _synthetic_transfer([0.9], [1.0], mirror)
-        n = T.grid.n
         errors = _reference_iterate(T, h0, 400, 0.0).errors
-        k = n + 2 * BLOCK_STEPS - 13
+        k = 2 * BLOCK_STEPS - 13
         tol = math.sqrt(errors[k - 1] * errors[k])  # crossed between steps k - 1 and k
-        trace, blocks = _blocked_iterate(monkeypatch, T, h0, 400, tol)
+        trace, blocks, powers = _counted_iterate(monkeypatch, T, h0, 400, tol)
         ref = _reference_iterate(T, h0, 400, tol)
         assert ref.steps[-1] == k and ref.converged
-        assert blocks == 1 + mirror
-        _assert_stops_inside_a_block(trace, ref, n)
+        assert (blocks, powers) == (1 + mirror, 1 + mirror)
+        _assert_stops_inside_a_chunk(trace, ref)
 
 
 def test_iterate_block_mode_stops_at_the_edges_of_the_first_blocks():
-    # the first block is y_n and the B - 1 matvecs with the parity blocks after
+    # the first chunk is y_0 and the B - 1 matvecs with the parity blocks after
     # it, the second the first product with their B-th powers: stops at the
-    # first and last rows of each end the run where the matvec loop ends it
+    # first and last rows of each, and in the third, end the run where the
+    # matvec loop ends it
     for mirror in (False, True):
         T, h0 = _synthetic_transfer([0.9], [1.0], mirror)
-        n = T.grid.n
         errors = _reference_iterate(T, h0, 400, 0.0).errors
-        for k in (n + 1, n + BLOCK_STEPS - 1, n + BLOCK_STEPS, n + BLOCK_STEPS + 1):
+        for k in (1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 1):
             tol = math.sqrt(errors[k - 1] * errors[k])
             trace, ref = iterate(T, h0, 400, tol), _reference_iterate(T, h0, 400, tol)
             assert ref.steps[-1] == k
@@ -506,26 +512,39 @@ def test_iterate_block_mode_stops_at_an_anomaly_inside_a_block(monkeypatch):
     # step 165 and trips the anomaly rule at step 194.  Seeded far above
     # rounding, so both loops trip at the same step; seeded at 0 it grows from
     # rounding alone, which the two loops do differently.  The growth also
-    # amplifies their rounding differences, to 5.2e-13 of norms[0] in the errors.
+    # amplifies their rounding differences, to 3.3e-12 of norms[0] in the errors.
     for mirror in (False, True):
         T, h0 = _synthetic_transfer([0.9, 1.05], [1.0, 1e-11], mirror)
-        trace, blocks = _blocked_iterate(monkeypatch, T, h0, 1000, 1e-300)
+        trace, blocks, powers = _counted_iterate(monkeypatch, T, h0, 1000, 1e-300)
         ref = _reference_iterate(T, h0, 1000, 1e-300)
         assert ref.anomaly and ref.steps[-1] == 194
-        assert blocks == 1 + mirror
-        _assert_stops_inside_a_block(trace, ref, T.grid.n, slack=1e3)
+        assert (blocks, powers) == (1 + mirror, 1 + mirror)
+        _assert_stops_inside_a_chunk(trace, ref, slack=1e3)
 
 
 def test_iterate_block_mode_stops_at_n_max_inside_a_block(monkeypatch):
+    # 200 - (B - 1) = 73 steps left after the first chunk: as many matvecs cost
+    # less than forming the powers of the one block of 20, and more than
+    # forming those of the two blocks of 10 (7 squarings each)
     for mirror in (False, True):
         T, h0 = _synthetic_transfer([0.9], [1.0], mirror)
         n_max = 200
-        assert n_max % BLOCK_STEPS
-        trace, blocks = _blocked_iterate(monkeypatch, T, h0, n_max, 1e-300)
+        trace, blocks, powers = _counted_iterate(monkeypatch, T, h0, n_max, 1e-300)
         ref = _reference_iterate(T, h0, n_max, 1e-300)
         assert ref.steps[-1] == n_max and not ref.converged and not ref.anomaly
-        assert blocks == 1 + mirror
-        _assert_stops_inside_a_block(trace, ref, T.grid.n)
+        assert (blocks, powers) == (1 + mirror, 2 * mirror)
+        _assert_stops_inside_a_chunk(trace, ref)
+
+
+def test_iterate_runs_matvec_chunks_on_a_short_budget(monkeypatch, gauss_T, gauss_grid):
+    # 300 - (B - 1) = 173 steps left after the first chunk, fewer than the
+    # 7 x 201 whose matvecs cost what the powers of a block of 201 do: chunks
+    # two and three are matvecs, and no power is formed
+    bump = np.exp(-0.5 * (gauss_grid.x - 1.3) ** 2 / 0.49)
+    trace, blocks, powers = _counted_iterate(monkeypatch, gauss_T, bump, 300, 1e-300)
+    ref = _reference_iterate(gauss_T, bump, 300, 1e-300)
+    assert ref.steps[-1] == 300 and (blocks, powers) == (2, 0)
+    _assert_stops_inside_a_chunk(trace, ref)
 
 
 @pytest.mark.parametrize("name", ["anh_T", "gauss_T", "gauss_T_400"])
