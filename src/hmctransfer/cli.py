@@ -3,12 +3,13 @@
 Subcommands: flow, operator, spectrum, kernel-norm, convergence, sampler-check.
 ``SETTINGS`` is the one list of the numeric [grid] / [experiment] settings, with
 their defaults and bounds.
-Each runner writes its CSV and JSON result files and returns its exit code with
-its ``result.*`` keys; ``main`` then writes the manifest, which echoes the fully
-resolved configuration and those keys.  CSV and the manifest give floats 17
-significant digits, JSON Python's shortest round-trip form; both read back
-bit-exact, so repeated runs with one config and seed are bit-identical.  Exit
-codes: 0 on pass, 2 on certificate failure, 1 on configuration or runtime errors.
+Each runner reads only the config and returns its exit code, a report of Python
+scalars and its CSV tables; ``main`` writes them on every exit, then the
+manifest, which echoes the resolved configuration and each report key as
+``result.<key>``.  CSV and the manifest give floats 17 significant digits, JSON
+Python's shortest round-trip form; both read back bit-exact, so repeated runs
+with one config and seed are bit-identical.  Exit codes: 0 on pass, 2 on
+certificate failure, 1 on configuration or runtime errors.
 """
 
 from __future__ import annotations
@@ -245,9 +246,11 @@ def write_csv(path: Path, header: list, columns: list):
 
 
 def write_json(path: Path, payload: dict) -> dict:
-    """Write ``payload``, of Python scalars, to ``path``; return it as ``result.*`` keys."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return {f"result.{k}": v for k, v in payload.items()}
+    """Write ``payload``, of Python scalars, to ``path``; return it as read back, as
+    ``result.*`` keys."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path.write_text(text)
+    return {f"result.{k}": v for k, v in json.loads(text).items()}
 
 
 def _h0(config: ExperimentConfig, grid):
@@ -255,7 +258,15 @@ def _h0(config: ExperimentConfig, grid):
     return np.exp(-0.5 * (grid.x - config.h0_center) ** 2 / config.h0_sigma**2)
 
 
-def run_flow(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+def _trace_table(trace) -> tuple:
+    return ["n", "norm", "error"], [trace.steps, trace.norms, trace.errors]
+
+
+def _spectrum_table(report) -> tuple:
+    return ["k", "mu"], [np.arange(len(report.eigenvalues)), report.eigenvalues]
+
+
+def run_flow(config: ExperimentConfig) -> tuple[int, dict, dict]:
     model, spec = config.model, config.spec
     q, p = random.Random(config.seed).uniform(-0.5, 0.5) + 1.0, 0.0
 
@@ -281,25 +292,18 @@ def run_flow(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
         energies.append(energy(q, p))
         dets.append(float(np.linalg.det(jac)))
 
-    write_csv(outdir / "flow.csv", ["s", "q0", "p0", "energy", "det_jacobian"],
-              [times, qs, ps, energies, dets])
-
     # np.max, unlike Python's max, keeps a NaN of a diverged flow
-    drift = float(np.max(energies) - np.min(energies))
-    det_dev = float(np.max(np.abs(np.subtract(dets, 1.0))))
-    write_json(outdir / "conservation.json", {
-        "energy_drift": drift,
-        "det_jacobian_max_deviation": det_dev,
+    report = {
+        "energy_drift": float(np.max(energies) - np.min(energies)),
+        "det_jacobian_max_deviation": float(np.max(np.abs(np.subtract(dets, 1.0)))),
         "closure_distance": max(abs(qs[-1] - qs[0]), abs(ps[-1] - ps[0])),
-    })
-    results = {"result.energy_drift": drift, "result.det_dev": det_dev}
-    # the files are written first, so a diverged run stays diagnosable
+    }
     finite = np.isfinite(energies) & np.isfinite(dets)
     if not finite.all():
         print(f"error: flow diverged: energy or Jacobian determinant not finite at "
               f"s = {_fmt(times[np.argmin(finite)])}", file=sys.stderr)
-        return 1, results
-    return 0, results
+    return 0 if finite.all() else 1, report, {
+        "flow.csv": (["s", "q0", "p0", "energy", "det_jacobian"], [times, qs, ps, energies, dets])}
 
 
 def _operator_stack(config: ExperimentConfig, momentum_nodes: int):
@@ -308,7 +312,7 @@ def _operator_stack(config: ExperimentConfig, momentum_nodes: int):
     return grid, T
 
 
-def run_operator(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+def run_operator(config: ExperimentConfig) -> tuple[int, dict, dict]:
     grid, T = _operator_stack(config, config.momentum_nodes)
     f = grid.target_values
 
@@ -324,7 +328,6 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     residual = weighted_symmetry_residual(T)
 
     trace = iterate(T, _h0(config, grid), config.n_max, config.tol)
-    write_csv(outdir / "trace.csv", ["n", "norm", "error"], [trace.steps, trace.norms, trace.errors])
     # the floor is the least error; its step the first within 1% of it, so
     # rounding between near-equal errors at the floor does not move it
     floor = float(np.min(trace.errors))
@@ -344,69 +347,54 @@ def run_operator(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
         "iteration_floor_step": int(trace.steps[floor_at]),
         "kernel_width_cells": T.meta["kernel_width_cells"],
     }
-    results = write_json(outdir / "operator_report.json", report)
-    # the report is written first, so a failed run stays diagnosable
     bad = np.count_nonzero(~np.isfinite(T.entries))
     if bad:
         print(f"error: operator not finite: {bad} of {T.entries.size} entries of T are NaN "
               f"or infinite", file=sys.stderr)
-        return 1, results
-    return 0, results
+    return 1 if bad else 0, report, {"trace.csv": _trace_table(trace)}
 
 
-def run_spectrum(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+def run_spectrum(config: ExperimentConfig) -> tuple[int, dict, dict]:
     _, T = _operator_stack(config, config.momentum_nodes)
     report = eigen_spectrum(T, config.top_k)
-    ks = np.arange(len(report.eigenvalues))
-    write_csv(outdir / "spectrum.csv", ["k", "mu"], [ks, report.eigenvalues])
     payload = {f.name: getattr(report, f.name) for f in fields(report)
                if f.name not in ("eigenvalues", "leading_vector")}
-    return 0, write_json(outdir / "spectral_report.json", payload)
+    return 0, payload, {"spectrum.csv": _spectrum_table(report)}
 
 
-def run_kernel_norm(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+def run_kernel_norm(config: ExperimentConfig) -> tuple[int, dict, dict]:
     grid, T = _operator_stack(config, config.kernel_momentum_nodes)
     value = hs_norm(T)
     report = eigen_spectrum(T, min(grid.n - 1, 64))
-    payload = {
-        "hs_norm_sq": value,
-        "hs_norm_sq_momentum": T.meta["hs_norm_sq_momentum"],
-        "sum_mu_sq": report.sum_squares,
-    }
     try:
-        payload["hs_bound_from_determinants"] = determinant_bounds(config.model, config.spec.time)[1]
+        bound = determinant_bounds(config.model, config.spec.time)[1]
     except ValueError:  # t * lambda_max outside the bounds' regime
-        pass
-    return 0, write_json(outdir / "kernel_report.json", payload)
+        bound = math.nan
+    return 0, {"hs_norm_sq": value, "hs_norm_sq_momentum": T.meta["hs_norm_sq_momentum"],
+               "sum_mu_sq": report.sum_squares, "hs_bound_from_determinants": bound}, {}
 
 
-def run_convergence(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+def run_convergence(config: ExperimentConfig) -> tuple[int, dict, dict]:
     grid, T = _operator_stack(config, config.momentum_nodes)
     report = eigen_spectrum(T, config.top_k)
     trace = iterate(T, _h0(config, grid), config.n_max, config.tol)
     cert = certify_rate(report, trace)
-    write_csv(outdir / "trace.csv", ["n", "norm", "error"], [trace.steps, trace.norms, trace.errors])
-    ks = np.arange(len(report.eigenvalues))
-    write_csv(outdir / "spectrum.csv", ["k", "mu"], [ks, report.eigenvalues])
-    write_json(outdir / "certificate.json", asdict(cert))
-    return 0 if cert.passed else 2, {
-        "result.rho_emp": cert.rho_emp,
-        "result.rho_spec": cert.rho_spec,
-        "result.passed": cert.passed,
-    }
+    return 0 if cert.passed else 2, asdict(cert), {
+        "trace.csv": _trace_table(trace), "spectrum.csv": _spectrum_table(report)}
 
 
-def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+def run_sampler_check(config: ExperimentConfig) -> tuple[int, dict, dict]:
     model = config.model
     # the reference operator is built and checked before the chain runs, so a
     # config its gates refuse draws nothing, with draws = 0 too
     grid, T = _operator_stack(config, config.momentum_nodes)
     report = eigen_spectrum(T, 2)
-    # every exit writes the same report keys, NaN where nothing was measured
+    # every exit reports these keys, NaN where nothing was measured
     nan = float("nan")
+    payload = {"draws": config.draws, "draws_outside_box": 0, "acceptance_rate": nan,
+               "sup_distance": nan}
     if config.draws == 0:
-        return 0, write_json(outdir / "sampler_report.json", {
-            "draws": 0, "draws_outside_box": 0, "acceptance_rate": nan, "sup_distance": nan})
+        return 0, payload, {}
     samples, acceptance = hmc_chain(model, config.spec, config.draws, random.Random(config.seed))
     fixed = report.leading_vector / mass(report.leading_vector, grid)
 
@@ -416,14 +404,13 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict
     # the histogram drops draws outside [-L, L], and the reference is normalised
     # to the box's mass, so the empirical density is normalised over the draws inside
     inside = int(counts.sum())
-    payload = {"draws": config.draws, "draws_outside_box": config.draws - inside,
-               "acceptance_rate": acceptance, "sup_distance": nan}
+    payload.update(draws_outside_box=config.draws - inside, acceptance_rate=acceptance)
     if acceptance < 0.5:
-        payload["warning"] = "acceptance below 0.5, reduce the leapfrog substep"
+        print("warning: acceptance below 0.5, reduce the leapfrog substep", file=sys.stderr)
     if inside == 0:
         print(f"error: draws_outside_box = {config.draws}: no draw landed in [-{L}, {L}], "
               f"so the histogram cannot be normalised over the box", file=sys.stderr)
-        return 1, write_json(outdir / "sampler_report.json", payload)
+        return 1, payload, {}
     width = edges[1] - edges[0]
     empirical = counts / (inside * width)
     # antiderivative of the interpolated fixed point at the bin edges
@@ -439,21 +426,20 @@ def run_sampler_check(config: ExperimentConfig, outdir: Path) -> tuple[int, dict
     whole = np.concatenate([[0.0], np.cumsum(partial(slice(None), h))])
     piece = np.clip(np.searchsorted(x, edges, "right") - 1, 0, grid.n - 2)
     reference = np.diff(whole[piece] + partial(piece, edges - x[piece])) / width
-    sup = float(np.max(np.abs(empirical - reference)))
+    payload["sup_distance"] = float(np.max(np.abs(empirical - reference)))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    write_csv(outdir / "histogram.csv", ["center", "empirical", "reference"],
-              [centers, empirical, reference])
-    payload["sup_distance"] = sup
-    return 0, write_json(outdir / "sampler_report.json", payload)
+    return 0, payload, {"histogram.csv": (["center", "empirical", "reference"],
+                                          [centers, empirical, reference])}
 
 
+# each subcommand's runner and the file its report goes to
 RUNNERS = {
-    "flow": run_flow,
-    "operator": run_operator,
-    "spectrum": run_spectrum,
-    "kernel-norm": run_kernel_norm,
-    "convergence": run_convergence,
-    "sampler-check": run_sampler_check,
+    "flow": (run_flow, "conservation.json"),
+    "operator": (run_operator, "operator_report.json"),
+    "spectrum": (run_spectrum, "spectral_report.json"),
+    "kernel-norm": (run_kernel_norm, "kernel_report.json"),
+    "convergence": (run_convergence, "certificate.json"),
+    "sampler-check": (run_sampler_check, "sampler_report.json"),
 }
 ALL_KINDS = tuple(RUNNERS)
 
@@ -481,8 +467,11 @@ def main(argv=None) -> int:
             config.resolved["experiment.seed"] = args.seed
         outdir = Path(args.out or config.output or f"out-{config.kind}")
         outdir.mkdir(parents=True, exist_ok=True)
-        code, results = RUNNERS[config.kind](config, outdir)
-        write_manifest(outdir, config, results)
+        run, report_name = RUNNERS[config.kind]
+        code, report, tables = run(config)
+        for name, (header, columns) in tables.items():
+            write_csv(outdir / name, header, columns)
+        write_manifest(outdir, config, write_json(outdir / report_name, report))
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

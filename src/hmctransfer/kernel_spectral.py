@@ -111,12 +111,9 @@ def eigen_spectrum(T: TransferMatrix, k: int) -> SpectralReport:
     of unit weighted norm, sum u^2.  Against ``eigh`` of the whole symmetric
     form both vectors agree within 2.3e-14 of their largest entry on the
     quartic and 2.9e-15 on the Gaussians at n = 400 and 401 and the
-    mean-0.6 Gaussian.  On blocks of 201, 401 and 801 (2-core Linux machine,
-    NumPy 2.4.6 on OpenBLAS 0.3.31) ``eigh`` took 3.8, 15.7 and 77.6 ms,
-    ``eigvalsh`` 1.5, 7.5 and 36.7 ms and one solve 0.5, 2.5 and 15.4 ms,
-    and ``eigen_spectrum(T, 2)`` on the quartic at n = 401 fell from 11.7-13.1
-    to 10.3-10.6 ms (medians of 21 calls, three alternated runs).  The blocks
-    are this call's own arrays: they are symmetrized and shifted in place.
+    mean-0.6 Gaussian.  ``eigvalsh`` and two solves per vector take less
+    time than ``eigh``, which forms every eigenvector.  The blocks are this
+    call's own arrays: they are symmetrized and shifted in place.
 
     ``second_mass`` is measured on the rebuilt second vector: for an even
     target it is odd, and its mass is rounding (7.7e-17 on the quartic),

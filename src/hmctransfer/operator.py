@@ -377,27 +377,15 @@ def assemble_transfer(
     of T keeps its bits.  The span is the most nodes any row's curve covers,
     counted between the images of the end probes +-``PROBE_SDS``, which the
     width sweep flows too, so a block holds at most ``ROW_BLOCK_POINTS`` probe
-    points and as many (row, node) pairs.  The quartic's kernel spans at most
-    67 nodes at n = 401, fewer than its probes, and its blocks are those of
-    the probe bound alone; the centred Gaussian's at n = 801, t = 0.7 spans
-    466, and its 401 tabulated rows at m = 257 pass in two blocks of 201 and
-    200 instead of one, 24.6 -> 15.4 MiB traced, T unchanged bit for bit.
-    Within a block the spline reads P as a view of the flow's output and p as
-    a broadcast of the probes, so no curve is copied; the solve, then the
-    (row, node) pairs, set the peak.  A block leaves only its per-row
-    Hilbert-Schmidt and escape sums and its values at the pairs, scattered
-    into T, and K is scaled into T in place.  T is allocated, zeroed, before
-    the first block.  ``tracemalloc`` counts it from that moment, so the
-    traced peak is higher than with T allocated after the first block's
-    arrays are freed (quartic n = 401: 2.79 -> 4.02 MiB at m = 257; Gaussian
-    n = 801, m = 257 in one block: 19.7 -> 24.6 MiB).  The process's resident
-    memory counts T's pages only as the blocks write them, and there the two
-    orders read the same: the CLI's peak RSS on the quartic at n = 401, T allocated after
-    the first block -> before it, was 41.29 -> 41.32 MiB (kernel-norm),
-    41.95 -> 42.04 (operator) and 41.91 -> 41.89 (sampler-check), medians of
-    8 runs each on a 2-core Linux machine with NumPy 2.4.6.  Balanced blocks
-    matter there: kernel-norm's 201 tabulated rows at m = 1025 as blocks of
-    127 and 74 instead of 101 and 100 read 41.90 MiB.
+    points and as many (row, node) pairs.  Within a block the spline reads P
+    as a view of the flow's output and p as a broadcast of the probes, so no
+    curve is copied; the solve, then the (row, node) pairs, set the peak.  A
+    block leaves only its per-row Hilbert-Schmidt and escape sums and its
+    values at the pairs, scattered into T, and K is scaled into T in place.
+    T is allocated, zeroed, before the first block: ``tracemalloc`` counts it
+    from then on, but resident memory counts its pages only as the blocks
+    write them.  The blocks are balanced because the largest one sets the
+    peak resident memory.
     """
     check_conjugate_bound(model, spec)
     n, m = grid.n, momentum_nodes
@@ -509,8 +497,7 @@ def spline_pieces(y, slopes, at, nxt, h):
 
 def _spline_piece(y, slopes, at, nxt, h, s, slope=False):
     """Value, or with ``slope`` the slope, at offset s into the pieces ``at`` to ``nxt``.
-    A call of its own, so one evaluation's coefficients are freed before the next:
-    inlined, they raised the Gaussian n = 801, m = 257 traced peak from 30.2 to 37.1 MiB."""
+    A call of its own, so one evaluation's coefficients are freed before the next."""
     c0, c1, s0, y0 = spline_pieces(y, slopes, at, nxt, h)
     if slope:
         return (3 * c0 * s + 2 * c1) * s + s0
@@ -596,9 +583,7 @@ def parity_blocks(T: TransferMatrix) -> ParityBlocks:
     # the middle row and column of odd n: e_mid against the pairs, counted twice above
     even[half:] *= _SQRT_HALF
     even[:, half:] *= _SQRT_HALF
-    # s_i / s_j times each block as plain expressions: scaled in place instead,
-    # the sampler-check CLI's peak RSS on the quartic read 41.4 MiB, not 40.3
-    # (medians of 12 runs each, 2-core Linux machine)
+    # s_i / s_j times each block as a new array: scaling in place raised peak RSS
     return ParityBlocks(tuple((scale[:len(b), None] / scale[None, :len(b)]) * b
                               for b in (even, odd)))
 
@@ -637,11 +622,8 @@ def weighted_symmetry_residual(T: TransferMatrix) -> float:
 
 
 # Steps per chunk of ``iterate``, and per product X <- A^B X once the powers
-# are formed.  A power of two: A^B takes log2(B) squarings.  On the two parity
-# blocks, the 12000-step quartic iterate at n = 401 took 59.5, 54.1 and 47.7 ms
-# at B = 64, 128 and 256 (medians of 10 fresh processes each, alternated,
-# 2-core Linux machine, NumPy 2.4.6 on OpenBLAS 0.3.31).  256 doubles the two
-# chunk buffers, and the operator CLI's peak RSS read 35.9 -> 37.3 MiB.
+# are formed.  A power of two: A^B takes log2(B) squarings.  Not 256: long runs
+# step faster there, but the two chunk buffers double, and peak RSS with them.
 BLOCK_STEPS = 128
 
 
@@ -653,7 +635,6 @@ class IterationTrace:
     norms: np.ndarray
     errors: np.ndarray
     alpha: float
-    tol: float
     converged: bool
     anomaly: bool
     final: np.ndarray
@@ -689,7 +670,8 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
     with that loop's to rounding (quartic at n = 401, 12000 steps: norms
     within 8.7e-15 relative, errors within 3.5e-16 of norms[0], ``final``
     within 4.8e-15 of its largest entry).  ``final`` is the iterate at the
-    last step, an array of its own.
+    last step, an array of its own.  When step 0 ends the run, by its error
+    below ``tol`` or by n_max = 0, T's blocks are not taken.
     """
     grid = T.grid
     h0 = np.asarray(h0, dtype=float)
@@ -699,15 +681,20 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
     alpha = h_mass / mass(grid.target_values, grid)
     # weighted norms as plain 2-norms in the symmetric frame s = sqrt(w / f)
     scale = grid.scale
+    start, limit = scale * h0, scale * (alpha * grid.target_values)
+    error = float(np.linalg.norm(start - limit))
+    if not (error >= tol and n_max > 0):  # step 0 ends the run
+        return IterationTrace(steps=np.arange(1), norms=np.array([np.linalg.norm(start)]),
+                              errors=np.array([error]), alpha=alpha, converged=error < tol,
+                              anomaly=False, final=h0.copy())
     frame = parity_blocks(T)
-    targets = frame.split(scale * (alpha * grid.target_values))
+    targets = frame.split(limit)
     # X = [y_k, ..., y_{k+B-1}] in the blocks' coordinates, one (B, size) array per block
     X = [np.empty((BLOCK_STEPS, len(part))) for part in targets]
-    for x, part in zip(X, frame.split(scale * h0)):
+    for x, part in zip(X, frame.split(start)):
         x[0] = part
     # the norms and errors of each chunk as far as the run recorded it, kept as
-    # arrays: a list of one Python float per step held 24000 of them in the
-    # 12000-step quartic run, and the operator CLI's peak RSS read 0.45 MiB more
+    # arrays: a Python float per step costs peak RSS on long runs
     norms, errors = [], []
     anomaly, rising, best, error, recorded = False, 0, math.inf, math.inf, 0
 
@@ -746,8 +733,7 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
     powers = None
     if running() and n_max - last >= squarings * max(len(block) for block in frame.blocks):
         powers = [np.linalg.matrix_power(block, BLOCK_STEPS) for block in frame.blocks]
-        # products alternate between two buffers; a fresh array per block
-        # raised the CLI's peak RSS by ~0.7 MiB at n = 401
+        # products alternate between two buffers, so no chunk allocates
         spare = [np.empty_like(x) for x in X]
     while running():
         if powers is None:
@@ -762,7 +748,6 @@ def iterate(T: TransferMatrix, h0, n_max: int, tol: float) -> IterationTrace:
         norms=np.concatenate(norms),
         errors=np.concatenate(errors),
         alpha=alpha,
-        tol=tol,
         converged=bool(error < tol),
         anomaly=anomaly,
         final=frame.join([x[last] for x in X]) / scale,

@@ -144,10 +144,44 @@ TRACER_DEAD_HOOKS = {"hmctransfer.cli.assemble_adjoint", "hmctransfer.cli.assemb
                      "hmctransfer.kernel_spectral.tangent_batch"}
 
 
+# each subcommand's report file and the keys every one of its exits writes
+REPORTS = {
+    "flow": ("conservation.json", {"energy_drift", "det_jacobian_max_deviation",
+                                   "closure_distance"}),
+    "operator": ("operator_report.json", {
+        "fixed_point_residual", "mass_error_max", "contraction_factor_max",
+        "self_adjointness_residual", "duality_residual_max",
+        "leaked_mass", "iteration_converged",
+        "iteration_anomaly", "limit_mass_ratio", "iteration_error_floor",
+        "iteration_floor_step", "kernel_width_cells"}),
+    "spectrum": ("spectral_report.json", {"gap", "rate_bound", "multiplicity_check",
+                                          "second_mass", "symmetry_residual", "gap_caveat"}),
+    "kernel-norm": ("kernel_report.json", {"hs_norm_sq", "hs_norm_sq_momentum", "sum_mu_sq",
+                                           "hs_bound_from_determinants"}),
+    "convergence": ("certificate.json", {"rho_emp", "rho_spec", "mismatch", "r_squared",
+                                         "window", "n_points", "passed", "trivially_converged"}),
+    "sampler-check": ("sampler_report.json", {"draws", "draws_outside_box", "acceptance_rate",
+                                              "sup_distance"}),
+}
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def mirrored_report(out, kind):
+    """The report a ``kind`` run wrote to ``out``, once it is checked to hold its
+    full key set and the manifest to mirror exactly its keys as result.*, each
+    as ``_fmt`` of the value read back from the JSON."""
+    name, keys = REPORTS[kind]
+    report = json.loads((out / name).read_text())
+    assert set(report) == keys, kind
+    mirror = [line for line in (out / "manifest.txt").read_text().splitlines()
+              if line.startswith("result.")]
+    assert mirror == sorted(f"result.{key} = {cli._fmt(value)}" for key, value in report.items())
+    return report
 
 
 def test_flow_trajectory_closes_after_full_period(tmp_path):
@@ -282,11 +316,9 @@ def test_operator_maxima_keep_a_nan(tmp_path, monkeypatch, capsys):
     assert main(["operator", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: operator not finite: 1 of {201 ** 2} entries of T are NaN or infinite"]
-    report = json.loads((out / "operator_report.json").read_text())
-    manifest = (out / "manifest.txt").read_text()
+    report = mirrored_report(out, "operator")
     for key in ("mass_error_max", "contraction_factor_max", "duality_residual_max"):
         assert math.isnan(report[key]), key
-        assert f"result.{key} = nan" in manifest
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging flow overflows
@@ -301,11 +333,11 @@ def test_flow_conservation_keeps_a_nan(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: flow diverged: energy or Jacobian determinant not finite at s = 25"]
     assert (out / "flow.csv").read_text().splitlines()[6].startswith("25,")
-    report = json.loads((out / "conservation.json").read_text())
+    report = mirrored_report(out, "flow")
     assert math.isnan(report["det_jacobian_max_deviation"])
     assert math.isnan(report["energy_drift"])
     manifest = (out / "manifest.txt").read_text()
-    assert "result.det_dev = nan" in manifest
+    assert "result.det_jacobian_max_deviation = nan" in manifest
     assert "result.energy_drift = nan" in manifest
 
 
@@ -348,6 +380,20 @@ def test_kernel_norm_report(tmp_path):
     assert rel < 1e-4
     assert abs(report["sum_mu_sq"] - report["hs_norm_sq"]) < 1e-2 * report["hs_norm_sq"]
     assert report["hs_norm_sq"] <= report["hs_bound_from_determinants"]
+
+
+def test_kernel_norm_writes_nan_outside_the_determinant_bounds(tmp_path):
+    # t lambda_max = 2 lies in [pi/2, pi): the operator is built, outside the
+    # determinant bounds' regime, so the key reads NaN instead of going missing
+    text = (GAUSS_CONV.replace("time = 0.7", "time = 2.0")
+            .replace("n_per_axis = 401", "n_per_axis = 201")
+            .replace("momentum_nodes = 257", "momentum_nodes = 129"))
+    cfg = write(tmp_path, "late.ini", text + "kernel_momentum_nodes = 257\n")
+    out = tmp_path / "out"
+    assert main(["kernel-norm", "--config", cfg, "--out", str(out)]) == 0
+    report = mirrored_report(out, "kernel-norm")
+    assert math.isnan(report["hs_bound_from_determinants"])
+    assert report["hs_norm_sq"] > 0
 
 
 def test_every_subcommand_refuses_a_two_dimensional_model(tmp_path, capsys):
@@ -394,7 +440,7 @@ def test_sampler_zero_draws(tmp_path):
     cfg = write(tmp_path, "samp0.ini", SAMPLER.replace("draws = 200000", "draws = 0"))
     out = tmp_path / "out"
     assert main(["sampler-check", "--config", cfg, "--out", str(out)]) == 0
-    report = json.loads((out / "sampler_report.json").read_text())
+    report = mirrored_report(out, "sampler-check")
     assert report["draws"] == 0
     assert report["draws_outside_box"] == 0
     # the keys of every other exit, NaN where nothing was measured
@@ -425,11 +471,22 @@ def test_sampler_check_refuses_a_chain_outside_the_box(tmp_path, monkeypatch, ca
     assert main(["sampler-check", "--config", cfg, "--out", str(out)]) == 1
     assert "draws_outside_box = 50" in capsys.readouterr().err
     # the report and the manifest are still written, with no distance and no histogram
-    report = json.loads((out / "sampler_report.json").read_text())
+    report = mirrored_report(out, "sampler-check")
     assert (report["draws"], report["draws_outside_box"], report["acceptance_rate"]) == (50, 50, 1.0)
     assert math.isnan(report["sup_distance"])
-    assert "result.sup_distance = nan" in (out / "manifest.txt").read_text()
     assert not (out / "histogram.csv").exists()
+
+
+def test_sampler_check_advises_on_low_acceptance_on_stderr(tmp_path, monkeypatch, capsys):
+    # the advice is printed, and the report keeps its four keys
+    monkeypatch.setattr(cli, "hmc_chain", lambda model, spec, draws, rng: (
+        hmc_chain(model, spec, draws, rng)[0], 0.3))
+    cfg = write(tmp_path, "low.ini", SAMPLER.replace("200000", "2000"))
+    out = tmp_path / "out"
+    assert main(["sampler-check", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "warning: acceptance below 0.5, reduce the leapfrog substep\n"
+    report = mirrored_report(out, "sampler-check")
+    assert report["acceptance_rate"] == 0.3
 
 
 def test_sampler_check_refuses_before_the_chain(tmp_path, monkeypatch, capsys):
@@ -792,7 +849,7 @@ def test_runners_leave_numpy_random_unloaded(tmp_path):
 
 
 def test_report_schemas_and_manifest_mirror(tmp_path, monkeypatch):
-    # the report keys follow the records' fields; four reports are mirrored into
+    # the report keys follow the records' fields; every report is mirrored into
     # the manifest as result.* keys, and main writes the manifest once per run
     write_manifest, writes = cli.write_manifest, []
 
@@ -803,37 +860,13 @@ def test_report_schemas_and_manifest_mirror(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "write_manifest", counting)
     smoke = "samples = 10\ndraws = 2000\nn_max = 2000\ntol = 1e-6\nkernel_momentum_nodes = 257\n"
     cfg = write(tmp_path, "quartic.ini", ANH_SMALL + smoke)
-    schemas = {
-        "flow": ("conservation.json",
-                 {"energy_drift", "det_jacobian_max_deviation", "closure_distance"}),
-        "operator": ("operator_report.json", {
-            "fixed_point_residual", "mass_error_max", "contraction_factor_max",
-            "self_adjointness_residual", "duality_residual_max",
-            "leaked_mass", "iteration_converged",
-            "iteration_anomaly", "limit_mass_ratio", "iteration_error_floor",
-            "iteration_floor_step", "kernel_width_cells"}),
-        "spectrum": ("spectral_report.json", {"gap", "rate_bound", "multiplicity_check",
-                                              "second_mass", "symmetry_residual", "gap_caveat"}),
-        "kernel-norm": ("kernel_report.json", {"hs_norm_sq", "hs_norm_sq_momentum", "sum_mu_sq",
-                                               "hs_bound_from_determinants"}),
-        "convergence": ("certificate.json", {"rho_emp", "rho_spec", "mismatch", "r_squared",
-                                             "window", "n_points", "passed",
-                                             "trivially_converged"}),
-        "sampler-check": ("sampler_report.json", {"draws", "draws_outside_box", "acceptance_rate",
-                                                  "sup_distance"}),
-    }
-    assert set(schemas) == set(cli.RUNNERS)
-    for kind, (name, keys) in schemas.items():
+    assert set(REPORTS) == set(cli.RUNNERS)
+    for kind in REPORTS:
         out = tmp_path / kind
         assert main([kind, "--config", cfg, "--out", str(out)]) == 0
         assert len(writes) == 1
         writes.clear()
-        report = json.loads((out / name).read_text())
-        assert set(report) == keys, kind
-        if kind in ("operator", "spectrum", "kernel-norm", "sampler-check"):
-            manifest = (out / "manifest.txt").read_text().splitlines()
-            for key, value in report.items():
-                assert f"result.{key} = {cli._fmt(value)}" in manifest, (kind, key)
+        mirrored_report(out, kind)
 
 
 def test_operator_report_records_kernel_width(tmp_path, capsys):

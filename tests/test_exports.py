@@ -1,11 +1,13 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import hmctransfer
+from hmctransfer import cli
 
 MODULES = [importlib.import_module(f"hmctransfer.{info.name}")
            for info in pkgutil.iter_modules(hmctransfer.__path__)]
@@ -129,6 +131,37 @@ def test_no_unread_parameters():
     unread = {str(path.relative_to(ROOT)): names for path in _sources("src/hmctransfer/*.py")
               if (names := _unread_parameters(path))}
     assert not unread, unread
+
+
+def _writer_readers(path: Path) -> set[str]:
+    """The functions of ``path``, by dotted name, that read one of the CLI's output
+    writers, as a call or as a value; a read outside any function as ``<module>``."""
+    writers = {"write_csv", "write_json", "write_manifest"}
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if name in writers and isinstance(getattr(child, "ctx", None), ast.Load):
+                readers.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return readers
+
+
+def test_only_cli_main_writes_outputs():
+    # a runner computes from the config alone and main writes its tables, report
+    # and manifest, so every subcommand's outputs take one path on every exit
+    readers = {f"{path.stem}.{scope}" for path in _sources("src/hmctransfer/*.py")
+               for scope in _writer_readers(path)}
+    assert readers == {"cli.main"}
+    params = {kind: list(inspect.signature(run).parameters)
+              for kind, (run, _) in cli.RUNNERS.items()}
+    assert all(len(names) == 1 for names in params.values()), params
 
 
 def _numpy_random_reads(path: Path) -> list[int]:

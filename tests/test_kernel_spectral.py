@@ -288,7 +288,6 @@ def test_certificate_rejects_non_geometric_decay(gauss_report):
         norms=errors,
         errors=errors,
         alpha=1.0,
-        tol=1e-12,
         converged=False,
         anomaly=False,
         final=np.zeros(3),

@@ -378,7 +378,7 @@ def _reference_iterate(T, h0, n_max, tol):
             anomaly = True
             break
     return IterationTrace(steps=np.arange(len(errors)), norms=np.array(norms),
-                          errors=np.array(errors), alpha=alpha, tol=tol,
+                          errors=np.array(errors), alpha=alpha,
                           converged=bool(errors[-1] < tol), anomaly=anomaly, final=h)
 
 
@@ -398,8 +398,8 @@ def _assert_same_run(trace, ref, slack=1.0):
 
 
 def _counted_iterate(monkeypatch, T, h0, n_max, tol):
-    """``iterate``, the number of parity blocks it ran on, and the number of
-    powers it formed; it must take the blocks of T once."""
+    """``iterate``, the number of parity blocks it ran on, 0 when it took none,
+    and the number of powers it formed; it must take the blocks of T at most once."""
     frames, powers = [], []
     parity_blocks, matrix_power = operator.parity_blocks, np.linalg.matrix_power
 
@@ -415,9 +415,9 @@ def _counted_iterate(monkeypatch, T, h0, n_max, tol):
         patch.setattr(operator, "parity_blocks", record)
         patch.setattr(np.linalg, "matrix_power", count)
         trace = iterate(T, h0, n_max, tol)
-    assert len(frames) == 1
+    assert len(frames) <= 1
     assert set(powers) <= {BLOCK_STEPS}
-    return trace, len(frames[0].blocks), len(powers)
+    return trace, len(frames[0].blocks) if frames else 0, len(powers)
 
 
 def test_iterate_block_mode_matches_matvec_loop_on_quartic(anh_T, anh_grid, anh_trace):
@@ -432,13 +432,15 @@ def test_iterate_block_mode_matches_matvec_loop_on_quartic(anh_T, anh_grid, anh_
 ])
 def test_iterate_short_runs_are_the_matvec_loop(monkeypatch, gauss_T, gauss_grid, h0, n_max, tol):
     # runs that stop inside the first chunk take the blocks once and form no
-    # power; the target converges at step 0, and n_max = 0 stops there
+    # power; the target converges at step 0, and n_max = 0 stops there, before
+    # the blocks are taken
     q = gauss_grid.x
     start = {"bump": np.exp(-0.5 * (q - 1.3) ** 2 / 0.49),
              "random": random_density(gauss_grid, np.random.default_rng(2)),
              "target": gauss_grid.target_values}[h0]
     trace, blocks, powers = _counted_iterate(monkeypatch, gauss_T, start, n_max, tol)
-    assert trace.steps[-1] < BLOCK_STEPS and (blocks, powers) == (2, 0)
+    assert trace.steps[-1] < BLOCK_STEPS and powers == 0
+    assert blocks == (0 if h0 == "target" or n_max == 0 else 2)
     _assert_same_run(trace, _reference_iterate(gauss_T, start, n_max, tol))
 
 
