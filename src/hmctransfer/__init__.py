@@ -7,13 +7,10 @@ geometric convergence rates against closed-form oracles.
 """
 
 from .distributions import (
-    ModelPair,
     Potential,
-    anharmonic_pair,
     anharmonic_potential,
     density_value,
     gaussian_potential,
-    standard_gaussian_pair,
 )
 from .dynamics import (
     FlowSpec,

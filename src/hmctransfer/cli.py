@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distributions import ModelPair, gaussian_potential, anharmonic_potential, kinetic_energy
+from .distributions import Potential, gaussian_potential, anharmonic_potential, kinetic_energy
 from .dynamics import (FlowSpec, check_conjugate_bound, default_flow_spec, determinant_bounds,
                        hmc_chain, tangent_batch)
 from .kernel_spectral import certify_rate, eigen_spectrum, hs_norm
@@ -70,7 +70,7 @@ SETTINGS = {
 @dataclass
 class ExperimentConfig:
     kind: str
-    model: ModelPair
+    model: Potential
     spec: FlowSpec
     output: str | None
     resolved: dict
@@ -109,26 +109,20 @@ def _potential(fields: dict, make, *args):
         raise ConfigError(f"{fields.get(str(exc).split()[0], 'model')}: {exc}") from exc
 
 
-def _build_model(cfg: configparser.ConfigParser) -> ModelPair:
+def _build_model(cfg: configparser.ConfigParser) -> Potential:
     sec = cfg["model"]
     family = sec.get("family", "gaussian").strip()
     halfwidth = _number(sec, "model.halfwidth", float, 8.0)
-    if not (math.isfinite(halfwidth) and halfwidth > 0):
-        raise ConfigError(f"model.halfwidth: must be finite and positive, got {halfwidth}")
     if family == "gaussian":
-        target = _potential({"mean": "model.mean", "precision": "model.precision"},
-                            gaussian_potential, _number(sec, "model.mean", float, 0.0),
-                            _number(sec, "model.precision", float, 1.0))
-    elif family == "anharmonic":
-        target = _potential({"a": "model.a", "b": "model.b", "halfwidth": "model.halfwidth"},
-                            anharmonic_potential, _number(sec, "model.a", float, 1.0),
-                            _number(sec, "model.b", float, 0.0), halfwidth)
-    else:
-        raise ConfigError(f"model.family: unknown family {family!r}")
-    try:
-        return ModelPair(target=target, domain_halfwidth=halfwidth)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+        return _potential({"mean": "model.mean", "precision": "model.precision",
+                           "halfwidth": "model.halfwidth"},
+                          gaussian_potential, _number(sec, "model.mean", float, 0.0),
+                          _number(sec, "model.precision", float, 1.0), halfwidth)
+    if family == "anharmonic":
+        return _potential({"a": "model.a", "b": "model.b", "halfwidth": "model.halfwidth"},
+                          anharmonic_potential, _number(sec, "model.a", float, 1.0),
+                          _number(sec, "model.b", float, 0.0), halfwidth)
+    raise ConfigError(f"model.family: unknown family {family!r}")
 
 
 def load_config(path: str, command: str | None = None) -> ExperimentConfig:
@@ -163,7 +157,7 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"flow: {exc}") from exc
     if spec.method == "exact_gaussian" and not model.is_gaussian:
-        raise ConfigError("flow.method: exact_gaussian requires a Gaussian model pair")
+        raise ConfigError("flow.method: exact_gaussian requires a Gaussian model")
 
     # every experiment but flow builds an operator, which must stay below the
     # conjugate-point bound
@@ -176,7 +170,7 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
     # a key the run does not read is refused; the target's params are its family's keys
     known = {*SETTINGS, "experiment.kind", "experiment.output", "flow.time", "flow.method",
              "flow.steps", "model.family", "model.halfwidth",
-             *(f"model.{key}" for key in model.target.params)}
+             *(f"model.{key}" for key in model.params)}
     for name in (f"{sec}.{key}" for sec in parser.sections() for key in parser[sec]):
         if name not in known:
             raise ConfigError(f"{name}: unknown key")
@@ -189,7 +183,7 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"{name}: need {bound}, got {value}")
         settings[name] = value
     # the bound that depends on the model
-    L = model.domain_halfwidth
+    L = model.halfwidth
     if not -L <= settings["experiment.h0_center"] <= L:
         raise ConfigError(f"experiment.h0_center: need a value in [-{L}, {L}], "
                           f"got {settings['experiment.h0_center']}")
@@ -199,11 +193,11 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
         resolved={
             **settings,
             "experiment.kind": kind,
-            "model.family": model.target.kind,
-            "model.halfwidth": model.domain_halfwidth,
+            "model.family": model.kind,
+            "model.halfwidth": model.halfwidth,
             "model.lambda_min": model.lambda_min,
             "model.lambda_max": model.lambda_max,
-            "model.params": model.target.params,
+            "model.params": model.params,
             "flow.time": spec.time,
             "flow.method": spec.method,
             "flow.steps": spec.steps,
@@ -271,7 +265,7 @@ def run_flow(config: ExperimentConfig) -> tuple[int, dict, dict]:
     q, p = random.Random(config.seed).uniform(-0.5, 0.5) + 1.0, 0.0
 
     def energy(q, p):
-        return model.target.value(q) + kinetic_energy(p)
+        return model.value(q) + kinetic_energy(p)
 
     times, qs, ps, energies, dets = [0.0], [q], [p], [energy(q, p)], [1.0]
     # leapfrog runs in pieces of whole steps, the exact map in `samples` equal
@@ -398,7 +392,7 @@ def run_sampler_check(config: ExperimentConfig) -> tuple[int, dict, dict]:
     samples, acceptance = hmc_chain(model, config.spec, config.draws, random.Random(config.seed))
     fixed = report.leading_vector / mass(report.leading_vector, grid)
 
-    L = model.domain_halfwidth
+    L = model.halfwidth
     edges = np.linspace(-L, L, config.bins + 1)
     counts, _ = np.histogram(samples, bins=edges)
     # the histogram drops draws outside [-L, L], and the reference is normalised

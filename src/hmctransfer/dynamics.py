@@ -8,7 +8,7 @@ once, ``tangent_batch`` carries the Jacobian through the same kicks and
 drifts, and ``hmc_chain`` runs a Metropolis-corrected chain on Python floats.
 Leapfrog is symplectic and time-reversible, so the invariance properties the
 operator theory needs hold exactly for the discrete map, not just
-approximately.  Gaussian pairs also have a closed-form map, the linear
+approximately.  Gaussian models also have a closed-form map, the linear
 Hamiltonian system solved exactly as the rotation [[c, s], [-u s, c]] with
 c = cos(omega t) and s = sin(omega t) / omega (``exact_gaussian_matrix``, the
 package's one exact-Gaussian propagator).  No Metropolis correction is
@@ -26,7 +26,7 @@ equation.  ``tangent_batch`` lifts each coordinate to an (N, 3) array whose
 column 0 is the point and whose columns 1 and 2 are its derivatives along
 (q0, p0), and integrates it with gradients that carry the chain rule,
 z -> [U'(z0), U''(z0) z1, U''(z0) z2]: Q and P are ``flow_batch``'s, bit for
-bit.  For Gaussian pairs J is the exact-Gaussian propagator, the same 2 x 2
+bit.  For Gaussian models J is the exact-Gaussian propagator, the same 2 x 2
 matrix at every state.
 
 The regime bounds on t * lambda_max are stated here once each:
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ModelPair, kinetic_energy
+from .distributions import Potential, kinetic_energy
 
 __all__ = [
     "FlowSpec",
@@ -79,10 +79,10 @@ class FlowSpec:
             raise ValueError(f"unknown flow method {self.method!r}")
 
 
-def default_flow_spec(model: ModelPair, time: float, method: str | None = None) -> FlowSpec:
+def default_flow_spec(model: Potential, time: float, method: str | None = None) -> FlowSpec:
     """Pick the backend and a stable substep count for the model.
 
-    Gaussian pairs get the exact map.  Leapfrog substeps obey
+    Gaussian models get the exact map.  Leapfrog substeps obey
     t/steps <= 0.01 * min(1, 1/sqrt(lambda_max)), a hundredth of the fastest
     harmonic period scale.
     """
@@ -94,8 +94,8 @@ def default_flow_spec(model: ModelPair, time: float, method: str | None = None) 
     return FlowSpec(time=time, steps=max(1, math.ceil(time / h_max)), method="leapfrog")
 
 
-def exact_gaussian_matrix(model: ModelPair, time: float) -> np.ndarray:
-    """2 x 2 propagator of the linear Hamiltonian system for Gaussian pairs.
+def exact_gaussian_matrix(model: Potential, time: float) -> np.ndarray:
+    """2 x 2 propagator of the linear Hamiltonian system for Gaussian models.
 
     With target precision u and unit momentum precision the system is
     (Q - mu, P)' = [[0, 1], [-u, 0]] (Q - mu, P), whose solution map is
@@ -104,7 +104,7 @@ def exact_gaussian_matrix(model: ModelPair, time: float) -> np.ndarray:
     """
     if not model.is_gaussian:
         raise ValueError("exact flow requested for a non-Gaussian model")
-    u = model.target.params["precision"]
+    u = model.params["precision"]
     omega = math.sqrt(u)
     c, s = np.cos(time * omega), np.sin(time * omega) / omega
     return np.array([[c, s], [-u * s, c]])
@@ -140,7 +140,7 @@ def _leapfrog(q, p, grad_u, tau: float, steps: int):
     return q, p
 
 
-def flow_batch(qs, ps, model: ModelPair, spec: FlowSpec):
+def flow_batch(qs, ps, model: Potential, spec: FlowSpec):
     """Map many phase points at once: q and p of any shapes that broadcast
     together, to (Q, P) of the broadcast shape.
 
@@ -155,7 +155,7 @@ def flow_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     ps = np.asarray(ps, dtype=float)
     if spec.method == "exact_gaussian":
         (a, b), (c, d) = exact_gaussian_matrix(model, spec.time).tolist()
-        mu = model.target.params["mean"]
+        mu = model.params["mean"]
         dq = qs - mu
         return dq * a + ps * b + mu, dq * c + ps * d
     tau = spec.time / spec.steps
@@ -165,7 +165,7 @@ def flow_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     Q, P = np.empty(len(q)), np.empty(len(p))
     for lo in range(0, len(q), BLOCK_POINTS):
         block = slice(lo, lo + BLOCK_POINTS)
-        Q[block], P[block] = _leapfrog(q[block], p[block], model.target.grad, tau, spec.steps)
+        Q[block], P[block] = _leapfrog(q[block], p[block], model.grad, tau, spec.steps)
     return Q.reshape(shape), P.reshape(shape)
 
 
@@ -179,7 +179,7 @@ def _lifted(potential):
     return grad
 
 
-def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
+def tangent_batch(qs, ps, model: Potential, spec: FlowSpec):
     """Flow a batch of states and differentiate the map.
 
     Takes q and p of shape (N,) and returns (Q, P, J), Q and P of shape (N,)
@@ -194,11 +194,11 @@ def tangent_batch(qs, ps, model: ModelPair, spec: FlowSpec):
     ones, zeros = np.ones(len(q)), np.zeros(len(q))
     # each coordinate with its derivatives along (q0, p0): [1, 0] for q, [0, 1] for p
     Q, P = _leapfrog(np.column_stack([q, ones, zeros]), np.column_stack([p, zeros, ones]),
-                     _lifted(model.target), spec.time / spec.steps, spec.steps)
+                     _lifted(model), spec.time / spec.steps, spec.steps)
     return Q[:, 0], P[:, 0], np.stack([Q[:, 1:], P[:, 1:]], axis=1)
 
 
-def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: random.Random):
+def hmc_chain(model: Potential, spec: FlowSpec, draws: int, rng: random.Random):
     """Plain HMC chain: momentum refresh, flow, Metropolis correction.
 
     Returns (positions of shape (draws,), acceptance_rate).  ``rng`` is the
@@ -216,14 +216,14 @@ def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: random.Random):
         return np.zeros(0), float("nan")
     if spec.method == "exact_gaussian":
         a, b = exact_gaussian_matrix(model, spec.time)[0].tolist()
-        mu = model.target.params["mean"]
+        mu = model.params["mean"]
         q, centered = 0.0, np.empty(draws)
         for i in range(draws):
             centered[i] = q = a * q + b * rng.gauss(0.0, 1.0)
         return centered + mu, 1.0
-    value_u, grad_u = model.target.value, model.target.grad
+    value_u, grad_u = model.value, model.grad
     tau = spec.time / spec.steps
-    q = model.target.params["mean"] if model.target.is_gaussian else 0.0
+    q = model.params["mean"] if model.is_gaussian else 0.0
     out = np.empty(draws)
     accepted = 0
     for i in range(draws):
@@ -238,7 +238,7 @@ def hmc_chain(model: ModelPair, spec: FlowSpec, draws: int, rng: random.Random):
     return out, accepted / draws
 
 
-def check_conjugate_bound(model: ModelPair, spec: FlowSpec):
+def check_conjugate_bound(model: Potential, spec: FlowSpec):
     """Refuse t * lambda_max >= pi, where conjugate points first appear for
     constant curvature; the operator itself stays well defined up to there."""
     t_lam = spec.time * model.lambda_max
@@ -246,7 +246,7 @@ def check_conjugate_bound(model: ModelPair, spec: FlowSpec):
         raise ValueError(f"t * lambda_max = {t_lam:.6f} beyond the conjugate-point bound (< pi)")
 
 
-def determinant_bounds(model: ModelPair, time: float):
+def determinant_bounds(model: Potential, time: float):
     """Regime bounds (lower, upper) on the product D_q * D_p.
 
     Valid for 0 < t * lambda_max < pi/2:

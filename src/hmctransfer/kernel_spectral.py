@@ -192,7 +192,11 @@ def eigen_spectrum(T: TransferMatrix, k: int) -> SpectralReport:
 
 @dataclass(frozen=True)
 class RateCertificate:
-    """Least-squares geometric-rate fit against the spectral prediction."""
+    """Least-squares geometric-rate fit against the spectral prediction.
+
+    ``mismatch`` is |log rho_emp - log rho_spec| / |log rho_spec|, the relative
+    error of the fitted spectral gap; NaN when no rate is fitted or rho_spec
+    lies outside (0, 1)."""
 
     rho_emp: float
     rho_spec: float
@@ -220,11 +224,14 @@ def certify_rate(report: SpectralReport, trace) -> RateCertificate:
     floor, then trims the leading transient adaptively until the fitted slope
     stabilizes: with a small spectral gap the higher modes pollute far more
     than three steps, and the trim isolates the asymptotic rate.  The
-    certificate passes when the fit has r^2 >= 0.99 and the fitted rate is
-    within 2 % of the second eigenvalue's modulus.  An operator that mixes in
-    a few steps leaves fewer than three points above the floor; then no rate
-    is fitted, and the certificate passes, marked ``trivially_converged``, if
-    and only if the iteration converged.
+    certificate passes when the fit has r^2 >= 0.99 and the fitted log rate is
+    within 1 % of log |mu_1|, mu_1 the second eigenvalue.  The error decays as
+    |mu_1|^k and log |mu_1| = -gap + O(gap^2), so this is a 1 % target on the
+    spectral gap; a 2 % tolerance on the rate itself accepts gaps from 0 to
+    4.7 times the true one at |mu_1| = 0.9946.  An operator that mixes in a
+    few steps leaves fewer than three points above the floor; then no rate is
+    fitted, and the certificate passes, marked ``trivially_converged``, if and
+    only if the iteration converged.
     """
     errors = np.asarray(trace.errors, dtype=float)
     steps = np.asarray(trace.steps, dtype=float)
@@ -255,15 +262,15 @@ def certify_rate(report: SpectralReport, trace) -> RateCertificate:
             break
         ns, log_e = ns[cut:], log_e[cut:]
     slope, r2 = _log_fit(ns, log_e)
-    rho_emp = float(np.exp(slope))
-    mismatch = abs(rho_emp - rho_spec) / rho_spec
+    log_spec = math.log(rho_spec) if 0.0 < rho_spec < 1.0 else math.nan
+    mismatch = abs(slope - log_spec) / abs(log_spec)
     return RateCertificate(
-        rho_emp=rho_emp,
+        rho_emp=float(np.exp(slope)),
         rho_spec=rho_spec,
         mismatch=float(mismatch),
         r_squared=float(r2),
         window=(int(ns[0]), int(ns[-1])),
         n_points=int(ns.size),
-        passed=bool(r2 >= 0.99 and mismatch < 0.02),
+        passed=bool(r2 >= 0.99 and mismatch < 1e-2),
         trivially_converged=False,
     )

@@ -32,7 +32,7 @@ grid cell; a narrower one is refused.  The tabulation also records the
 momentum-space Hilbert-Schmidt estimate that ``kernel_spectral.hs_norm``
 checks.
 
-The momentum law is N(0, 1) (``ModelPair``), so its density is even: the
+The momentum law is N(0, 1) (``kinetic_energy``), so its density is even: the
 momentum flip conjugates the flow to its inverse and makes T its own adjoint.
 
 An even target (``Potential.is_even``) gives a second identity.  Then the
@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import ModelPair, density_value, kinetic_energy
+from .distributions import Potential, density_value, kinetic_energy
 from .dynamics import BLOCK_POINTS, FlowSpec, check_conjugate_bound, flow_batch
 
 __all__ = [
@@ -130,7 +130,7 @@ def _trapezoid_axis(halfwidth: float, n: int):
     return x, w
 
 
-def build_grid(model: ModelPair, n_per_axis: int) -> DensityGrid:
+def build_grid(model: Potential, n_per_axis: int) -> DensityGrid:
     """Trapezoid grid over [-L, L] with the target tabulated on it.
 
     The nodes are exactly antisymmetric, x[n - 1 - i] = -x[i] bit for bit with
@@ -142,9 +142,9 @@ def build_grid(model: ModelPair, n_per_axis: int) -> DensityGrid:
     """
     if n_per_axis < 16:
         raise ValueError(f"need at least 16 nodes per axis, got {n_per_axis}")
-    L = model.domain_halfwidth
+    L = model.halfwidth
     x, w = _trapezoid_axis(L, n_per_axis)
-    f = density_value(model.target, x)
+    f = density_value(model, x)
     # an f of 0, or one so small that w / f overflows
     with np.errstate(divide="ignore", over="ignore"):
         lost = np.count_nonzero(~np.isfinite(w / f))
@@ -153,7 +153,7 @@ def build_grid(model: ModelPair, n_per_axis: int) -> DensityGrid:
                          f"where w / f is not finite: narrow the box")
 
     fine_x, fine_w = _trapezoid_axis(L, 2 * n_per_axis - 1)
-    ref = float(fine_w @ density_value(model.target, fine_x))
+    ref = float(fine_w @ density_value(model, fine_x))
     got = float(w @ f)
     if abs(got - ref) > 1e-3 * abs(ref):
         warnings.warn(
@@ -331,7 +331,7 @@ ROW_BLOCK_POINTS = 4 * BLOCK_POINTS
 
 def assemble_transfer(
     grid: DensityGrid,
-    model: ModelPair,
+    model: Potential,
     spec: FlowSpec,
     momentum_nodes: int,
 ) -> TransferMatrix:
@@ -355,7 +355,7 @@ def assemble_transfer(
     rate and mass 1e-12 at s = 2, 5e-9 at 1, 1e-2 at 0.5 (n = 401).  Below one
     cell this raises ``ValueError`` before any spline is solved.
 
-    Rows: for an even target (``model.target.is_even``) the flow commutes
+    Rows: for an even target (``model.is_even``) the flow commutes
     with (q, p) -> (-q, -p) bit for bit, and the grid nodes and the probes
     are exactly antisymmetric, so K(-q, -Q) = K(q, Q) gives
     T[n - 1 - i, n - 1 - j] = T[i, j].  Only rows 0 ... ceil(n / 2) - 1 are
@@ -410,7 +410,7 @@ def assemble_transfer(
 
     T = np.zeros((n, n))
     # an even target's row n - 1 - i mirrors row i: only the first ceil(n / 2) are tabulated
-    even = model.target.is_even
+    even = model.is_even
     tabulated = n - n // 2 if even else n
     hs_rows, escaped, inside = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
     # blocks of balanced sizes, each of at most ROW_BLOCK_POINTS probe points and

@@ -1,37 +1,37 @@
 """Shared fixtures: the two reference models with assembled operators.
 
-The Gaussian pair at t = 0.7 on [-8, 8] with n = 401 nodes and m = 257
+The standard Gaussian at t = 0.7 on [-8, 8] with n = 401 nodes and m = 257
 momentum nodes is the closed-form oracle configuration; the quartic well
 (a = 1, b = 0.5) on [-3.5, 3.5] at t = 0.08 keeps t * lambda_max inside the
 invertibility regime with negligible domain truncation.  ``random_density``
 draws the smooth random densities that the tests feed the operator, and
 ``spectrum_vectors`` reads the two vectors ``eigen_spectrum`` computes.
+``elliptic_flow`` is the quartic's exact flow, the integrator-free oracle.
 """
 
 import numpy as np
 import pytest
+from scipy.special import ellipj, ellipkinc
 
 from hmctransfer import (
     DensityGrid,
     FlowSpec,
-    anharmonic_pair,
+    anharmonic_potential,
     assemble_transfer,
     build_grid,
     default_flow_spec,
     eigen_spectrum,
     gaussian_potential,
     iterate,
-    standard_gaussian_pair,
 )
 from hmctransfer import kernel_spectral
-from hmctransfer.distributions import ModelPair
 from hmctransfer.dynamics import flow_batch
 from hmctransfer.operator import weighted_inner
 
 
 @pytest.fixture(scope="session")
 def gauss_model():
-    return standard_gaussian_pair(halfwidth=8.0)
+    return gaussian_potential(0.0, 1.0, 8.0)
 
 
 @pytest.fixture(scope="session")
@@ -70,14 +70,14 @@ def gauss_T_400(gauss_model, gauss_spec):
 def offset_T():
     # the Gaussian of mean 0.6, not even, so T is not its own mirror image;
     # momentum precision 1.7 at t = 0.6 is the unit law at t = sqrt(1.7) 0.6
-    model = ModelPair(gaussian_potential(0.6, 2.5), 6.0)
+    model = gaussian_potential(0.6, 2.5, 6.0)
     spec = FlowSpec(time=np.sqrt(1.7) * 0.6, method="exact_gaussian")
     return assemble_transfer(build_grid(model, 201), model, spec, 257)
 
 
 @pytest.fixture(scope="session")
 def anh_model():
-    return anharmonic_pair(1.0, 0.5, halfwidth=3.5)
+    return anharmonic_potential(1.0, 0.5, 3.5)
 
 
 @pytest.fixture(scope="session")
@@ -159,3 +159,28 @@ def random_density(grid: DensityGrid, rng: np.random.Generator):
     for c, s, w in zip(centers, sigmas, weights):
         vals += w * np.exp(-0.5 * (grid.x - c) ** 2 / s**2)
     return vals
+
+
+def elliptic_flow(qs, ps, model, spec):
+    """The exact flow of the quartic U = a q^2/2 + b q^4/4 over ``spec.time``, with
+    ``flow_batch``'s signature, so it can be patched in as ``operator.flow_batch``.
+
+    For a > 0 and b >= 0 (the hardening Duffing oscillator) the orbit of energy E
+    is q(s) = A cn(Omega s + u0 | m), p(s) = -A Omega sn dn, with
+    A^2 = 4E / (a + sqrt(a^2 + 4bE)), Omega^2 = a + b A^2 and m = b A^2 / (2 Omega^2)
+    in [0, 1/2) (Abramowitz and Stegun, ch. 16-17).  The start is u0 = -+F(phi | m),
+    minus for p > 0, with phi = atan2(|p| / sqrt(a + b (A^2 + q^2) / 2), q) in
+    [0, pi]: Omega dn = sqrt(a + b (A^2 + q^2) / 2), so the form has no
+    cancellation at the turning points.  a and b are read from ``model.params``.
+    """
+    a, b = model.params["a"], model.params["b"]
+    q, p = np.broadcast_arrays(np.asarray(qs, dtype=float), np.asarray(ps, dtype=float))
+    energy = 0.5 * p * p + q * q * (0.5 * a + 0.25 * b * q * q)
+    amp2 = 4.0 * energy / (a + np.sqrt(a * a + 4.0 * b * energy))
+    omega = np.sqrt(a + b * amp2)
+    m = b * amp2 / (2.0 * omega * omega)
+    phi = np.arctan2(np.abs(p) / np.sqrt(a + 0.5 * b * (amp2 + q * q)), q)
+    u0 = np.where(p > 0, -1.0, 1.0) * ellipkinc(phi, m)
+    sn, cn, dn, _ = ellipj(omega * spec.time + u0, m)
+    amp = np.sqrt(amp2)
+    return amp * cn, -amp * omega * sn * dn

@@ -1,7 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one [PASS]/[FAIL] line with the measured number so the run
-doubles as a report.  Reference configuration: standard Gaussian pair on
+doubles as a report.  Reference configuration: standard Gaussian model on
 [-8, 8] with n = 401, m = 257, t = 0.7 (closed-form oracles), and the quartic
 well a = 1, b = 0.5 for the model without closed forms.
 """
@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import random_density
 from hmctransfer import (
-    anharmonic_pair,
+    anharmonic_potential,
     certify_rate,
     default_flow_spec,
     determinant_bounds,
@@ -24,7 +24,7 @@ from hmctransfer import (
     weighted_symmetry_residual,
 )
 from hmctransfer.cli import main
-from hmctransfer.distributions import ModelPair, gaussian_potential
+from hmctransfer.distributions import gaussian_potential
 from hmctransfer.dynamics import FlowSpec, flow_batch, tangent_batch
 
 COS07 = np.cos(0.7)
@@ -151,7 +151,7 @@ def test_criterion_08_tangent_correctness(anh_model):
 
 def test_criterion_09_closed_form_solution():
     # target precision 4, momentum precision 1: the blocks turn at omega = 2
-    model = ModelPair(gaussian_potential(0.0, 4.0), 6.0)
+    model = gaussian_potential(0.0, 4.0, 6.0)
     t = 0.4
     spec = FlowSpec(time=t, steps=1, method="exact_gaussian")
     J = blocks_at(np.array([0.4]), np.array([1.1]), model, spec)
@@ -162,17 +162,17 @@ def test_criterion_09_closed_form_solution():
 
 
 def test_criterion_10_determinant_bounds():
-    model = anharmonic_pair(1.0, 0.5, halfwidth=1.6)
+    model = anharmonic_potential(1.0, 0.5, 1.6)
     t = 0.3
     lower, upper = determinant_bounds(model, t)
     spec = default_flow_spec(model, t)
     rng = np.random.default_rng(2028)
-    u_edge = model.target.value(1.6)
+    u_edge = model.value(1.6)
     qs, ps = [], []
     while len(qs) < 1000:
         q = rng.uniform(-1.6, 1.6, size=4000)
         p = rng.normal(size=4000)
-        keep = model.target.value(q) + 0.5 * p**2 < 0.999 * u_edge
+        keep = model.value(q) + 0.5 * p**2 < 0.999 * u_edge
         qs.extend(q[keep])
         ps.extend(p[keep])
     _, _, J = tangent_batch(qs[:1000], ps[:1000], model, spec)

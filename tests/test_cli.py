@@ -15,11 +15,9 @@ from hmctransfer import cli
 from hmctransfer.cli import hmc_chain, load_config, main
 from hmctransfer.dynamics import FlowSpec, exact_gaussian_matrix, flow_batch
 from hmctransfer.distributions import (
-    ModelPair,
-    anharmonic_pair,
+    anharmonic_potential,
     gaussian_potential,
     kinetic_energy,
-    standard_gaussian_pair,
 )
 
 GAUSS_CONV = """
@@ -541,14 +539,13 @@ def test_config_validation_messages(tmp_path):
             load_config(cfg)
         assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o5")]) == 1
     # a NaN flow time compares false against both time <= 0 and the conjugate-point
-    # bound, and ran to an all-zero operator; a non-finite half-width failed elsewhere
-    for field, line in [("flow.time", "time = 0.08"), ("model.halfwidth", "halfwidth = 3.5")]:
-        key = field.split(".")[1]
-        for value in ("nan", "inf"):
-            cfg = write(tmp_path, f"{key}-{value}.ini", ANH_SMALL.replace(line, f"{key} = {value}"))
-            with pytest.raises(cli.ConfigError, match=f"{field}: must be finite and positive"):
-                load_config(cfg)
-            assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o6")]) == 1
+    # bound, and ran to an all-zero operator
+    for value in ("nan", "inf"):
+        cfg = write(tmp_path, f"time-{value}.ini",
+                    ANH_SMALL.replace("time = 0.08", f"time = {value}"))
+        with pytest.raises(cli.ConfigError, match="flow.time: must be finite and positive"):
+            load_config(cfg)
+        assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o6")]) == 1
     # one malformed value per numeric key: each is named, not reported as a runtime error
     malformed = [("model.halfwidth", "3.5x"), ("model.a", "one"), ("model.b", "0.5.0"),
                  ("flow.time", "abc"), ("flow.steps", "abc"), ("grid.n_per_axis", "4o1"),
@@ -583,11 +580,14 @@ def test_config_validation_messages(tmp_path):
         load_config(cfg)
     assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o8")]) == 1
     # non-finite or out-of-range model parameters: the flow ran to NaN energy drift and
-    # closure distance, a = inf divided by zero, and a, b < 0 failed without a field name
+    # closure distance, a = inf divided by zero, and a, b < 0 failed without a field name;
+    # the half-width is checked once, by the potential, for both families
     cases = []
     for value in ("nan", "inf", "-1"):
         cases += [("model.a", ANH_SMALL, "a = 1.0", f"a = {value}"),
-                  ("model.b", ANH_SMALL, "b = 0.5", f"b = {value}")]
+                  ("model.b", ANH_SMALL, "b = 0.5", f"b = {value}"),
+                  ("model.halfwidth", ANH_SMALL, "halfwidth = 3.5", f"halfwidth = {value}"),
+                  ("model.halfwidth", GAUSS_CONV, "halfwidth = 8.0", f"halfwidth = {value}")]
     for value in ("nan", "inf"):
         cases += [("model.mean", GAUSS_CONV, "mean = 0.0", f"mean = {value}"),
                   ("model.precision", GAUSS_CONV, "precision = 1.0", f"precision = {value}")]
@@ -736,7 +736,7 @@ def test_write_json_refuses_numpy_scalars(tmp_path):
 
 
 def test_hmc_chain_generic_metropolis_path():
-    model = standard_gaussian_pair(halfwidth=8.0)
+    model = gaussian_potential(0.0, 1.0, 8.0)
     spec = FlowSpec(time=0.7, steps=70, method="leapfrog")
     samples, acceptance = hmc_chain(model, spec, 2000, random.Random(0))
     assert samples.shape == (2000,)
@@ -747,14 +747,14 @@ def test_hmc_chain_generic_metropolis_path():
 def _reference_chain(model, spec, draws, rng):
     """The leapfrog chain as one flow_batch call per draw on (1,) arrays, with
     N(0, 1) momenta, energies from (1,) evaluations and uniforms in (0, 1]."""
-    q = np.zeros(1) + model.target.params["mean"] if model.target.is_gaussian else np.zeros(1)
+    q = np.zeros(1) + model.params["mean"] if model.is_gaussian else np.zeros(1)
     out = np.empty(draws)
     accepted = 0
     for i in range(draws):
         p = np.array([rng.gauss(0.0, 1.0)])
-        e0 = (model.target.value(q) + kinetic_energy(p)).item()
+        e0 = (model.value(q) + kinetic_energy(p)).item()
         Q, P = flow_batch(q, p, model, spec)
-        e1 = (model.target.value(Q) + kinetic_energy(P)).item()
+        e1 = (model.value(Q) + kinetic_energy(P)).item()
         if math.log(1.0 - rng.random()) < e0 - e1:
             q = Q
             accepted += 1
@@ -764,10 +764,10 @@ def _reference_chain(model, spec, draws, rng):
 
 @pytest.mark.parametrize("model, spec, accept_lo", [
     # the benchmark's quartic well: leapfrog of 36 steps, every draw accepted
-    (anharmonic_pair(1.0, 0.5, 3.5), FlowSpec(time=0.08, steps=36, method="leapfrog"), 0.99),
+    (anharmonic_potential(1.0, 0.5, 3.5), FlowSpec(time=0.08, steps=36, method="leapfrog"), 0.99),
     # coarse steps on an off-center, non-unit Gaussian, so draws get rejected; momentum
     # precision 1.7 at t = 1.6 is the unit law at t = sqrt(1.7) 1.6
-    (ModelPair(gaussian_potential(0.6, 2.5), 6.0),
+    (gaussian_potential(0.6, 2.5, 6.0),
      FlowSpec(time=math.sqrt(1.7) * 1.6, steps=2, method="leapfrog"), 0.5),
 ], ids=["quartic", "gauss-leapfrog"])
 def test_hmc_chain_matches_flow_batch_reference(model, spec, accept_lo):
@@ -794,7 +794,7 @@ class _ZeroUniform:
 def test_hmc_chain_takes_a_zero_uniform():
     # 1 - 0.0 = 1 is the threshold, so a draw is accepted when its energy falls, about
     # half of the quartic's, where log(0.0) raised ValueError
-    model = anharmonic_pair(1.0, 0.5, 3.5)
+    model = anharmonic_potential(1.0, 0.5, 3.5)
     spec = FlowSpec(time=0.08, steps=36, method="leapfrog")
     samples, acceptance = hmc_chain(model, spec, 200, _ZeroUniform(5))
     ref, ref_acceptance = _reference_chain(model, spec, 200, _ZeroUniform(5))
@@ -916,7 +916,7 @@ def test_exact_gaussian_chain_matches_linear_filter():
     from scipy.signal import lfilter
 
     # momentum precision 1.7 at t = 0.7 is the unit law at t = sqrt(1.7) 0.7
-    model = ModelPair(gaussian_potential(0.6, 2.5), 6.0)
+    model = gaussian_potential(0.6, 2.5, 6.0)
     spec = FlowSpec(time=np.sqrt(1.7) * 0.7, steps=1, method="exact_gaussian")
     samples, acceptance = hmc_chain(model, spec, 100000, random.Random(3))
     mat = exact_gaussian_matrix(model, spec.time)

@@ -5,28 +5,27 @@ import pytest
 from scipy.stats import qmc
 
 from hmctransfer import (
-    ModelPair,
     Potential,
-    anharmonic_pair,
     anharmonic_potential,
     density_value,
     gaussian_potential,
-    standard_gaussian_pair,
 )
 from hmctransfer.distributions import kinetic_energy
 
 
 def catalog():
-    return [
-        ("std_gauss_1d", gaussian_potential(0.0, 1.0), 8.0),
-        ("gauss_offset", gaussian_potential(0.6, 2.5), 6.0),
-        ("anharmonic_soft", anharmonic_potential(1.0, 0.5, 3.5), 3.5),
-        ("anharmonic_hard", anharmonic_potential(1.0, 1.0, 2.0), 2.0),
+    pots = [
+        ("std_gauss_1d", gaussian_potential(0.0, 1.0, 8.0)),
+        ("gauss_offset", gaussian_potential(0.6, 2.5, 6.0)),
+        ("anharmonic_soft", anharmonic_potential(1.0, 0.5, 3.5)),
+        ("anharmonic_hard", anharmonic_potential(1.0, 1.0, 2.0)),
     ]
+    return [pytest.param(name, pot, id=f"{name}-pot{i}-{pot.halfwidth}")
+            for i, (name, pot) in enumerate(pots)]
 
 
 def test_gaussian_centered_standard():
-    pot = gaussian_potential(0.0, 1.0)
+    pot = gaussian_potential(0.0, 1.0, 8.0)
     assert pot.value(0.0) == 0.0
     assert pot.grad(0.0) == 0.0
     assert pot.hess(0.0) == 1.0
@@ -34,7 +33,7 @@ def test_gaussian_centered_standard():
 
 
 def test_gaussian_scalar_quadratic():
-    pot = gaussian_potential(0.0, 4.0)
+    pot = gaussian_potential(0.0, 4.0, 8.0)
     x = np.array([1.0])
     assert pot.value(x) == pytest.approx(2.0)
     assert pot.grad(x)[0] == pytest.approx(4.0)
@@ -42,7 +41,7 @@ def test_gaussian_scalar_quadratic():
 
 
 def test_gaussian_offset_diagonal():
-    pot = gaussian_potential(1.0, 2.0)
+    pot = gaussian_potential(1.0, 2.0, 8.0)
     assert pot.value(0.0) == pytest.approx(1.0)
     assert pot.grad(0.0) == pytest.approx(-2.0)
 
@@ -50,27 +49,27 @@ def test_gaussian_offset_diagonal():
 def test_gaussian_rejects_bad_precision():
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError, match="^precision must be positive"):
-            gaussian_potential(0.0, bad)
+            gaussian_potential(0.0, bad, 8.0)
     # non-finite values are named by argument, the first word the CLI maps to a config field
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^mean must be finite"):
-            gaussian_potential(bad, 1.0)
+            gaussian_potential(bad, 1.0, 8.0)
         with pytest.raises(ValueError, match="^precision must be finite"):
-            gaussian_potential(0.0, bad)
+            gaussian_potential(0.0, bad, 8.0)
 
 
 def test_gaussian_refuses_non_scalar_arguments():
     # a potential is 1-d by construction: a vector mean or a matrix precision, even
     # of one entry, is refused by the argument's name
-    for args, name in [((np.zeros(2), 1.0), "mean"), (([0.0], 1.0), "mean"),
-                       ((0.0, np.eye(2)), "precision"), ((0.0, np.eye(1)), "precision")]:
+    for args, name in [((np.zeros(2), 1.0, 8.0), "mean"), (([0.0], 1.0, 8.0), "mean"),
+                       ((0.0, np.eye(2), 8.0), "precision"), ((0.0, np.eye(1), 8.0), "precision")]:
         with pytest.raises(ValueError, match=f"^{name} must be a number"):
             gaussian_potential(*args)
 
 
 def test_anharmonic_reduces_to_gaussian_when_quartic_off():
     quartic = anharmonic_potential(1.0, 0.0, 4.0)
-    gauss = gaussian_potential(0.0, 1.0)
+    gauss = gaussian_potential(0.0, 1.0, 8.0)
     xs = np.linspace(-3.5, 3.5, 17)
     assert quartic.value(xs) == pytest.approx(gauss.value(xs))
     assert quartic.grad(xs) == pytest.approx(gauss.grad(xs))
@@ -102,7 +101,7 @@ def test_anharmonic_rejects_bad_parameters():
 
 
 def test_density_values():
-    gauss = gaussian_potential(0.0, 1.0)
+    gauss = gaussian_potential(0.0, 1.0, 8.0)
     assert density_value(gauss, np.zeros(1)) == pytest.approx(1.0)
     assert density_value(gauss, np.array([1.0])) == pytest.approx(np.exp(-0.5))
     quartic = anharmonic_potential(1.0, 1.0, 2.0)
@@ -110,33 +109,36 @@ def test_density_values():
 
 
 def test_density_value_rejects_nonfinite():
-    gauss = gaussian_potential(0.0, 1.0)
+    gauss = gaussian_potential(0.0, 1.0, 8.0)
     with pytest.raises(ValueError):
         density_value(gauss, np.array([np.nan]))
 
 
-@pytest.mark.parametrize("name,pot,halfwidth", catalog())
-def test_even_potentials_are_even_bit_for_bit(name, pot, halfwidth):
+@pytest.mark.parametrize("name,pot", catalog())
+def test_even_potentials_are_even_bit_for_bit(name, pot):
+    halfwidth = pot.halfwidth
     # the parity the kernel tabulation uses: U even and U' odd to the bit
     assert pot.is_even == (name != "gauss_offset")
     x = np.random.default_rng(4).uniform(-halfwidth, halfwidth, 1000)
     if pot.is_even:
         assert np.array_equal(pot.value(-x), pot.value(x))
         assert np.array_equal(pot.grad(-x), -pot.grad(x))
-    custom = Potential(pot.value, pot.grad, pot.hess, pot.lambda_lo, pot.lambda_hi)
+    custom = Potential(pot.value, pot.grad, pot.hess, pot.lambda_lo, pot.lambda_hi, halfwidth)
     assert not custom.is_even
 
 
-@pytest.mark.parametrize("name,pot,halfwidth", catalog())
-def test_hessian_spectrum_within_declared_bounds(name, pot, halfwidth):
+@pytest.mark.parametrize("name,pot", catalog())
+def test_hessian_spectrum_within_declared_bounds(name, pot):
+    halfwidth = pot.halfwidth
     pts = qmc.Halton(d=1, seed=7).random(1000)[:, 0] * 2 * halfwidth - halfwidth
     curvature = pot.hess(pts)
     assert curvature.min() >= pot.lambda_lo * (1 - 1e-9)
     assert curvature.max() <= pot.lambda_hi * (1 + 1e-9)
 
 
-@pytest.mark.parametrize("name,pot,halfwidth", catalog())
-def test_gradient_matches_finite_differences(name, pot, halfwidth):
+@pytest.mark.parametrize("name,pot", catalog())
+def test_gradient_matches_finite_differences(name, pot):
+    halfwidth = pot.halfwidth
     rng = np.random.default_rng(3)
     step = 1e-5
     for _ in range(25):
@@ -146,8 +148,9 @@ def test_gradient_matches_finite_differences(name, pot, halfwidth):
         assert abs(fd - grad) < 1e-6 * max(1.0, abs(grad))
 
 
-@pytest.mark.parametrize("name,pot,halfwidth", catalog())
-def test_hessian_matches_finite_differences(name, pot, halfwidth):
+@pytest.mark.parametrize("name,pot", catalog())
+def test_hessian_matches_finite_differences(name, pot):
+    halfwidth = pot.halfwidth
     rng = np.random.default_rng(4)
     step = 1e-5
     for _ in range(10):
@@ -157,8 +160,9 @@ def test_hessian_matches_finite_differences(name, pot, halfwidth):
         assert abs(fd - hess) < 1e-4 * max(1.0, abs(hess))
 
 
-@pytest.mark.parametrize("name,pot,halfwidth", catalog())
-def test_log_concavity_along_segments(name, pot, halfwidth):
+@pytest.mark.parametrize("name,pot", catalog())
+def test_log_concavity_along_segments(name, pot):
+    halfwidth = pot.halfwidth
     rng = np.random.default_rng(5)
     for _ in range(50):
         x = rng.uniform(-halfwidth, halfwidth)
@@ -169,37 +173,33 @@ def test_log_concavity_along_segments(name, pot, halfwidth):
 
 @pytest.mark.parametrize("halfwidth", [np.nan, np.inf, 0.0, -1.0])
 def test_model_pair_rejects_a_bad_halfwidth(halfwidth):
-    with pytest.raises(ValueError, match="domain_halfwidth must be finite and positive"):
-        ModelPair(target=gaussian_potential(0.0, 1.0), domain_halfwidth=halfwidth)
-
-
-def test_model_pair_refuses_a_domain_wider_than_the_curvature_box():
-    # a + 3 b x^2 reaches 38.5 on [-5, 5], but a quartic declared on [-3, 3]
-    # bounds it by 14.5, which would pass flow times the honest model refuses
-    with pytest.raises(ValueError, match="domain_halfwidth 5.0 exceeds the halfwidth 3.0 "
-                                         "on which the target's curvature bound holds"):
-        ModelPair(anharmonic_potential(1, 0.5, 3.0), 5.0)
-    assert ModelPair(anharmonic_potential(1, 0.5, 5.0), 5.0).lambda_max == 38.5
-    # a domain inside the box keeps a valid, if loose, bound
-    ModelPair(anharmonic_potential(1, 0.5, 5.0), 3.0)
+    # the box is checked once, by Potential, so both factories and a hand-built
+    # potential refuse it by the argument's name
+    pot = gaussian_potential(0.0, 1.0, 8.0)
+    for build in (lambda: gaussian_potential(0.0, 1.0, halfwidth),
+                  lambda: anharmonic_potential(1.0, 0.5, halfwidth),
+                  lambda: Potential(pot.value, pot.grad, pot.hess, 1.0, 1.0, halfwidth)):
+        with pytest.raises(ValueError, match="^halfwidth must be finite and positive"):
+            build()
 
 
 def test_model_pair_bounds_cover_both_potentials():
     # the curvature bounds of H's Hessian diag(U'', 1), the 1 of the N(0, 1) momentum law
-    for model, bounds in [(ModelPair(gaussian_potential(0.0, 0.25), 8.0), (0.25, 1.0)),
-                          (ModelPair(gaussian_potential(0.0, 1.0), 8.0), (1.0, 1.0)),
-                          (ModelPair(gaussian_potential(0.0, 4.0), 8.0), (1.0, 4.0)),
-                          (anharmonic_pair(2.0, 0.5, 3.0), (1.0, 15.5))]:
+    for model, bounds in [(gaussian_potential(0.0, 0.25, 8.0), (0.25, 1.0)),
+                          (gaussian_potential(0.0, 1.0, 8.0), (1.0, 1.0)),
+                          (gaussian_potential(0.0, 4.0, 8.0), (1.0, 4.0)),
+                          (anharmonic_potential(2.0, 0.5, 3.0), (1.0, 15.5)),
+                          (anharmonic_potential(1, 0.5, 5.0), (1.0, 38.5))]:
         assert (model.lambda_min, model.lambda_max) == bounds
-        assert model.dim == model.target.dim == 1
+        assert model.dim == 1
     assert not model.is_gaussian
-    assert standard_gaussian_pair().is_gaussian
+    assert gaussian_potential(0.0, 1.0, 8.0).is_gaussian
 
 
 def test_kinetic_energy_is_the_standard_gaussian_potential_bit_for_bit():
     # the momentum potential the flow, the chain and the kernel share is the
     # N(0, 1) potential, signed zeros and underflow included
-    standard = gaussian_potential(0.0, 1.0).value
+    standard = gaussian_potential(0.0, 1.0, 8.0).value
     ps = np.array([0.0, -0.0, 1e-300, -1e-300, 0.7, -0.7, 1e3, -1e3])
     assert np.array_equal(kinetic_energy(ps), standard(ps))
     assert np.array_equal(np.signbit(kinetic_energy(ps)), np.signbit(standard(ps)))
@@ -210,7 +210,7 @@ def test_kinetic_energy_is_the_standard_gaussian_potential_bit_for_bit():
 
 
 @pytest.mark.parametrize("pot", [
-    gaussian_potential(0.6, 2.5),
+    gaussian_potential(0.6, 2.5, 6.0),
     anharmonic_potential(1.0, 0.5, 3.5),
 ], ids=["gauss-1d", "anharmonic"])
 def test_scalar_evaluators_match_array_forms(pot):

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import elliptic_flow
 from hmctransfer import (
     FlowSpec,
-    ModelPair,
-    anharmonic_pair,
+    anharmonic_potential,
     default_flow_spec,
     gaussian_potential,
-    standard_gaussian_pair,
 )
 from hmctransfer.distributions import kinetic_energy
 from hmctransfer.dynamics import BLOCK_POINTS, flow_batch
@@ -15,11 +14,11 @@ from hmctransfer.dynamics import BLOCK_POINTS, flow_batch
 
 def energy(q, p, model):
     """Hamiltonian U(q) + p^2 / 2 of one state, q and p of one entry each."""
-    return (model.target.value(q) + kinetic_energy(p)).item()
+    return (model.value(q) + kinetic_energy(p)).item()
 
 
 def test_exact_flow_is_rotation():
-    model = standard_gaussian_pair()
+    model = gaussian_potential(0.0, 1.0, 8.0)
     spec = FlowSpec(time=np.pi / 2, steps=1, method="exact_gaussian")
     Q, P = flow_batch(np.array([1.0]), np.array([0.0]), model, spec)
     assert Q[0] == pytest.approx(0.0, abs=1e-12)
@@ -28,7 +27,7 @@ def test_exact_flow_is_rotation():
 
 @pytest.mark.parametrize("method", ["exact_gaussian", "leapfrog"])
 def test_vanishing_time_returns_state(method):
-    model = standard_gaussian_pair()
+    model = gaussian_potential(0.0, 1.0, 8.0)
     spec = FlowSpec(time=1e-12, steps=1, method=method)
     q, p = np.array([1.3]), np.array([-0.4])
     Q, P = flow_batch(q, p, model, spec)
@@ -52,7 +51,7 @@ def test_non_finite_time_rejected(time):
 
 
 def test_leapfrog_converges_to_exact_rotation():
-    model = standard_gaussian_pair()
+    model = gaussian_potential(0.0, 1.0, 8.0)
     q, p = np.array([1.0]), np.array([0.0])
     lf_q, lf_p = flow_batch(q, p, model, FlowSpec(time=0.7, steps=1000, method="leapfrog"))
     ex_q, ex_p = flow_batch(q, p, model, FlowSpec(time=0.7, steps=1, method="exact_gaussian"))
@@ -60,7 +59,7 @@ def test_leapfrog_converges_to_exact_rotation():
 
 
 def test_exact_flow_requires_gaussian_model():
-    model = anharmonic_pair(1.0, 0.5, 3.5)
+    model = anharmonic_potential(1.0, 0.5, 3.5)
     spec = FlowSpec(time=0.3, steps=1, method="exact_gaussian")
     with pytest.raises(ValueError, match="non-Gaussian"):
         flow_batch(np.array([1.0]), np.array([0.0]), model, spec)
@@ -68,7 +67,7 @@ def test_exact_flow_requires_gaussian_model():
 
 def test_leapfrog_roundtrip_is_exact(flip_roundtrip):
     # flowing back from the flipped image returns the flipped start
-    model = anharmonic_pair(1.0, 0.5, 3.5)
+    model = anharmonic_potential(1.0, 0.5, 3.5)
     spec = default_flow_spec(model, 0.3)
     rng = np.random.default_rng(0)
     qs = rng.uniform(-2.0, 2.0, size=(100, 1))
@@ -80,20 +79,20 @@ def plain_leapfrog(qs, ps, model, spec):
     """Kick-drift-kick over all points in one pass, a new array per update."""
     tau = spec.time / spec.steps
     q, p = qs, ps
-    gq = model.target.grad(q)
+    gq = model.grad(q)
     for _ in range(spec.steps):
         p = p - 0.5 * tau * gq
         q = q + tau * p
-        gq = model.target.grad(q)
+        gq = model.grad(q)
         p = p - 0.5 * tau * gq
     return q, p
 
 
-GAUSS_OFFSET = ModelPair(target=gaussian_potential(0.6, 2.5), domain_halfwidth=6.0)
+GAUSS_OFFSET = gaussian_potential(0.6, 2.5, 6.0)
 
 
 @pytest.mark.parametrize("model, spec", [
-    (anharmonic_pair(1.0, 0.5, 3.5), FlowSpec(time=0.08, steps=36, method="leapfrog")),
+    (anharmonic_potential(1.0, 0.5, 3.5), FlowSpec(time=0.08, steps=36, method="leapfrog")),
     # momentum precision 1.7 at t = 0.9 is the unit law at t = sqrt(1.7) 0.9
     (GAUSS_OFFSET, FlowSpec(time=np.sqrt(1.7) * 0.9, steps=7, method="leapfrog")),
 ], ids=["quartic-forward", "gauss-leapfrog-forward"])
@@ -113,15 +112,15 @@ def test_blocked_flow_batch_matches_plain_loop_bit_for_bit(model, spec):
 
 
 def test_total_energy_values():
-    gauss = standard_gaussian_pair()
+    gauss = gaussian_potential(0.0, 1.0, 8.0)
     assert energy(np.zeros(1), np.zeros(1), gauss) == 0.0
     assert energy(np.ones(1), np.ones(1), gauss) == pytest.approx(1.0)
-    quartic = anharmonic_pair(1.0, 1.0, 2.0)
+    quartic = anharmonic_potential(1.0, 1.0, 2.0)
     assert energy(np.array([1.0]), np.array([0.0]), quartic) == pytest.approx(0.75)
 
 
 def test_exact_flow_conserves_energy():
-    model = standard_gaussian_pair()
+    model = gaussian_potential(0.0, 1.0, 8.0)
     spec = FlowSpec(time=0.7, steps=1, method="exact_gaussian")
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -131,7 +130,7 @@ def test_exact_flow_conserves_energy():
 
 
 def test_leapfrog_energy_error_is_second_order():
-    model = anharmonic_pair(1.0, 0.5, 3.5)
+    model = anharmonic_potential(1.0, 0.5, 3.5)
     q, p = np.array([1.1]), np.array([0.6])
     e0 = energy(q, p, model)
 
@@ -145,12 +144,12 @@ def test_leapfrog_energy_error_is_second_order():
 
 def test_momentum_flip_conjugacy(flip_roundtrip):
     rng = np.random.default_rng(2)
-    gauss = standard_gaussian_pair()
+    gauss = gaussian_potential(0.0, 1.0, 8.0)
     gspec = default_flow_spec(gauss, 0.7)
     q, p = rng.uniform(-2, 2, (50, 1)), rng.normal(size=(50, 1))
     assert flip_roundtrip(gauss, gspec, q, p) < 1e-12
 
-    quartic = anharmonic_pair(1.0, 0.5, 3.5)
+    quartic = anharmonic_potential(1.0, 0.5, 3.5)
     qspec = default_flow_spec(quartic, 0.3)
     q, p = rng.uniform(-2, 2, (50, 1)), rng.normal(size=(50, 1))
     assert flip_roundtrip(quartic, qspec, q, p) < 1e-10
@@ -158,10 +157,12 @@ def test_momentum_flip_conjugacy(flip_roundtrip):
     assert flip_roundtrip(gauss, gspec, np.zeros((1, 1)), np.zeros((1, 1))) == 0.0
 
 
-@pytest.mark.parametrize("maker,time", [(standard_gaussian_pair, 0.7), (lambda: anharmonic_pair(1.0, 0.5, 3.5), 0.08)])
-def test_position_image_monotone_in_momentum(maker, time):
+# the ids are those the suite printed when each case built its model in a factory
+@pytest.mark.parametrize("model,time", [(gaussian_potential(0.0, 1.0, 8.0), 0.7),
+                                        (anharmonic_potential(1.0, 0.5, 3.5), 0.08)],
+                         ids=["standard_gaussian_pair-0.7", "<lambda>-0.08"])
+def test_position_image_monotone_in_momentum(model, time):
     # one-step coverage: p -> Q(q, p) strictly increasing for fixed q
-    model = maker()
     spec = default_flow_spec(model, time)
     ps = np.linspace(-6.0, 6.0, 201)[:, None]
     for q0 in (-2.0, -0.5, 0.0, 1.5):
@@ -170,10 +171,23 @@ def test_position_image_monotone_in_momentum(maker, time):
 
 
 def test_default_flow_spec_substep_rule():
-    model = anharmonic_pair(1.0, 0.5, 3.5)
+    model = anharmonic_potential(1.0, 0.5, 3.5)
     spec = default_flow_spec(model, 0.08)
     assert spec.method == "leapfrog"
     assert spec.time / spec.steps <= 0.01 * min(1.0, 1.0 / np.sqrt(model.lambda_max))
     assert spec.steps == 36
-    gauss = default_flow_spec(standard_gaussian_pair(), 0.7)
+    gauss = default_flow_spec(gaussian_potential(0.0, 1.0, 8.0), 0.7)
     assert gauss.method == "exact_gaussian"
+
+
+def test_leapfrog_error_falls_as_the_step_squared_against_the_exact_quartic_flow():
+    # the elliptic flow has no integrator error, so leapfrog's distance from it
+    # falls 4x per halving of the step, its tau^2 order, on Q and on P
+    model = anharmonic_potential(1.0, 0.5, 3.5)
+    q, p = np.meshgrid(np.linspace(-3.5, 3.5, 101), np.linspace(-6.0, 6.0, 101))
+    exact = elliptic_flow(q, p, model, FlowSpec(time=0.08))
+    errors = []
+    for steps in (800, 1600):
+        flowed = flow_batch(q, p, model, FlowSpec(time=0.08, steps=steps))
+        errors.append([np.max(np.abs(x - y)) for x, y in zip(flowed, exact)])
+    assert np.all(np.abs(np.divide(*errors) - 4.0) <= 0.2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from conftest import random_density
 from hmctransfer import (
     FlowSpec,
     IterationTrace,
-    anharmonic_pair,
+    anharmonic_potential,
     assemble_transfer,
     build_grid,
     certify_rate,
@@ -18,11 +19,10 @@ from hmctransfer import (
     gaussian_potential,
     hs_norm,
     iterate,
-    standard_gaussian_pair,
     weighted_norm,
 )
 from hmctransfer import dynamics, operator
-from hmctransfer.distributions import ModelPair, kinetic_energy
+from hmctransfer.distributions import kinetic_energy
 from hmctransfer.dynamics import flow_batch, tangent_batch
 from hmctransfer.operator import (
     TransferMatrix,
@@ -38,7 +38,7 @@ def kernel(T):
 
 
 def mehler_kernel(grid, t):
-    """Hand-derived closed form for the standard Gaussian pair:
+    """Hand-derived closed form for the standard Gaussian model:
     K(q, Q) = f(q) N(q cos t, sin^2 t)(Q)."""
     c, s = np.cos(t), np.sin(t)
     q = grid.x
@@ -121,7 +121,7 @@ def test_mehler_and_hilbert_schmidt_oracles_on_a_wide_box():
     # at L = 14 the box no longer limits the HS identity, and with every node in the
     # symmetric frame the spectrum meets cos(t)^k to rounding: measured 4.9e-13 on the
     # top six, 5.2e-11 on the top sixteen and 1.8e-12 relative on the HS norm
-    model = standard_gaussian_pair(halfwidth=14.0)
+    model = gaussian_potential(0.0, 1.0, 14.0)
     grid = build_grid(model, 401)
     spec = default_flow_spec(model, 0.7)
     assert spec.method == "exact_gaussian"
@@ -140,7 +140,7 @@ def test_mehler_and_hilbert_schmidt_oracles_across_the_half_period(time, halfwid
     # the oracles hold on both sides of t = pi/2, where cos(t) < 0 and the spectrum
     # alternates in sign; a short flow needs the wider box and finer grid.  Measured
     # 1.3e-12 on the top six and 1.6e-10 relative on the HS norm
-    model = standard_gaussian_pair(halfwidth=halfwidth)
+    model = gaussian_potential(0.0, 1.0, halfwidth)
     grid = build_grid(model, n)
     spec = default_flow_spec(model, time)
     assert spec.method == "exact_gaussian"
@@ -156,7 +156,7 @@ def test_leapfrog_spectrum_matches_its_closed_form():
     # and the operator's eigenvalues are a^k.  Measured 5.3e-13 on Q and 1.1e-12 on the
     # top eight.  eigvals, not eigen_spectrum: the latter's 1e-6 self-adjointness gate
     # refuses these operators
-    model = standard_gaussian_pair(halfwidth=12.0)
+    model = gaussian_potential(0.0, 1.0, 12.0)
     grid = build_grid(model, 401)
     for steps in (35, 70, 140):
         spec = FlowSpec(time=0.7, steps=steps, method="leapfrog")
@@ -304,6 +304,38 @@ def test_certificate_anharmonic_internal_consistency(anh_report, anh_trace):
     assert anh_report.gap_caveat  # no closed form: flag the discretization caveat
 
 
+@pytest.mark.parametrize("case", ["gauss", "quartic"])
+def test_certificate_rejects_the_trace_of_a_two_percent_longer_flow(request, case):
+    # the trace of T(1.02 t) against the spectrum of T(t): its gap is about 4 % off,
+    # which a 2 % tolerance on the rate itself passed at both mu_1 = 0.765 and 0.9946
+    if case == "gauss":
+        model, grid, report, base = (request.getfixturevalue(name) for name in
+                                     ("gauss_model", "gauss_grid", "gauss_report", "gauss_spec"))
+        h0, n_max, tol = np.exp(-0.5 * (grid.x - 1.3) ** 2 / 0.49), 400, 1e-12
+    else:
+        model, grid, report, base = (request.getfixturevalue(name) for name in
+                                     ("anh_model", "anh_grid", "anh_report", "anh_spec"))
+        h0, n_max, tol = np.exp(-0.5 * (grid.x - 0.8) ** 2 / 0.16), 12000, 1e-7
+    spec = default_flow_spec(model, 1.02 * base.time)
+    trace = iterate(assemble_transfer(grid, model, spec, 257), h0, n_max=n_max, tol=tol)
+    cert = certify_rate(report, trace)
+    assert cert.r_squared > 0.99
+    assert cert.mismatch > 0.03
+    assert not cert.passed
+
+
+@pytest.mark.parametrize("rho_spec", [0.0, 1.0, 1.5])
+def test_certificate_has_no_gap_outside_the_unit_interval(gauss_report, rho_spec):
+    n = np.arange(60)
+    errors = 0.8**n
+    trace = IterationTrace(steps=n, norms=errors, errors=errors, alpha=1.0, converged=False,
+                           anomaly=False, final=np.zeros(3))
+    cert = certify_rate(dataclasses.replace(gauss_report, rate_bound=rho_spec), trace)
+    assert cert.r_squared > 0.99
+    assert math.isnan(cert.mismatch)
+    assert not cert.passed
+
+
 def test_anharmonic_kernel_consistency(anh_grid, anh_model, anh_spec, anh_T):
     T = assemble_transfer(anh_grid, anh_model, anh_spec, 1025)
     value = hs_norm(T)
@@ -352,7 +384,7 @@ def _variational_kernel_reference(grid, model, spec, m):
 
 
 def _reference_cases(gauss_kernel, gauss_grid, gauss_model, gauss_spec):
-    quartic = anharmonic_pair(1.0, 0.5, halfwidth=3.5)
+    quartic = anharmonic_potential(1.0, 0.5, 3.5)
     grid = build_grid(quartic, 201)
     spec = default_flow_spec(quartic, 0.08)
     return [(kernel(gauss_kernel), gauss_grid, gauss_model, gauss_spec, 1025),
@@ -391,8 +423,8 @@ def test_kernel_tabulation_is_one_flow_sweep(monkeypatch):
 
     monkeypatch.setattr(dynamics, "tangent_batch", refuse)
     monkeypatch.setattr(operator, "flow_batch", counting)
-    quartic = anharmonic_pair(1.0, 0.5, 3.5)
-    offset = ModelPair(gaussian_potential(0.6, 2.5), 6.0)
+    quartic = anharmonic_potential(1.0, 0.5, 3.5)
+    offset = gaussian_potential(0.6, 2.5, 6.0)
     # momentum precision 1.7 at t = 0.6 is the unit law at t = sqrt(1.7) 0.6
     for model, spec, rows in [(quartic, default_flow_spec(quartic, 0.08), 101),
                               (offset, default_flow_spec(offset, np.sqrt(1.7) * 0.6), 201)]:
@@ -400,7 +432,7 @@ def test_kernel_tabulation_is_one_flow_sweep(monkeypatch):
         T = assemble_transfer(build_grid(model, 201), model, spec, 65)
         assert sweeps == [4 * 201, rows * 65]
         assert T.meta["tabulated_rows"] == rows
-    centred = standard_gaussian_pair(halfwidth=8.0)
+    centred = gaussian_potential(0.0, 1.0, 8.0)
     sweeps.clear()
     assemble_transfer(build_grid(centred, 801), centred, default_flow_spec(centred, 0.7), 257)
     assert sweeps == [4 * 801, 201 * 257, 200 * 257]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from conftest import random_density
+from conftest import elliptic_flow, random_density
 from hmctransfer import (
     FlowSpec,
     assemble_transfer,
@@ -15,14 +16,12 @@ from hmctransfer import (
     gaussian_potential,
     iterate,
     mass,
-    standard_gaussian_pair,
     weighted_inner,
     weighted_norm,
     weighted_symmetry_residual,
 )
 from hmctransfer import operator
 from hmctransfer.cli import main
-from hmctransfer.distributions import ModelPair, Potential
 from hmctransfer.operator import (
     BLOCK_STEPS,
     IterationTrace,
@@ -42,7 +41,7 @@ def test_grid_integrates_gaussian_mass(gauss_grid):
 
 
 def test_grid_minimum_size():
-    model = standard_gaussian_pair(halfwidth=6.0)
+    model = gaussian_potential(0.0, 1.0, 6.0)
     grid = build_grid(model, 16)
     assert grid.n == 16
     with pytest.raises(ValueError):
@@ -57,7 +56,7 @@ def test_underflowing_target_is_refused_before_any_flow(halfwidth):
     # would be NaN, so the grid itself is refused
     lost = {40.0: 46, 38.4: 14}[halfwidth]
     with pytest.raises(ValueError, match=f"the target density underflows at {lost} of 801 nodes"):
-        build_grid(standard_gaussian_pair(halfwidth=halfwidth), 801)
+        build_grid(gaussian_potential(0.0, 1.0, halfwidth), 801)
 
 
 def test_too_narrow_kernel_is_refused_after_the_width_sweep(monkeypatch, gauss_model, gauss_grid):
@@ -83,7 +82,7 @@ def test_grid_nodes_are_exactly_antisymmetric(n):
     for L in (3.0, 3.5, 8.0, 14.0, 30.0):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the coarse grids
-            grid = build_grid(standard_gaussian_pair(halfwidth=L), n)
+            grid = build_grid(gaussian_potential(0.0, 1.0, L), n)
         x = grid.x
         assert np.array_equal(x, -x[::-1])
         assert x[0] == -L and x[-1] == L
@@ -94,7 +93,7 @@ def test_grid_nodes_are_exactly_antisymmetric(n):
 def test_grid_warns_when_too_coarse():
     # a sharp target needs more than 16 nodes on [-3, 3]; on [-8, 8] it would
     # underflow at the outer nodes, which build_grid refuses
-    model = ModelPair(target=gaussian_potential(0.0, 100.0), domain_halfwidth=3.0)
+    model = gaussian_potential(0.0, 100.0, 3.0)
     with pytest.warns(UserWarning, match="coarse"):
         build_grid(model, 16)
 
@@ -233,11 +232,8 @@ def test_even_target_transfer_is_mirror_symmetric(anh_T, anh_grid, anh_model, an
 def test_half_tabulation_matches_the_full_one(anh_grid, anh_model, anh_spec, m):
     # the quartic's functions and bounds under kind "custom", which is never taken to be even
     half = assemble_transfer(anh_grid, anh_model, anh_spec, m)
-    pot = anh_model.target
-    custom = Potential(pot.value, pot.grad, pot.hess, pot.lambda_lo, pot.lambda_hi,
-                       params=dict(pot.params))
-    model = ModelPair(custom, anh_model.domain_halfwidth)
-    assert not model.target.is_even
+    model = dataclasses.replace(anh_model, kind="custom")
+    assert not model.is_even
     full = assemble_transfer(anh_grid, model, anh_spec, m)
     assert (half.meta["tabulated_rows"], full.meta["tabulated_rows"]) == (201, 401)
     assert np.max(np.abs(half.entries - full.entries)) <= 1e-14 * np.max(np.abs(full.entries))
@@ -305,7 +301,7 @@ def test_short_time_operator_is_refused_by_kernel_width(gauss_grid, gauss_model)
 def test_non_monotone_momentum_map_is_refused(tmp_path, capsys):
     # t * lambda_max = 3 < pi passes the conjugate-point check, but two leapfrog
     # steps of 1.5 make p -> Q decreasing: dQ/dp = 1.5 - 1.5 * 1.25 = -0.375
-    model = standard_gaussian_pair()
+    model = gaussian_potential(0.0, 1.0, 8.0)
     spec = FlowSpec(3.0, steps=2, method="leapfrog")
     grid = build_grid(model, 101)
     with pytest.raises(ValueError, match="lost positivity|not strictly monotone"):
@@ -454,7 +450,7 @@ def _synthetic_transfer(eigenvalues, coefficients, mirror=False):
     listed one odd, and A is averaged with its mirror image, so T equals
     T[::-1, ::-1] bit for bit: the two-block path of ``iterate``.
     """
-    grid = build_grid(standard_gaussian_pair(halfwidth=5.0), 20)
+    grid = build_grid(gaussian_potential(0.0, 1.0, 5.0), 20)
     n = grid.n
     rng = np.random.default_rng(0)
     u0 = np.sqrt(grid.weights * grid.target_values)
@@ -618,7 +614,7 @@ def test_assembly_validation(gauss_grid, gauss_model):
 
 def test_domain_truncation_warning(anh_grid, anh_model, anh_spec):
     # a narrow box loses visible mass through the boundary
-    model = standard_gaussian_pair(halfwidth=3.0)
+    model = gaussian_potential(0.0, 1.0, 3.0)
     grid = build_grid(model, 64)
     spec = FlowSpec(time=0.7, steps=1, method="exact_gaussian")
     with pytest.warns(UserWarning, match="truncation"):
@@ -772,7 +768,7 @@ def test_row_blocks_keep_every_entry(monkeypatch, quartic, anh_model, anh_spec):
         model, spec, n = anh_model, anh_spec, 401
     else:
         # momentum precision 1.7 at t = 0.6 is the unit law at t = sqrt(1.7) 0.6
-        model = ModelPair(gaussian_potential(0.6, 2.5), 6.0)
+        model = gaussian_potential(0.6, 2.5, 6.0)
         spec, n = FlowSpec(time=np.sqrt(1.7) * 0.6, method="exact_gaussian"), 201
     grid = build_grid(model, n)
 
@@ -810,3 +806,37 @@ def test_quartic_nystrom_spectrum(anh_T, anh_report):
     assert abs(anh_report.rate_bound - 0.994608792) <= 1e-8
     A = to_weighted_symmetric(anh_T)
     assert np.linalg.eigvalsh(0.5 * (A + A.T)).min() >= -1e-8
+
+
+# mu_1 of the quartic fixture's operator at t = 0.08, Richardson-extrapolated in
+# tau^2 from leapfrog's, to 13 decimals
+QUARTIC_MU1 = 0.9946088002636
+
+
+def _exact_quartic_T(monkeypatch, model, spec, n, m):
+    """The quartic's operator with its exact flow, on n nodes and m probes."""
+    monkeypatch.setattr(operator, "flow_batch", elliptic_flow)
+    return assemble_transfer(build_grid(model, n), model, spec, m)
+
+
+def test_exact_quartic_flow_meets_the_extrapolated_rate(monkeypatch, anh_model, anh_spec):
+    # the operator with no integrator at all: mu_1 at n = 401, m = 257 lies within its
+    # change under refining n and m, plus the reference's rounding to 13 decimals
+    coarse, fine = (eigen_spectrum(_exact_quartic_T(monkeypatch, anh_model, anh_spec, n, m),
+                                   k=4).rate_bound for n, m in ((401, 257), (801, 1025)))
+    refinement = abs(coarse - fine)
+    assert refinement <= 1e-12
+    assert abs(coarse - QUARTIC_MU1) <= refinement + 5e-14
+
+
+def test_exact_quartic_operator_residuals(monkeypatch, anh_model, anh_spec):
+    # leapfrog's tau^2 bias puts the self-adjointness and fixed-point residuals at
+    # 3.5e-8 and 6.5e-8 at 36 steps; the exact flow leaves rounding.  The fixed point
+    # is measured on |x| < L - 0.5, since the box edge cuts the kernel rows next to it
+    T = _exact_quartic_T(monkeypatch, anh_model, anh_spec, 401, 257)
+    assert weighted_symmetry_residual(T) <= 1e-11
+    grid = T.grid
+    inner = np.abs(grid.x) < grid.halfwidth - 0.5
+    f, w = grid.target_values[inner], grid.weights[inner]
+    r = (T.apply(grid.target_values) - grid.target_values)[inner]
+    assert math.sqrt(np.sum(w * r * r / f) / np.sum(w * f)) <= 1e-11

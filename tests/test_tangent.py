@@ -4,12 +4,11 @@ from scipy.linalg import expm
 
 from hmctransfer import (
     FlowSpec,
-    anharmonic_pair,
+    anharmonic_potential,
     default_flow_spec,
     determinant_bounds,
-    standard_gaussian_pair,
+    gaussian_potential,
 )
-from hmctransfer.distributions import ModelPair, gaussian_potential
 from hmctransfer.dynamics import exact_gaussian_matrix, flow_batch, tangent_batch
 
 
@@ -25,7 +24,7 @@ def jacobian_factors(J):
 
 
 def test_gaussian_blocks_are_rotation():
-    model = standard_gaussian_pair()
+    model = gaussian_potential(0.0, 1.0, 8.0)
     t = 0.9
     spec = FlowSpec(time=t, steps=1, method="exact_gaussian")
     J = blocks_at(0.7, -0.2, model, spec)
@@ -36,14 +35,14 @@ def test_gaussian_blocks_are_rotation():
 
 
 def test_blocks_reduce_to_identity_at_short_time():
-    model = anharmonic_pair(1.0, 0.5, 3.5)
+    model = anharmonic_potential(1.0, 0.5, 3.5)
     spec = FlowSpec(time=1e-12, steps=1, method="leapfrog")
     J = blocks_at(1.0, 0.5, model, spec)
     assert np.max(np.abs(J - np.eye(2))) < 1e-10
 
 
 def test_tangent_blocks_match_finite_differences():
-    model = anharmonic_pair(1.0, 0.5, 3.5)
+    model = anharmonic_potential(1.0, 0.5, 3.5)
     spec = default_flow_spec(model, 0.3)
     rng = np.random.default_rng(11)
     eps = 1e-5
@@ -63,9 +62,9 @@ def test_tangent_blocks_match_finite_differences():
 def test_exact_gaussian_matrix_matches_matrix_exponential(t):
     # negative time is the inverse flow; the offset Gaussian runs at sqrt(1.7) t,
     # the flow of momentum precision 1.7 at time t
-    for model, time in ((standard_gaussian_pair(), t),
-                        (ModelPair(gaussian_potential(0.6, 2.5), 6.0), np.sqrt(1.7) * t)):
-        u = model.target.params["precision"]
+    for model, time in ((gaussian_potential(0.0, 1.0, 8.0), t),
+                        (gaussian_potential(0.6, 2.5, 6.0), np.sqrt(1.7) * t)):
+        u = model.params["precision"]
         ref = expm(time * np.array([[0.0, 1.0], [-u, 0.0]]))
         mat = exact_gaussian_matrix(model, time)
         assert np.max(np.abs(mat - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -73,7 +72,7 @@ def test_exact_gaussian_matrix_matches_matrix_exponential(t):
 
 
 def test_jacobian_determinants_rotation():
-    model = standard_gaussian_pair()
+    model = gaussian_potential(0.0, 1.0, 8.0)
     spec = FlowSpec(time=0.7, steps=1, method="exact_gaussian")
     dq, dp = jacobian_factors(blocks_at(1.0, 0.0, model, spec))
     assert dq == pytest.approx(1.0 / np.sin(0.7))
@@ -83,7 +82,7 @@ def test_jacobian_determinants_rotation():
 def test_jacobian_determinants_scalar_closed_form():
     # target precision 4, momentum precision 1: omega = 2
     t = 0.4
-    model = ModelPair(gaussian_potential(0.0, 4.0), 6.0)
+    model = gaussian_potential(0.0, 4.0, 6.0)
     spec = FlowSpec(time=t, steps=1, method="exact_gaussian")
     dq, dp = jacobian_factors(blocks_at(0.3, -0.5, model, spec))
     assert dq == pytest.approx(2.0 / np.sin(2 * t))
@@ -91,7 +90,7 @@ def test_jacobian_determinants_scalar_closed_form():
 
 
 def test_short_time_divergence_rate():
-    model = standard_gaussian_pair()
+    model = gaussian_potential(0.0, 1.0, 8.0)
     t = 1e-3
     spec = FlowSpec(time=t, steps=1, method="exact_gaussian")
     dq, _ = jacobian_factors(blocks_at(0.3, 0.2, model, spec))
@@ -99,20 +98,20 @@ def test_short_time_divergence_rate():
 
 
 def test_determinant_bounds_values():
-    model = standard_gaussian_pair()
+    model = gaussian_potential(0.0, 1.0, 8.0)
     lower, upper = determinant_bounds(model, 0.7)
     assert lower == pytest.approx(1.0 / 0.49)
     assert upper == pytest.approx(1.0 / np.sin(0.7) ** 2)
 
 
 def test_determinant_bounds_regime_error():
-    model = standard_gaussian_pair()
+    model = gaussian_potential(0.0, 1.0, 8.0)
     with pytest.raises(ValueError, match="regime"):
         determinant_bounds(model, np.pi / 2)
 
 
 def test_gaussian_product_sits_at_the_upper_bound():
-    model = standard_gaussian_pair()
+    model = gaussian_potential(0.0, 1.0, 8.0)
     t = 0.7
     spec = FlowSpec(time=t, steps=1, method="exact_gaussian")
     lower, upper = determinant_bounds(model, t)
@@ -122,19 +121,19 @@ def test_gaussian_product_sits_at_the_upper_bound():
 
 
 def test_anharmonic_product_inside_bounds():
-    model = anharmonic_pair(1.0, 0.5, 1.6)
+    model = anharmonic_potential(1.0, 0.5, 1.6)
     t = 0.3
     lower, upper = determinant_bounds(model, t)
     spec = default_flow_spec(model, t)
     rng = np.random.default_rng(42)
     # keep total energy below the boundary potential so trajectories stay
     # inside the domain where the declared curvature bounds hold
-    u_edge = model.target.value(1.6)
+    u_edge = model.value(1.6)
     qs, ps = [], []
     while len(qs) < 200:
         q = rng.uniform(-1.6, 1.6)
         p = rng.normal()
-        if model.target.value(q) + 0.5 * p**2 < 0.999 * u_edge:
+        if model.value(q) + 0.5 * p**2 < 0.999 * u_edge:
             qs.append(q)
             ps.append(p)
     _, _, J = tangent_batch(np.array(qs), np.array(ps), model, spec)
@@ -145,12 +144,12 @@ def test_anharmonic_product_inside_bounds():
 
 def test_full_jacobian_determinant_is_one():
     rng = np.random.default_rng(9)
-    quartic = anharmonic_pair(1.0, 0.5, 3.5)
+    quartic = anharmonic_potential(1.0, 0.5, 3.5)
     qspec = default_flow_spec(quartic, 0.3)
     for _ in range(20):
         J = blocks_at(rng.uniform(-2, 2, 1), rng.normal(size=1), quartic, qspec)
         assert abs(np.linalg.det(J) - 1.0) < 1e-12
-    gauss = ModelPair(gaussian_potential(0.6, 2.5), 6.0)
+    gauss = gaussian_potential(0.6, 2.5, 6.0)
     gspec = FlowSpec(time=np.sqrt(1.7) * 0.6, steps=1, method="exact_gaussian")
     for _ in range(10):
         J = blocks_at(rng.normal(), rng.normal(), gauss, gspec)
@@ -167,19 +166,19 @@ def chain_rule_leapfrog(qs, ps, model, spec):
     dq = np.tile([1.0, 0.0], (n, 1))
     dp = np.tile([0.0, 1.0], (n, 1))
     for _ in range(spec.steps):
-        p = p - half * model.target.grad(q)
-        dp = dp - half * (model.target.hess(q)[:, None] * dq)
+        p = p - half * model.grad(q)
+        dp = dp - half * (model.hess(q)[:, None] * dq)
         q = q + tau * p
         dq = dq + tau * dp
-        p = p - half * model.target.grad(q)
-        dp = dp - half * (model.target.hess(q)[:, None] * dq)
+        p = p - half * model.grad(q)
+        dp = dp - half * (model.hess(q)[:, None] * dq)
     return q, p, np.stack([dq, dp], axis=1)
 
 
 def leapfrog_pairs():
-    gauss = ModelPair(gaussian_potential(0.6, 2.5), 6.0)
+    gauss = gaussian_potential(0.6, 2.5, 6.0)
     return [
-        (anharmonic_pair(1.0, 0.5, 3.5), FlowSpec(time=0.08, steps=36, method="leapfrog")),
+        (anharmonic_potential(1.0, 0.5, 3.5), FlowSpec(time=0.08, steps=36, method="leapfrog")),
         (gauss, FlowSpec(time=np.sqrt(1.7) * 0.5, steps=7, method="leapfrog")),
     ]
 
